@@ -46,6 +46,7 @@ from .functors import (
 )
 from .gorenstein import (
     CosyzygySequence,
+    GPCrossCheckError,
     GPReport,
     cosyzygy_sequence,
     findim_bounds_check,
@@ -58,6 +59,7 @@ from .homological import (
     decompose,
     dual,
     ext,
+    ext_profile,
     is_isomorphic,
     projdim,
     strip_projectives,

@@ -30,6 +30,7 @@ from .corpus import corpus as build_corpus
 from .exactlin import DEFAULT_PRIME
 from .functors import TiltingCandidate, check_tilting, endomorphism_presentation
 from .gorenstein import (
+    GPCrossCheckError,
     cosyzygy_sequence,
     findim_bounds_check,
     is_gorenstein_projective,
@@ -496,7 +497,7 @@ def main(argv=None) -> int:
     except (DefinitionError,) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (OperationError, NonAdmissibleError, ValueError, AssertionError) as e:
+    except (OperationError, NonAdmissibleError, ValueError, AssertionError, GPCrossCheckError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

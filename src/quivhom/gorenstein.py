@@ -4,8 +4,13 @@ The detector is the totally-reflexive criterion truncated at a depth d:
 a module is refuted as soon as some Ext^i(X, P) or Ext^i(Tr X, P') with
 1 <= i <= d is nonzero (an exact, definitive verdict, re-verified by an
 independent derived-category computation), and certified
-"GP up to depth d" when both Ext columns vanish.  No finite depth
-decides the property in general, so positive verdicts carry their
+"GP up to depth d" when both Ext columns vanish.  Each side is one Ext
+profile against the regular module (homological.ext_profile), which
+stops resolving at the first explicit isomorphism between two syzygies
+Omega^j -> Omega^k.  Such a period is returned with the report, and a
+positive verdict with a period on both sides holds in every degree,
+because the profiles repeat with that period.  Without one, no finite
+depth decides the property in general, so positive verdicts carry their
 depth.
 
 The forward shift on certified modules is realized as Tr o Omega o Tr
@@ -20,8 +25,10 @@ import numpy as np
 
 from .complexes import hom_d_dim, module_complex
 from .homological import (
+    _search_iso,
     decompose,
     ext,
+    ext_profile,
     is_isomorphic,
     projdim,
     strip_projectives,
@@ -29,7 +36,6 @@ from .homological import (
     transpose,
 )
 from .modules import (
-    RepHom,
     Representation,
     direct_sum,
     is_projective,
@@ -48,23 +54,28 @@ def perp_check(x: Representation, m: int, d: int) -> bool:
     m < i <= d."""
     if d < m:
         raise ValueError("depth must be at least the degree bound")
-    alg = x.algebra
-    for v in alg.quiver.vertices:
-        P = projective(alg, v)
-        for i in range(m + 1, d + 1):
-            if ext(x, P, i) != 0:
-                return False
-    return True
+    dims, _ = ext_profile(x, d, stop_above=m)
+    return not any(dims[m:])
+
+
+class GPCrossCheckError(RuntimeError):
+    """A refutation witness that the independent derived-Hom computation
+    does not confirm."""
 
 
 class GPReport:
-    def __init__(self, module, depth, ext_left, ext_right, verdict, witness=None):
+    def __init__(self, module, depth, ext_left, ext_right, verdict, witness=None,
+                 period_left=None, period_right=None):
         self.module = module
         self.depth = depth
         self.ext_left = ext_left
         self.ext_right = ext_right
         self.verdict = verdict  # "gp-up-to-depth" or "refuted"
         self.witness = witness  # (side, degree, vertex) when refuted
+        # (j, k, iso: Omega^j -> Omega^k) of the side's minimal resolution
+        # (on x, on Tr x), or None when no period showed up to depth
+        self.period_left = period_left
+        self.period_right = period_right
 
     @property
     def is_gp(self) -> bool:
@@ -76,6 +87,30 @@ class GPReport:
         return f"GPReport(refuted at {self.witness})"
 
 
+def _side(y: Representation, d: int, side: str):
+    """(ext row, period, witness) of one side of the detector: the row
+    lists dim Ext^i(y, A) for the degrees before the first nonzero one,
+    where the profile stops; its vertex is recovered by per-vertex Ext
+    and confirmed by derived Hom."""
+    dims, period = ext_profile(y, d, stop_above=0)
+    i = next((i for i, e in enumerate(dims, start=1) if e), None)
+    if i is None:
+        return dims, period, None
+    alg = y.algebra
+    for v in alg.quiver.vertices:
+        P = projective(alg, v)
+        e = ext(y, P, i)
+        if e:
+            crosscheck = hom_d_dim(module_complex(y), module_complex(P), i)
+            if crosscheck != e:
+                raise GPCrossCheckError(
+                    f"refutation witness ({side}, {i}, {v}) failed cross-check: "
+                    f"Ext = {e}, derived Hom = {crosscheck}"
+                )
+            return dims[: i - 1], period, (side, i, v)
+    raise GPCrossCheckError(f"Ext^{i} against the regular module is nonzero on the {side} side, but zero at every vertex")
+
+
 def is_gorenstein_projective(x: Representation, d: int = 8) -> GPReport:
     """Totally-reflexive test to depth d.
 
@@ -84,38 +119,14 @@ def is_gorenstein_projective(x: Representation, d: int = 8) -> GPReport:
     """
     if d < 1:
         raise ValueError("depth must be >= 1")
-    alg = x.algebra
     if x.is_zero():
         return GPReport(x, d, [], [], "gp-up-to-depth")
-    ext_left = []
-    for i in range(1, d + 1):
-        row = 0
-        for v in alg.quiver.vertices:
-            e = ext(x, projective(alg, v), i)
-            if e:
-                crosscheck = hom_d_dim(
-                    module_complex(x), module_complex(projective(alg, v)), i
-                )
-                assert crosscheck == e, "refutation witness failed cross-check"
-                return GPReport(x, d, ext_left, [], "refuted", ("left", i, v))
-            row += e
-        ext_left.append(row)
-    tr = transpose(x)
-    op = alg.opposite()
-    ext_right = []
-    for i in range(1, d + 1):
-        row = 0
-        for v in op.quiver.vertices:
-            e = ext(tr, projective(op, v), i)
-            if e:
-                crosscheck = hom_d_dim(
-                    module_complex(tr), module_complex(projective(op, v)), i
-                )
-                assert crosscheck == e, "refutation witness failed cross-check"
-                return GPReport(x, d, ext_left, ext_right, "refuted", ("right", i, v))
-            row += e
-        ext_right.append(row)
-    return GPReport(x, d, ext_left, ext_right, "gp-up-to-depth")
+    ext_left, period_left, witness = _side(x, d, "left")
+    if witness is not None:
+        return GPReport(x, d, ext_left, [], "refuted", witness, period_left)
+    ext_right, period_right, witness = _side(transpose(x), d, "right")
+    verdict = "refuted" if witness is not None else "gp-up-to-depth"
+    return GPReport(x, d, ext_left, ext_right, verdict, witness, period_left, period_right)
 
 
 def inverse_syzygy(x: Representation, seed: int = 0) -> Representation:
@@ -150,26 +161,6 @@ class CosyzygyError(RuntimeError):
     def __init__(self, msg, step):
         super().__init__(msg)
         self.step = step
-
-
-def _search_iso(a: Representation, b: Representation, rng) -> RepHom | None:
-    """Explicit isomorphism a -> b, by random combinations of a Hom basis."""
-    from .modules import hom_space
-
-    if a.dims != b.dims:
-        return None
-    basis = hom_space(a, b)
-    for cand in basis:
-        if cand.is_iso():
-            return cand
-    for _ in range(60):
-        cand = None
-        for h in basis:
-            t = h.scale(int(rng.integers(0, a.p)))
-            cand = t if cand is None else cand + t
-        if cand is not None and cand.is_iso():
-            return cand
-    return None
 
 
 def _match_embedding(x: Representation, seed: int = 0):

@@ -31,6 +31,8 @@ from .modules import (
     kernel,
     projective,
     projective_cover,
+    regular_module,
+    zero_hom,
     zero_rep,
 )
 
@@ -64,6 +66,11 @@ class MinimalResolution:
             self.homs.append(epi)
             self._kernels.append((ker, incl))
         return self
+
+    def syzygy_module(self, k: int) -> Representation:
+        """K_k, the kernel of P_(k-1) ->> K_(k-1) (K_0 = m), unstripped."""
+        self.extend_to(k)
+        return self.module if k == 0 else self._kernels[k][0]
 
     def diff_hom(self, k: int) -> RepHom:
         """d_k : P_k -> P_{k-1} as a RepHom."""
@@ -111,41 +118,90 @@ def _yoneda_boundary(alg, emat: ElementMatrix, src: ProjSummands, tgt: ProjSumma
     return Matrix(p, out)
 
 
-def ext(m: Representation, n: Representation, i: int, with_basis: bool = False):
-    """dim Ext^i(m, n), via Hom(minimal resolution, n).
-
-    With with_basis=True also returns a basis of cocycle coordinates in
-    the Yoneda space Hom(P_i, n).
-    """
+def ext(m: Representation, n: Representation, i: int) -> int:
+    """dim Ext^i(m, n), via Hom(minimal resolution, n)."""
     if i < 0:
         raise ValueError("ext degree must be >= 0")
     if m.is_zero() or n.is_zero():
-        return (0, []) if with_basis else 0
+        return 0
     alg = m.algebra
     res = minimal_resolution(m, i + 1)
     d_next = _yoneda_boundary(alg, res.dmats[i + 1], res.terms[i + 1], res.terms[i], n)
     cocycles = nullspace(d_next)
     if i == 0:
-        dim = cocycles.cols
-        boundaries_rank = 0
-    else:
-        d_prev = _yoneda_boundary(alg, res.dmats[i], res.terms[i], res.terms[i - 1], n)
-        boundaries_rank = rank(d_prev)
-        dim = cocycles.cols - boundaries_rank
-    if not with_basis:
-        return dim
-    # quotient basis: columns of cocycles independent modulo boundaries
-    if i == 0:
-        return dim, [cocycles.column(k) for k in range(cocycles.cols)]
+        return cocycles.cols
     d_prev = _yoneda_boundary(alg, res.dmats[i], res.terms[i], res.terms[i - 1], n)
-    chosen = []
-    probe = d_prev
-    for k in range(cocycles.cols):
-        cand = Matrix.hstack([probe, cocycles.column(k)])
-        if rank(cand) > rank(probe):
-            chosen.append(cocycles.column(k))
-            probe = cand
-    return dim, chosen
+    return cocycles.cols - rank(d_prev)
+
+
+def ext_profile(y: Representation, d: int, stop_above: int | None = None):
+    """(dims, period): dims[i - 1] = dim Ext^i(y, A) for i = 1..d, with
+    A = (+)_v P_v the regular module, so dims[i - 1] is the sum over v of
+    dim Ext^i(y, P_v).
+
+    The minimal resolution is extended one step at a time.  Step k adds
+    the boundary rank rk d_k*, which settles degree k - 1:
+    dim Ext^i = dim Hom(P_i, A) - rk d_(i+1)* - rk d_i*.  Then the new
+    syzygy K_k (K_0 = y) is compared with the earlier K_j of the same
+    dimension vector.  The first explicit isomorphism K_j -> K_k found by
+    _search_iso (a zero syzygy matches the next one, also zero) is
+    returned as period = (j, k, iso); it certifies that the profile
+    repeats with period k - j in every degree above j, because
+    Ext^i(y, N) = Ext^(i-j)(K_j, N) for i > j.  The resolution stops at
+    P_k: the minimal presentations of K_k and K_j are isomorphic
+    complexes, so rk d_(k+1)* = rk d_(j+1)*.  Degrees above k are filled
+    by periodicity.  Without an isomorphism up to K_d the period is None
+    and all d degrees are computed from a resolution of depth d + 1.
+
+    With stop_above = m the profile stops at the first nonzero degree
+    i > m settled before a period shows up: dims then ends at degree i.
+    Profiles are cached on y per depth; a cached one is reused whenever
+    it settles the call.
+    """
+    key = ("ext_profile", d)
+    hit = y._cache.get(key)
+    if hit is not None and (len(hit[0]) == d or (stop_above is not None and any(hit[0][stop_above:]))):
+        return list(hit[0]), hit[1]
+    alg = y.algebra
+    A = regular_module(alg)
+    res = minimal_resolution(y, 0)
+    rng = np.random.default_rng(0)
+
+    def boundary_rank(i):
+        res.extend_to(i)
+        return rank(_yoneda_boundary(alg, res.dmats[i], res.terms[i], res.terms[i - 1], A))
+
+    def ext_dim(i):
+        return _yoneda_space_dim(res.terms[i], A) - ranks[i + 1] - ranks[i]
+
+    ranks = [0]
+    dims: list[int] = []
+    period = None
+    for k in range(1, d + 1):
+        ranks.append(boundary_rank(k))
+        if k > 1:
+            dims.append(ext_dim(k - 1))
+            if stop_above is not None and k - 1 > stop_above and dims[-1]:
+                break
+        kk = res.syzygy_module(k)
+        for j in range(k):
+            iso = _search_iso(res.syzygy_module(j), kk, rng)
+            if iso is not None:
+                period = (j, k, iso)
+                break
+        if period is not None:
+            j, k, _ = period
+            ranks.append(ranks[j + 1])
+            dims.append(ext_dim(k))
+            for i in range(k + 1, d + 1):
+                dims.append(dims[i - (k - j) - 1])
+            break
+    else:
+        ranks.append(boundary_rank(d + 1))
+        dims.append(ext_dim(d))
+    if hit is None or len(dims) > len(hit[0]):
+        y._cache[key] = (dims, period)
+    return list(dims), period
 
 
 def dim_hom(m: Representation, n: Representation) -> int:
@@ -579,6 +635,26 @@ def decompose(m: Representation, seed: int = 0, budget: int = 60):
             grouped.append((piece, 1))
     m._cache[key] = grouped
     return grouped
+
+
+def _search_iso(a: Representation, b: Representation, rng) -> RepHom | None:
+    """Explicit isomorphism a -> b, by random combinations of a Hom basis."""
+    if a.dims != b.dims:
+        return None
+    if a.is_zero():
+        return zero_hom(a, b)
+    basis = hom_space(a, b)
+    for cand in basis:
+        if cand.is_iso():
+            return cand
+    for _ in range(60):
+        cand = None
+        for h in basis:
+            t = h.scale(int(rng.integers(0, a.p)))
+            cand = t if cand is None else cand + t
+        if cand is not None and cand.is_iso():
+            return cand
+    return None
 
 
 def is_isomorphic(m: Representation, n: Representation, seed: int = 0, budget: int = 60) -> bool:

@@ -250,6 +250,16 @@ def projective(alg: BoundQuiverAlgebra, v: str) -> Representation:
     return rep
 
 
+def regular_module(alg: BoundQuiverAlgebra) -> Representation:
+    """The regular module A = (+)_v P_v, kept next to its summands in the
+    projective cache."""
+    parts = [projective(alg, v) for v in alg.quiver.vertices]
+    cached = alg._proj_cache
+    if "regular" not in cached:
+        cached["regular"] = direct_sum(parts)[0]
+    return cached["regular"]
+
+
 def projective_layout(alg: BoundQuiverAlgebra, v: str) -> dict[str, list[Path]]:
     rep = projective(alg, v)
     return rep._cache["proj_layout"]
