@@ -253,12 +253,6 @@ def column_space_basis(m: Matrix) -> Matrix:
     return m.submatrix(range(m.rows), pivots)
 
 
-def row_space_basis(m: Matrix) -> Matrix:
-    """Nonzero rows of the reduced row-echelon form."""
-    r, pivots = rref(m)
-    return Matrix(m.p, r.data[: len(pivots), :])
-
-
 def left_nullspace(m: Matrix) -> Matrix:
     """Basis of {y : y m = 0}, as rows of a matrix."""
     return nullspace(m.transpose()).transpose()

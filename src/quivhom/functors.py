@@ -113,11 +113,6 @@ class FunctorData:
                         comps[i][r][s] = alg.add(comps[i][r][s], alg.smul(c, mat[r][s]))
         return comps
 
-    def element_map(self, e: Element) -> ProjChainMap:
-        ends = self.source.element_source_target(e)
-        x, y = ends
-        return ProjChainMap(self.images[y], self.images[x], self.element_map_emats(e))
-
     def _element_map_is_zero(self, e: Element) -> bool:
         comps = self.element_map_emats(e)
         return all(emat_is_zero(m) for m in comps.values())
@@ -296,39 +291,18 @@ def apply_to_proj_chain_map(f: FunctorData, mu: ProjChainMap) -> ProjChainMap:
     return ProjChainMap(src, tgt, comps)
 
 
-def resolution_proj_complex(x, window_lo: int) -> ProjComplex:
-    """Minimal resolution of a module as a ProjComplex in [window_lo, 0]."""
-    key = ("resqc", window_lo)
-    if key in x._cache:
-        return x._cache[key]
-    res = minimal_resolution(x, -window_lo)
-    terms = {}
-    dmats = {}
-    for k in range(0, -window_lo + 1):
-        if len(res.terms[k].vertices):
-            terms[-k] = res.terms[k]
-    for k in range(1, -window_lo + 1):
-        if -k in terms and -k + 1 in terms:
-            dmats[-k] = res.dmats[k]
-    pc = ProjComplex(x.algebra, terms, dmats, check=False)
-    x._cache[key] = pc
-    return pc
-
-
 def apply_to_module(f: FunctorData, x, window_lo: int) -> ProjComplex:
     """Image of a module: substitute into its minimal resolution down to
     window_lo.  Quasi-isomorphic to the true image in all degrees
     >= window_lo + width + 1."""
     if x.is_zero():
         return ProjComplex(f.target, {}, {}, check=False)
-    return apply_to_projective_complex(f, resolution_proj_complex(x, window_lo))
+    return apply_to_projective_complex(f, minimal_resolution(x, -window_lo).proj_complex(window_lo))
 
 
 def lift_to_resolutions(phi: RepHom, window_lo: int) -> ProjChainMap:
     """Lift a module map to a chain map of minimal resolutions."""
     x, y = phi.source, phi.target
-    rx = resolution_proj_complex(x, window_lo)
-    ry = resolution_proj_complex(y, window_lo)
     resx = minimal_resolution(x, -window_lo)
     resy = minimal_resolution(y, -window_lo)
     comps: dict[int, ElementMatrix] = {}
@@ -345,20 +319,22 @@ def lift_to_resolutions(phi: RepHom, window_lo: int) -> ProjChainMap:
             target = prev.compose(resx.diff_hom(k))
             post = resy.diff_hom(k)
         if not basis:
+            if not target.is_zero():
+                raise ValueError("comparison lift failed")
             lam = zero_hom(ps_x.rep(), ps_y.rep())
-            assert target.is_zero()
         else:
             cols = [post.compose(b).flat() for b in basis]
             mat = Matrix(x.p, np.stack(cols, axis=1))
             rhs = Matrix(x.p, target.flat().reshape(-1, 1))
             sol = solve(mat, rhs)
-            assert sol is not None, "comparison lift failed"
+            if sol is None:
+                raise ValueError("comparison lift failed")
             lam = zero_hom(ps_x.rep(), ps_y.rep())
             for c, b in zip(sol.data[:, 0], basis):
                 lam = lam + b.scale(int(c))
         comps[-k] = hom_to_element_matrix(x.algebra, lam, ps_x, ps_y)
         prev = lam
-    return ProjChainMap(rx, ry, comps)
+    return ProjChainMap(resx.proj_complex(window_lo), resy.proj_complex(window_lo), comps)
 
 
 def apply_to_map(f: FunctorData, phi: RepHom, window_lo: int) -> ProjChainMap:
@@ -910,7 +886,7 @@ def conjugation_comparison(f1: FunctorData, f2: FunctorData, psis: dict, x) -> P
     """Chain map apply(f2, res_x) -> apply(f1, res_x) assembled from the
     conjugating automorphisms (both data share their images)."""
     window = -f1.width - 2
-    res = resolution_proj_complex(x, window)
+    res = minimal_resolution(x, -window).proj_complex(window)
     c2 = apply_to_projective_complex(f2, res)
     c1 = apply_to_projective_complex(f1, res)
     alg = f1.target

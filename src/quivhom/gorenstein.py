@@ -30,6 +30,7 @@ from .homological import (
     ext,
     ext_profile,
     is_isomorphic,
+    minimal_resolution,
     projdim,
     strip_projectives,
     syzygy,
@@ -40,9 +41,7 @@ from .modules import (
     direct_sum,
     is_projective,
     is_ses,
-    kernel,
     projective,
-    projective_cover,
     zero_rep,
 )
 from .functors import FunctorData
@@ -185,8 +184,8 @@ def _match_embedding(x: Representation, seed: int = 0):
         if x_nonproj:
             raise CosyzygyError("inverse shift vanished on a non-projective module", 0)
         return identity_hom(x), zero_hom(x, zero_rep(alg))
-    psY, epiY = projective_cover(y)
-    K, kincl = kernel(epiY)
+    res = minimal_resolution(y, 1)
+    psY, K, kincl = res.terms[0], res.syzygy_module(1), res.incls[1]
     kpieces: list[Representation] = []
     for rep, mult in decompose(K, seed=seed):
         kpieces.extend([rep] * mult)

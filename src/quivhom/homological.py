@@ -29,16 +29,17 @@ from .modules import (
     image,
     is_projective,
     kernel,
-    projective,
     projective_cover,
     regular_module,
     zero_hom,
     zero_rep,
 )
+from .projcplx import ProjComplex
 
 
 class MinimalResolution:
-    """Minimal projective resolution ... -> P_1 -> P_0 -> m -> 0.
+    """Minimal projective resolution ... -> P_1 -> P_0 -> m -> 0, the one
+    resolution of m that every consumer reads.
 
     terms[k] is a ProjSummands; dmats[k] (k >= 1) is the element matrix
     of d_k : P_k -> P_{k-1}; epi : P_0 -> m.  Extended lazily.
@@ -51,7 +52,8 @@ class MinimalResolution:
         self.terms: list[ProjSummands] = [p0]
         self.dmats: list[ElementMatrix | None] = [None]
         self.homs: list[RepHom] = [epi]
-        self._kernels: list = [None]  # (rep, incl) of ker(d_k) for the last level
+        self.incls: list[RepHom | None] = [None]  # incl_k : K_k -> P_(k-1)
+        self._proj_complexes: dict[int, ProjComplex] = {}
 
     def extend_to(self, depth: int):
         # homs[k] is the minimal epi P_k ->> K_k (K_0 = m); its kernel is
@@ -64,18 +66,30 @@ class MinimalResolution:
             self.terms.append(pk)
             self.dmats.append(hom_to_element_matrix(self.algebra, d, pk, self.terms[k]))
             self.homs.append(epi)
-            self._kernels.append((ker, incl))
+            self.incls.append(incl)
         return self
 
     def syzygy_module(self, k: int) -> Representation:
         """K_k, the kernel of P_(k-1) ->> K_(k-1) (K_0 = m), unstripped."""
         self.extend_to(k)
-        return self.module if k == 0 else self._kernels[k][0]
+        return self.module if k == 0 else self.incls[k].source
 
     def diff_hom(self, k: int) -> RepHom:
-        """d_k : P_k -> P_{k-1} as a RepHom."""
+        """d_k = incl_k o epi_k : P_k ->> K_k -> P_{k-1} as a RepHom."""
         self.extend_to(k)
-        return element_matrix_to_hom(self.algebra, self.dmats[k], self.terms[k], self.terms[k - 1])
+        return self.incls[k].compose(self.homs[k])
+
+    def proj_complex(self, window_lo: int) -> ProjComplex:
+        """The resolution as a ProjComplex in degrees [window_lo, 0]
+        (P_k in degree -k), one cached object per window."""
+        pc = self._proj_complexes.get(window_lo)
+        if pc is None:
+            self.extend_to(-window_lo)
+            terms = {-k: self.terms[k] for k in range(-window_lo + 1) if self.terms[k].vertices}
+            dmats = {-k: self.dmats[k] for k in range(1, -window_lo + 1) if -k in terms and -k + 1 in terms}
+            pc = ProjComplex(self.algebra, terms, dmats, check=False)
+            self._proj_complexes[window_lo] = pc
+        return pc
 
 
 def minimal_resolution(m: Representation, depth: int) -> MinimalResolution:
@@ -204,10 +218,6 @@ def ext_profile(y: Representation, d: int, stop_above: int | None = None):
     return list(dims), period
 
 
-def dim_hom(m: Representation, n: Representation) -> int:
-    return len(hom_space(m, n))
-
-
 # -- syzygies -----------------------------------------------------------
 
 
@@ -228,28 +238,21 @@ def strip_projectives(m: Representation, seed: int = 0):
 
 
 def syzygy(m: Representation, k: int, seed: int = 0) -> Representation:
-    """k-th syzygy via minimal covers, with projective summands stripped."""
+    """k-th syzygy K_k of the minimal resolution, with projective summands
+    stripped.  Omega(X (+) P) = Omega X, so this is the iterated
+    strip-then-cover syzygy up to isomorphism."""
     if k < 0:
         raise ValueError("syzygy index must be >= 0")
-    cur, _ = strip_projectives(m, seed=seed)
-    for _ in range(k):
-        if cur.is_zero():
-            return cur
-        _, epi = projective_cover(cur)
-        ker, _ = kernel(epi)
-        cur, _ = strip_projectives(ker, seed=seed)
-    return cur
+    return strip_projectives(minimal_resolution(m, k).syzygy_module(k), seed=seed)[0]
 
 
-def projdim(m: Representation, bound: int, seed: int = 0):
-    """Least k <= bound with syzygy(m, k) = 0, or None if it exceeds bound."""
-    cur, _ = strip_projectives(m, seed=seed)
+def projdim(m: Representation, bound: int):
+    """Length of the minimal resolution: the least k <= bound with
+    P_(k+1) = 0, or None if it exceeds bound."""
+    res = minimal_resolution(m, 0)
     for k in range(bound + 1):
-        if cur.is_zero():
+        if not res.extend_to(k + 1).terms[k + 1].vertices:
             return k
-        _, epi = projective_cover(cur)
-        ker, _ = kernel(epi)
-        cur, _ = strip_projectives(ker, seed=seed)
     return None
 
 

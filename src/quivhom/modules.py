@@ -166,15 +166,6 @@ class RepHom:
             m.rows == m.cols and inverse(m) is not None for m in self.mats.values()
         )
 
-    def invert(self) -> "RepHom":
-        mats = {}
-        for v, m in self.mats.items():
-            inv = inverse(m)
-            if inv is None:
-                raise ValueError("not invertible")
-            mats[v] = inv
-        return RepHom(self.target, self.source, mats, check=False)
-
     def flat(self) -> np.ndarray:
         """All vertex matrices concatenated into one coordinate vector."""
         parts = [self.mats[v].data.reshape(-1) for v in self.source.algebra.quiver.vertices]
@@ -198,17 +189,6 @@ def zero_hom(m: Representation, n: Representation) -> RepHom:
     return RepHom(m, n, {}, check=False)
 
 
-def hom_from_flat(m: Representation, n: Representation, vec: np.ndarray) -> RepHom:
-    p = m.p
-    mats = {}
-    off = 0
-    for v in m.algebra.quiver.vertices:
-        r, c = n.dims[v], m.dims[v]
-        mats[v] = Matrix(p, vec[off : off + r * c].reshape(r, c))
-        off += r * c
-    return RepHom(m, n, mats, check=False)
-
-
 # -- constructions -----------------------------------------------------
 
 
@@ -224,10 +204,7 @@ def projective(alg: BoundQuiverAlgebra, v: str) -> Representation:
     """Indecomposable projective at v: basis = irreducible paths starting
     at v, graded by their target vertex; arrows act by appending."""
     key = ("proj", v)
-    cached = getattr(alg, "_proj_cache", None)
-    if cached is None:
-        cached = {}
-        alg._proj_cache = cached
+    cached = alg._proj_cache
     if key in cached:
         return cached[key]
     paths = alg.basis_by_source[v]
@@ -592,13 +569,6 @@ def emat_compose(alg, a: ElementMatrix, b: ElementMatrix) -> ElementMatrix:
                     acc = alg.add(acc, alg.mul(u, s))
             out[l][j] = acc
     return out
-
-
-def emat_add(alg, a: ElementMatrix, b: ElementMatrix, sign: int = 1) -> ElementMatrix:
-    return [
-        [alg.add(a[i][j], alg.smul(sign, b[i][j])) for j in range(len(a[0]))]
-        for i in range(len(a))
-    ]
 
 
 def emat_is_zero(emat: ElementMatrix) -> bool:

@@ -27,7 +27,8 @@ from quivhom.functors import (
     shift_functor,
 )
 from quivhom.homological import is_isomorphic
-from quivhom.modules import ProjSummands, projective, radical, simple, top
+from quivhom.exactlin import Matrix
+from quivhom.modules import ProjSummands, RepHom, projective, radical, simple, top
 from quivhom.projcplx import ProjChainMap, ProjComplex, minimize
 from quivhom.stable import stable_iso
 from tests.conftest import random_module
@@ -178,6 +179,16 @@ def test_apply_to_map_radical_inclusion(C1):
     for i in range(-2, f.width + 1):
         hx, hy = homology(ch, i), homology(ct, i)
         assert hx.dims == hy.dims or is_isomorphic(hx, hy)
+
+
+def test_lift_of_a_non_module_map_raises_value_error(A1):
+    # top of S_1 onto top of P_1: the arrow a1 acts by zero on S_1 but
+    # not on P_1, so no chain map of resolutions lifts it
+    s, P = simple(A1, "1"), projective(A1, "1")
+    phi = RepHom(s, P, {"1": Matrix(A1.p, [[1]])}, check=False)
+    assert not phi.verify()
+    with pytest.raises(ValueError, match="comparison lift failed"):
+        lift_to_resolutions(phi, -2)
 
 
 def test_compose_with_identity(C1):

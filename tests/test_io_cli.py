@@ -199,6 +199,20 @@ def test_cli_projdim():
     assert json.loads(out)["projdim"] == 0
 
 
+def test_cli_projdim_of_repeated_simple_small_prime(tmp_path):
+    # dim End(S_1^3) = 9 >= p = 3 rules out a certified decomposition;
+    # the projective dimension is read off the minimal resolution
+    defs = json.loads(SAMPLE)
+    defs["field"]["p"] = 3
+    defs["modules"] = {"S3": {"algebra": "T", "dims": {"1": 3}, "mats": {}}}
+    del defs["complexes"], defs["functors"]
+    f = tmp_path / "defs.json"
+    f.write_text(json.dumps(defs))
+    code, out = run_cli(["--defs", str(f), "--format", "json", "projdim", "--module", "S3", "--bound", "5"])
+    assert code == 0
+    assert json.loads(out)["projdim"] == 2
+
+
 @pytest.mark.parametrize(
     "fname",
     ["tree_algebra.json", "dual_numbers.json", "identity_functor.json"],
