@@ -50,7 +50,10 @@ class Context:
     def __init__(self, args):
         from .exactlin import check_prime
 
-        self.p = check_prime(args.prime)
+        try:
+            self.p = check_prime(args.prime)
+        except ValueError as e:
+            raise DefinitionError("--prime", str(e))
         if args.depth < 1:
             raise OperationError("depth must be >= 1")
         self.seed = args.seed

@@ -85,7 +85,13 @@ class Complex:
 
 
 def module_complex(m: Representation, degree: int = 0) -> Complex:
-    return Complex(m.algebra, {degree: m}, {}, check=False)
+    """m as a stalk complex in the given degree, one cached object per
+    module and degree, so its projective resolution is built once."""
+    key = ("stalk", degree)
+    c = m._cache.get(key)
+    if c is None:
+        c = m._cache[key] = Complex(m.algebra, {degree: m}, {}, check=False)
+    return c
 
 
 class ChainMap:
@@ -271,7 +277,8 @@ def _homology_data(c: Complex, i: int):
     coords = {}
     for v in c.algebra.quiver.vertices:
         x = solve(zincl.mats[v], d_in.mats[v])
-        assert x is not None, "image not inside kernel"
+        if x is None:
+            raise ValueError("image not inside kernel")
         coords[v] = x
     h, projh = quotient_by_bases(z, coords)
     return h, z, zincl, projh
@@ -297,9 +304,11 @@ def induced_homology_map(f: ChainMap, i: int):
     mats = {}
     for v in f.source.algebra.quiver.vertices:
         zmap = solve(ziy.mats[v], f.map(i).mats[v] @ zix.mats[v])
-        assert zmap is not None, "chain map does not preserve cycles"
+        if zmap is None:
+            raise ValueError("chain map does not preserve cycles")
         sect = solve(px.mats[v], Matrix.identity(p, hx.dims[v]))
-        assert sect is not None
+        if sect is None:
+            raise ValueError("homology projection has no section")
         mats[v] = py.mats[v] @ zmap @ sect
     return hx, hy, mats
 
@@ -351,7 +360,8 @@ def _good_truncate_unchecked(c: Complex):
     mats = {}
     for v in c.algebra.quiver.vertices:
         x = solve(pi.mats[v].transpose(), d0.mats[v].transpose())
-        assert x is not None, "d^0 does not kill the image of d^{-1}"
+        if x is None:
+            raise ValueError("d^0 does not kill the image of d^{-1}")
         mats[v] = x.transpose()
     if not m.is_zero() and not c.term(1).is_zero():
         diffs[0] = RepHom(m, c.term(1), mats, check=False)
@@ -410,7 +420,8 @@ class HomEngine:
 
         basis = self.pair_basis(i, j)
         x = hom_in_span(f, basis)
-        assert x is not None, "composite escaped the hom space"
+        if x is None:
+            raise ValueError("composite escaped the hom space")
         return x
 
     def boundary(self, m: int) -> Matrix:
@@ -499,11 +510,13 @@ class HomKResult:
         if self._bnd.cols:
             pieces.append(self._bnd)
         if not pieces:
-            assert not vec.any(), "map is not a cycle in the Hom complex"
+            if vec.any():
+                raise ValueError("map is not a cycle in the Hom complex")
             return np.zeros(0, dtype=np.int64)
         full = Matrix.hstack(pieces)
         x = solve(full, Matrix(self.engine.p, vec.reshape(-1, 1)))
-        assert x is not None, "map is not a cycle in the Hom complex"
+        if x is None:
+            raise ValueError("map is not a cycle in the Hom complex")
         return x.data[: self.dim, 0]
 
     def is_null_homotopic(self, f: ShiftedMap) -> bool:
@@ -545,64 +558,89 @@ def hom_k_dim(c: Complex, d: Complex, n: int) -> int:
 # -- projective resolutions ----------------------------------------------
 
 
+class _Resolution:
+    """The construction behind projective_resolution for one complex c,
+    kept on c and extended downward on demand.
+
+    Step i (from c.hi down) takes P_i as the projective cover of the
+    kernel of
+    [[dP_(i+1), 0], [eps_(i+1), -d_c^i]] : P_(i+1) (+) c^i -> P_(i+2) (+) c^(i+1),
+    so P_i, its differential into P_(i+1) and eps_i : P_i -> c^i depend
+    only on the steps above i.  psums, dmats, eps and dP are un-minimized;
+    lo is the lowest degree constructed so far.
+    """
+
+    def __init__(self, c: Complex):
+        self.complex = c
+        self.psums: dict[int, ProjSummands] = {}
+        self.dmats: dict[int, list] = {}
+        self.eps: dict[int, RepHom] = {}
+        self.dP: dict[int, RepHom] = {}
+        self.lo = c.hi + 1
+
+    def extend_to(self, window_lo: int):
+        c, alg = self.complex, self.complex.algebra
+        psums, dmats, eps, dP = self.psums, self.dmats, self.eps, self.dP
+        for i in range(self.lo - 1, window_lo - 1, -1):
+            pnext = psums.get(i + 1)
+            r1 = pnext.rep() if pnext else zero_rep(alg)
+            r2 = c.term(i)
+            if r1.is_zero() and r2.is_zero():
+                continue
+            pair, _, projs = direct_sum([r1, r2])
+            tgt1 = dP[i + 1].target if (i + 1) in dP else zero_rep(alg)
+            tgt2 = c.term(i + 1)
+            tpair, _, _ = direct_sum([tgt1, tgt2])
+            g1 = dP[i + 1] if (i + 1) in dP else zero_hom(r1, tgt1)
+            g2 = eps[i + 1] if (i + 1) in eps else zero_hom(r1, tgt2)
+            blocks = {
+                (0, 0): g1,
+                (1, 0): g2,
+                (1, 1): c.diff(i).scale(-1),
+            }
+            gmap = _block_hom(pair, tpair, [r1, r2], [tgt1, tgt2], blocks)
+            ktilde, kincl = kernel(gmap)
+            ps, pi = projective_cover(ktilde)
+            psums[i] = ps
+            combined = kincl.compose(pi)
+            dPi = projs[0].compose(combined)
+            epsi = projs[1].compose(combined)
+            if pnext is not None:
+                dP[i] = RepHom(ps.rep(), pnext.rep(), dPi.mats, check=False)
+                dmats[i] = hom_to_element_matrix(alg, dP[i], ps, pnext)
+            else:
+                dP[i] = zero_hom(ps.rep(), zero_rep(alg))
+            eps[i] = epsi
+        self.lo = min(self.lo, window_lo)
+
+
 def projective_resolution(c: Complex, window_lo: int):
     """Bounded-above complex of projectives quasi-isomorphic to c in all
     degrees >= window_lo + 1, termwise minimal (contractible summands are
     cancelled).  Returns (ProjComplex, comparison ChainMap into c).
+
+    All windows of c share one construction, kept in
+    c._cache["resolution"]: a lower window extends it from the lowest
+    degree reached so far instead of rebuilding it from c.hi.  Each call
+    minimizes the degrees >= window_lo of that construction and builds
+    the comparison from it.
     """
-    key = ("res", window_lo)
-    if key in c._cache:
-        return c._cache[key]
     alg = c.algebra
     if c.is_zero():
         pc = ProjComplex(alg, {}, {}, check=False)
-        out = (pc, ChainMap(pc.to_complex(), c, {}, check=False))
-        c._cache[key] = out
-        return out
-    psums: dict[int, ProjSummands] = {}
-    dmats: dict[int, list] = {}
-    eps: dict[int, RepHom] = {}
-    dP: dict[int, RepHom] = {}
-    for i in range(c.hi, window_lo - 1, -1):
-        pnext = psums.get(i + 1)
-        r1 = pnext.rep() if pnext else zero_rep(alg)
-        r2 = c.term(i)
-        if r1.is_zero() and r2.is_zero():
-            continue
-        pair, incls, projs = direct_sum([r1, r2])
-        tgt1 = dP[i + 1].target if (i + 1) in dP else zero_rep(alg)
-        tgt2 = c.term(i + 1)
-        tpair, tincls, _ = direct_sum([tgt1, tgt2])
-        g1 = dP[i + 1] if (i + 1) in dP else zero_hom(r1, tgt1)
-        g2 = eps[i + 1] if (i + 1) in eps else zero_hom(r1, tgt2)
-        blocks = {
-            (0, 0): g1,
-            (1, 0): g2,
-            (1, 1): c.diff(i).scale(-1),
-        }
-        gmap = _block_hom(pair, tpair, [r1, r2], [tgt1, tgt2], blocks)
-        ktilde, kincl = kernel(gmap)
-        ps, pi = projective_cover(ktilde)
-        psums[i] = ps
-        combined = kincl.compose(pi)
-        dPi = projs[0].compose(combined)
-        epsi = projs[1].compose(combined)
-        if pnext is not None:
-            dP[i] = RepHom(ps.rep(), pnext.rep(), dPi.mats, check=False)
-            dmats[i] = hom_to_element_matrix(alg, dP[i], ps, pnext)
-        else:
-            dP[i] = zero_hom(ps.rep(), zero_rep(alg))
-        eps[i] = epsi
-    pc = ProjComplex(alg, psums, dmats, check=False)
-    pc_min, mproj, minc = minimize(pc)
+        return pc, ChainMap(pc.to_complex(), c, {}, check=False)
+    res = c._cache.get("resolution")
+    if res is None:
+        res = c._cache["resolution"] = _Resolution(c)
+    res.extend_to(window_lo)
+    terms = {i: ps for i, ps in res.psums.items() if i >= window_lo}
+    dmats = {i: d for i, d in res.dmats.items() if i >= window_lo}
+    pc_min, _, minc = minimize(ProjComplex(alg, terms, dmats, check=False))
     minc_cm = minc.to_chain_map()
     comps = {}
     for i in pc_min.terms:
-        comps[i] = eps[i].compose(minc_cm.map(i))
-    comparison = ChainMap(pc_min.to_complex(), c, comps, check=False)
-    out = (pc_min, comparison)
-    c._cache[key] = out
-    return out
+        comps[i] = res.eps[i].compose(minc_cm.map(i))
+    return pc_min, ChainMap(pc_min.to_complex(), c, comps, check=False)
 
 
 def hom_d_window(d: Complex, n: int) -> int:

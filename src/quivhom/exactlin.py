@@ -3,9 +3,9 @@
 Everything downstream (Hom spaces, Ext groups, resolutions) reduces to
 rank / nullspace / solve over F_p.  Matrices are stored dense, row-major,
 as int64 numpy arrays with entries reduced to [0, p).  All arithmetic is
-exact; p defaults to 101 and must be an odd prime small enough that
-n * (p-1)^2 stays inside int64 for the matrix sizes in play (true for
-any word-sized prime and the dimensions this package handles).
+exact; p defaults to 101 and must be an odd prime at most MAX_PRIME, so
+that a product of two matrices with inner dimension up to MAX_DIM, whose
+entries each sum up to MAX_DIM * (p-1)^2, stays inside int64.
 
 0 x n and n x 0 matrices are legal and behave as zero maps.
 """
@@ -15,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_PRIME = 101
+MAX_DIM = 2**20  # largest inner dimension of a product kept exact
+MAX_PRIME = 2965819  # the largest prime p with MAX_DIM * (p-1)^2 < 2^63
 
 
 def _is_prime(n: int) -> bool:
@@ -29,6 +31,9 @@ def _is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> int:
+    # the bound first: trial division of a huge p would not finish
+    if p > MAX_PRIME:
+        raise ValueError(f"field order {p} exceeds MAX_PRIME = {MAX_PRIME}: matrix products would overflow int64")
     if not _is_prime(p) or p == 2:
         raise ValueError(f"field order must be an odd prime, got {p}")
     return p

@@ -754,7 +754,7 @@ def endomorphism_presentation(t: TiltingCandidate, seed: int = 0, relation_cap: 
                             if x1[a]:
                                 # sc[a][b] holds the coordinates of
                                 # basis_a * basis_b
-                                prod = (prod + x1[a] * (x2 @ sc[a])) % p
+                                prod = (prod + x1[a] * (x2 @ sc[a] % p)) % p
                         blockvec = np.array(
                             [prod[pos[(u, v, k)]] for k in range(hk[(u, v)].dim)],
                             dtype=np.int64,

@@ -128,13 +128,13 @@ def is_gorenstein_projective(x: Representation, d: int = 8) -> GPReport:
     return GPReport(x, d, ext_left, ext_right, verdict, witness, period_left, period_right)
 
 
-def inverse_syzygy(x: Representation, seed: int = 0) -> Representation:
+def inverse_syzygy(x: Representation) -> Representation:
     """Tr o Omega o Tr with projective summands stripped."""
     if x.is_zero():
         return x
-    tr, _ = strip_projectives(transpose(x), seed=seed)
-    om = syzygy(tr, 1, seed=seed)
-    back, _ = strip_projectives(transpose(om), seed=seed)
+    tr, _ = strip_projectives(transpose(x))
+    om = syzygy(tr, 1)
+    back, _ = strip_projectives(transpose(om))
     return back
 
 
@@ -175,7 +175,7 @@ def _match_embedding(x: Representation, seed: int = 0):
 
     alg = x.algebra
     rng = np.random.default_rng(seed)
-    y = inverse_syzygy(x, seed=seed)
+    y = inverse_syzygy(x)
     x_nonproj: list[Representation] = []
     x_proj: list[Representation] = []
     for rep, mult in decompose(x, seed=seed):

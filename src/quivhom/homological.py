@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Element, path_arrows
-from .exactlin import Matrix, nullspace, rank, solve
+from .exactlin import Matrix, nullspace, rank, rref, solve
 from .modules import (
     ElementMatrix,
     ProjSummands,
@@ -27,8 +27,8 @@ from .modules import (
     hom_to_element_matrix,
     identity_hom,
     image,
-    is_projective,
     kernel,
+    projective,
     projective_cover,
     regular_module,
     zero_hom,
@@ -221,29 +221,55 @@ def ext_profile(y: Representation, d: int, stop_above: int | None = None):
 # -- syzygies -----------------------------------------------------------
 
 
-def strip_projectives(m: Representation, seed: int = 0):
-    """(m with projective direct summands removed, list of removed pieces)."""
+def strip_projectives(m: Representation):
+    """(m with its projective direct summands split off, list of the
+    removed P_v).
+
+    The multiplicity of P_v in m is the rank of the composition pairing
+    Hom(m, P_v) x Hom(P_v, m) -> End(P_v)/rad = k.  With Hom(P_v, m) = m(v),
+    the pairing matrix has one row per Hom basis map f: the generator row
+    of f at v.  Maps whose rows are independent, taken over all v, form
+    F : m -> (+)_v P_v^(r_v) with F o G invertible for some G (modulo the
+    radical F o G is block diagonal with invertible blocks), so m is
+    im G (+) ker F and ker F has no projective summand.  Cached on m.
+    """
+    hit = m._cache.get("strip")
+    if hit is None:
+        hit = m._cache["strip"] = _split_projectives(m)
+    return hit[0], list(hit[1])
+
+
+def _split_projectives(m: Representation):
+    alg = m.algebra
     if m.is_zero():
         return m, []
-    pieces = decompose(m, seed=seed)
-    keep, dropped = [], []
-    for rep, mult in pieces:
-        (dropped if is_projective(rep) else keep).extend([rep] * mult)
-    if not keep:
-        return zero_rep(m.algebra), dropped
-    if len(keep) == 1:
-        return keep[0], dropped
-    total, _, _ = direct_sum(keep)
-    return total, dropped
+    cover, _ = projective_cover(m)
+    rows, dropped = {v: [] for v in alg.quiver.vertices}, []
+    for v in dict.fromkeys(cover.vertices):
+        fs = hom_space(m, projective(alg, v))
+        if not fs:
+            continue
+        gen = ProjSummands(alg, (v,)).generator_index(0)
+        pairing = Matrix(m.p, np.stack([f.mats[v].data[gen] for f in fs], axis=1))
+        for j in rref(pairing)[1]:
+            for w in alg.quiver.vertices:
+                rows[w].append(fs[j].mats[w])
+            dropped.append(fs[j].target)
+    if not dropped:
+        return m, []
+    total, _, _ = direct_sum(dropped)
+    mats = {w: Matrix.vstack(rows[w]) for w in alg.quiver.vertices}
+    rest, _ = kernel(RepHom(m, total, mats, check=False))
+    return rest, dropped
 
 
-def syzygy(m: Representation, k: int, seed: int = 0) -> Representation:
+def syzygy(m: Representation, k: int) -> Representation:
     """k-th syzygy K_k of the minimal resolution, with projective summands
     stripped.  Omega(X (+) P) = Omega X, so this is the iterated
     strip-then-cover syzygy up to isomorphism."""
     if k < 0:
         raise ValueError("syzygy index must be >= 0")
-    return strip_projectives(minimal_resolution(m, k).syzygy_module(k), seed=seed)[0]
+    return strip_projectives(minimal_resolution(m, k).syzygy_module(k))[0]
 
 
 def projdim(m: Representation, bound: int):
@@ -546,7 +572,7 @@ def _is_local_end(m: Representation) -> bool:
             for j in range(q):
                 if not b[j]:
                     continue
-                out = (out + a[i] * b[j] * sc[comp[i], comp[j]]) % p
+                out = (out + (a[i] * b[j] % p) * sc[comp[i], comp[j]]) % p
         return to_quot(out)
 
     # commutativity check

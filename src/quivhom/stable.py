@@ -104,8 +104,8 @@ class StableHom:
     def is_stable_iso(self, seed: int = 0) -> bool:
         """True if the class is invertible in the stable category, found
         by searching for a two-sided stable inverse."""
-        x, _ = strip_projectives(self.space.x, seed=seed)
-        y, _ = strip_projectives(self.space.y, seed=seed)
+        x, _ = strip_projectives(self.space.x)
+        y, _ = strip_projectives(self.space.y)
         if x.total_dim() != y.total_dim():
             return False
         sx = StableHomSpace(self.space.y, self.space.x)
@@ -138,8 +138,8 @@ def stable_hom(x: Representation, y: Representation) -> StableHomSpace:
 def stable_iso(x: Representation, y: Representation, seed: int = 0) -> bool:
     """Isomorphism in the stable category: strip projective summands,
     then search for an honest isomorphism."""
-    sx, _ = strip_projectives(x, seed=seed)
-    sy, _ = strip_projectives(y, seed=seed)
+    sx, _ = strip_projectives(x)
+    sy, _ = strip_projectives(y)
     return is_isomorphic(sx, sy, seed=seed)
 
 

@@ -176,6 +176,14 @@ def test_hom_k_identity_class(A1):
     assert hk.coordinates(ident).any()
 
 
+def test_coordinates_of_a_non_cycle_raise_value_error(A1):
+    # the identity on the source term alone does not commute with d
+    c = two_term_projective(A1)
+    half = ShiftedMap(c, c, 0, {0: identity_hom(c.terms[0])}, check=False)
+    with pytest.raises(ValueError, match="not a cycle"):
+        hom_k(c, c, 0).coordinates(half)
+
+
 def test_hom_k_projective_stalks(A1):
     c = module_complex(projective(A1, "1"))
     for n in (-2, -1, 1, 2):

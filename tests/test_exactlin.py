@@ -164,3 +164,26 @@ def test_prime_validation():
     with pytest.raises(ValueError):
         check_prime(2)
     assert check_prime(101) == 101
+
+
+def test_prime_bound():
+    from quivhom.exactlin import MAX_DIM, MAX_PRIME, _is_prime, check_prime
+
+    # the largest prime whose products of MAX_DIM terms stay inside int64
+    assert MAX_DIM * (MAX_PRIME - 1) ** 2 < 2**63
+    nxt = next(q for q in range(MAX_PRIME + 1, 2 * MAX_PRIME) if _is_prime(q))
+    assert MAX_DIM * (nxt - 1) ** 2 >= 2**63
+    for p in (3, 5, 101, MAX_PRIME):
+        assert check_prime(p) == p
+    for p in (nxt, 2**31 - 1):
+        with pytest.raises(ValueError, match="MAX_PRIME"):
+            check_prime(p)
+
+
+def test_matmul_exact_at_the_largest_prime():
+    from quivhom.exactlin import MAX_DIM, MAX_PRIME
+
+    p, n = MAX_PRIME, MAX_DIM
+    a = Matrix(p, np.full((1, n), p - 1))
+    b = Matrix(p, np.full((n, 1), p - 1))
+    assert (a @ b).data[0, 0] == n * (p - 1) ** 2 % p

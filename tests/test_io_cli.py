@@ -155,6 +155,16 @@ def test_cli_parse_error_exit_2(tmp_path):
     assert code == 2
 
 
+def test_cli_prime_above_bound_exit_2(tmp_path, capsys):
+    assert main(["--prime", str(2**31 - 1), "--corpus", "1", "projdim", "--module", "proj_A_1"]) == 2
+    assert "MAX_PRIME" in capsys.readouterr().err
+    defs = json.loads(SAMPLE)
+    defs["field"]["p"] = 2**31 - 1
+    f = tmp_path / "defs.json"
+    f.write_text(json.dumps(defs))
+    assert main(["--defs", str(f), "projdim", "--module", "X"]) == 2
+
+
 def test_cli_defs_file(tmp_path):
     f = tmp_path / "defs.json"
     f.write_text(SAMPLE)

@@ -32,6 +32,7 @@ from quivhom.modules import (
     top,
     zero_rep,
 )
+from quivhom.corpus import gentle_tree_algebra
 from tests.conftest import random_module
 
 
@@ -311,6 +312,42 @@ def test_strip_projectives(A1):
     stripped, dropped = strip_projectives(m)
     assert stripped.total_dim() == 1
     assert len(dropped) == 1
+
+
+def test_strip_projectives_counts_each_projective(A1, Lam1):
+    for alg, v, w in ((A1, "1", "0"), (Lam1, "1", "3")):
+        s, pv, pw = simple(alg, "3"), projective(alg, v), projective(alg, w)
+        m, _, _ = direct_sum([pv, s, pw, pv])
+        stripped, dropped = strip_projectives(m)
+        assert is_isomorphic(stripped, s)
+        want = (pv, pv, pw)
+        assert sorted(sorted(d.dims.items()) for d in dropped) == sorted(sorted(d.dims.items()) for d in want)
+        assert all(is_projective(d) for d in dropped)
+
+
+def test_strip_projectives_agrees_with_decompose(A1, Lam1, keps):
+    rng = np.random.default_rng(29)
+    for alg in (A1, Lam1, keps):
+        for _ in range(4):
+            parts = [random_module(alg, rng), projective(alg, alg.quiver.vertices[0])]
+            m, _, _ = direct_sum(parts)
+            kept = [r for r, mult in decompose(m) for _ in range(mult) if not is_projective(r)]
+            stripped, dropped = strip_projectives(m)
+            assert sum(d.total_dim() for d in dropped) + stripped.total_dim() == m.total_dim()
+            if kept:
+                assert is_isomorphic(stripped, direct_sum(kept)[0])
+            else:
+                assert stripped.is_zero()
+
+
+def test_syzygy_of_repeated_simple_small_prime():
+    # dim End(S_1^3) = 9 >= p = 3, so no certified decomposition exists;
+    # splitting off projective summands needs none
+    alg = gentle_tree_algebra(1, p=3)
+    s = simple(alg, "1")
+    om = syzygy(s, 1)
+    om3 = syzygy(direct_sum([s, s, s])[0], 1)
+    assert is_isomorphic(om3, direct_sum([om, om, om])[0])
 
 
 def test_is_projective(A1, keps):

@@ -1,0 +1,16 @@
+"""Runtime checks in these modules raise typed exceptions; an `assert`
+would vanish under `python -O`."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "quivhom"
+
+
+@pytest.mark.parametrize("module", ["complexes.py", "functors.py", "gorenstein.py"])
+def test_no_assert_statements(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"assert statements in {module} at lines {lines}"
