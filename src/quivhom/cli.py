@@ -500,7 +500,7 @@ def main(argv=None) -> int:
     except (DefinitionError,) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (OperationError, NonAdmissibleError, ValueError, AssertionError, GPCrossCheckError) as e:
+    except (OperationError, NonAdmissibleError, ValueError, GPCrossCheckError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

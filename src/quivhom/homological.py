@@ -507,7 +507,8 @@ def _end_structure(basis: list[RepHom]):
         for j in range(n):
             comp = basis[i].compose(basis[j])
             x = solve(flat, Matrix(p, comp.flat().reshape(-1, 1)))
-            assert x is not None
+            if x is None:
+                raise ValueError("composite of End basis elements is not in their span")
             sc[i, j] = x.data[:, 0]
     return sc
 

@@ -25,6 +25,7 @@ from .exactlin import (
     kron,
     nullspace,
     rank,
+    rref,
     solve,
 )
 
@@ -242,26 +243,31 @@ def projective_layout(alg: BoundQuiverAlgebra, v: str) -> dict[str, list[Path]]:
     return rep._cache["proj_layout"]
 
 
+def _sum_rep(alg: BoundQuiverAlgebra, reps: list[Representation]) -> Representation:
+    """The block-diagonal direct sum of reps (the zero module if empty)."""
+    dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
+    mats = {
+        n: Matrix.block_diag(alg.p, [r.mats[n] for r in reps])
+        for n, _, _ in alg.quiver.arrows
+    }
+    return Representation(alg, dims, mats, check=False)
+
+
 def direct_sum(reps: list[Representation]):
     """Direct sum with canonical inclusions and projections."""
     if not reps:
         raise ValueError("empty direct sum; use zero_rep")
     alg = reps[0].algebra
     p = alg.p
-    dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
-    mats = {
-        n: Matrix.block_diag(p, [r.mats[n] for r in reps])
-        for n, _, _ in alg.quiver.arrows
-    }
-    total = Representation(alg, dims, mats, check=False)
+    total = _sum_rep(alg, reps)
+    offs = {v: 0 for v in alg.quiver.vertices}
     incls, projs = [], []
-    for i, r in enumerate(reps):
+    for r in reps:
         imats, pmats = {}, {}
         for v in alg.quiver.vertices:
-            off = sum(reps[k].dims[v] for k in range(i))
-            inc = np.zeros((dims[v], r.dims[v]), dtype=np.int64)
-            for j in range(r.dims[v]):
-                inc[off + j, j] = 1
+            inc = np.zeros((total.dims[v], r.dims[v]), dtype=np.int64)
+            inc[offs[v] : offs[v] + r.dims[v]] = np.eye(r.dims[v], dtype=np.int64)
+            offs[v] += r.dims[v]
             imats[v] = Matrix(p, inc)
             pmats[v] = Matrix(p, inc.T)
         incls.append(RepHom(r, total, imats, check=False))
@@ -475,19 +481,13 @@ class ProjSummands:
 
     def rep(self) -> Representation:
         if self._rep is None:
-            if not self.vertices:
-                self._rep = zero_rep(self.algebra)
-                self._layout = {w: [] for w in self.algebra.quiver.vertices}
-            else:
-                parts = [projective(self.algebra, v) for v in self.vertices]
-                total, _, _ = direct_sum(parts)
-                self._rep = total
-                layout = {w: [] for w in self.algebra.quiver.vertices}
-                for j, v in enumerate(self.vertices):
-                    for w in self.algebra.quiver.vertices:
-                        for pth in projective_layout(self.algebra, v)[w]:
-                            layout[w].append((j, pth))
-                self._layout = layout
+            alg = self.algebra
+            self._rep = _sum_rep(alg, [projective(alg, v) for v in self.vertices])
+            layout = {w: [] for w in alg.quiver.vertices}
+            for j, v in enumerate(self.vertices):
+                for w, paths in projective_layout(alg, v).items():
+                    layout[w].extend((j, pth) for pth in paths)
+            self._layout = layout
         return self._rep
 
     def layout(self) -> dict[str, list[tuple[int, Path]]]:
@@ -500,7 +500,7 @@ class ProjSummands:
         for i, (k, pth) in enumerate(self.layout()[v]):
             if k == j and not path_arrows(pth):
                 return i
-        raise AssertionError("generator not found")
+        raise ValueError("generator not found")
 
     def __len__(self):
         return len(self.vertices)
@@ -578,37 +578,50 @@ def emat_is_zero(emat: ElementMatrix) -> bool:
 def projective_cover(m: Representation):
     """Minimal projective cover (P, epi) with P an explicit ProjSummands.
 
-    P = direct sum of P_v, one copy per basis vector of top(m) at v; the
-    epi lifts the identification of tops, so ker(epi) lies in rad P.
+    rad m(v) is the span of the arrow images into v.  One rref of their
+    transpose puts a pivot on rad m(v)'s echelon coordinates; the standard
+    basis vectors at the other coordinates complete it to m(v), so they
+    lift a basis of top m(v).  P has one P_v per such coordinate, listed
+    vertex by vertex in coordinate order, and the epi sends that summand's
+    generator to the basis vector, so ker(epi) lies in rad P.  The epi's
+    columns are the actions of P's basis paths on these generators, each
+    path's action computed once, from that of its prefix.
     """
     key = "cover"
     if key not in m._cache:
         alg = m.algebra
         p = alg.p
-        t, pi = top(m)
         verts = []
-        gens = []  # (vertex, column vector in m at that vertex)
+        slot = []  # position of each summand among the generators at its vertex
+        gens = {}  # vertex -> the generators there, as columns of the identity
         for v in alg.quiver.vertices:
-            tv = t.dims[v]
-            if tv == 0:
+            if not m.dims[v]:
                 continue
-            lift = solve(pi.mats[v], Matrix.identity(p, tv))
-            assert lift is not None
-            for k in range(tv):
-                verts.append(v)
-                gens.append((v, lift.column(k)))
+            imgs = [m.mats[n].data for n, _, t in alg.quiver.arrows if t == v and m.mats[n].cols]
+            pivots = set(rref(Matrix(p, np.hstack(imgs).T))[1]) if imgs else set()
+            free = [i for i in range(m.dims[v]) if i not in pivots]
+            verts.extend([v] * len(free))
+            slot.extend(range(len(free)))
+            gens[v] = np.eye(m.dims[v], dtype=np.int64)[:, free]
+        acts = {}  # path -> its action on the generators at its source
+
+        def act(pth: Path) -> np.ndarray:
+            if pth not in acts:
+                v, arrows = pth
+                if arrows:
+                    acts[pth] = m.mats[arrows[-1]].data @ act((v, arrows[:-1])) % p
+                else:
+                    acts[pth] = gens[v]
+            return acts[pth]
+
         ps = ProjSummands(alg, verts)
         prep = ps.rep()
         mats = {}
         for w in alg.quiver.vertices:
-            cols = []
-            for (j, pth) in ps.layout()[w]:
-                v, x = gens[j]
-                cols.append(m.path_matrix(pth) @ x)
-            if cols:
-                mats[w] = Matrix.hstack(cols)
-            else:
-                mats[w] = Matrix.zeros(p, m.dims[w], 0)
+            cols = np.zeros((m.dims[w], prep.dims[w]), dtype=np.int64)
+            for c, (j, pth) in enumerate(ps.layout()[w]):
+                cols[:, c] = act(pth)[:, slot[j]]
+            mats[w] = Matrix(p, cols)
         epi = RepHom(prep, m, mats, check=False)
         m._cache[key] = (ps, epi)
     return m._cache[key]

@@ -334,7 +334,8 @@ def recognize(c) -> ProjComplex:
         for v in alg.quiver.vertices:
             rhs = d.mats[v] @ isos[i].mats[v]
             x = solve(isos[i + 1].mats[v], rhs)
-            assert x is not None
+            if x is None:
+                raise ValueError(f"differential in degree {i} does not factor through the term isomorphism")
             mats[v] = x
         dh = RepHom(terms[i].rep(), terms[i + 1].rep(), mats, check=False)
         dmats[i] = hom_to_element_matrix(alg, dh, terms[i], terms[i + 1])

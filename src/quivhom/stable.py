@@ -184,7 +184,8 @@ def truncation_data(alg, cmin: ProjComplex):
             mats = {}
             for v in alg.quiver.vertices:
                 xm = solve(pi0.mats[v].transpose(), d0.mats[v].transpose())
-                assert xm is not None, "model differential not induced"
+                if xm is None:
+                    raise ValueError("model differential not induced")
                 mats[v] = xm.transpose()
             if not c.term(1).is_zero():
                 diffs[0] = RepHom(M, c.term(1), mats, check=False)
@@ -253,7 +254,8 @@ def _model_chain_map(f: FunctorData, phi: RepHom) -> tuple[ChainMap, RepHom]:
         for v in alg.quiver.vertices:
             rhs = py.pi0.mats[v] @ psi_cm.map(0).mats[v]
             xm = solve(px.pi0.mats[v].transpose(), rhs.transpose())
-            assert xm is not None, "induced stable map not defined on cokernel"
+            if xm is None:
+                raise ValueError("induced stable map not defined on cokernel")
             mats[v] = xm.transpose()
         b = RepHom(px.M, py.M, mats, check=False)
     comps = {0: b} if not b.source.is_zero() and not b.target.is_zero() else {}
@@ -323,7 +325,8 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
     qp = qcm.compose(pcm)
     eng = HomEngine(dx, dz)
     h0 = eng.solve_nullhomotopy(ShiftedMap(dx, dz, 0, dict(qp.maps), check=False))
-    assert h0 is not None, "composite image is not null-homotopic"
+    if h0 is None:
+        raise ValueError("composite image is not null-homotopic")
 
     def build_cone(h):
         # total cone: degree i carries (dx^{i+1}, dy^i, dz^{i-1})
@@ -381,7 +384,8 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
             if is_acyclic(cn):
                 found = True
                 break
-        assert found, "no homotopy correction makes the total cone acyclic"
+        if not found:
+            raise ValueError("no homotopy correction makes the total cone acyclic")
 
     # contract everything above degree 2 into iterated kernels
     cterms = dict(cn.terms)
@@ -403,7 +407,8 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
                 mats = {}
                 for v in alg.quiver.vertices:
                     xm = solve(kincl.mats[v], prev.mats[v])
-                    assert xm is not None
+                    if xm is None:
+                        raise ValueError("incoming differential does not factor through the kernel")
                     mats[v] = xm
                 cdiffs[top - 2] = RepHom(prev.source, k, mats, check=False)
         top = max(cterms) if cterms else 1
@@ -412,7 +417,8 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
     slot0 = cterms.get(0, zero_rep(alg))
     slot1 = cterms.get(1, zero_rep(alg))
     V = cterms.get(2, zero_rep(alg))
-    assert is_projective(V), "collapsed top term is not projective"
+    if not is_projective(V):
+        raise ValueError("collapsed top term is not projective")
 
     d_m1 = cdiffs.get(-1, zero_hom(slot_m1, slot0))
     d_0 = cdiffs.get(0, zero_hom(slot0, slot1))
@@ -425,7 +431,8 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
         mat = Matrix(alg.p, np.stack(cols, axis=1))
         rhs = Matrix(alg.p, identity_hom(V).flat().reshape(-1, 1))
         sol = solve(mat, rhs)
-        assert sol is not None, "no section onto the collapsed projective"
+        if sol is None:
+            raise ValueError("no section onto the collapsed projective")
         for c, b in zip(sol.data[:, 0], basis):
             section = section + b.scale(int(c))
 
@@ -449,7 +456,8 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
     out = ExactSequenceImage(
         P, Q, left, right, (V, p_x1, m_y), (p_x2, p_y1, m_z), a_hom, u_hom
     )
-    assert out.verify_exact(), "constructed sequence is not exact"
+    if not out.verify_exact():
+        raise ValueError("constructed sequence is not exact")
     return out
 
 
