@@ -298,7 +298,7 @@ class BoundQuiverAlgebra:
 
     def e(self, v: str) -> Element:
         """The trivial path at v, as an element."""
-        if v not in self.quiver.arrow_by_name and v not in self.quiver.vertices:
+        if v not in self.quiver.vertices:
             raise ValueError(f"unknown vertex {v}")
         return {(v, ()): 1}
 
@@ -318,23 +318,31 @@ class BoundQuiverAlgebra:
         return {k: (v * c) % self.p for k, v in e.items() if (v * c) % self.p}
 
     def mul(self, x: Element, y: Element) -> Element:
-        """Algebra product x*y = "traverse y, then x", in normal form."""
+        """Algebra product x*y = "traverse y, then x", in normal form, summed
+        pair by pair from the product table ``mul_basis``."""
+        p = self.p
         out: Element = {}
         for py, cy in y.items():
-            ty = self.path_target(py)
             for px, cx in x.items():
-                if path_source(px) != ty:
-                    continue
-                w = (path_source(py), path_arrows(py) + path_arrows(px))
-                out[w] = (out.get(w, 0) + cx * cy) % self.p
-        return self.nf(out)
+                c = cx * cy % p
+                for mono, c2 in self.mul_basis(px, py).items():
+                    out[mono] = (out.get(mono, 0) + c * c2) % p
+        return {k: v for k, v in out.items() if v}
 
     def mul_basis(self, i: Path, j: Path) -> Element:
-        """Normal form of the product (basis path i) * (basis path j)."""
+        """The product table that every product reads: (path i) * (path j),
+        i.e. j then i, in normal form; {} unless j ends where i starts.
+        Filled lazily in ``_mul_cache``, so each pair is rewritten by ``nf``
+        at most once.  The result is shared: callers must not mutate it."""
         key = (i, j)
-        if key not in self._mul_cache:
-            self._mul_cache[key] = self.mul({i: 1}, {j: 1})
-        return self._mul_cache[key]
+        prod = self._mul_cache.get(key)
+        if prod is None:
+            if self.path_target(j) != path_source(i):
+                prod = {}
+            else:
+                prod = self.nf({(path_source(j), path_arrows(j) + path_arrows(i)): 1})
+            self._mul_cache[key] = prod
+        return prod
 
     def element_source_target(self, e: Element) -> tuple[str, str] | None:
         """(source, target) if all monomials are parallel, else None."""

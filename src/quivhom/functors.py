@@ -29,12 +29,11 @@ from .modules import (
     ElementMatrix,
     ProjSummands,
     RepHom,
+    element_matrix_to_hom,
     emat_is_zero,
-    hom_space,
     hom_to_element_matrix,
     identity_hom,
     simple,
-    zero_hom,
 )
 from .projcplx import (
     ProjChainMap,
@@ -301,8 +300,16 @@ def apply_to_module(f: FunctorData, x, window_lo: int) -> ProjComplex:
 
 
 def lift_to_resolutions(phi: RepHom, window_lo: int) -> ProjChainMap:
-    """Lift a module map to a chain map of minimal resolutions."""
+    """Lift a module map to a chain map of minimal resolutions.
+
+    P_x,k is free on its generators, so lambda_k is fixed by where they go:
+    one solve through post (the cover of y, then d_y,k) per vertex v gives
+    the images of all the generators at v, read as lambda_k's element
+    matrix.  A map that is not a module map lifts generator by generator
+    too, so post o lambda_k is checked against the map at every vertex.
+    """
     x, y = phi.source, phi.target
+    alg = x.algebra
     resx = minimal_resolution(x, -window_lo)
     resy = minimal_resolution(y, -window_lo)
     comps: dict[int, ElementMatrix] = {}
@@ -311,28 +318,27 @@ def lift_to_resolutions(phi: RepHom, window_lo: int) -> ProjChainMap:
         ps_x, ps_y = resx.terms[k], resy.terms[k]
         if not len(ps_x.vertices) or not len(ps_y.vertices):
             break
-        basis = hom_space(ps_x.rep(), ps_y.rep())
         if k == 0:
             target = phi.compose(resx.homs[0])
             post = resy.homs[0]
         else:
             target = prev.compose(resx.diff_hom(k))
             post = resy.diff_hom(k)
-        if not basis:
-            if not target.is_zero():
-                raise ValueError("comparison lift failed")
-            lam = zero_hom(ps_x.rep(), ps_y.rep())
-        else:
-            cols = [post.compose(b).flat() for b in basis]
-            mat = Matrix(x.p, np.stack(cols, axis=1))
-            rhs = Matrix(x.p, target.flat().reshape(-1, 1))
-            sol = solve(mat, rhs)
+        emat = [[{} for _ in ps_x.vertices] for _ in ps_y.vertices]
+        for v in dict.fromkeys(ps_x.vertices):
+            gens = [j for j, u in enumerate(ps_x.vertices) if u == v]
+            cols = [ps_x.generator_index(j) for j in gens]
+            sol = solve(post.mats[v], Matrix(x.p, target.mats[v].data[:, cols]))
             if sol is None:
                 raise ValueError("comparison lift failed")
-            lam = zero_hom(ps_x.rep(), ps_y.rep())
-            for c, b in zip(sol.data[:, 0], basis):
-                lam = lam + b.scale(int(c))
-        comps[-k] = hom_to_element_matrix(x.algebra, lam, ps_x, ps_y)
+            for i, (l, pth) in enumerate(ps_y.layout()[v]):
+                for c, j in zip(sol.data[i], gens):
+                    if c:
+                        emat[l][j][pth] = int(c)
+        lam = element_matrix_to_hom(alg, emat, ps_x, ps_y)
+        if any(post.mats[v] @ lam.mats[v] != target.mats[v] for v in alg.quiver.vertices):
+            raise ValueError("comparison lift failed")
+        comps[-k] = emat
         prev = lam
     return ProjChainMap(resx.proj_complex(window_lo), resy.proj_complex(window_lo), comps)
 

@@ -217,8 +217,7 @@ def projective(alg: BoundQuiverAlgebra, v: str) -> Representation:
     for n, s, t in alg.quiver.arrows:
         m = np.zeros((dims[t], dims[s]), dtype=np.int64)
         for j, pth in enumerate(by_target[s]):
-            prod = alg.nf({(v, path_arrows(pth) + (n,)): 1})
-            for mono, c in prod.items():
+            for mono, c in alg.mul_basis((s, (n,)), pth).items():
                 i = by_target[t].index(mono)
                 m[i, j] = c
         mats[n] = Matrix(alg.p, m)
@@ -533,9 +532,7 @@ def element_matrix_to_hom(alg, emat: ElementMatrix, src: ProjSummands, tgt: Proj
                 if not u:
                     continue
                 for upath, c in u.items():
-                    word = (path_source(upath), path_arrows(upath) + path_arrows(pth))
-                    prod = alg.nf({word: 1})
-                    for mono, c2 in prod.items():
+                    for mono, c2 in alg.mul_basis(pth, upath).items():
                         m[tindex[(k, mono)], col] = (m[tindex[(k, mono)], col] + c * c2) % p
         mats[w] = Matrix(p, m)
     return RepHom(srep, trep, mats, check=False)

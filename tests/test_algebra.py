@@ -90,6 +90,14 @@ def test_unit_elements(A1):
         assert A1.mul({pth: 1}, one) == {pth: 1}
 
 
+def test_trivial_path_needs_a_vertex():
+    alg = linear_algebra_An(3)
+    assert alg.e("0") == {("0", ()): 1}
+    for name in ("b0", "3"):
+        with pytest.raises(ValueError, match="unknown vertex"):
+            alg.e(name)
+
+
 def test_opposite_involution(A1):
     op = A1.opposite()
     assert op.dim == A1.dim
