@@ -30,12 +30,13 @@ from .corpus import corpus as build_corpus
 from .exactlin import DEFAULT_PRIME
 from .functors import TiltingCandidate, check_tilting, endomorphism_presentation
 from .gorenstein import (
+    CosyzygyError,
     GPCrossCheckError,
     cosyzygy_sequence,
     findim_bounds_check,
     is_gorenstein_projective,
 )
-from .homological import decompose, ext, is_isomorphic, projdim
+from .homological import DecompositionError, decompose, ext, is_isomorphic, projdim
 from .io import Definitions, DefinitionError, module_dot, parse_definitions, serialize_definitions
 from .modules import hom_space, is_projective, projective, simple
 from .projcplx import recognize
@@ -500,7 +501,7 @@ def main(argv=None) -> int:
     except (DefinitionError,) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (OperationError, NonAdmissibleError, ValueError, GPCrossCheckError) as e:
+    except (OperationError, NonAdmissibleError, ValueError, GPCrossCheckError, DecompositionError, CosyzygyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -533,12 +533,9 @@ def hom_complex(c: Complex, d: Complex):
 
 
 def hom_k(c: Complex, d: Complex, n: int) -> HomKResult:
-    # id-keyed cache with identity verification: stored references keep
-    # the keyed object alive so a recycled id cannot alias
-    key = ("homk", id(d), n)
-    hit = c._cache.get(key)
-    if hit is not None and hit[0] is d:
-        return hit[1]
+    # the engine (shared by every shift) is cached by id with identity
+    # verification: the stored reference keeps d alive, so a recycled id
+    # cannot alias
     ekey = ("homeng", id(d))
     ehit = c._cache.get(ekey)
     if ehit is not None and ehit[0] is d:
@@ -546,9 +543,7 @@ def hom_k(c: Complex, d: Complex, n: int) -> HomKResult:
     else:
         eng = HomEngine(c, d)
         c._cache[ekey] = (d, eng)
-    res = HomKResult(eng, n)
-    c._cache[key] = (d, res)
-    return res
+    return HomKResult(eng, n)
 
 
 def hom_k_dim(c: Complex, d: Complex, n: int) -> int:

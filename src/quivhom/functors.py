@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import BoundQuiverAlgebra, Element, Path, Quiver, path_arrows, path_source
 from .complexes import ChainMap, Complex, HomEngine, ShiftedMap, hom_k
 from .exactlin import Matrix, inverse, nullspace, rank, solve
-from .homological import minimal_resolution
+from .homological import _end_radical, minimal_resolution
 from .modules import (
     ElementMatrix,
     ProjSummands,
@@ -38,11 +38,12 @@ from .modules import (
 from .projcplx import (
     ProjChainMap,
     ProjComplex,
+    _add_block,
     _identity_emat,
-    _zero_emat,
     direct_sum_proj,
     identity_proj_chain_map,
     minimize,
+    recognize,
 )
 
 
@@ -97,19 +98,11 @@ class FunctorData:
         x, y = ends
         src_img = self.images[y]
         tgt_img = self.images[x]
-        alg = self.target
         comps: dict[int, ElementMatrix] = {}
         for pth, c in e.items():
-            pm = self.path_map(pth)
-            for i in pm.comps:
-                mat = pm.comps[i]
-                if i not in comps:
-                    comps[i] = _zero_emat(
-                        len(tgt_img.summands(i).vertices), len(src_img.summands(i).vertices)
-                    )
-                for r in range(len(mat)):
-                    for s in range(len(mat[0])):
-                        comps[i][r][s] = alg.add(comps[i][r][s], alg.smul(c, mat[r][s]))
+            for i, mat in self.path_map(pth).comps.items():
+                shape = (len(tgt_img.summands(i).vertices), len(src_img.summands(i).vertices))
+                _add_block(self.target, comps, i, shape, (0, 0), mat, c)
         return comps
 
     def _element_map_is_zero(self, e: Element) -> bool:
@@ -152,9 +145,13 @@ def shift_functor(alg: BoundQuiverAlgebra, k: int) -> FunctorData:
 def apply_to_projective_complex(f: FunctorData, pc: ProjComplex) -> ProjComplex:
     """Substitute images for summands and totalize.
 
-    The summand of pc in source degree s contributes its image shifted to
-    total degrees s + t, with internal differential scaled by (-1)^s and
-    the substituted differential entries connecting source degrees.
+    The summand j of pc in source degree s contributes its image shifted
+    to total degrees s + t: degree t of that image is the block (s, j, t)
+    of F(pc)^(s+t), and the blocks of one total degree are laid out in
+    the order of (s, j).  The differential is the internal differential
+    of each image scaled by (-1)^s plus the substituted differential of
+    pc (`_substitute` with shift 1).  The cache entry keeps the block
+    offsets next to F(pc), so maps between complexes read the same layout.
     """
     if pc.algebra is not f.source:
         raise ValueError("complex over the wrong algebra")
@@ -165,129 +162,76 @@ def apply_to_projective_complex(f: FunctorData, pc: ProjComplex) -> ProjComplex:
     if hit is not None and hit[0] is pc:
         return hit[1]
     alg = f.target
-    blocks: dict[int, list[tuple[int, int, int]]] = {}
+    verts: dict[int, list[str]] = {}
+    offsets: dict[tuple[int, int, int], int] = {}
     for s in sorted(pc.terms):
         for j, v in enumerate(pc.terms[s].vertices):
-            img = f.images[v]
-            for t in img.terms:
-                blocks.setdefault(s + t, []).append((s, j, t))
-    terms: dict[int, ProjSummands] = {}
-    offsets: dict[tuple[int, int, int], int] = {}
-    for n in blocks:
-        verts: list[str] = []
-        for (s, j, t) in blocks[n]:
-            offsets[(s, j, t)] = len(verts)
-            v = pc.terms[s].vertices[j]
-            verts.extend(f.images[v].summands(t).vertices)
-        terms[n] = ProjSummands(alg, verts)
+            for t, ps in f.images[v].terms.items():
+                col = verts.setdefault(s + t, [])
+                offsets[(s, j, t)] = len(col)
+                col.extend(ps.vertices)
+    terms = {n: ProjSummands(alg, vs) for n, vs in verts.items()}
     dmats: dict[int, ElementMatrix] = {}
-    for n in sorted(blocks):
-        if n + 1 not in blocks:
-            continue
-        rows = len(terms[n + 1].vertices)
-        cols = len(terms[n].vertices)
-        mat = _zero_emat(rows, cols)
-        wrote = False
-        for (s, j, t) in blocks[n]:
-            v = pc.terms[s].vertices[j]
-            img = f.images[v]
-            coff = offsets[(s, j, t)]
-            ncols = len(img.summands(t).vertices)
-            # internal differential, sign (-1)^s
-            if (s, j, t + 1) in offsets:
-                roff = offsets[(s, j, t + 1)]
-                d = img.dmat(t)
-                sign = 1 if s % 2 == 0 else -1
-                for r in range(len(d)):
-                    for cidx in range(ncols):
-                        if d[r][cidx]:
-                            mat[roff + r][coff + cidx] = alg.add(
-                                mat[roff + r][coff + cidx], alg.smul(sign, d[r][cidx])
-                            )
-                            wrote = True
-            # substituted entries of the source differential
-            if s in pc.dmats:
-                dsrc = pc.dmat(s)
-                for k in range(len(pc.terms[s + 1].vertices)):
-                    entry = dsrc[k][j]
-                    if not entry or (s + 1, k, t) not in offsets:
-                        continue
-                    comp = f.element_map_emats(entry).get(t)
-                    if comp is None:
-                        continue
-                    roff = offsets[(s + 1, k, t)]
-                    for r in range(len(comp)):
-                        for cidx in range(ncols):
-                            if comp[r][cidx]:
-                                mat[roff + r][coff + cidx] = alg.add(
-                                    mat[roff + r][coff + cidx], comp[r][cidx]
-                                )
-                                wrote = True
-        if wrote:
-            dmats[n] = mat
-    out = ProjComplex(alg, terms, dmats)
-    out._apply_blocks = blocks
-    out._apply_offsets = offsets
-    f._apply_cache[key] = (pc, out)
+    for s in sorted(pc.terms):
+        sign = 1 if s % 2 == 0 else -1
+        for j, v in enumerate(pc.terms[s].vertices):
+            for t, d in f.images[v].dmats.items():
+                n = s + t
+                shape = (len(verts[n + 1]), len(verts[n]))
+                _add_block(alg, dmats, n, shape, (offsets[(s, j, t + 1)], offsets[(s, j, t)]), d, sign)
+    _substitute(f, pc.dmats, 1, (terms, offsets), (terms, offsets), dmats)
+    out = ProjComplex(alg, terms, dict(sorted(dmats.items())))
+    f._apply_cache[key] = (pc, out, offsets)
     return out
 
 
-def apply_to_proj_chain_map(f: FunctorData, mu: ProjChainMap) -> ProjChainMap:
-    """Image of a degreewise map between source projective complexes."""
-    src = apply_to_projective_complex(f, mu.source)
-    tgt = apply_to_projective_complex(f, mu.target)
+def _layout(f: FunctorData, pc: ProjComplex) -> tuple[ProjComplex, dict]:
+    """F(pc) and its block offsets, looked up through
+    apply_to_projective_complex."""
+    out = apply_to_projective_complex(f, pc)
+    return out, f._apply_cache[("apply", id(pc))][2]
+
+
+def _substitute(f: FunctorData, comps: dict[int, ElementMatrix], shift: int, cols, rows, out: dict) -> None:
+    """Add the image under f of a degreewise map of source complexes.
+
+    comps[s] is a matrix of source-algebra elements from degree s of one
+    complex to degree s + shift of another; cols and rows are the
+    (terms, offsets) layouts of their images.  Entry (k, j) of comps[s]
+    is sent to its image chain map, and degree t of that image lands in
+    out[s + t] at the rows of block (s + shift, k, t) and the columns of
+    block (s, j, t).  Each entry's image is computed once and spread
+    over its degrees.  Shift 1 gives the substituted part of the
+    differential of F(pc); shift 0 gives F on a chain map.
+    """
     alg = f.target
-
-    def block_index(pc: ProjComplex, fpc: ProjComplex):
-        idx = {}
-        for n in fpc.terms:
-            off = 0
-            for s in sorted(pc.terms):
-                for j, v in enumerate(pc.terms[s].vertices):
-                    t = n - s
-                    size = len(f.images[v].summands(t).vertices)
-                    if size:
-                        idx[(n, s, j)] = off
-                        off += size
-        return idx
-
-    sidx = block_index(mu.source, src)
-    tidx = block_index(mu.target, tgt)
-    comps: dict[int, ElementMatrix] = {}
-    for n in src.terms:
-        if n not in tgt.terms:
-            continue
-        rows = len(tgt.terms[n].vertices)
-        cols = len(src.terms[n].vertices)
-        mat = _zero_emat(rows, cols)
-        wrote = False
-        for s in sorted(mu.source.terms):
-            if s not in mu.comps:
-                continue
-            m = mu.comps[s]
-            for j in range(len(mu.source.terms[s].vertices)):
-                if (n, s, j) not in sidx:
+    col_terms, col_off = cols
+    row_terms, row_off = rows
+    for s, m in comps.items():
+        for k, row in enumerate(m):
+            for j, entry in enumerate(row):
+                if not entry:
                     continue
-                t = n - s
-                coff = sidx[(n, s, j)]
-                for k in range(len(mu.target.terms[s].vertices)):
-                    entry = m[k][j]
-                    if not entry or (n, s, k) not in tidx:
-                        continue
-                    comp = f.element_map_emats(entry).get(t)
-                    if comp is None:
-                        continue
-                    roff = tidx[(n, s, k)]
-                    for r in range(len(comp)):
-                        for cidx in range(len(comp[0])):
-                            if comp[r][cidx]:
-                                mat[roff + r][coff + cidx] = alg.add(
-                                    mat[roff + r][coff + cidx], comp[r][cidx]
-                                )
-                                wrote = True
-        if wrote:
-            comps[n] = mat
-    return ProjChainMap(src, tgt, comps)
+                for t, block in f.element_map_emats(entry).items():
+                    n = s + t
+                    shape = (len(row_terms[n + shift].vertices), len(col_terms[n].vertices))
+                    at = (row_off[(s + shift, k, t)], col_off[(s, j, t)])
+                    _add_block(alg, out, n, shape, at, block)
+
+
+def apply_to_proj_chain_map(f: FunctorData, mu: ProjChainMap) -> ProjChainMap:
+    """Image of a degreewise map between source projective complexes.
+
+    The same substitution as the differential of F(pc), with shift 0: the
+    image of entry (k, j) of mu in degree s maps block (s, j, t) of
+    F(source) to block (s, k, t) of F(target).  Substitution is strict,
+    so F(nu o mu) = F(nu) o F(mu) and F(id) = id on the nose.
+    """
+    src, src_off = _layout(f, mu.source)
+    tgt, tgt_off = _layout(f, mu.target)
+    comps: dict[int, ElementMatrix] = {}
+    _substitute(f, mu.comps, 0, (src.terms, src_off), (tgt.terms, tgt_off), comps)
+    return ProjChainMap(src, tgt, dict(sorted(comps.items())))
 
 
 def apply_to_module(f: FunctorData, x, window_lo: int) -> ProjComplex:
@@ -470,7 +414,7 @@ def _split_proj_complex(pc: ProjComplex, seed: int = 0, budget: int = 40) -> lis
             fac = _splitting_factor(c.algebra.p, mp, rng)
             if fac is None:
                 continue
-            split = _complex_fitting(cur, c, fm, fac)
+            split = _complex_fitting(c, fm, fac)
             if split is not None:
                 break
         if split is None:
@@ -480,9 +424,12 @@ def _split_proj_complex(pc: ProjComplex, seed: int = 0, budget: int = 40) -> lis
     return out
 
 
-def _complex_fitting(pc: ProjComplex, c: Complex, fm: dict, poly) -> list[ProjComplex] | None:
-    """Split a projective complex along ker/im of poly(f)^N degreewise."""
-    from .modules import image, kernel, projective_cover
+def _complex_fitting(c: Complex, fm: dict, poly) -> list[ProjComplex] | None:
+    """Split a projective complex along ker/im of poly(f)^N degreewise.
+    Each piece is the complex of kernels (images) with the induced
+    differential, presented by `recognize`; None when a piece is not
+    projective termwise, so the caller rerolls."""
+    from .modules import image, kernel
 
     alg = c.algebra
     p = alg.p
@@ -500,55 +447,34 @@ def _complex_fitting(pc: ProjComplex, c: Complex, fm: dict, poly) -> list[ProjCo
     n = c.total_dim()
     for _ in range(max(1, n.bit_length())):
         g = {i: g[i].compose(g[i]) for i in g}
-    kdim = idim = 0
     pieces = []
-    for which in ("ker", "im"):
-        terms = {}
-        dmats = {}
+    dim = 0
+    for which in (kernel, image):
         carriers = {}
         for i in c.terms:
-            sub, incl = (kernel if which == "ker" else image)(g[i])
+            sub, incl = which(g[i])
             if sub.total_dim():
                 carriers[i] = (sub, incl)
+        if not carriers:
+            return None
+        dim += sum(sub.total_dim() for sub, _ in carriers.values())
+        diffs = {}
         for i, (sub, incl) in carriers.items():
-            ps, cov = projective_cover(sub)
-            if ps.rep().total_dim() != sub.total_dim():
-                return None  # split piece not projective termwise: reroll
-            iso = cov
-            terms[i] = (ps, sub, incl, iso)
-        for i in terms:
-            if i + 1 not in terms:
+            if i + 1 not in carriers:
                 continue
-            ps, sub, incl, iso = terms[i]
-            pt, subt, inclt, isot = terms[i + 1]
-            # induced differential in cover coordinates
-            dsub_m = {}
-            for v in alg.quiver.vertices:
-                x = solve(inclt.mats[v], (c.diff(i).mats[v] @ incl.mats[v]))
-                if x is None:
-                    return None
-                dsub_m[v] = x
-            dsub = RepHom(sub, subt, dsub_m, check=False)
-            # d in cover coordinates: cov_t^{-1} o dsub o cov
+            subt, inclt = carriers[i + 1]
             mats = {}
             for v in alg.quiver.vertices:
-                rhs = dsub.mats[v] @ iso.mats[v]
-                x = solve(isot.mats[v], rhs)
+                x = solve(inclt.mats[v], c.diff(i).mats[v] @ incl.mats[v])
                 if x is None:
                     return None
                 mats[v] = x
-            dmat_hom = RepHom(ps.rep(), pt.rep(), mats, check=False)
-            dmats[i] = hom_to_element_matrix(alg, dmat_hom, ps, pt)
-        tcount = sum(t[0].rep().total_dim() for t in terms.values())
-        if which == "ker":
-            kdim = tcount
-        else:
-            idim = tcount
-        if terms:
-            pieces.append(
-                ProjComplex(alg, {i: t[0] for i, t in terms.items()}, dmats, check=False)
-            )
-    if kdim == 0 or idim == 0 or kdim + idim != n:
+            diffs[i] = RepHom(sub, subt, mats, check=False)
+        try:
+            pieces.append(recognize(Complex(alg, {i: sub for i, (sub, _) in carriers.items()}, diffs, check=False)))
+        except ValueError:
+            return None
+    if dim != n:
         return None
     return [minimize(x)[0] for x in pieces]
 
@@ -632,21 +558,10 @@ def _proj_cone(x: ProjComplex, y: ProjComplex, n: int, b: ShiftedMap) -> ProjCom
             continue
         nx, ny = len(x.summands(i + 1).vertices), len(ysh.summands(i).vertices)
         mx, my = len(x.summands(i + 2).vertices), len(ysh.summands(i + 1).vertices)
-        mat = _zero_emat(mx + my, nx + ny)
-        dx = x.dmat(i + 1)
-        for r in range(mx):
-            for cidx in range(nx):
-                mat[r][cidx] = alg.smul(-1, dx[r][cidx])
-        fmat = comps.get(i + 1)
-        if fmat is not None:
-            for r in range(my):
-                for cidx in range(nx):
-                    mat[mx + r][cidx] = alg.smul(sign, fmat[r][cidx])
-        dy = ysh.dmat(i)
-        for r in range(my):
-            for cidx in range(ny):
-                mat[mx + r][nx + cidx] = dy[r][cidx]
-        dmats[i] = mat
+        shape = (mx + my, nx + ny)
+        _add_block(alg, dmats, i, shape, (0, 0), x.dmats.get(i + 1, ()), -1)
+        _add_block(alg, dmats, i, shape, (mx, 0), comps.get(i + 1, ()), sign)
+        _add_block(alg, dmats, i, shape, (mx, nx), ysh.dmats.get(i, ()))
     return ProjComplex(alg, terms, dmats)
 
 
@@ -668,6 +583,16 @@ class EndoPresentation:
 
 
 def endomorphism_presentation(t: TiltingCandidate, seed: int = 0, relation_cap: int = 8) -> EndoPresentation:
+    """Gabriel quiver of E = End_K(T) and a relation count.
+
+    Summands are grouped into homotopy-isomorphism classes (the vertices);
+    E is built from hom_k bases with its structure constants, rad E is the
+    trace-form radical of `homological._end_radical`, and the arrows u -> v
+    are a basis of rad E / rad^2 E in the block between the classes.  The
+    trace form finds the radical only in characteristic p > dim E, so a
+    candidate with dim E >= p raises DecompositionError instead of
+    returning a wrong quiver.
+    """
     alg = t.algebra
     p = alg.p
     # group summands into iso classes (minimal models are compared)
@@ -716,13 +641,7 @@ def endomorphism_presentation(t: TiltingCandidate, seed: int = 0, relation_cap: 
             comp = ShiftedMap(cxs[u], cxs[w], 0, comp_comps, check=False)
             coords = hk[(u, w)].coordinates(comp)
             sc[i1, i2] = as_vector(u, w, coords)
-    # radical via the trace form of the regular representation
-    L = [Matrix(p, sc[i].T.copy()) for i in range(dim)]
-    T = np.zeros((dim, dim), dtype=np.int64)
-    for i in range(dim):
-        for j in range(dim):
-            T[i, j] = int(np.trace((L[i] @ L[j]).data)) % p
-    radbasis = nullspace(Matrix(p, T))
+    radbasis = _end_radical(p, sc)
     # arrows u -> v of the presentation live in the block Hom(S_v, S_u)
     # (maps between projectives run against the quiver arrows)
     rad_block: dict[tuple[int, int], Matrix] = {}
@@ -893,23 +812,12 @@ def conjugation_comparison(f1: FunctorData, f2: FunctorData, psis: dict, x) -> P
     conjugating automorphisms (both data share their images)."""
     window = -f1.width - 2
     res = minimal_resolution(x, -window).proj_complex(window)
-    c2 = apply_to_projective_complex(f2, res)
-    c1 = apply_to_projective_complex(f1, res)
-    alg = f1.target
-    comps = {}
-    for n in c2.terms:
-        if n not in c1.terms:
-            continue
-        rows = len(c1.terms[n].vertices)
-        cols = len(c2.terms[n].vertices)
-        mat = _zero_emat(rows, cols)
-        for (s, j, t) in c2._apply_blocks.get(n, []):
-            v = res.terms[s].vertices[j]
-            block = psis[v].comp(t)
-            roff = c1._apply_offsets[(s, j, t)]
-            coff = c2._apply_offsets[(s, j, t)]
-            for r in range(len(block)):
-                for cix in range(len(block[0]) if block else 0):
-                    mat[roff + r][coff + cix] = block[r][cix]
-        comps[n] = mat
+    c2, off2 = _layout(f2, res)
+    c1, off1 = _layout(f1, res)
+    comps: dict[int, ElementMatrix] = {}
+    for (s, j, t), coff in off2.items():
+        n = s + t
+        shape = (len(c1.terms[n].vertices), len(c2.terms[n].vertices))
+        block = psis[res.terms[s].vertices[j]].comp(t)
+        _add_block(f1.target, comps, n, shape, (off1[(s, j, t)], coff), block)
     return ProjChainMap(c2, c1, comps)

@@ -300,7 +300,7 @@ def op_element(alg: BoundQuiverAlgebra, e: Element) -> Element:
     return out
 
 
-def transpose(m: Representation, seed: int = 0) -> Representation:
+def transpose(m: Representation) -> Representation:
     """Auslander-Bridger transpose over the opposite algebra.
 
     Given the minimal presentation P_1 -> P_0 -> m -> 0, returns
@@ -513,14 +513,16 @@ def _end_structure(basis: list[RepHom]):
     return sc
 
 
-def _end_radical(basis: list[RepHom], sc) -> Matrix:
-    """Radical of End(m) via the trace form of the regular representation.
+def _end_radical(p: int, sc) -> Matrix:
+    """Radical of a finite-dimensional algebra E with structure constants
+    sc (sc[i, j] holds the coordinates of b_i b_j), via the trace form of
+    the regular representation.
 
-    Valid because p exceeds dim End (guarded); returns a matrix whose
-    columns are radical basis vectors in End coordinates.
+    Valid only when p exceeds dim E, so dim E >= p raises
+    DecompositionError; returns a matrix whose columns are radical basis
+    vectors in E coordinates.
     """
-    p = basis[0].source.p
-    n = len(basis)
+    n = sc.shape[0]
     if n >= p:
         raise DecompositionError(
             f"dim End = {n} >= p = {p}; rerun with a larger prime to certify"
@@ -541,7 +543,7 @@ def _is_local_end(m: Representation) -> bool:
         return True
     p = m.p
     sc = _end_structure(basis)
-    radbasis = _end_radical(basis, sc)
+    radbasis = _end_radical(p, sc)
     r = radbasis.cols
     n = len(basis)
     if n - r == 1:

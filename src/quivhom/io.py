@@ -37,21 +37,32 @@ class Definitions:
         self.functors: dict[str, FunctorData] = functors
 
 
-def _parse_element(alg: BoundQuiverAlgebra, data, loc: str) -> Element:
+def _int(x, loc: str) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise DefinitionError(loc, f"not an integer: {x!r}")
+
+
+def _parse_element(q: Quiver, p: int, data, loc: str) -> Element:
+    """An element or relation: a list of [coeff, source, arrows] terms,
+    each a path of q that starts at a vertex and composes."""
     out: Element = {}
     for item in data:
         if not (isinstance(item, list) and len(item) == 3):
             raise DefinitionError(loc, "element entry must be [coeff, source, arrows]")
         coeff, src, arrows = item
         pth = (str(src), tuple(str(a) for a in arrows))
+        v = pth[0]
+        if v not in q.vertices:
+            raise DefinitionError(loc, f"unknown vertex {v}")
         for a in pth[1]:
-            if a not in alg.quiver.arrow_by_name:
+            if a not in q.arrow_by_name:
                 raise DefinitionError(loc, f"unknown arrow {a}")
-        try:
-            alg.path_target(pth)
-        except ValueError as e:
-            raise DefinitionError(loc, str(e))
-        out[pth] = (out.get(pth, 0) + int(coeff)) % alg.p
+            if q.source(a) != v:
+                raise DefinitionError(loc, f"path {pth} not composable at {a}")
+            v = q.target(a)
+        out[pth] = (out.get(pth, 0) + _int(coeff, loc)) % p
     return {k: v for k, v in out.items() if v}
 
 
@@ -62,7 +73,7 @@ def _element_json(e: Element):
 def _parse_emat(alg, data, rows, cols, loc):
     if len(data) != rows or any(len(r) != cols for r in data):
         raise DefinitionError(loc, f"expected a {rows} x {cols} block matrix")
-    return [[_parse_element(alg, data[r][c], f"{loc}[{r}][{c}]") for c in range(cols)] for r in range(rows)]
+    return [[_parse_element(alg.quiver, alg.p, data[r][c], f"{loc}[{r}][{c}]") for c in range(cols)] for r in range(rows)]
 
 
 def parse_definitions(text: str) -> Definitions:
@@ -70,7 +81,7 @@ def parse_definitions(text: str) -> Definitions:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DefinitionError("document", f"invalid JSON: {e}")
-    p = int(doc.get("field", {}).get("p", DEFAULT_PRIME))
+    p = _int(doc.get("field", {}).get("p", DEFAULT_PRIME), "field.p")
     algebras: dict[str, BoundQuiverAlgebra] = {}
     for name, entry in doc.get("algebras", {}).items():
         loc = f"algebras.{name}"
@@ -80,7 +91,7 @@ def parse_definitions(text: str) -> Definitions:
             raise DefinitionError(loc, str(e))
         rels = []
         for idx, rel in enumerate(entry.get("relations", [])):
-            rels.append(_parse_element_placeholder(q, rel, f"{loc}.relations[{idx}]", p))
+            rels.append(_parse_element(q, p, rel, f"{loc}.relations[{idx}]"))
         try:
             algebras[name] = BoundQuiverAlgebra(q, rels, p=p)
         except ValueError as e:
@@ -89,7 +100,11 @@ def parse_definitions(text: str) -> Definitions:
     for name, entry in doc.get("modules", {}).items():
         loc = f"modules.{name}"
         alg = _lookup(algebras, entry.get("algebra"), loc)
-        dims = {str(v): int(d) for v, d in entry.get("dims", {}).items()}
+        dims = {}
+        for v, d in entry.get("dims", {}).items():
+            if str(v) not in alg.quiver.vertices:
+                raise DefinitionError(loc, f"unknown vertex {v}")
+            dims[str(v)] = _int(d, f"{loc}.dims.{v}")
         mats = {}
         for aname, rows in entry.get("mats", {}).items():
             if aname not in alg.quiver.arrow_by_name:
@@ -108,15 +123,17 @@ def parse_definitions(text: str) -> Definitions:
         for deg, mname in entry.get("terms", {}).items():
             if mname not in modules:
                 raise DefinitionError(loc, f"unknown module {mname}")
-            terms[int(deg)] = modules[mname]
+            terms[_int(deg, loc)] = modules[mname]
         diffs = {}
         for deg, matentry in entry.get("diffs", {}).items():
-            i = int(deg)
+            i = _int(deg, loc)
             if i not in terms or i + 1 not in terms:
                 raise DefinitionError(loc, f"differential at {i} without both terms")
             src, tgt = terms[i], terms[i + 1]
             mats = {}
             for v, rows in matentry.items():
+                if str(v) not in alg.quiver.vertices:
+                    raise DefinitionError(f"{loc}.diffs.{deg}", f"unknown vertex {v}")
                 mats[str(v)] = _parse_matrix(
                     p, rows, tgt.dims[str(v)], src.dims[str(v)], f"{loc}.diffs.{deg}.{v}"
                 )
@@ -143,10 +160,10 @@ def parse_definitions(text: str) -> Definitions:
                 for w in verts:
                     if str(w) not in tgt.quiver.vertices:
                         raise DefinitionError(iloc, f"unknown target vertex {w}")
-                terms[int(deg)] = ProjSummands(tgt, [str(w) for w in verts])
+                terms[_int(deg, iloc)] = ProjSummands(tgt, [str(w) for w in verts])
             dmats = {}
             for deg, block in ientry.get("diffs", {}).items():
-                i = int(deg)
+                i = _int(deg, iloc)
                 rows = len(terms.get(i + 1, ProjSummands(tgt, ())).vertices)
                 cols = len(terms.get(i, ProjSummands(tgt, ())).vertices)
                 dmats[i] = _parse_emat(tgt, block, rows, cols, f"{iloc}.diffs.{deg}")
@@ -162,7 +179,7 @@ def parse_definitions(text: str) -> Definitions:
             s, t = src.quiver.arrow_by_name[aname]
             comps = {}
             for deg, block in mentry.items():
-                i = int(deg)
+                i = _int(deg, aloc)
                 rows = len(images[s].summands(i).vertices)
                 cols = len(images[t].summands(i).vertices)
                 comps[i] = _parse_emat(tgt, block, rows, cols, f"{aloc}.{deg}")
@@ -172,20 +189,6 @@ def parse_definitions(text: str) -> Definitions:
         except ValueError as e:
             raise DefinitionError(loc, str(e))
     return Definitions(p, algebras, modules, complexes, functors)
-
-
-def _parse_element_placeholder(q: Quiver, rel, loc, p) -> Element:
-    out: Element = {}
-    for item in rel:
-        if not (isinstance(item, list) and len(item) == 3):
-            raise DefinitionError(loc, "relation entry must be [coeff, source, arrows]")
-        coeff, src, arrows = item
-        for a in arrows:
-            if str(a) not in q.arrow_by_name:
-                raise DefinitionError(loc, f"unknown arrow {a}")
-        pth = (str(src), tuple(str(a) for a in arrows))
-        out[pth] = (out.get(pth, 0) + int(coeff)) % p
-    return {k: v for k, v in out.items() if v}
 
 
 def _lookup(algebras, name, loc):
@@ -199,7 +202,7 @@ def _parse_matrix(p, rows, nrows, ncols, loc) -> Matrix:
         raise DefinitionError(loc, f"expected a {nrows} x {ncols} matrix")
     if nrows == 0 or ncols == 0:
         return Matrix.zeros(p, nrows, ncols)
-    return Matrix(p, [[int(x) for x in r] for r in rows])
+    return Matrix(p, [[_int(x, loc) for x in r] for r in rows])
 
 
 def serialize_definitions(defs: Definitions) -> str:

@@ -27,6 +27,22 @@ def _zero_emat(rows: int, cols: int) -> ElementMatrix:
     return [[{} for _ in range(cols)] for _ in range(rows)]
 
 
+def _add_block(alg, mats: dict, key, shape: tuple[int, int], at: tuple[int, int], block, scale: int = 1) -> None:
+    """Add scale * block into mats[key] with its top-left corner at `at`.
+    mats[key] is created, as a zero matrix of the given shape, on the
+    first nonzero entry, so a key is present iff something was written."""
+    roff, coff = at
+    for r, row in enumerate(block):
+        for c, e in enumerate(row):
+            if not e:
+                continue
+            mat = mats.get(key)
+            if mat is None:
+                mat = mats[key] = _zero_emat(*shape)
+            out = mat[roff + r]
+            out[coff + c] = alg.add(out[coff + c], e if scale == 1 else alg.smul(scale, e))
+
+
 def _identity_emat(alg, ps: ProjSummands) -> ElementMatrix:
     n = len(ps.vertices)
     out = _zero_emat(n, n)
@@ -290,24 +306,14 @@ def direct_sum_proj(pcs: list[ProjComplex]) -> ProjComplex:
             verts.extend(pc.summands(i).vertices)
         terms[i] = ProjSummands(alg, verts)
     for i in degs:
-        if i + 1 not in degs and not any((i in pc.dmats) for pc in pcs):
+        if i + 1 not in degs:
             continue
-        rows = len(terms.get(i + 1, ProjSummands(alg, ())).vertices)
-        cols = len(terms[i].vertices)
-        if not rows or not cols:
-            continue
-        mat = _zero_emat(rows, cols)
+        shape = (len(terms[i + 1].vertices), len(terms[i].vertices))
         roff = coff = 0
         for pc in pcs:
-            r = len(pc.summands(i + 1).vertices)
-            c = len(pc.summands(i).vertices)
-            d = pc.dmat(i)
-            for a in range(r):
-                for b in range(c):
-                    mat[roff + a][coff + b] = d[a][b]
-            roff += r
-            coff += c
-        dmats[i] = mat
+            _add_block(alg, dmats, i, shape, (roff, coff), pc.dmats.get(i, ()))
+            roff += len(pc.summands(i + 1).vertices)
+            coff += len(pc.summands(i).vertices)
     return ProjComplex(alg, terms, dmats, check=False)
 
 

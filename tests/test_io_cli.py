@@ -273,3 +273,77 @@ def test_cli_stable_map_verb():
     assert code == 0
     payload = json.loads(out)
     assert payload["class_is_zero"] is False
+
+
+ENDO_CORPUS_1 = {
+    "arrows": [["x0", "2", "0"], ["x1", "3", "1"], ["x2", "0", "3"]],
+    "dim": 10,
+    "multiplicities": [1, 1, 1, 1],
+    "relation_count": 0,
+    "vertices": ["0", "1", "2", "3"],
+}
+
+
+def test_cli_endo_refuses_a_prime_not_above_dim_end(capsys):
+    # the trace form finds rad E only when p > dim E (= 10 here)
+    assert main(["--prime", "3", "--corpus", "1", "--format", "json", "endo"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: dim End = 10 >= p = 3")
+
+
+def test_cli_endo_payload_at_default_prime():
+    code, out = run_cli(["--corpus", "1", "--format", "json", "endo"])
+    assert code == 0
+    assert json.loads(out) == ENDO_CORPUS_1
+
+
+def test_cli_decomposition_error_is_an_error_line(tmp_path, capsys):
+    # S_0^3 over linear A_2: dim End = 9 >= p = 3, so no certified split
+    doc = {
+        "field": {"p": 3},
+        "algebras": {"A2": {"vertices": ["0", "1"], "arrows": [["a", "0", "1"]], "relations": []}},
+        "modules": {"M": {"algebra": "A2", "dims": {"0": 3}, "mats": {}}},
+    }
+    f = tmp_path / "S.json"
+    f.write_text(json.dumps(doc))
+    assert main(["--prime", "3", "--defs", str(f), "decompose", "--module", "M"]) == 1
+    assert capsys.readouterr().err.startswith("error: dim End = 9 >= p = 3")
+
+
+def test_cli_cosyzygy_error_is_an_error_line(capsys):
+    assert main(["--corpus", "1", "cosyzygy", "--module", "simple_G_0", "--depth", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: module is not GP to depth 2")
+
+
+BAD_DEFINITIONS = {
+    "unknown_module_vertex": (
+        '"Y": {"algebra": "T", "dims": {"3": 1}, "mats": {}}',
+        '"Y": {"algebra": "T", "dims": {"3": 1, "9": 2}, "mats": {}}',
+        "modules.Y: unknown vertex 9",
+    ),
+    "unknown_differential_vertex": (
+        '"terms": {"0": "X", "1": "Y"}, "diffs": {}}',
+        '"terms": {"0": "X", "1": "Y"}, "diffs": {"0": {"9": [[1]]}}}',
+        "complexes.C.diffs.0: unknown vertex 9",
+    ),
+    "non_numeric_matrix_entry": (
+        '"mats": {"a1": [[1]]}',
+        '"mats": {"a1": [["one"]]}',
+        "modules.X.mats.a1: not an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DEFINITIONS))
+def test_bad_definitions_are_parse_errors(case, tmp_path, capsys):
+    old, new, message = BAD_DEFINITIONS[case]
+    assert SAMPLE.count(old) == 1
+    bad = SAMPLE.replace(old, new)
+    with pytest.raises(DefinitionError) as exc:
+        parse_definitions(bad)
+    assert str(exc.value).startswith(message)
+    f = tmp_path / "defs.json"
+    f.write_text(bad)
+    assert main(["--defs", str(f), "projdim", "--module", "X"]) == 2
+    assert capsys.readouterr().err.startswith("parse error: " + message)

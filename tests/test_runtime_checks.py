@@ -39,3 +39,39 @@ def test_every_top_level_import_is_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _top_level_imports(tree).items() if name not in used}
     assert not unused, f"unused imports in {module}: {unused}"
+
+
+def _name_counts(node: ast.AST) -> dict[str, int]:
+    """How often each name is read under node: bare names, attributes and
+    the names brought in by `from ... import`."""
+    counts: dict[str, int] = {}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            name = sub.id
+        elif isinstance(sub, ast.Attribute):
+            name = sub.attr
+        elif isinstance(sub, ast.alias):
+            name = sub.name
+        else:
+            continue
+        counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def test_every_private_helper_is_referenced():
+    trees = {m: ast.parse((SRC / m).read_text(), filename=m) for m in MODULES}
+    total: dict[str, int] = {}
+    for tree in trees.values():
+        for name, k in _name_counts(tree).items():
+            total[name] = total.get(name, 0) + k
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            # references from inside its own body (recursion) do not count
+            if total.get(node.name, 0) == _name_counts(node).get(node.name, 0):
+                orphans.append(f"{module}:{node.lineno} {node.name}")
+    assert not orphans, f"private helpers referenced nowhere else in the package: {orphans}"
