@@ -116,7 +116,7 @@ class BoundQuiverAlgebra:
         for pth in self.path_basis:
             self.basis_by_source[path_source(pth)].append(pth)
         self._mul_cache: dict[tuple[Path, Path], Element] = {}
-        self._proj_cache: dict = {}  # ("proj", v) -> P_v, "regular" -> A
+        self._proj_cache: dict = {}  # vertex tuple -> its shared projective sum (modules._proj_sum)
         self._op: "BoundQuiverAlgebra | None" = None
 
     # -- construction helpers -------------------------------------------

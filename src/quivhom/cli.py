@@ -97,8 +97,9 @@ class Context:
                 _, aname, v = name.split("_", 2)
                 amap = {"A": "A", "B": "B", "L": "Lambda", "G": "Gamma"}
                 aname = amap.get(aname, aname)
-                if aname in self.algebras:
-                    return kind(self.algebras[aname], v)
+                alg = self.algebras.get(aname)
+                if alg is not None and v in alg.quiver.vertices:
+                    return kind(alg, v)
         raise OperationError(f"unknown module {name}")
 
     def functor(self, name: str):
@@ -287,6 +288,8 @@ def cmd_exact_image(ctx, args):
         i, l = (int(t) for t in args.pair.split(","))
         if ctx.corpus is None:
             raise OperationError("--pair needs --corpus")
+        if (i, l) not in ctx.corpus.ses:
+            raise OperationError(f"no corpus sequence for pair {i},{l}")
         incl, proj = ctx.corpus.ses[(i, l)]
     else:
         incl, proj = _find_ses(

@@ -25,6 +25,7 @@ from .modules import (
     ProjSummands,
     RepHom,
     Representation,
+    cokernel,
     direct_sum,
     hom_space,
     hom_to_element_matrix,
@@ -346,7 +347,7 @@ def good_truncate_geq0(c: Complex):
 def _good_truncate_unchecked(c: Complex):
     if c.lo >= 0:
         return c, identity_chain_map(c)
-    m, pi = _cokernel_with_proj(c.diff(-1))
+    m, pi = cokernel(c.diff(-1))
     terms = {0: m}
     diffs = {}
     for i in c.terms:
@@ -371,12 +372,6 @@ def _good_truncate_unchecked(c: Complex):
         if i > 0:
             wit[i] = identity_hom(c.terms[i])
     return t, ChainMap(c, t, wit, check=False)
-
-
-def _cokernel_with_proj(f: RepHom):
-    from .modules import cokernel
-
-    return cokernel(f)
 
 
 # -- the total Hom complex ----------------------------------------------

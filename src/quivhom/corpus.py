@@ -34,6 +34,7 @@ from .modules import (
     ProjSummands,
     RepHom,
     Representation,
+    _proj_sum,
     direct_sum,
     element_matrix_to_hom,
     kernel,
@@ -71,18 +72,16 @@ def quotient_by_eps(ext_alg: BoundQuiverAlgebra, base_alg: BoundQuiverAlgebra, v
     base projective (kill every basis path containing an eps loop)."""
     P = projective(ext_alg, v)
     S = s_tensor_projective(ext_alg, base_alg, v)
-    lay_ext = P._cache["proj_layout"]
-    lay_base = projective(base_alg, v)._cache["proj_layout"]
+    lay_ext = _proj_sum(ext_alg, (v,)).layout
+    base_index = _proj_sum(base_alg, (v,)).index
     p = ext_alg.p
     mats = {}
     for w in ext_alg.quiver.vertices:
         m = np.zeros((S.dims[w], P.dims[w]), dtype=np.int64)
-        base_index = {pth: i for i, pth in enumerate(lay_base[w])}
-        for col, pth in enumerate(lay_ext[w]):
-            arrows = pth[1]
-            if any(a.startswith("eps_") for a in arrows):
+        for col, (j, pth) in enumerate(lay_ext[w]):
+            if any(a.startswith("eps_") for a in pth[1]):
                 continue
-            m[base_index[(pth[0], arrows)], col] = 1
+            m[base_index[(j, pth)], col] = 1
         mats[w] = Matrix(p, m)
     return RepHom(P, S, mats)
 

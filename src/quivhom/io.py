@@ -171,6 +171,9 @@ def parse_definitions(text: str) -> Definitions:
                 images[str(v)] = ProjComplex(tgt, terms, dmats)
             except ValueError as e:
                 raise DefinitionError(iloc, str(e))
+        for v in src.quiver.vertices:
+            if v not in images:
+                raise DefinitionError(f"{loc}.images", f"missing image of vertex {v}")
         arrow_maps = {}
         for aname, mentry in entry.get("arrow_maps", {}).items():
             aloc = f"{loc}.arrow_maps.{aname}"
@@ -184,6 +187,9 @@ def parse_definitions(text: str) -> Definitions:
                 cols = len(images[t].summands(i).vertices)
                 comps[i] = _parse_emat(tgt, block, rows, cols, f"{aloc}.{deg}")
             arrow_maps[aname] = ProjChainMap(images[t], images[s], comps)
+        for aname in src.quiver.arrow_by_name:
+            if aname not in arrow_maps:
+                raise DefinitionError(f"{loc}.arrow_maps", f"missing map of arrow {aname}")
         try:
             functors[name] = FunctorData(src, tgt, images, arrow_maps)
         except ValueError as e:

@@ -15,6 +15,9 @@ resolution, transpose, and functor machinery downstream.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
+
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Element, Path, path_arrows, path_source
@@ -194,62 +197,67 @@ def zero_hom(m: Representation, n: Representation) -> RepHom:
 
 
 def zero_rep(alg: BoundQuiverAlgebra) -> Representation:
-    return Representation(alg, {}, {}, check=False)
+    """The zero module: the shared empty sum of projectives."""
+    return _proj_sum(alg, ()).rep
 
 
 def simple(alg: BoundQuiverAlgebra, v: str) -> Representation:
+    if v not in alg.quiver.vertices:
+        raise ValueError(f"unknown vertex {v}")
     return Representation(alg, {v: 1}, {}, check=False)
 
 
 def projective(alg: BoundQuiverAlgebra, v: str) -> Representation:
     """Indecomposable projective at v: basis = irreducible paths starting
     at v, graded by their target vertex; arrows act by appending."""
-    key = ("proj", v)
-    cached = alg._proj_cache
-    if key in cached:
-        return cached[key]
-    paths = alg.basis_by_source[v]
-    by_target: dict[str, list[Path]] = {w: [] for w in alg.quiver.vertices}
-    for pth in paths:
-        by_target[alg.path_target(pth)].append(pth)
-    dims = {w: len(by_target[w]) for w in alg.quiver.vertices}
-    mats = {}
-    for n, s, t in alg.quiver.arrows:
-        m = np.zeros((dims[t], dims[s]), dtype=np.int64)
-        for j, pth in enumerate(by_target[s]):
-            for mono, c in alg.mul_basis((s, (n,)), pth).items():
-                i = by_target[t].index(mono)
-                m[i, j] = c
-        mats[n] = Matrix(alg.p, m)
-    rep = Representation(alg, dims, mats)
-    rep._cache["proj_layout"] = by_target
-    cached[key] = rep
-    return rep
+    return _proj_sum(alg, (v,)).rep
 
 
 def regular_module(alg: BoundQuiverAlgebra) -> Representation:
-    """The regular module A = (+)_v P_v, kept next to its summands in the
-    projective cache."""
-    parts = [projective(alg, v) for v in alg.quiver.vertices]
-    cached = alg._proj_cache
-    if "regular" not in cached:
-        cached["regular"] = direct_sum(parts)[0]
-    return cached["regular"]
+    """The regular module A = (+)_v P_v."""
+    return _proj_sum(alg, tuple(alg.quiver.vertices)).rep
 
 
-def projective_layout(alg: BoundQuiverAlgebra, v: str) -> dict[str, list[Path]]:
-    rep = projective(alg, v)
-    return rep._cache["proj_layout"]
+class _ProjSum(NamedTuple):
+    rep: Representation
+    layout: Mapping[str, tuple[tuple[int, Path], ...]]
+    index: Mapping[tuple[int, Path], int]  # (summand, path) -> coordinate at the path's target
+    gens: tuple[int, ...]  # coordinate of each summand's generator at its vertex
 
 
-def _sum_rep(alg: BoundQuiverAlgebra, reps: list[Representation]) -> Representation:
-    """The block-diagonal direct sum of reps (the zero module if empty)."""
-    dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
-    mats = {
-        n: Matrix.block_diag(alg.p, [r.mats[n] for r in reps])
-        for n, _, _ in alg.quiver.arrows
-    }
-    return Representation(alg, dims, mats, check=False)
+def _proj_sum(alg: BoundQuiverAlgebra, vertices: tuple) -> _ProjSum:
+    """The sum of the P_v, v in vertices (with repetition), built once per
+    vertex tuple and kept in alg._proj_cache; () is the zero module.  At
+    each vertex w the coordinates are grouped summand by summand, each
+    block listing that projective's basis paths into w in algebra order.
+    The entry is shared, so its layout and index are read-only.
+    """
+    entry = alg._proj_cache.get(vertices)
+    if entry is not None:
+        return entry
+    for v in vertices:
+        if v not in alg.quiver.vertices:
+            raise ValueError(f"unknown vertex {v}")
+    layout = {w: [] for w in alg.quiver.vertices}
+    for j, v in enumerate(vertices):
+        for pth in alg.basis_by_source[v]:
+            layout[alg.path_target(pth)].append((j, pth))
+    index = {jp: i for lay in layout.values() for i, jp in enumerate(lay)}
+    mats = {}
+    for n, s, t in alg.quiver.arrows:
+        m = np.zeros((len(layout[t]), len(layout[s])), dtype=np.int64)
+        for col, (j, pth) in enumerate(layout[s]):
+            for mono, c in alg.mul_basis((s, (n,)), pth).items():
+                m[index[(j, mono)], col] = c
+        mats[n] = Matrix(alg.p, m)
+    rep = Representation(alg, {w: len(lay) for w, lay in layout.items()}, mats)
+    # relations have length >= 2, so every trivial path is a basis path
+    gens = tuple(index[(j, (v, ()))] for j, v in enumerate(vertices))
+    entry = _ProjSum(
+        rep, MappingProxyType({w: tuple(lay) for w, lay in layout.items()}), MappingProxyType(index), gens
+    )
+    alg._proj_cache[vertices] = entry
+    return entry
 
 
 def direct_sum(reps: list[Representation]):
@@ -258,7 +266,9 @@ def direct_sum(reps: list[Representation]):
         raise ValueError("empty direct sum; use zero_rep")
     alg = reps[0].algebra
     p = alg.p
-    total = _sum_rep(alg, reps)
+    dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
+    mats = {n: Matrix.block_diag(p, [r.mats[n] for r in reps]) for n, _, _ in alg.quiver.arrows}
+    total = Representation(alg, dims, mats, check=False)
     offs = {v: 0 for v in alg.quiver.vertices}
     incls, projs = [], []
     for r in reps:
@@ -465,41 +475,26 @@ def top(m: Representation):
 
 class ProjSummands:
     """An explicit direct sum of indecomposable projectives P_{v}, v in
-    `vertices` (with repetition).  Carries a fixed basis layout: at each
-    vertex w the coordinates are grouped summand by summand, each block
-    listing that projective's basis paths into w in algebra order.
+    `vertices` (with repetition).  Its module, basis layout and generator
+    coordinates are the algebra's one shared entry for the vertex tuple
+    (see `_proj_sum`).
     """
 
-    __slots__ = ("algebra", "vertices", "_rep", "_layout")
+    __slots__ = ("algebra", "vertices")
 
     def __init__(self, algebra: BoundQuiverAlgebra, vertices):
         self.algebra = algebra
         self.vertices = tuple(vertices)
-        self._rep = None
-        self._layout = None
 
     def rep(self) -> Representation:
-        if self._rep is None:
-            alg = self.algebra
-            self._rep = _sum_rep(alg, [projective(alg, v) for v in self.vertices])
-            layout = {w: [] for w in alg.quiver.vertices}
-            for j, v in enumerate(self.vertices):
-                for w, paths in projective_layout(alg, v).items():
-                    layout[w].extend((j, pth) for pth in paths)
-            self._layout = layout
-        return self._rep
+        return _proj_sum(self.algebra, self.vertices).rep
 
-    def layout(self) -> dict[str, list[tuple[int, Path]]]:
-        self.rep()
-        return self._layout
+    def layout(self) -> Mapping[str, tuple[tuple[int, Path], ...]]:
+        return _proj_sum(self.algebra, self.vertices).layout
 
     def generator_index(self, j: int) -> int:
         """Coordinate of the j-th summand's generator inside vertex v_j."""
-        v = self.vertices[j]
-        for i, (k, pth) in enumerate(self.layout()[v]):
-            if k == j and not path_arrows(pth):
-                return i
-        raise ValueError("generator not found")
+        return _proj_sum(self.algebra, self.vertices).gens[j]
 
     def __len__(self):
         return len(self.vertices)
@@ -520,11 +515,10 @@ def element_matrix_to_hom(alg, emat: ElementMatrix, src: ProjSummands, tgt: Proj
     """
     p = alg.p
     srep, trep = src.rep(), tgt.rep()
-    slay, tlay = src.layout(), tgt.layout()
+    slay, tindex = src.layout(), _proj_sum(alg, tgt.vertices).index
     mats = {}
     for w in alg.quiver.vertices:
         m = np.zeros((trep.dims[w], srep.dims[w]), dtype=np.int64)
-        tindex = {(k, pth): i for i, (k, pth) in enumerate(tlay[w])}
         for col, (j, pth) in enumerate(slay[w]):
             # basis path pth: src.vertices[j] -> w, mapped to pth * u
             for k in range(len(tgt.vertices)):

@@ -23,6 +23,7 @@ from .complexes import (
     HomEngine,
     ShiftedMap,
     _block_hom,
+    _good_truncate_unchecked,
     cone,
     hom_k,
     is_acyclic,
@@ -33,7 +34,6 @@ from .homological import is_isomorphic, strip_projectives
 from .modules import (
     RepHom,
     Representation,
-    cokernel,
     direct_sum,
     hom_space,
     identity_hom,
@@ -167,29 +167,12 @@ class TruncationTriangle:
 
 def truncation_data(alg, cmin: ProjComplex):
     """(M, pi0, model, triangle) for a minimized projective complex that
-    is exact in degree -1: M is the cokernel of d^{-1} placed in degree
-    zero, the model keeps the positive part, and the triangle is the
-    degreewise-split brutal truncation at degree one."""
-    c = cmin.to_complex()
-    terms = {i: t for i, t in c.terms.items() if i > 0}
-    diffs = {i: d for i, d in c.diffs.items() if i > 0}
-    if c.term(0).is_zero():
-        M = zero_rep(alg)
-        pi0 = zero_hom(c.term(0), M)
-    else:
-        M, pi0 = cokernel(c.diff(-1))
-        if not M.is_zero():
-            terms[0] = M
-            d0 = c.diff(0)
-            mats = {}
-            for v in alg.quiver.vertices:
-                xm = solve(pi0.mats[v].transpose(), d0.mats[v].transpose())
-                if xm is None:
-                    raise ValueError("model differential not induced")
-                mats[v] = xm.transpose()
-            if not c.term(1).is_zero():
-                diffs[0] = RepHom(M, c.term(1), mats, check=False)
-    model = Complex(alg, terms, diffs, check=False)
+    is exact in degree -1: the model is its good truncation in degrees
+    >= 0, whose degree-zero term M is the cokernel of d^{-1} and pi0 the
+    projection onto it; the triangle is the degreewise-split brutal
+    truncation at degree one."""
+    model, wit = _good_truncate_unchecked(cmin.to_complex())
+    M, pi0 = model.term(0), wit.map(0)
     uterms = {i: t for i, t in cmin.terms.items() if i >= 1}
     udmats = {i: d for i, d in cmin.dmats.items() if i >= 1}
     U = ProjComplex(alg, uterms, udmats, check=False)
@@ -442,12 +425,9 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
     right = right.scale(-1)
 
     # part bookkeeping so the projective padding can be read off blockwise
-    p_x1, m_y = parts.get(0, [zero_rep(alg)] * 3)[0], parts.get(0, [zero_rep(alg)] * 3)[1]
-    p_x2, p_y1, m_z = (
-        parts.get(1, [zero_rep(alg)] * 3)[0],
-        parts.get(1, [zero_rep(alg)] * 3)[1],
-        parts.get(1, [zero_rep(alg)] * 3)[2],
-    )
+    zeros = [zero_rep(alg)] * 3
+    p_x1, m_y, _ = parts.get(0, zeros)
+    p_x2, p_y1, m_z = parts.get(1, zeros)
     P, _, _ = direct_sum([V, p_x1])
     Q, _, _ = direct_sum([p_x2, p_y1])
     # extract the M_y and M_z edge components

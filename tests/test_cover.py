@@ -157,10 +157,3 @@ def test_cover_is_exact_at_extreme_primes(p, monkeypatch):
 def test_cover_is_cached(A1):
     m = simple(A1, "2")
     assert projective_cover(m) is projective_cover(m)
-
-
-def test_missing_generator_raises_value_error(A1):
-    ps = ProjSummands(A1, ("1",))
-    ps.layout()["1"].clear()
-    with pytest.raises(ValueError, match="generator not found"):
-        ps.generator_index(0)

@@ -203,6 +203,21 @@ def test_cli_decompose():
     assert len(payload["pieces"]) == 1
 
 
+def test_cli_exact_image_pair_without_sequence_is_an_error_line(capsys):
+    assert main(["--corpus", "1", "exact-image", "--functor", "F", "--pair", "0,4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no corpus sequence for pair 0,4")
+
+
+@pytest.mark.parametrize("name", ["simple_A_99", "proj_A_99"])
+def test_cli_module_at_unknown_vertex_is_unknown(name, capsys):
+    assert main(["--corpus", "1", "--format", "json", "projdim", "--module", name]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unknown module {name}")
+
+
 def test_cli_projdim():
     code, out = run_cli(["--corpus", "1", "--format", "json", "projdim", "--module", "proj_A_1", "--bound", "4"])
     assert code == 0
@@ -331,6 +346,16 @@ BAD_DEFINITIONS = {
         '"mats": {"a1": [[1]]}',
         '"mats": {"a1": [["one"]]}',
         "modules.X.mats.a1: not an integer",
+    ),
+    "missing_functor_image": (
+        ',\n    "3": {"terms": {"0": ["3"]}, "diffs": {}}',
+        "",
+        "functors.Id.images: missing image of vertex 3",
+    ),
+    "missing_arrow_map": (
+        ',\n    "a3": {"0": [[[[1, "3", ["a3"]]]]]}',
+        "",
+        "functors.Id.arrow_maps: missing map of arrow a3",
     ),
 }
 

@@ -1,0 +1,106 @@
+"""Every sum of indecomposable projectives is one shared entry per
+(algebra, vertex tuple): projective, regular and zero modules and every
+ProjSummands read it.  The per-summand block-diagonal build it replaced
+is kept here as the reference.
+"""
+
+import numpy as np
+import pytest
+
+from quivhom.algebra import dual_numbers, path_arrows
+from quivhom.corpus import corpus
+from quivhom.exactlin import Matrix
+from quivhom.modules import ProjSummands, projective, regular_module, simple, zero_rep
+
+
+def reference_projective(alg, v):
+    """P_v's arrow matrices and its basis paths grouped by target vertex."""
+    by_target = {w: [] for w in alg.quiver.vertices}
+    for pth in alg.basis_by_source[v]:
+        by_target[alg.path_target(pth)].append(pth)
+    mats = {}
+    for n, s, t in alg.quiver.arrows:
+        m = np.zeros((len(by_target[t]), len(by_target[s])), dtype=np.int64)
+        for j, pth in enumerate(by_target[s]):
+            for mono, c in alg.mul_basis((s, (n,)), pth).items():
+                m[by_target[t].index(mono), j] = c
+        mats[n] = Matrix(alg.p, m)
+    return mats, by_target
+
+
+def reference_sum(alg, vertices):
+    """(mats, layout, generator coordinates) of the block-diagonal sum."""
+    parts = [reference_projective(alg, v) for v in vertices]
+    mats = {n: Matrix.block_diag(alg.p, [pm[n] for pm, _ in parts]) for n, _, _ in alg.quiver.arrows}
+    layout = {w: [] for w in alg.quiver.vertices}
+    for j, (_, by_target) in enumerate(parts):
+        for w, paths in by_target.items():
+            layout[w].extend((j, pth) for pth in paths)
+    gens = [
+        next(i for i, (k, pth) in enumerate(layout[v]) if k == j and not path_arrows(pth))
+        for j, v in enumerate(vertices)
+    ]
+    return mats, layout, gens
+
+
+def algebras():
+    out = []
+    for p in (3, 101):
+        for n in (1, 2):
+            c = corpus(n, p)
+            out += [(f"A{n}", c.A), (f"B{n}", c.B), (f"Lam{n}", c.Lam), (f"Gam{n}", c.Gam)]
+        out.append(("keps", dual_numbers(p)))
+    return [pytest.param(alg, id=f"{name}-p{alg.p}") for name, alg in out]
+
+
+def vertex_tuples(alg, seed=0, draws=4):
+    verts = tuple(alg.quiver.vertices)
+    rng = np.random.default_rng(seed)
+    tuples = [(), verts] + [(v,) for v in verts]
+    for _ in range(draws):
+        size = int(rng.integers(2, 2 * len(verts) + 2))
+        tuples.append(tuple(verts[int(i)] for i in rng.integers(0, len(verts), size)))
+    return tuples
+
+
+@pytest.mark.parametrize("alg", algebras())
+def test_shared_sums_match_the_block_diagonal_build(alg):
+    for vs in vertex_tuples(alg):
+        ps = ProjSummands(alg, vs)
+        rep = ps.rep()
+        mats, layout, gens = reference_sum(alg, vs)
+        assert rep.dims == {w: len(layout[w]) for w in alg.quiver.vertices}, vs
+        assert all(rep.mats[n] == mats[n] for n in mats), vs
+        assert {w: list(lay) for w, lay in ps.layout().items()} == layout, vs
+        assert [ps.generator_index(j) for j in range(len(vs))] == gens, vs
+        assert ProjSummands(alg, list(vs)).rep() is rep
+        assert ProjSummands(alg, vs).layout() is ps.layout()
+
+
+@pytest.mark.parametrize("alg", algebras())
+def test_named_modules_read_the_shared_entries(alg):
+    verts = tuple(alg.quiver.vertices)
+    assert zero_rep(alg) is ProjSummands(alg, ()).rep()
+    assert zero_rep(alg).is_zero()
+    assert regular_module(alg) is ProjSummands(alg, verts).rep()
+    assert regular_module(alg).total_dim() == alg.dim
+    for v in verts:
+        assert projective(alg, v) is ProjSummands(alg, (v,)).rep()
+
+
+def test_shared_layouts_are_read_only():
+    alg = corpus(1).A
+    layout = ProjSummands(alg, ("1", "1")).layout()
+    with pytest.raises(TypeError):
+        layout["1"] = ()
+    with pytest.raises(AttributeError):
+        layout["1"].clear()
+    assert len(layout["1"]) == 2 * len(reference_projective(alg, "1")[1]["1"])
+
+
+@pytest.mark.parametrize("build", [simple, projective, lambda alg, v: ProjSummands(alg, ("0", v)).rep()])
+def test_unknown_vertex_is_a_value_error(build):
+    alg = corpus(1).A
+    with pytest.raises(ValueError, match="unknown vertex 99"):
+        build(alg, "99")
+    assert ("0", "99") not in alg._proj_cache
