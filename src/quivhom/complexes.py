@@ -19,14 +19,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exactlin import Matrix, inverse, nullspace, rank, solve
+from .exactlin import Matrix, extending_columns, inverse, nullspace, rank, solve
 from .homological import ext
 from .modules import (
+    HomFrame,
     ProjSummands,
     RepHom,
     Representation,
     cokernel,
     direct_sum,
+    flatten_blocks,
+    hom_frame,
     hom_space,
     hom_to_element_matrix,
     identity_hom,
@@ -378,13 +381,20 @@ def _good_truncate_unchecked(c: Complex):
 
 
 class HomEngine:
-    """Total Hom complex of a pair of bounded complexes, with coordinates."""
+    """Total Hom complex of a pair of bounded complexes, with coordinates.
+
+    Coordinates in Hom(c^i, d^j) are read off its basis (`HomFrame`), not
+    solved for; each degree pair's basis and frame and each D_m are built
+    once per engine.
+    """
 
     def __init__(self, c: Complex, d: Complex):
         self.c = c
         self.d = d
         self.p = c.algebra.p
         self._pair: dict[tuple[int, int], list[RepHom]] = {}
+        self._frames: dict[tuple[int, int], HomFrame] = {}
+        self._bnd: dict[int, Matrix] = {}
 
     def pair_basis(self, i: int, j: int) -> list[RepHom]:
         key = (i, j)
@@ -394,6 +404,12 @@ class HomEngine:
             else:
                 self._pair[key] = hom_space(self.c.term(i), self.d.term(j))
         return self._pair[key]
+
+    def frame(self, i: int, j: int) -> HomFrame:
+        key = (i, j)
+        if key not in self._frames:
+            self._frames[key] = hom_frame(self.c.term(i), self.d.term(j), self.pair_basis(i, j))
+        return self._frames[key]
 
     def layout(self, m: int) -> list[tuple[int, int, int]]:
         """[(i, offset, size)] for Hom^m, over source degrees i."""
@@ -410,45 +426,40 @@ class HomEngine:
         lay = self.layout(m)
         return lay[-1][1] + lay[-1][2] if lay else 0
 
-    def _coords_in_pair(self, i: int, j: int, f: RepHom) -> np.ndarray:
-        from .modules import hom_in_span
-
-        basis = self.pair_basis(i, j)
-        x = hom_in_span(f, basis)
-        if x is None:
-            raise ValueError("composite escaped the hom space")
-        return x
-
     def boundary(self, m: int) -> Matrix:
-        """D_m : Hom^m -> Hom^{m+1}; D(f)_i = d_Y f_i - (-1)^m f_{i+1} d_X."""
-        src = self.layout(m)
-        tgt = self.layout(m + 1)
-        tgt_off = {i: (off, size) for i, off, size in tgt}
-        rows = self.space_dim(m + 1)
-        cols = self.space_dim(m)
-        out = np.zeros((rows, cols), dtype=np.int64)
+        """D_m : Hom^m -> Hom^{m+1}; D(f)_i = d_Y f_i - (-1)^m f_{i+1} d_X.
+
+        Each source block's composites are formed for its whole basis at
+        once and read off the target pair's frame in one call.
+        """
+        if m in self._bnd:
+            return self._bnd[m]
+        alg = self.c.algebra
+        tgt_off = {i: off for i, off, _ in self.layout(m + 1)}
+        out = np.zeros((self.space_dim(m + 1), self.space_dim(m)), dtype=np.int64)
         sign = 1 if m % 2 == 0 else -1
-        for i, off, size in src:
-            for k, b in enumerate(self.pair_basis(i, i + m)):
-                col = off + k
-                if i in tgt_off:
-                    comp = self.d.diff(i + m).compose(b)
-                    vec = self._coords_in_pair(i, i + m + 1, comp)
-                    o, s = tgt_off[i]
-                    out[o : o + s, col] = (out[o : o + s, col] + vec) % self.p
-                if (i - 1) in tgt_off:
-                    comp = b.compose(self.c.diff(i - 1)).scale(-sign)
-                    vec = self._coords_in_pair(i - 1, i + m, comp)
-                    o, s = tgt_off[i - 1]
-                    out[o : o + s, col] = (out[o : o + s, col] + vec) % self.p
-        return Matrix(self.p, out)
+        for i, off, size in self.layout(m):
+            blocks = self.frame(i, i + m).blocks()
+            if i in tgt_off:
+                dy = self.d.diff(i + m).mats
+                comp = {v: dy[v].data @ b for v, b in blocks.items()}
+                x = self.frame(i, i + m + 1).coordinates(flatten_blocks(alg, comp))
+                o = tgt_off[i]
+                out[o : o + len(x), off : off + size] += x
+            if (i - 1) in tgt_off:
+                dx = self.c.diff(i - 1).mats
+                comp = {v: b @ dx[v].data for v, b in blocks.items()}
+                x = self.frame(i - 1, i + m).coordinates(flatten_blocks(alg, comp))
+                o = tgt_off[i - 1]
+                out[o : o + len(x), off : off + size] -= sign * x
+        self._bnd[m] = Matrix(self.p, out)
+        return self._bnd[m]
 
     def vector_of(self, f: ShiftedMap) -> np.ndarray:
         m = f.n
         vec = np.zeros(self.space_dim(m), dtype=np.int64)
         for i, off, size in self.layout(m):
-            x = self._coords_in_pair(i, i + m, f.comp(i))
-            vec[off : off + size] = x
+            vec[off : off + size] = self.frame(i, i + m).coordinates(f.comp(i).flat()[:, None])[:, 0]
         return vec
 
     def map_of(self, m: int, vec: np.ndarray) -> ShiftedMap:
@@ -464,19 +475,15 @@ class HomEngine:
         return ShiftedMap(self.c, self.d, m, comps, check=False)
 
     def homotopy_classes(self, n: int):
-        """(dim, class-basis vectors, boundary matrix, cycle basis)."""
-        dn = self.boundary(n)
-        cycles = nullspace(dn)
+        """(dim, class-basis vectors, boundary matrix, cycle basis).
+
+        The classes are the cycles independent of the boundaries and of
+        the cycles before them, from one rref of [D_{n-1} | Z_n].
+        """
+        cycles = nullspace(self.boundary(n))
         dprev = self.boundary(n - 1)
-        bnd_rank = rank(dprev)
-        chosen = []
-        probe = dprev
-        for k in range(cycles.cols):
-            cand = Matrix.hstack([probe, cycles.column(k)])
-            if rank(cand) > rank(probe):
-                chosen.append(cycles.column(k))
-                probe = cand
-        return cycles.cols - bnd_rank, chosen, dprev, cycles
+        bnd_rank, new = extending_columns(dprev, cycles)
+        return cycles.cols - bnd_rank, [cycles.column(k) for k in new], dprev, cycles
 
     def solve_nullhomotopy(self, f: ShiftedMap) -> ShiftedMap | None:
         """h with D(h) = f (an explicit homotopy witnessing f ~ 0)."""

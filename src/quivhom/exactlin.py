@@ -66,12 +66,6 @@ class Matrix:
         return Matrix(p, np.eye(n, dtype=np.int64))
 
     @staticmethod
-    def from_rows(p: int, rows) -> "Matrix":
-        if len(rows) == 0:
-            raise ValueError("from_rows needs at least one row; use zeros for empty")
-        return Matrix(p, np.array(rows, dtype=np.int64))
-
-    @staticmethod
     def random(p: int, rows: int, cols: int, rng: np.random.Generator) -> "Matrix":
         return Matrix(p, rng.integers(0, p, size=(rows, cols)))
 
@@ -252,6 +246,13 @@ def inverse(m: Matrix) -> Matrix | None:
     return x
 
 
+def extending_columns(a: Matrix, b: Matrix) -> tuple[int, list[int]]:
+    """(rank a, the columns k of b that are independent of the columns of
+    a and of b's columns before k), from the pivots of one rref of [a | b]."""
+    pivots = rref(Matrix.hstack([a, b]))[1]
+    return sum(1 for c in pivots if c < a.cols), [c - a.cols for c in pivots if c >= a.cols]
+
+
 def column_space_basis(m: Matrix) -> Matrix:
     """Columns of m restricted to a maximal independent subset."""
     _, pivots = rref(m)
@@ -266,6 +267,3 @@ def left_nullspace(m: Matrix) -> Matrix:
 def in_column_span(basis: Matrix, v: Matrix) -> bool:
     return solve(basis, v) is not None
 
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    return Matrix(a.p, np.kron(a.data, b.data))

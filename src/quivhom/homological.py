@@ -14,15 +14,18 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Element, path_arrows
-from .exactlin import Matrix, nullspace, rank, rref, solve
+from .exactlin import Matrix, extending_columns, inverse, nullspace, rank, rref, solve
 from .modules import (
     ElementMatrix,
+    HomFrame,
     ProjSummands,
     RepHom,
     Representation,
     cokernel,
     direct_sum,
     element_matrix_to_hom,
+    flatten_blocks,
+    hom_frame,
     hom_space,
     hom_to_element_matrix,
     identity_hom,
@@ -497,20 +500,14 @@ class DecompositionError(RuntimeError):
         self.partial = partial
 
 
-def _end_structure(basis: list[RepHom]):
-    """Structure constants of End(m): basis[i] o basis[j] = sum c^k_ij basis[k]."""
-    p = basis[0].source.p
-    flat = Matrix(p, np.stack([b.flat() for b in basis], axis=1))
-    n = len(basis)
-    sc = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            comp = basis[i].compose(basis[j])
-            x = solve(flat, Matrix(p, comp.flat().reshape(-1, 1)))
-            if x is None:
-                raise ValueError("composite of End basis elements is not in their span")
-            sc[i, j] = x.data[:, 0]
-    return sc
+def _end_structure(frame: HomFrame):
+    """Structure constants of End(m) in the basis of frame (Hom(m, m)):
+    b_i o b_j = sum_k sc[i, j, k] b_k.  All n^2 composites are formed at
+    once and read off the frame in one call."""
+    n = frame.flats.shape[1]
+    comp = {v: (b[:, None] @ b[None, :]).reshape(n * n, *b.shape[1:]) for v, b in frame.blocks().items()}
+    coords = frame.coordinates(flatten_blocks(frame.source.algebra, comp))
+    return coords.T.reshape(n, n, n)
 
 
 def _end_radical(p: int, sc) -> Matrix:
@@ -536,36 +533,33 @@ def _end_radical(p: int, sc) -> Matrix:
     return nullspace(Matrix(p, T))
 
 
-def _is_local_end(m: Representation) -> bool:
-    """Certify that End(m) is local (m indecomposable)."""
-    basis = hom_space(m, m)
+def _is_local_end(m: Representation, basis: list[RepHom] | None = None) -> bool:
+    """Certify that End(m) is local (m indecomposable); basis is
+    hom_space(m, m) when the caller already has it."""
+    if basis is None:
+        basis = hom_space(m, m)
     if len(basis) == 1:
         return True
     p = m.p
-    sc = _end_structure(basis)
+    frame = hom_frame(m, m, basis)
+    sc = _end_structure(frame)
     radbasis = _end_radical(p, sc)
     r = radbasis.cols
     n = len(basis)
     if n - r == 1:
         return True
     # quotient E/rad: commutative semisimple iff product of fields; then
-    # count factors Berlekamp-style via fixed points of Frobenius
-    comp = []
-    probe = radbasis
-    for k in range(n):
-        ek = np.zeros((n, 1), dtype=np.int64)
-        ek[k, 0] = 1
-        cand = Matrix.hstack([probe, Matrix(p, ek)])
-        if rank(cand) > rank(probe):
-            comp.append(k)
-            probe = cand
+    # count factors Berlekamp-style via fixed points of Frobenius.  The
+    # unit vectors independent of rad and of the ones before them span a
+    # complement of rad.
+    _, comp = extending_columns(radbasis, Matrix.identity(p, n))
     # multiplication in the quotient, in complement coordinates
     full = Matrix.hstack([radbasis, Matrix(p, np.eye(n, dtype=np.int64)[:, comp])])
+    to_comp = inverse(full).data[r:]  # full is square and invertible
     q = len(comp)
 
     def to_quot(vec):
-        x = solve(full, Matrix(p, vec.reshape(-1, 1)))
-        return x.data[radbasis.cols :, 0]
+        return to_comp @ vec % p
 
     def qmul(a, b):
         out = np.zeros(n, dtype=np.int64)
@@ -589,12 +583,7 @@ def _is_local_end(m: Representation) -> bool:
                 return False  # matrix factor present: decomposable
     # Frobenius fixed-point count: number of field factors of E/rad equals
     # dim ker(x -> x^p - x); the quotient is local iff that count is 1
-    one = np.zeros(n, dtype=np.int64)
-    idcoords = solve(
-        Matrix(p, np.stack([b.flat() for b in basis], axis=1)),
-        Matrix(p, identity_hom(m).flat().reshape(-1, 1)),
-    )
-    one = to_quot(idcoords.data[:, 0])
+    one = to_quot(frame.coordinates(identity_hom(m).flat()[:, None])[:, 0])
     frob_cols = []
     for i in range(q):
         ei = np.zeros(q, dtype=np.int64)
@@ -627,7 +616,7 @@ def decompose(m: Representation, seed: int = 0, budget: int = 60):
         if cur.total_dim() == 0:
             continue
         basis = hom_space(cur, cur)
-        if len(basis) == 1 or _is_local_end(cur):
+        if _is_local_end(cur, basis):
             pieces.append(cur)
             continue
         split = None

@@ -25,7 +25,6 @@ from .exactlin import (
     Matrix,
     column_space_basis,
     inverse,
-    kron,
     nullspace,
     rank,
     rref,
@@ -251,6 +250,7 @@ def _proj_sum(alg: BoundQuiverAlgebra, vertices: tuple) -> _ProjSum:
                 m[index[(j, mono)], col] = c
         mats[n] = Matrix(alg.p, m)
     rep = Representation(alg, {w: len(lay) for w, lay in layout.items()}, mats)
+    rep._cache["proj_sum"] = vertices  # hom_space reads Hom out of it off the generators
     # relations have length >= 2, so every trivial path is a basis path
     gens = tuple(index[(j, (v, ()))] for j, v in enumerate(vertices))
     entry = _ProjSum(
@@ -287,68 +287,162 @@ def direct_sum(reps: list[Representation]):
 # -- hom spaces --------------------------------------------------------
 
 
-def hom_space(m: Representation, n: Representation) -> list[RepHom]:
-    """Basis of Hom(m, n), from one nullspace computation.
+def _flat_offsets(m: Representation, n: Representation) -> tuple[dict[str, int], int]:
+    """Where each vertex block f_v (n.dims[v] x m.dims[v], row-major)
+    starts in the flat coordinates of a map m -> n (`RepHom.flat`), and
+    their total."""
+    offs = {}
+    off = 0
+    for v in m.algebra.quiver.vertices:
+        offs[v] = off
+        off += n.dims[v] * m.dims[v]
+    return offs, off
 
-    Unknowns are the stacked vertex matrices; each arrow a: v -> w
-    contributes the constraint n_a f_v - f_w m_a = 0.
+
+def hom_space(m: Representation, n: Representation) -> list[RepHom]:
+    """Basis of Hom(m, n), in reduced-echelon normal form on the flat
+    coordinates: basis vector k is 1 at one coordinate F[k], its last
+    nonzero entry, and every basis vector is 0 at the other coordinates
+    of F, with F ascending.  This is the basis `nullspace` gives, and
+    `HomFrame.coordinates` relies on it: the coordinates of a map in the
+    span are its flat entries at F.
+
+    If m is a shared sum of projectives (+)_j P_{v_j} (`_proj_sum`), the
+    basis is read off the generator images, Hom(m, n) = (+)_j n(v_j) by
+    Yoneda, and put in normal form by one rref.  Otherwise it is the
+    nullspace of the constraints n_a f_s - f_t m_a = 0, one block per
+    arrow a: s -> t, on the stacked vertex matrices f_v.
     """
     if m.algebra is not n.algebra:
         raise ValueError("modules over different algebras")
     alg = m.algebra
     p = alg.p
-    verts = alg.quiver.vertices
-    sizes = {v: n.dims[v] * m.dims[v] for v in verts}
-    offs = {}
-    off = 0
-    for v in verts:
-        offs[v] = off
-        off += sizes[v]
-    total = off
+    offs, total = _flat_offsets(m, n)
     if total == 0:
         return []
-    rows = []
-    for aname, s, t in alg.quiver.arrows:
-        r = n.dims[t] * m.dims[s]
-        if r == 0:
-            continue
-        block = np.zeros((r, total), dtype=np.int64)
-        # row-major vec: vec(n_a f_s) = (n_a (x) I_{m(s)}) vec(f_s)
-        if sizes[s]:
-            block[:, offs[s] : offs[s] + sizes[s]] = kron(
-                n.mats[aname], Matrix.identity(p, m.dims[s])
-            ).data
-        # row-major vec: vec(f_t m_a) = (I_{n(t)} (x) m_a^T) vec(f_t)
-        if sizes[t]:
-            block[:, offs[t] : offs[t] + sizes[t]] = (
-                block[:, offs[t] : offs[t] + sizes[t]]
-                - kron(Matrix.identity(p, n.dims[t]), m.mats[aname].transpose()).data
-            ) % p
-        rows.append(block)
-    if rows:
-        sysmat = Matrix(p, np.vstack(rows))
-        ns = nullspace(sysmat)
+    vertices = m._cache.get("proj_sum")
+    if vertices is not None:
+        rows = _hom_rows_from_generators(vertices, n, offs, total)
     else:
-        ns = Matrix.identity(p, total)
+        sysmat = _hom_system(m, n, offs, total)
+        rows = np.eye(total, dtype=np.int64) if sysmat is None else nullspace(sysmat).data.T
     out = []
-    for k in range(ns.cols):
-        vec = ns.data[:, k]
+    for row in rows:
         mats = {}
-        for v in verts:
-            mats[v] = Matrix(p, vec[offs[v] : offs[v] + sizes[v]].reshape(n.dims[v], m.dims[v]))
+        for v, off in offs.items():
+            mats[v] = Matrix(p, row[off : off + n.dims[v] * m.dims[v]].reshape(n.dims[v], m.dims[v]))
         out.append(RepHom(m, n, mats, check=False))
     return out
 
 
-def hom_in_span(hom: RepHom, basis: list[RepHom]) -> np.ndarray | None:
-    """Coordinates of hom in the span of basis, or None."""
-    p = hom.source.p
-    if not basis:
-        return np.zeros(0, dtype=np.int64) if hom.is_zero() else None
-    mat = Matrix(p, np.stack([b.flat() for b in basis], axis=1))
-    target = Matrix(p, hom.flat().reshape(-1, 1))
-    x = solve(mat, target)
-    return None if x is None else x.data[:, 0]
+def _hom_system(m: Representation, n: Representation, offs, total) -> Matrix | None:
+    """The constraints of Hom(m, n) on the flat coordinates, or None if no
+    arrow gives one.  Arrow a: s -> t gives the rows (r, c) of
+    vec(n_a f_s) - vec(f_t m_a), i.e. (n_a (x) I) vec(f_s) - (I (x) m_a^T) vec(f_t),
+    written in place by broadcasting and reduced mod p once."""
+    blocks = []
+    for a, s, t in m.algebra.quiver.arrows:
+        nt, ms, mt = n.dims[t], m.dims[s], m.dims[t]
+        if nt * ms == 0:
+            continue
+        block = np.zeros((nt, ms, total), dtype=np.int64)
+        c = np.arange(ms)[:, None]
+        # vec(n_a f_s)[r, c] = sum_r' n_a[r, r'] f_s[r', c]
+        block[:, c, offs[s] + np.arange(n.dims[s]) * ms + c] = n.mats[a].data[:, None, :]
+        # vec(f_t m_a)[r, c] = sum_c' f_t[r, c'] m_a[c', c]
+        r = np.arange(nt)[:, None]
+        block[r, :, offs[t] + r * mt + np.arange(mt)] -= m.mats[a].data
+        blocks.append(block.reshape(nt * ms, total))
+    return Matrix(m.p, np.vstack(blocks)) if blocks else None
+
+
+def _hom_rows_from_generators(vertices: tuple, n: Representation, offs, total) -> np.ndarray:
+    """Flat rows of hom_space(P, n) for the shared sum P of the P_v, v in
+    vertices, from where the generators go.
+
+    Basis map (j, i) sends summand j's generator to e_i in n(v_j), so its
+    column at layout entry (j, path) is n(path) e_i; each path's action is
+    computed once, from that of its prefix.  These maps span Hom, and
+    their normal form is the rref of their span with the coordinates
+    reversed (the free coordinates turn into the pivots), read back in
+    reverse.
+    """
+    p = n.p
+    layout = _proj_sum(n.algebra, vertices).layout
+    starts = np.cumsum([0] + [n.dims[v] for v in vertices])
+    if not starts[-1]:
+        return np.zeros((0, total), dtype=np.int64)
+    acts = {}  # path -> n(path)
+
+    def act(pth: Path) -> np.ndarray:
+        if pth not in acts:
+            v, arrows = pth
+            if arrows:
+                acts[pth] = n.mats[arrows[-1]].data @ act((v, arrows[:-1])) % p
+            else:
+                acts[pth] = np.eye(n.dims[v], dtype=np.int64)
+        return acts[pth]
+
+    rows = np.zeros((starts[-1], total), dtype=np.int64)
+    for w, lay in layout.items():
+        width = len(lay)
+        for c, (j, pth) in enumerate(lay):
+            # entry (r, c) of f_w sits at offs[w] + r * width + c
+            rows[starts[j] : starts[j + 1], offs[w] + c : offs[w] + n.dims[w] * width : width] = act(pth).T
+    return rref(Matrix(p, rows[:, ::-1]))[0].data[::-1, ::-1]
+
+
+class HomFrame(NamedTuple):
+    """A hom_space basis of Hom(source, target), laid out for batched
+    coordinates: `flats` holds the basis as columns of flat coordinates,
+    and `free[k]` is the coordinate where basis vector k is 1 and all
+    others are 0."""
+
+    source: Representation
+    target: Representation
+    flats: np.ndarray
+    free: np.ndarray
+
+    def blocks(self) -> dict[str, np.ndarray]:
+        """All basis maps at once: v -> array (k, target.dims[v], source.dims[v])."""
+        offs, _ = _flat_offsets(self.source, self.target)
+        k = self.flats.shape[1]
+        out = {}
+        for v, off in offs.items():
+            a, b = self.target.dims[v], self.source.dims[v]
+            out[v] = self.flats[off : off + a * b].T.reshape(k, a, b)
+        return out
+
+    def coordinates(self, vecs: np.ndarray) -> np.ndarray:
+        """Coordinates of each column of vecs (flat maps source -> target),
+        one column each: the entries at `free`, checked by one product."""
+        p = self.source.p
+        vecs = vecs % p
+        x = vecs[self.free]
+        if ((self.flats @ x - vecs) % p).any():
+            raise ValueError("composite escaped the hom space")
+        return x
+
+
+def hom_frame(m: Representation, n: Representation, basis: list[RepHom]) -> HomFrame:
+    """The HomFrame of basis = hom_space(m, n)."""
+    _, total = _flat_offsets(m, n)
+    flats = np.zeros((total, len(basis)), dtype=np.int64)
+    for k, b in enumerate(basis):
+        flats[:, k] = b.flat()
+    # the last nonzero entry of each column
+    free = total - 1 - np.argmax(flats[::-1] != 0, axis=0) if basis else np.zeros(0, dtype=np.intp)
+    return HomFrame(m, n, flats, free)
+
+
+def flatten_blocks(alg: BoundQuiverAlgebra, blocks: dict[str, np.ndarray]) -> np.ndarray:
+    """Columns of flat coordinates from vertex blocks v -> (k, rows, cols),
+    the inverse of `HomFrame.blocks`."""
+    parts = []
+    for v in alg.quiver.vertices:
+        k, a, b = blocks[v].shape
+        parts.append(blocks[v].reshape(k, a * b))
+    return np.concatenate(parts, axis=1).T
 
 
 # -- sub / quotient machinery -------------------------------------------
@@ -551,14 +645,22 @@ def emat_compose(alg, a: ElementMatrix, b: ElementMatrix) -> ElementMatrix:
     rows, mid = len(a), len(b)
     cols = len(b[0]) if b else 0
     out = [[{} for _ in range(cols)] for _ in range(rows)]
+    p = alg.p
+    table = alg.mul_basis
     for l in range(rows):
+        arow = a[l]
         for j in range(cols):
             acc: Element = {}
             for k in range(mid):
-                u, s = b[k][j], a[l][k]
-                if u and s:
-                    acc = alg.add(acc, alg.mul(u, s))
-            out[l][j] = acc
+                u, s = b[k][j], arow[k]
+                if not (u and s):
+                    continue
+                for ps, cs in s.items():
+                    for pu, cu in u.items():
+                        c = cu * cs % p
+                        for mono, c2 in table(pu, ps).items():
+                            acc[mono] = (acc.get(mono, 0) + c * c2) % p
+            out[l][j] = {mono: c for mono, c in acc.items() if c} if acc else acc
     return out
 
 

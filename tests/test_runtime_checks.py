@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "quivhom"
+TESTS = pathlib.Path(__file__).resolve().parent
 MODULES = sorted(path.name for path in SRC.glob("*.py"))
 
 
@@ -75,3 +76,38 @@ def test_every_private_helper_is_referenced():
             if total.get(node.name, 0) == _name_counts(node).get(node.name, 0):
                 orphans.append(f"{module}:{node.lineno} {node.name}")
     assert not orphans, f"private helpers referenced nowhere else in the package: {orphans}"
+
+
+def _uses(node: ast.AST) -> dict[str, int]:
+    """How often each name is read under node, as a bare name or as an
+    attribute of anything but numpy (np.kron is not exactlin's kron)."""
+    counts: dict[str, int] = {}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            name = sub.id
+        elif isinstance(sub, ast.Attribute) and not (isinstance(sub.value, ast.Name) and sub.value.id == "np"):
+            name = sub.attr
+        else:
+            continue
+        counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def test_every_exactlin_function_and_matrix_method_is_used():
+    """Every public function of exactlin and public method of Matrix is read
+    somewhere in the package or the tests, outside its own body."""
+    total: dict[str, int] = {}
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        for name, k in _uses(ast.parse(path.read_text(), filename=path.name)).items():
+            total[name] = total.get(name, 0) + k
+    tree = ast.parse((SRC / "exactlin.py").read_text(), filename="exactlin.py")
+    defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "Matrix":
+            defs += [f for f in node.body if isinstance(f, ast.FunctionDef)]
+    unused = [
+        f"exactlin.py:{f.lineno} {f.name}"
+        for f in defs
+        if not f.name.startswith("_") and total.get(f.name, 0) == _uses(f).get(f.name, 0)
+    ]
+    assert not unused, f"exactlin functions and Matrix methods used nowhere: {unused}"
