@@ -19,16 +19,20 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .algebra import NonAdmissibleError
 from .complexes import (
+    hom_d_dim,
+    hom_k_dim,
     homology_dims,
     localization_compare,
     module_complex,
     projective_resolution,
 )
 from .corpus import corpus as build_corpus
-from .exactlin import DEFAULT_PRIME
-from .functors import TiltingCandidate, check_tilting, endomorphism_presentation
+from .exactlin import DEFAULT_PRIME, check_prime
+from .functors import TiltingCandidate, apply_to_module, check_tilting, endomorphism_presentation
 from .gorenstein import (
     CosyzygyError,
     GPCrossCheckError,
@@ -38,7 +42,7 @@ from .gorenstein import (
 )
 from .homological import DecompositionError, decompose, ext, is_isomorphic, projdim
 from .io import Definitions, DefinitionError, module_dot, parse_definitions, serialize_definitions
-from .modules import hom_space, is_projective, projective, simple
+from .modules import cokernel, hom_frame, hom_space, is_mono, is_projective, projective, simple
 from .projcplx import recognize
 from .stable import exact_sequence_image, stable_image, stable_image_map
 
@@ -49,8 +53,6 @@ class OperationError(RuntimeError):
 
 class Context:
     def __init__(self, args):
-        from .exactlin import check_prime
-
         try:
             self.p = check_prime(args.prime)
         except ValueError as e:
@@ -146,15 +148,11 @@ def cmd_ext(ctx, args):
 
 
 def cmd_hom_k(ctx, args):
-    from .complexes import hom_k_dim
-
     d = hom_k_dim(ctx.complex(args.source), ctx.complex(args.target), args.shift)
     emit(ctx, {"hom_k_dim": d}, [f"Hom_K dimension at shift {args.shift}: {d}"])
 
 
 def cmd_hom_d(ctx, args):
-    from .complexes import hom_d_dim
-
     d = hom_d_dim(ctx.complex(args.source), ctx.complex(args.target), args.shift)
     emit(ctx, {"hom_d_dim": d}, [f"Hom_D dimension at shift {args.shift}: {d}"])
 
@@ -211,8 +209,6 @@ def cmd_endo(ctx, args):
 
 
 def cmd_apply(ctx, args):
-    from .functors import apply_to_module
-
     f = ctx.functor(args.functor)
     img = apply_to_module(f, ctx.module(args.module), args.window)
     c = img.to_complex()
@@ -263,18 +259,12 @@ def cmd_stable_map(ctx, args):
 
 
 def _find_ses(ctx, sub, mid, quot, seed):
-    import numpy as np
-
-    from quivhom.modules import cokernel, is_mono, is_ses
-
     basis = hom_space(sub, mid)
+    frame = hom_frame(sub, mid, basis)
     rng = np.random.default_rng(seed)
-    for _ in range(80):
-        f = None
-        for b in basis:
-            t = b.scale(int(rng.integers(0, sub.p)))
-            f = t if f is None else f + t
-        if f is None or not is_mono(f):
+    for _ in range(80 if basis else 0):
+        f = frame.combination(rng.integers(0, sub.p, size=len(basis)))
+        if not is_mono(f):
             continue
         q, qmap = cokernel(f)
         if is_isomorphic(q, quot, seed=seed):

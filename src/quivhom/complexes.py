@@ -27,7 +27,7 @@ from .modules import (
     RepHom,
     Representation,
     cokernel,
-    direct_sum,
+    direct_sum_module,
     flatten_blocks,
     hom_frame,
     hom_space,
@@ -37,6 +37,7 @@ from .modules import (
     kernel,
     projective_cover,
     quotient_by_bases,
+    sub_from_bases,
     zero_hom,
     zero_rep,
 )
@@ -233,8 +234,7 @@ def cone(f: ChainMap):
         xs, ys = X.term(i + 1), Y.term(i)
         if xs.is_zero() and ys.is_zero():
             continue
-        tot, _, _ = direct_sum([xs, ys])
-        terms[i] = tot
+        terms[i] = direct_sum_module([xs, ys])
         parts[i] = (xs, ys)
     diffs = {}
     for i in terms:
@@ -463,15 +463,10 @@ class HomEngine:
         return vec
 
     def map_of(self, m: int, vec: np.ndarray) -> ShiftedMap:
-        comps = {}
-        for i, off, size in self.layout(m):
-            basis = self.pair_basis(i, i + m)
-            acc = None
-            for k in range(size):
-                cterm = basis[k].scale(int(vec[off + k]))
-                acc = cterm if acc is None else acc + cterm
-            if acc is not None:
-                comps[i] = acc
+        """The map with coordinate vector vec in Hom^m, the inverse of
+        `vector_of`: one `HomFrame.combination` per degree block, on the
+        frames that `boundary` builds."""
+        comps = {i: self.frame(i, i + m).combination(vec[off : off + size]) for i, off, size in self.layout(m)}
         return ShiftedMap(self.c, self.d, m, comps, check=False)
 
     def homotopy_classes(self, n: int):
@@ -501,21 +496,15 @@ class HomKResult:
     def __init__(self, engine: HomEngine, n: int):
         self.engine = engine
         self.n = n
-        self.dim, chosen, self._bnd, self._cycles = engine.homotopy_classes(n)
-        self.basis = [engine.map_of(n, v.data[:, 0]) for v in chosen]
-        self._chosen = chosen
+        self.dim, chosen, self._bnd, _ = engine.homotopy_classes(n)
+        # the chosen class vectors in Hom^n coordinates, as columns
+        self.vectors = np.hstack([v.data for v in chosen]) if chosen else self._bnd.data[:, :0]
+        self.basis = [engine.map_of(n, v) for v in self.vectors.T]
 
     def coordinates(self, f: ShiftedMap) -> np.ndarray:
         """Class coordinates of f in the chosen basis."""
         vec = self.engine.vector_of(f)
-        pieces = list(self._chosen)
-        if self._bnd.cols:
-            pieces.append(self._bnd)
-        if not pieces:
-            if vec.any():
-                raise ValueError("map is not a cycle in the Hom complex")
-            return np.zeros(0, dtype=np.int64)
-        full = Matrix.hstack(pieces)
+        full = Matrix(self.engine.p, np.hstack([self.vectors, self._bnd.data]))
         x = solve(full, Matrix(self.engine.p, vec.reshape(-1, 1)))
         if x is None:
             raise ValueError("map is not a cycle in the Hom complex")
@@ -576,7 +565,7 @@ class _Resolution:
         self.lo = c.hi + 1
 
     def extend_to(self, window_lo: int):
-        c, alg = self.complex, self.complex.algebra
+        c, alg, p = self.complex, self.complex.algebra, self.complex.algebra.p
         psums, dmats, eps, dP = self.psums, self.dmats, self.eps, self.dP
         for i in range(self.lo - 1, window_lo - 1, -1):
             pnext = psums.get(i + 1)
@@ -584,30 +573,25 @@ class _Resolution:
             r2 = c.term(i)
             if r1.is_zero() and r2.is_zero():
                 continue
-            pair, _, projs = direct_sum([r1, r2])
-            tgt1 = dP[i + 1].target if (i + 1) in dP else zero_rep(alg)
-            tgt2 = c.term(i + 1)
-            tpair, _, _ = direct_sum([tgt1, tgt2])
-            g1 = dP[i + 1] if (i + 1) in dP else zero_hom(r1, tgt1)
-            g2 = eps[i + 1] if (i + 1) in eps else zero_hom(r1, tgt2)
-            blocks = {
-                (0, 0): g1,
-                (1, 0): g2,
-                (1, 1): c.diff(i).scale(-1),
-            }
-            gmap = _block_hom(pair, tpair, [r1, r2], [tgt1, tgt2], blocks)
-            ktilde, kincl = kernel(gmap)
+            # K~ is the kernel of G = [[dP_(i+1), 0], [eps_(i+1), -d_c^i]]
+            # on P_(i+1) (+) c^i, taken vertex by vertex
+            neg_d = c.diff(i).scale(-1)
+            bases = {}
+            for v in alg.quiver.vertices:
+                g = neg_d.mats[v].data
+                if pnext:
+                    upper = np.zeros((dP[i + 1].target.dims[v], r2.dims[v]), dtype=np.int64)
+                    g = np.block([[dP[i + 1].mats[v].data, upper], [eps[i + 1].mats[v].data, g]])
+                bases[v] = nullspace(Matrix(p, g))
+            ktilde, kincl = sub_from_bases(direct_sum_module([r1, r2]), bases)
             ps, pi = projective_cover(ktilde)
             psums[i] = ps
-            combined = kincl.compose(pi)
-            dPi = projs[0].compose(combined)
-            epsi = projs[1].compose(combined)
+            # dP_i and eps_i are the row blocks of kincl o pi
+            combined = kincl.compose(pi).mats
+            dP[i] = RepHom(ps.rep(), r1, {v: Matrix(p, m.data[: r1.dims[v]]) for v, m in combined.items()}, check=False)
+            eps[i] = RepHom(ps.rep(), r2, {v: Matrix(p, m.data[r1.dims[v] :]) for v, m in combined.items()}, check=False)
             if pnext is not None:
-                dP[i] = RepHom(ps.rep(), pnext.rep(), dPi.mats, check=False)
                 dmats[i] = hom_to_element_matrix(alg, dP[i], ps, pnext)
-            else:
-                dP[i] = zero_hom(ps.rep(), zero_rep(alg))
-            eps[i] = epsi
         self.lo = min(self.lo, window_lo)
 
 

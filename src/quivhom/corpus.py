@@ -41,6 +41,7 @@ from .modules import (
     projective,
 )
 from .projcplx import ProjChainMap, ProjComplex
+from .strings import enumerate_string_modules
 
 
 def gentle_tree_algebra(n: int = 1, p: int = DEFAULT_PRIME) -> BoundQuiverAlgebra:
@@ -345,8 +346,6 @@ class Corpus:
         return out
 
     def indecomposables_A(self) -> list[Representation]:
-        from .strings import enumerate_string_modules
-
         return enumerate_string_modules(self.A)
 
 

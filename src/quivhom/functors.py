@@ -22,9 +22,17 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Element, Path, Quiver, path_arrows, path_source
-from .complexes import ChainMap, Complex, HomEngine, ShiftedMap, hom_k
-from .exactlin import Matrix, inverse, nullspace, rank, solve
-from .homological import _end_radical, minimal_resolution
+from .complexes import Complex, HomEngine, ShiftedMap, hom_k, homology, is_quasi_iso
+from .exactlin import Matrix, column_space_basis, inverse, nullspace, rank, solve
+from .homological import (
+    _apply_poly,
+    _end_radical,
+    _min_poly,
+    _splitting_factor,
+    _stable_power,
+    _total_matrix,
+    minimal_resolution,
+)
 from .modules import (
     ElementMatrix,
     ProjSummands,
@@ -33,13 +41,14 @@ from .modules import (
     emat_is_zero,
     hom_to_element_matrix,
     identity_hom,
+    image,
+    kernel,
     simple,
 )
 from .projcplx import (
     ProjChainMap,
     ProjComplex,
     _add_block,
-    _identity_emat,
     direct_sum_proj,
     identity_proj_chain_map,
     minimize,
@@ -334,8 +343,6 @@ def is_non_negative(f: FunctorData, depth: int = 8) -> NonNegativityReport:
             details[("relation", str(r))] = False
             ok = False
     if ok:
-        from .complexes import homology
-
         for v in f.source.quiver.vertices:
             s = simple(f.source, v)
             img = apply_to_module(f, s, -depth - 2)
@@ -374,8 +381,6 @@ class TiltingReport:
 def _split_proj_complex(pc: ProjComplex, seed: int = 0, budget: int = 40) -> list[ProjComplex]:
     """Direct summands of a complex of projectives, via Fitting splitting
     of strict chain endomorphisms.  Pieces are re-minimized."""
-    from .homological import _min_poly, _splitting_factor
-
     rng = np.random.default_rng(seed)
     out: list[ProjComplex] = []
     stack = [pc]
@@ -384,34 +389,18 @@ def _split_proj_complex(pc: ProjComplex, seed: int = 0, budget: int = 40) -> lis
         if not cur.terms:
             continue
         c = cur.to_complex()
+        p = c.algebra.p
         eng = HomEngine(c, c)
         cycles = nullspace(eng.boundary(0))
-        endos = [eng.map_of(0, cycles.data[:, k]) for k in range(cycles.cols)]
-        if len(endos) <= 1:
+        if cycles.cols <= 1:
             out.append(cur)
             continue
         split = None
         for _ in range(budget):
-            coeffs = rng.integers(0, c.algebra.p, size=len(endos))
-            fm = {i: None for i in c.terms}
-            for co, b in zip(coeffs, endos):
-                for i in c.terms:
-                    term = b.comp(i).scale(int(co))
-                    fm[i] = term if fm[i] is None else fm[i] + term
-            # total matrix over all degrees and vertices
-            blocks = []
-            for i in sorted(c.terms):
-                for v in c.algebra.quiver.vertices:
-                    if fm[i].mats[v].rows:
-                        blocks.append(fm[i].mats[v].data)
-            n = sum(b.shape[0] for b in blocks)
-            F = np.zeros((n, n), dtype=np.int64)
-            off = 0
-            for b in blocks:
-                F[off : off + b.shape[0], off : off + b.shape[0]] = b
-                off += b.shape[0]
-            mp = _min_poly(c.algebra.p, F, rng)
-            fac = _splitting_factor(c.algebra.p, mp, rng)
+            f = eng.map_of(0, cycles.data @ rng.integers(0, p, size=cycles.cols) % p)
+            fm = {i: f.comp(i) for i in sorted(c.terms)}
+            mp = _min_poly(p, _total_matrix(list(fm.values())), rng)
+            fac = _splitting_factor(p, mp, rng)
             if fac is None:
                 continue
             split = _complex_fitting(c, fm, fac)
@@ -429,24 +418,9 @@ def _complex_fitting(c: Complex, fm: dict, poly) -> list[ProjComplex] | None:
     Each piece is the complex of kernels (images) with the induced
     differential, presented by `recognize`; None when a piece is not
     projective termwise, so the caller rerolls."""
-    from .modules import image, kernel
-
     alg = c.algebra
-    p = alg.p
-    # g = poly(f) degreewise, then a high power
-    g = {}
-    for i in c.terms:
-        acc = None
-        power = identity_hom(c.terms[i])
-        for co in poly:
-            if co % p:
-                term = power.scale(co)
-                acc = term if acc is None else acc + term
-            power = fm[i].compose(power)
-        g[i] = acc if acc is not None else identity_hom(c.terms[i]).scale(0)
     n = c.total_dim()
-    for _ in range(max(1, n.bit_length())):
-        g = {i: g[i].compose(g[i]) for i in g}
+    g = {i: _stable_power(_apply_poly(fm[i], poly), n) for i in c.terms}
     pieces = []
     dim = 0
     for which in (kernel, image):
@@ -658,11 +632,7 @@ def endomorphism_presentation(t: TiltingCandidate, seed: int = 0, relation_cap: 
                 if nz:
                     cols.append(blockvec)
             if cols:
-                from .exactlin import column_space_basis
-
-                rad_block[(u, v)] = column_space_basis(
-                    Matrix(p, np.stack(cols, axis=1))
-                )
+                rad_block[(u, v)] = column_space_basis(Matrix(p, np.stack(cols, axis=1)))
     # rad^2 blocks
     arrows = []
     for (u, v), bu in rad_block.items():
@@ -719,28 +689,17 @@ def _count_paths(q: Quiver, cap: int) -> int:
 
 
 def _proj_complexes_homotopy_iso(x: ProjComplex, y: ProjComplex, seed: int = 0) -> bool:
-    from .complexes import is_quasi_iso
-
-    cx, cy = x.to_complex(), y.to_complex()
-    hk = hom_k(cx, cy, 0)
+    """Whether one of 20 random combinations of the hom_k(x, y, 0) class
+    basis is a quasi-isomorphism (so x and y are homotopy equivalent)."""
+    hk = hom_k(x.to_complex(), y.to_complex(), 0)
+    if not hk.dim:
+        return False
+    p = x.algebra.p
     rng = np.random.default_rng(seed)
     for _ in range(20):
-        comps = None
-        for b in hk.basis:
-            co = int(rng.integers(0, x.algebra.p))
-            if comps is None:
-                comps = {i: b.comp(i).scale(co) for i in b.comps}
-            else:
-                for i in b.comps:
-                    comps[i] = comps.get(i, b.comp(i).scale(0)) + b.comp(i).scale(co)
-        if comps is None:
-            return False
-        try:
-            cm = ChainMap(cx, cy, comps, check=False)
-            if is_quasi_iso(cm):
-                return True
-        except Exception:
-            continue
+        f = hk.engine.map_of(0, hk.vectors @ rng.integers(0, p, size=hk.dim) % p)
+        if is_quasi_iso(f.to_chain_map()):
+            return True
     return False
 
 
@@ -752,39 +711,15 @@ def strict_chain_automorphism(img: ProjComplex, rng) -> tuple[ProjChainMap, Proj
     c = img.to_complex()
     eng = HomEngine(c, c)
     cycles = nullspace(eng.boundary(0))
-    endos = [eng.map_of(0, cycles.data[:, k]) for k in range(cycles.cols)]
-    ident = {i: _identity_emat(alg, img.terms[i]) for i in img.terms}
     for _ in range(20):
-        comps = {}
-        invs = {}
-        ok = True
-        cand = {}
-        coeffs = [int(rng.integers(0, alg.p)) for _ in endos]
-        for i in img.terms:
-            acc = None
-            for co, b in zip(coeffs, endos):
-                t = b.comp(i).scale(co)
-                acc = t if acc is None else acc + t
-            from .modules import identity_hom as _idh
-
-            h = _idh(img.terms[i].rep()) if acc is None else _idh(img.terms[i].rep()) + acc
-            inv_mats = {}
-            for v, mthis in h.mats.items():
-                ivm = inverse(mthis)
-                if ivm is None and mthis.rows:
-                    ok = False
-                    break
-                inv_mats[v] = ivm if ivm is not None else mthis
-            if not ok:
-                break
-            cand[i] = (h, inv_mats)
-        if not ok:
+        f = eng.map_of(0, cycles.data @ rng.integers(0, alg.p, size=cycles.cols) % alg.p)
+        hs = {i: identity_hom(ps.rep()) + f.comp(i) for i, ps in img.terms.items()}
+        invs = {i: {v: inverse(m) for v, m in h.mats.items()} for i, h in hs.items()}
+        if any(m is None for inv in invs.values() for m in inv.values()):
             continue
-        for i, (h, inv_mats) in cand.items():
-            ps = img.terms[i]
-            comps[i] = hom_to_element_matrix(alg, h, ps, ps)
-            hinv = RepHom(ps.rep(), ps.rep(), inv_mats, check=False)
-            invs[i] = hom_to_element_matrix(alg, hinv, ps, ps)
+        comps = {i: hom_to_element_matrix(alg, h, img.terms[i], img.terms[i]) for i, h in hs.items()}
+        for i, ps in img.terms.items():
+            invs[i] = hom_to_element_matrix(alg, RepHom(ps.rep(), ps.rep(), invs[i], check=False), ps, ps)
         return ProjChainMap(img, img, comps), ProjChainMap(img, img, invs)
     return identity_proj_chain_map(img), identity_proj_chain_map(img)
 

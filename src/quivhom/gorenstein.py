@@ -25,11 +25,10 @@ import numpy as np
 
 from .complexes import hom_d_dim, module_complex
 from .homological import (
-    _search_iso,
     decompose,
     ext,
     ext_profile,
-    is_isomorphic,
+    find_iso,
     minimal_resolution,
     projdim,
     strip_projectives,
@@ -38,10 +37,14 @@ from .homological import (
 )
 from .modules import (
     Representation,
+    cokernel,
     direct_sum,
+    identity_hom,
+    is_mono,
     is_projective,
     is_ses,
     projective,
+    zero_hom,
     zero_rep,
 )
 from .functors import FunctorData
@@ -171,8 +174,6 @@ def _match_embedding(x: Representation, seed: int = 0):
     shift, and the projective ones ride along as identity padding.
     Returns (embedding, quotient_map).
     """
-    from .modules import cokernel, identity_hom, is_mono, zero_hom
-
     alg = x.algebra
     rng = np.random.default_rng(seed)
     y = inverse_syzygy(x)
@@ -190,37 +191,31 @@ def _match_embedding(x: Representation, seed: int = 0):
     for rep, mult in decompose(K, seed=seed):
         kpieces.extend([rep] * mult)
     ksum, kslot_inc, _ = direct_sum(kpieces)
-    kiso = _search_iso(ksum, K, rng)
+    kiso = find_iso(ksum, K, rng)
     if kiso is None:
         raise CosyzygyError("kernel change of basis not found", 0)
     into_p = kincl.compose(kiso)  # ksum -> P(y)
     used = [False] * len(kpieces)
-    slot_of: list[int] = []
+    legs = []  # (slot in kpieces, isomorphism piece -> kpieces[slot])
     for piece in x_nonproj:
-        found = None
         for idx, kp in enumerate(kpieces):
-            if used[idx] or kp.dims != piece.dims:
-                continue
-            if is_isomorphic(kp, piece, seed=seed):
-                found = idx
+            iso = None if used[idx] else find_iso(piece, kp, rng)
+            if iso is not None:
+                used[idx] = True
+                legs.append((idx, iso))
                 break
-        if found is None:
+        else:
             raise CosyzygyError("could not match a summand inside the cover kernel", 0)
-        used[found] = True
-        slot_of.append(found)
     parts = x_nonproj + x_proj
     xsum, _, xprojs = direct_sum(parts)
     ptotal, pincls, _ = direct_sum([psY.rep()] + x_proj)
     emb_sum = zero_hom(xsum, ptotal)
-    for idx, piece in enumerate(x_nonproj):
-        iso = _search_iso(piece, kpieces[slot_of[idx]], rng)
-        if iso is None:
-            raise CosyzygyError("no explicit isomorphism for a matched summand", 0)
-        leg = pincls[0].compose(into_p).compose(kslot_inc[slot_of[idx]]).compose(iso)
+    for idx, (slot, iso) in enumerate(legs):
+        leg = pincls[0].compose(into_p).compose(kslot_inc[slot]).compose(iso)
         emb_sum = emb_sum + leg.compose(xprojs[idx])
     for jdx, piece in enumerate(x_proj):
         emb_sum = emb_sum + pincls[1 + jdx].compose(xprojs[len(x_nonproj) + jdx])
-    xiso = _search_iso(x, xsum, rng)
+    xiso = find_iso(x, xsum, rng)
     if xiso is None:
         raise CosyzygyError("module does not match its own summand list", 0)
     emb = emb_sum.compose(xiso)

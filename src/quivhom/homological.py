@@ -22,7 +22,7 @@ from .modules import (
     RepHom,
     Representation,
     cokernel,
-    direct_sum,
+    direct_sum_module,
     element_matrix_to_hom,
     flatten_blocks,
     hom_frame,
@@ -161,7 +161,7 @@ def ext_profile(y: Representation, d: int, stop_above: int | None = None):
     dim Ext^i = dim Hom(P_i, A) - rk d_(i+1)* - rk d_i*.  Then the new
     syzygy K_k (K_0 = y) is compared with the earlier K_j of the same
     dimension vector.  The first explicit isomorphism K_j -> K_k found by
-    _search_iso (a zero syzygy matches the next one, also zero) is
+    find_iso (a zero syzygy matches the next one, also zero) is
     returned as period = (j, k, iso); it certifies that the profile
     repeats with period k - j in every degree above j, because
     Ext^i(y, N) = Ext^(i-j)(K_j, N) for i > j.  The resolution stops at
@@ -202,7 +202,7 @@ def ext_profile(y: Representation, d: int, stop_above: int | None = None):
                 break
         kk = res.syzygy_module(k)
         for j in range(k):
-            iso = _search_iso(res.syzygy_module(j), kk, rng)
+            iso = find_iso(res.syzygy_module(j), kk, rng)
             if iso is not None:
                 period = (j, k, iso)
                 break
@@ -260,7 +260,7 @@ def _split_projectives(m: Representation):
             dropped.append(fs[j].target)
     if not dropped:
         return m, []
-    total, _, _ = direct_sum(dropped)
+    total = direct_sum_module(dropped)
     mats = {w: Matrix.vstack(rows[w]) for w in alg.quiver.vertices}
     rest, _ = kernel(RepHom(m, total, mats, check=False))
     return rest, dropped
@@ -450,16 +450,11 @@ def _splitting_factor(p, mp, rng):
     return None
 
 
-def _total_matrix(f: RepHom) -> np.ndarray:
-    alg = f.source.algebra
-    blocks = [f.mats[v].data for v in alg.quiver.vertices if f.mats[v].rows]
-    n = f.source.total_dim()
-    out = np.zeros((n, n), dtype=np.int64)
-    off = 0
-    for b in blocks:
-        out[off : off + b.shape[0], off : off + b.shape[0]] = b
-        off += b.shape[0]
-    return out
+def _total_matrix(maps: list[RepHom]) -> np.ndarray:
+    """The endomorphisms in maps as one block-diagonal matrix, vertex
+    blocks in quiver order, map after map."""
+    alg = maps[0].source.algebra
+    return Matrix.block_diag(alg.p, [f.mats[v] for f in maps for v in alg.quiver.vertices]).data
 
 
 def _apply_poly(f: RepHom, poly) -> RepHom:
@@ -476,13 +471,19 @@ def _apply_poly(f: RepHom, poly) -> RepHom:
     return out
 
 
+def _stable_power(g: RepHom, n: int) -> RepHom:
+    """g^(2^k) with 2^k > n, by repeated squaring: on a space of dimension
+    n its kernel and image are those of every higher power (Fitting)."""
+    for _ in range(max(1, n.bit_length())):
+        g = g.compose(g)
+    return g
+
+
 def _fitting_split(m: Representation, g: RepHom):
     """m = ker(g^N) (+) im(g^N) when both are nonzero; returns the pair of
     (rep, incl) or None if the split is trivial."""
     n = m.total_dim()
-    power = g
-    for _ in range(max(1, n.bit_length())):
-        power = power.compose(power)
+    power = _stable_power(g, n)
     k, kincl = kernel(power)
     if k.total_dim() == 0 or k.total_dim() == n:
         return None
@@ -524,28 +525,27 @@ def _end_radical(p: int, sc) -> Matrix:
         raise DecompositionError(
             f"dim End = {n} >= p = {p}; rerun with a larger prime to certify"
         )
-    # L_i = matrix of left multiplication by basis[i]
-    L = [Matrix(p, sc[i].T.copy()) for i in range(n)]
+    # T[i, j] = trace(L_i L_j), L_i the matrix of left multiplication by
+    # b_i, is sum_(k, l) sc[i, l, k] sc[j, k, l] = sum_k (A_k B_k^T)[i, j]
+    # with A_k = sc[:, :, k] and B_k = sc[:, k, :]: n products, not n^2
     T = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            T[i, j] = int(np.trace((L[i] @ L[j]).data)) % p
+    for k in range(n):
+        T = (T + sc[:, :, k] @ sc[:, k, :].T) % p
     return nullspace(Matrix(p, T))
 
 
-def _is_local_end(m: Representation, basis: list[RepHom] | None = None) -> bool:
-    """Certify that End(m) is local (m indecomposable); basis is
-    hom_space(m, m) when the caller already has it."""
-    if basis is None:
-        basis = hom_space(m, m)
-    if len(basis) == 1:
+def _is_local_end(m: Representation, frame: HomFrame | None = None) -> bool:
+    """Certify that End(m) is local (m indecomposable); frame is the
+    HomFrame of hom_space(m, m) when the caller already has it."""
+    if frame is None:
+        frame = hom_frame(m, m, hom_space(m, m))
+    n = frame.flats.shape[1]
+    if n == 1:
         return True
     p = m.p
-    frame = hom_frame(m, m, basis)
     sc = _end_structure(frame)
     radbasis = _end_radical(p, sc)
     r = radbasis.cols
-    n = len(basis)
     if n - r == 1:
         return True
     # quotient E/rad: commutative semisimple iff product of fields; then
@@ -616,17 +616,14 @@ def decompose(m: Representation, seed: int = 0, budget: int = 60):
         if cur.total_dim() == 0:
             continue
         basis = hom_space(cur, cur)
-        if _is_local_end(cur, basis):
+        frame = hom_frame(cur, cur, basis)
+        if _is_local_end(cur, frame):
             pieces.append(cur)
             continue
         split = None
         for _ in range(budget):
-            coeffs = rng.integers(0, cur.p, size=len(basis))
-            f = None
-            for c, b in zip(coeffs, basis):
-                t = b.scale(int(c))
-                f = t if f is None else f + t
-            F = _total_matrix(f)
+            f = frame.combination(rng.integers(0, cur.p, size=len(basis)))
+            F = _total_matrix([f])
             mp = _min_poly(cur.p, F, rng)
             fac = _splitting_factor(cur.p, mp, rng)
             if fac is None:
@@ -658,52 +655,36 @@ def decompose(m: Representation, seed: int = 0, budget: int = 60):
     return grouped
 
 
-def _search_iso(a: Representation, b: Representation, rng) -> RepHom | None:
-    """Explicit isomorphism a -> b, by random combinations of a Hom basis."""
+def find_iso(a: Representation, b: Representation, rng, budget: int = 60) -> RepHom | None:
+    """An explicit isomorphism a -> b, or None when none was found.
+
+    Tries budget random combinations of a hom_space basis (one
+    `HomFrame.combination` each), then the basis maps themselves.  Las
+    Vegas: a returned map is an isomorphism, but None from equal
+    dimension vectors and a nonzero Hom space is only a failed search.
+    rng is a numpy Generator, or a seed for one, which is then made only
+    when the dimension vectors leave a search to do.
+    """
+    if a.algebra is not b.algebra:
+        raise ValueError("different algebras")
     if a.dims != b.dims:
         return None
     if a.is_zero():
         return zero_hom(a, b)
     basis = hom_space(a, b)
-    for cand in basis:
-        if cand.is_iso():
-            return cand
-    for _ in range(60):
-        cand = None
-        for h in basis:
-            t = h.scale(int(rng.integers(0, a.p)))
-            cand = t if cand is None else cand + t
-        if cand is not None and cand.is_iso():
-            return cand
-    return None
+    if not basis:
+        return None
+    frame = hom_frame(a, b, basis)
+    rng = np.random.default_rng(rng)
+    for _ in range(budget):
+        f = frame.combination(rng.integers(0, a.p, size=len(basis)))
+        if f.is_iso():
+            return f
+    return next((f for f in basis if f.is_iso()), None)
 
 
 def is_isomorphic(m: Representation, n: Representation, seed: int = 0, budget: int = 60) -> bool:
-    """Search for an invertible morphism by random combinations of a Hom
-    basis, with a deterministic sweep as fallback."""
-    if m.algebra is not n.algebra:
-        raise ValueError("different algebras")
-    if m.dims != n.dims:
-        return False
-    if m.total_dim() == 0:
-        return True
-    basis = hom_space(m, n)
-    if not basis:
-        return False
-    rng = np.random.default_rng(seed)
-    for _ in range(budget):
-        coeffs = rng.integers(0, m.p, size=len(basis))
-        f = None
-        for c, b in zip(coeffs, basis):
-            t = b.scale(int(c))
-            f = t if f is None else f + t
-        if f is not None and f.is_iso():
-            return True
-    for b in basis:
-        if b.is_iso():
-            return True
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if (basis[i] + basis[j]).is_iso():
-                return True
-    return False
+    """Whether find_iso, seeded, finds an isomorphism m -> n: budget
+    random combinations of a Hom basis, then the basis maps.  False is a
+    failed search, not a proof."""
+    return find_iso(m, n, seed, budget) is not None

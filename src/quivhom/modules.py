@@ -260,15 +260,22 @@ def _proj_sum(alg: BoundQuiverAlgebra, vertices: tuple) -> _ProjSum:
     return entry
 
 
-def direct_sum(reps: list[Representation]):
-    """Direct sum with canonical inclusions and projections."""
+def direct_sum_module(reps: list[Representation]) -> Representation:
+    """The direct sum alone, without inclusions and projections: its
+    arrow matrices are block diagonal, in the order of reps."""
     if not reps:
         raise ValueError("empty direct sum; use zero_rep")
     alg = reps[0].algebra
-    p = alg.p
     dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
-    mats = {n: Matrix.block_diag(p, [r.mats[n] for r in reps]) for n, _, _ in alg.quiver.arrows}
-    total = Representation(alg, dims, mats, check=False)
+    mats = {n: Matrix.block_diag(alg.p, [r.mats[n] for r in reps]) for n, _, _ in alg.quiver.arrows}
+    return Representation(alg, dims, mats, check=False)
+
+
+def direct_sum(reps: list[Representation]):
+    """Direct sum with canonical inclusions and projections."""
+    total = direct_sum_module(reps)
+    alg = total.algebra
+    p = alg.p
     offs = {v: 0 for v in alg.quiver.vertices}
     incls, projs = [], []
     for r in reps:
@@ -315,8 +322,6 @@ def hom_space(m: Representation, n: Representation) -> list[RepHom]:
     """
     if m.algebra is not n.algebra:
         raise ValueError("modules over different algebras")
-    alg = m.algebra
-    p = alg.p
     offs, total = _flat_offsets(m, n)
     if total == 0:
         return []
@@ -326,13 +331,15 @@ def hom_space(m: Representation, n: Representation) -> list[RepHom]:
     else:
         sysmat = _hom_system(m, n, offs, total)
         rows = np.eye(total, dtype=np.int64) if sysmat is None else nullspace(sysmat).data.T
-    out = []
-    for row in rows:
-        mats = {}
-        for v, off in offs.items():
-            mats[v] = Matrix(p, row[off : off + n.dims[v] * m.dims[v]].reshape(n.dims[v], m.dims[v]))
-        out.append(RepHom(m, n, mats, check=False))
-    return out
+    return [_hom_of_flat(m, n, offs, row) for row in rows]
+
+
+def _hom_of_flat(m: Representation, n: Representation, offs, flat: np.ndarray) -> RepHom:
+    """The map m -> n whose flat coordinates (`RepHom.flat`) are flat,
+    cut into vertex blocks at offs (`_flat_offsets`)."""
+    p = m.p
+    mats = {v: Matrix(p, flat[off : off + n.dims[v] * m.dims[v]].reshape(n.dims[v], m.dims[v])) for v, off in offs.items()}
+    return RepHom(m, n, mats, check=False)
 
 
 def _hom_system(m: Representation, n: Representation, offs, total) -> Matrix | None:
@@ -412,6 +419,13 @@ class HomFrame(NamedTuple):
             a, b = self.target.dims[v], self.source.dims[v]
             out[v] = self.flats[off : off + a * b].T.reshape(k, a, b)
         return out
+
+    def combination(self, coeffs: np.ndarray) -> RepHom:
+        """The map sum_k coeffs[k] * (basis vector k), the inverse of
+        `coordinates`: one product, cut into vertex blocks."""
+        offs, _ = _flat_offsets(self.source, self.target)
+        coeffs = np.asarray(coeffs, dtype=np.int64) % self.source.p
+        return _hom_of_flat(self.source, self.target, offs, self.flats @ coeffs)
 
     def coordinates(self, vecs: np.ndarray) -> np.ndarray:
         """Coordinates of each column of vecs (flat maps source -> target),

@@ -13,6 +13,7 @@ equivalence back to the original complex.
 from __future__ import annotations
 
 from .algebra import BoundQuiverAlgebra, Element
+from .exactlin import solve
 from .modules import (
     ElementMatrix,
     ProjSummands,
@@ -20,6 +21,8 @@ from .modules import (
     element_matrix_to_hom,
     emat_compose,
     emat_is_zero,
+    hom_to_element_matrix,
+    projective_cover,
 )
 
 
@@ -322,9 +325,6 @@ def recognize(c) -> ProjComplex:
     ProjComplex: each term is identified with its own cover (an
     isomorphism when the term is projective) and the differentials are
     transported to element matrices."""
-    from .exactlin import solve
-    from .modules import RepHom, hom_to_element_matrix, projective_cover
-
     alg = c.algebra
     terms = {}
     isos = {}

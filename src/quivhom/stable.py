@@ -20,7 +20,6 @@ import numpy as np
 from .complexes import (
     ChainMap,
     Complex,
-    HomEngine,
     ShiftedMap,
     _block_hom,
     _good_truncate_unchecked,
@@ -35,6 +34,8 @@ from .modules import (
     RepHom,
     Representation,
     direct_sum,
+    direct_sum_module,
+    hom_frame,
     hom_space,
     identity_hom,
     is_projective,
@@ -121,14 +122,9 @@ class StableHom:
 
         if any(inverts(g) for g in sx.basis):
             return True
+        frame = hom_frame(sx.x, sx.y, sx.basis)
         rng = np.random.default_rng(seed)
-        for _ in range(40):
-            g = zero_hom(self.space.y, self.space.x)
-            for b in sx.basis:
-                g = g + b.scale(int(rng.integers(0, self.space.x.p)))
-            if inverts(g):
-                return True
-        return False
+        return any(inverts(frame.combination(rng.integers(0, sx.x.p, size=len(sx.basis)))) for _ in range(40))
 
 
 def stable_hom(x: Representation, y: Representation) -> StableHomSpace:
@@ -306,7 +302,8 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
     qcm, bg = _model_chain_map(f, gmap)
     dx, dy, dz = px.model, py.model, pz.model
     qp = qcm.compose(pcm)
-    eng = HomEngine(dx, dz)
+    cls = hom_k(dx, dz, -1)
+    eng = cls.engine
     h0 = eng.solve_nullhomotopy(ShiftedMap(dx, dz, 0, dict(qp.maps), check=False))
     if h0 is None:
         raise ValueError("composite image is not null-homotopic")
@@ -319,7 +316,7 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
         parts = {}
         for i in range(lo, hi + 1):
             trip = [dx.term(i + 1), dy.term(i), dz.term(i - 1)]
-            tot, _, _ = direct_sum(trip)
+            tot = direct_sum_module(trip)
             if tot.is_zero():
                 continue
             terms[i] = tot
@@ -343,31 +340,16 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
     # but only some homotopy choices make the comparison a
     # quasi-isomorphism: correct h by shift-(-1) homotopy classes until
     # the total cone is acyclic
-    cls = hom_k(dx, dz, -1)
     cn, parts = build_cone(h0)
     if not is_acyclic(cn):
         rng = np.random.default_rng(0)
-        found = False
+        v0 = eng.vector_of(h0)
         for _ in range(60):
-            h = h0
-            for b in cls.basis:
-                co = int(rng.integers(0, alg.p))
-                if co:
-                    h = ShiftedMap(
-                        dx,
-                        dz,
-                        -1,
-                        {
-                            i: h.comp(i) + b.comp(i).scale(co)
-                            for i in set(h.comps) | set(b.comps)
-                        },
-                        check=False,
-                    )
+            h = eng.map_of(-1, (v0 + cls.vectors @ rng.integers(0, alg.p, size=cls.dim)) % alg.p)
             cn, parts = build_cone(h)
             if is_acyclic(cn):
-                found = True
                 break
-        if not found:
+        else:
             raise ValueError("no homotopy correction makes the total cone acyclic")
 
     # contract everything above degree 2 into iterated kernels
@@ -416,8 +398,7 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
         sol = solve(mat, rhs)
         if sol is None:
             raise ValueError("no section onto the collapsed projective")
-        for c, b in zip(sol.data[:, 0], basis):
-            section = section + b.scale(int(c))
+        section = hom_frame(V, slot1, basis).combination(sol.data[:, 0])
 
     mid, mid_incls, mid_projs = direct_sum([V, slot0])
     left = mid_incls[1].compose(d_m1)
@@ -428,8 +409,8 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
     zeros = [zero_rep(alg)] * 3
     p_x1, m_y, _ = parts.get(0, zeros)
     p_x2, p_y1, m_z = parts.get(1, zeros)
-    P, _, _ = direct_sum([V, p_x1])
-    Q, _, _ = direct_sum([p_x2, p_y1])
+    P = direct_sum_module([V, p_x1])
+    Q = direct_sum_module([p_x2, p_y1])
     # extract the M_y and M_z edge components
     a_hom = _extract_block(left, None, None, [V, p_x1, m_y], 2)
     u_hom = _extract_block(right, [V, p_x1, m_y], 2, [p_x2, p_y1, m_z], 2)

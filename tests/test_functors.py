@@ -247,6 +247,24 @@ def test_endo_presentation_of_regular(A1):
     assert pres.relation_count == 1
 
 
+def test_homotopy_iso_test_lets_a_failed_check_through(A1, monkeypatch):
+    """A runtime check that raises inside the homotopy-iso test is a bug to
+    report, not a "not homotopy-isomorphic" verdict (which would miscount
+    the multiplicities of endomorphism_presentation)."""
+    import quivhom.functors as functors
+
+    def broken_check(f):
+        raise ValueError("runtime check failed")
+
+    x = proj_stalk(A1, "1")
+    assert _proj_complexes_homotopy_iso(x, x)
+    monkeypatch.setattr(functors, "is_quasi_iso", broken_check)
+    with pytest.raises(ValueError, match="runtime check failed"):
+        _proj_complexes_homotopy_iso(x, x)
+    with pytest.raises(ValueError, match="runtime check failed"):
+        endomorphism_presentation(TiltingCandidate(A1, [x, x]))
+
+
 def test_endo_presentation_local_summand(A1):
     cand = TiltingCandidate(A1, [proj_stalk(A1, "0")])
     pres = endomorphism_presentation(cand)

@@ -14,7 +14,7 @@ from quivhom.algebra import dual_numbers, linear_algebra_An
 from quivhom.complexes import HomEngine
 from quivhom.corpus import corpus, interval_module
 from quivhom.exactlin import MAX_PRIME, Matrix, extending_columns, nullspace, rank, solve
-from quivhom.homological import _end_structure, decompose
+from quivhom.homological import _end_radical, _end_structure, decompose
 from quivhom.modules import (
     ProjSummands,
     RepHom,
@@ -278,6 +278,36 @@ def test_end_structure_matches_per_pair_solves(which, A1, Lam1, keps):
         basis = hom_space(m, m)
         sc = _end_structure(hom_frame(m, m, basis))
         assert np.array_equal(sc, reference_end_structure(basis))
+
+
+def reference_trace_form_radical(p, sc):
+    """The radical from the trace form built with n^2 products L_i L_j."""
+    n = sc.shape[0]
+    L = [Matrix(p, sc[i].T.copy()) for i in range(n)]
+    T = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            T[i, j] = int(np.trace((L[i] @ L[j]).data)) % p
+    return nullspace(Matrix(p, T))
+
+
+@pytest.mark.parametrize("p", [3, 101, MAX_PRIME])
+def test_trace_form_radical_is_the_pairwise_product_loop(p):
+    c = corpus(1, p)
+    mods = list(c.M.values()) + list(c.S_P.values())
+    mods += [direct_sum([a, a, b])[0] for a, b in zip(mods[::2], mods[1::2]) if a.algebra is b.algebra]
+    checked = set()
+    for m in mods:
+        basis = hom_space(m, m)
+        if len(basis) < p:
+            sc = _end_structure(hom_frame(m, m, basis))
+            assert _end_radical(p, sc) == reference_trace_form_radical(p, sc)
+            checked.add(len(basis))
+    rng = np.random.default_rng(p % 1000)
+    for n in range(1, min(p, 9)):
+        sc = rng.integers(0, p, size=(n, n, n))
+        assert _end_radical(p, sc) == reference_trace_form_radical(p, sc)
+    assert max(checked) > 1
 
 
 def test_end_structure_of_a_set_not_closed_under_composition_raises():

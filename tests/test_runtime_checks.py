@@ -2,6 +2,7 @@
 would vanish under `python -O`."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -111,3 +112,68 @@ def test_every_exactlin_function_and_matrix_method_is_used():
         if not f.name.startswith("_") and total.get(f.name, 0) == _uses(f).get(f.name, 0)
     ]
     assert not unused, f"exactlin functions and Matrix methods used nowhere: {unused}"
+
+
+def _top_level_relative_imports(module: str) -> set[str]:
+    """The package modules x that module imports at top level (`from .x import`)."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(), filename=module)
+    return {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_function_level_imports_only_break_cycles(module):
+    """An import inside a function is allowed only as `from .x import`, and
+    only when x imports this module at top level (so hoisting it would
+    make an import cycle).  Every other import sits at the top, where the
+    unused-import guard sees it."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    top = {id(node) for node in tree.body}
+    name = module[: -len(".py")]
+    bad = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or id(node) in top:
+            continue
+        cycle = (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 1
+            and node.module is not None
+            and name in _top_level_relative_imports(node.module)
+        )
+        if not cycle:
+            bad.append(node.lineno)
+    assert not bad, f"function-level imports in {module} that break no import cycle, at lines {bad}"
+
+
+TRACING = SRC.parents[1] / "perfbench" / "tracing.py"
+
+
+def _traced_entry_points() -> list[tuple[str, str]]:
+    """(layer, entry point) of every call the traced benchmark run wraps:
+    the SPANS table and the list `_counted` returns, read from the source
+    of perfbench/tracing.py without importing it."""
+    tree = ast.parse(TRACING.read_text(), filename=TRACING.name)
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPANS" for t in node.targets):
+            out += [(layer, entry) for layer, entries in ast.literal_eval(node.value).items() for entry in entries]
+        if isinstance(node, ast.FunctionDef) and node.name == "_counted":
+            ret = next(sub for sub in ast.walk(node) if isinstance(sub, ast.Return))
+            out += [(elt.elts[0].value, elt.elts[1].value) for elt in ret.value.elts]
+    return out
+
+
+def test_every_traced_entry_point_exists():
+    """A rename in the package must fail here, not break the traced run."""
+    entries = _traced_entry_points()
+    assert len(entries) > 20
+    missing = []
+    for layer, entry in entries:
+        mod = importlib.import_module(f"quivhom.{layer}")
+        if "." in entry:
+            cls_name, meth = entry.split(".")
+            ok = meth in vars(getattr(mod, cls_name, object))
+        else:
+            ok = callable(getattr(mod, entry, None))
+        if not ok:
+            missing.append(f"{layer}.{entry}")
+    assert not missing, f"entry points patched by perfbench/tracing.py but missing from the package: {missing}"
