@@ -304,8 +304,13 @@ def cmd_exact_image(ctx, args):
         raise OperationError("transported sequence is not exact")
 
 
+def _verb_depth(ctx, args) -> int:
+    """The verb's own --depth when given, else the global one."""
+    return ctx.depth if args.depth_local is None else args.depth_local
+
+
 def cmd_gp_check(ctx, args):
-    rep = is_gorenstein_projective(ctx.module(args.module), getattr(args, "depth_local", None) or ctx.depth)
+    rep = is_gorenstein_projective(ctx.module(args.module), _verb_depth(ctx, args))
     payload = {
         "verdict": rep.verdict,
         "depth": rep.depth,
@@ -315,7 +320,7 @@ def cmd_gp_check(ctx, args):
 
 
 def cmd_cosyzygy(ctx, args):
-    seq = cosyzygy_sequence(ctx.module(args.module), getattr(args, "depth_local", None) or ctx.depth, seed=ctx.seed)
+    seq = cosyzygy_sequence(ctx.module(args.module), _verb_depth(ctx, args), seed=ctx.seed)
     payload = {
         "module_dims": [m.total_dim() for m in seq.modules],
         "verified": seq.verify(),

@@ -27,6 +27,7 @@ from .modules import (
     RepHom,
     Representation,
     cokernel,
+    descend,
     direct_sum_module,
     flatten_blocks,
     hom_frame,
@@ -35,6 +36,7 @@ from .modules import (
     identity_hom,
     is_projective,
     kernel,
+    lift,
     projective_cover,
     quotient_by_bases,
     sub_from_bases,
@@ -277,14 +279,7 @@ def brutal_truncate_lt(c: Complex, m: int) -> Complex:
 def _homology_data(c: Complex, i: int):
     """(H, Z, incl_Z, proj_H) at degree i."""
     z, zincl = kernel(c.diff(i))
-    d_in = c.diff(i - 1)
-    coords = {}
-    for v in c.algebra.quiver.vertices:
-        x = solve(zincl.mats[v], d_in.mats[v])
-        if x is None:
-            raise ValueError("image not inside kernel")
-        coords[v] = x
-    h, projh = quotient_by_bases(z, coords)
+    h, projh = quotient_by_bases(z, lift(zincl, c.diff(i - 1)).mats)
     return h, z, zincl, projh
 
 
@@ -293,28 +288,16 @@ def homology(c: Complex, i: int) -> Representation:
 
 
 def homology_dims(c: Complex) -> dict[int, int]:
-    return {
-        i: homology(c, i).total_dim()
-        for i in range(c.lo, c.hi + 1)
-        if homology(c, i).total_dim()
-    }
+    dims = {i: homology(c, i).total_dim() for i in range(c.lo, c.hi + 1)}
+    return {i: d for i, d in dims.items() if d}
 
 
 def induced_homology_map(f: ChainMap, i: int):
     """Vertexwise matrices of H^i(f), with the two homologies."""
     hx, zx, zix, px = _homology_data(f.source, i)
     hy, zy, ziy, py = _homology_data(f.target, i)
-    p = f.source.algebra.p
-    mats = {}
-    for v in f.source.algebra.quiver.vertices:
-        zmap = solve(ziy.mats[v], f.map(i).mats[v] @ zix.mats[v])
-        if zmap is None:
-            raise ValueError("chain map does not preserve cycles")
-        sect = solve(px.mats[v], Matrix.identity(p, hx.dims[v]))
-        if sect is None:
-            raise ValueError("homology projection has no section")
-        mats[v] = py.mats[v] @ zmap @ sect
-    return hx, hy, mats
+    zmap = lift(ziy, f.map(i).compose(zix))
+    return hx, hy, descend(px, py.compose(zmap)).mats
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
@@ -359,16 +342,11 @@ def _good_truncate_unchecked(c: Complex):
     for i in c.diffs:
         if i > 0:
             diffs[i] = c.diffs[i]
-    # induced differential out of the cokernel
-    d0 = c.diff(0)
-    mats = {}
-    for v in c.algebra.quiver.vertices:
-        x = solve(pi.mats[v].transpose(), d0.mats[v].transpose())
-        if x is None:
-            raise ValueError("d^0 does not kill the image of d^{-1}")
-        mats[v] = x.transpose()
+    # induced differential out of the cokernel; descend checks that d^0
+    # kills the image of d^{-1}
+    d0 = descend(pi, c.diff(0))
     if not m.is_zero() and not c.term(1).is_zero():
-        diffs[0] = RepHom(m, c.term(1), mats, check=False)
+        diffs[0] = d0
     t = Complex(c.algebra, terms, diffs, check=False)
     wit = {0: pi}
     for i in c.terms:

@@ -99,6 +99,25 @@ def interval_module(balg: BoundQuiverAlgebra, i: int, l: int) -> Representation:
     return Representation(balg, dims, mats)
 
 
+def _eps_maps(
+    src: BoundQuiverAlgebra, tgt: BoundQuiverAlgebra, images: dict[str, ProjComplex]
+) -> dict[str, ProjChainMap]:
+    """The chain endomorphisms eps_v of images[v], one per vertex v of src:
+    in each degree the diagonal element matrix whose entry at a summand
+    P_w is tgt's loop eps_w."""
+    out = {}
+    for v in src.quiver.vertices:
+        comps = {}
+        for t in images[v].terms:
+            verts = images[v].terms[t].vertices
+            comps[t] = [
+                [tgt.arrow(f"eps_{verts[c]}") if r == c else {} for c in range(len(verts))]
+                for r in range(len(verts))
+            ]
+        out[f"eps_{v}"] = ProjChainMap(images[v], images[v], comps)
+    return out
+
+
 class Corpus:
     """All the data of the worked family at scale n."""
 
@@ -220,19 +239,7 @@ class Corpus:
                 )
             arrow_maps[name] = am
         if with_eps:
-            for v in src.quiver.vertices:
-                comps = {}
-                for t in images[v].terms:
-                    verts = images[v].terms[t].vertices
-                    mat = [
-                        [
-                            tgt.arrow(f"eps_{verts[c]}") if r == c else {}
-                            for c in range(len(verts))
-                        ]
-                        for r in range(len(verts))
-                    ]
-                    comps[t] = mat
-                arrow_maps[f"eps_{v}"] = ProjChainMap(images[v], images[v], comps)
+            arrow_maps.update(_eps_maps(src, tgt, images))
         return FunctorData(src, tgt, images, arrow_maps)
 
     def _inverse_data(self, src: BoundQuiverAlgebra, tgt: BoundQuiverAlgebra, with_eps: bool = False) -> FunctorData:
@@ -289,18 +296,7 @@ class Corpus:
                 }
             arrow_maps[f"b{2 * i + 1}"] = ProjChainMap(images[srcv], images[tgtv], comps)
         if with_eps:
-            for v in src.quiver.vertices:
-                comps = {}
-                for t in images[v].terms:
-                    verts = images[v].terms[t].vertices
-                    comps[t] = [
-                        [
-                            tgt.arrow(f"eps_{verts[c]}") if r == c else {}
-                            for c in range(len(verts))
-                        ]
-                        for r in range(len(verts))
-                    ]
-                arrow_maps[f"eps_{v}"] = ProjChainMap(images[v], images[v], comps)
+            arrow_maps.update(_eps_maps(src, tgt, images))
         return FunctorData(src, tgt, images, arrow_maps)
 
     def _tilting_candidate(self) -> TiltingCandidate:

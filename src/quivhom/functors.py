@@ -43,6 +43,7 @@ from .modules import (
     identity_hom,
     image,
     kernel,
+    lift,
     simple,
 )
 from .projcplx import (
@@ -416,8 +417,9 @@ def _split_proj_complex(pc: ProjComplex, seed: int = 0, budget: int = 40) -> lis
 def _complex_fitting(c: Complex, fm: dict, poly) -> list[ProjComplex] | None:
     """Split a projective complex along ker/im of poly(f)^N degreewise.
     Each piece is the complex of kernels (images) with the induced
-    differential, presented by `recognize`; None when a piece is not
-    projective termwise, so the caller rerolls."""
+    differential (g is a chain endomorphism, so these are subcomplexes),
+    presented by `recognize`; None when a piece is not projective
+    termwise, so the caller rerolls."""
     alg = c.algebra
     n = c.total_dim()
     g = {i: _stable_power(_apply_poly(fm[i], poly), n) for i in c.terms}
@@ -432,18 +434,11 @@ def _complex_fitting(c: Complex, fm: dict, poly) -> list[ProjComplex] | None:
         if not carriers:
             return None
         dim += sum(sub.total_dim() for sub, _ in carriers.values())
-        diffs = {}
-        for i, (sub, incl) in carriers.items():
-            if i + 1 not in carriers:
-                continue
-            subt, inclt = carriers[i + 1]
-            mats = {}
-            for v in alg.quiver.vertices:
-                x = solve(inclt.mats[v], c.diff(i).mats[v] @ incl.mats[v])
-                if x is None:
-                    return None
-                mats[v] = x
-            diffs[i] = RepHom(sub, subt, mats, check=False)
+        diffs = {
+            i: lift(carriers[i + 1][1], c.diff(i).compose(incl))
+            for i, (_, incl) in carriers.items()
+            if i + 1 in carriers
+        }
         try:
             pieces.append(recognize(Complex(alg, {i: sub for i, (sub, _) in carriers.items()}, diffs, check=False)))
         except ValueError:

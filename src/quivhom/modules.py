@@ -462,28 +462,49 @@ def flatten_blocks(alg: BoundQuiverAlgebra, blocks: dict[str, np.ndarray]) -> np
 # -- sub / quotient machinery -------------------------------------------
 
 
+def _solve_or_raise(a: Matrix, b: Matrix, msg: str) -> Matrix:
+    """The x with a @ x = b, or ValueError(msg) when there is none."""
+    x = solve(a, b)
+    if x is None:
+        raise ValueError(msg)
+    return x
+
+
+def lift(f: RepHom, g: RepHom) -> RepHom:
+    """The x with f o x = g, for a monomorphism f; ValueError when g does
+    not factor through f."""
+    mats = {}
+    for v in f.mats:
+        mats[v] = _solve_or_raise(f.mats[v], g.mats[v], f"map does not factor through the mono at {v}")
+    return RepHom(g.source, f.source, mats, check=False)
+
+
+def descend(q: RepHom, g: RepHom) -> RepHom:
+    """The x with x o q = g, for an epimorphism q; ValueError when g is
+    nonzero on ker q."""
+    mats = {}
+    for v in q.mats:
+        qt, gt = q.mats[v].transpose(), g.mats[v].transpose()
+        mats[v] = _solve_or_raise(qt, gt, f"map is nonzero on the kernel of the epi at {v}").transpose()
+    return RepHom(q.target, g.target, mats, check=False)
+
+
 def sub_from_bases(m: Representation, bases: dict[str, Matrix]):
-    """Subrepresentation spanned columnwise by bases (must be arrow-stable).
+    """Subrepresentation spanned columnwise by bases.  Each basis must have
+    linearly independent columns (a `nullspace` or `column_space_basis`
+    does) and their span must be arrow-stable; the bases are the
+    inclusion's matrices as given.
 
     Returns (sub, inclusion).
     """
     alg = m.algebra
-    p = alg.p
-    cleaned = {}
-    for v in alg.quiver.vertices:
-        b = bases.get(v, Matrix.zeros(p, m.dims[v], 0))
-        cleaned[v] = column_space_basis(b)
-    dims = {v: cleaned[v].cols for v in alg.quiver.vertices}
+    bases = {v: bases.get(v, Matrix.zeros(alg.p, m.dims[v], 0)) for v in alg.quiver.vertices}
+    dims = {v: bases[v].cols for v in alg.quiver.vertices}
     mats = {}
     for n, s, t in alg.quiver.arrows:
-        mapped = m.mats[n] @ cleaned[s]
-        x = solve(cleaned[t], mapped)
-        if x is None:
-            raise ValueError(f"bases not stable under arrow {n}")
-        mats[n] = x
+        mats[n] = _solve_or_raise(bases[t], m.mats[n] @ bases[s], f"bases not stable under arrow {n}")
     sub = Representation(alg, dims, mats, check=False)
-    incl = RepHom(sub, m, cleaned, check=False)
-    return sub, incl
+    return sub, RepHom(sub, m, bases, check=False)
 
 
 def quotient_by_bases(m: Representation, bases: dict[str, Matrix]):
@@ -492,24 +513,20 @@ def quotient_by_bases(m: Representation, bases: dict[str, Matrix]):
     Returns (quot, projection).
     """
     alg = m.algebra
-    p = alg.p
     projs = {}
     for v in alg.quiver.vertices:
-        b = bases.get(v, Matrix.zeros(p, m.dims[v], 0))
+        b = bases.get(v, Matrix.zeros(alg.p, m.dims[v], 0))
         # rows spanning the left annihilator of b: kernel of projection = span(b)
         projs[v] = nullspace(b.transpose()).transpose()
     dims = {v: projs[v].rows for v in alg.quiver.vertices}
     mats = {}
     for n, s, t in alg.quiver.arrows:
         # induced action: solve q_t m_a = a' q_s for a'
-        rhs = projs[t] @ m.mats[n]
-        x = solve(projs[s].transpose(), rhs.transpose())
-        if x is None:
-            raise ValueError(f"subspace not stable under arrow {n}")
+        rhs = (projs[t] @ m.mats[n]).transpose()
+        x = _solve_or_raise(projs[s].transpose(), rhs, f"subspace not stable under arrow {n}")
         mats[n] = x.transpose()
     quot = Representation(alg, dims, mats, check=False)
-    proj = RepHom(m, quot, projs, check=False)
-    return quot, proj
+    return quot, RepHom(m, quot, projs, check=False)
 
 
 def kernel(f: RepHom):

@@ -13,15 +13,14 @@ equivalence back to the original complex.
 from __future__ import annotations
 
 from .algebra import BoundQuiverAlgebra, Element
-from .exactlin import solve
 from .modules import (
     ElementMatrix,
     ProjSummands,
-    RepHom,
     element_matrix_to_hom,
     emat_compose,
     emat_is_zero,
     hom_to_element_matrix,
+    lift,
     projective_cover,
 )
 
@@ -336,13 +335,6 @@ def recognize(c) -> ProjComplex:
         isos[i] = cov
     dmats = {}
     for i, d in c.diffs.items():
-        mats = {}
-        for v in alg.quiver.vertices:
-            rhs = d.mats[v] @ isos[i].mats[v]
-            x = solve(isos[i + 1].mats[v], rhs)
-            if x is None:
-                raise ValueError(f"differential in degree {i} does not factor through the term isomorphism")
-            mats[v] = x
-        dh = RepHom(terms[i].rep(), terms[i + 1].rep(), mats, check=False)
+        dh = lift(isos[i + 1], d.compose(isos[i]))
         dmats[i] = hom_to_element_matrix(alg, dh, terms[i], terms[i + 1])
     return ProjComplex(alg, terms, dmats)

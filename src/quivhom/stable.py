@@ -33,6 +33,7 @@ from .homological import is_isomorphic, strip_projectives
 from .modules import (
     RepHom,
     Representation,
+    descend,
     direct_sum,
     direct_sum_module,
     hom_frame,
@@ -41,6 +42,7 @@ from .modules import (
     is_projective,
     is_ses,
     kernel,
+    lift,
     projective_cover,
     zero_hom,
     zero_rep,
@@ -226,18 +228,10 @@ def _model_chain_map(f: FunctorData, phi: RepHom) -> tuple[ChainMap, RepHom]:
     flam = apply_to_proj_chain_map(f, lam)
     psi = py.mproj.compose(flam).compose(px.minc)
     psi_cm = psi.to_chain_map()
-    alg = f.target
+    comps = {}
     b = zero_hom(px.M, py.M)
     if not px.M.is_zero() and not py.M.is_zero():
-        mats = {}
-        for v in alg.quiver.vertices:
-            rhs = py.pi0.mats[v] @ psi_cm.map(0).mats[v]
-            xm = solve(px.pi0.mats[v].transpose(), rhs.transpose())
-            if xm is None:
-                raise ValueError("induced stable map not defined on cokernel")
-            mats[v] = xm.transpose()
-        b = RepHom(px.M, py.M, mats, check=False)
-    comps = {0: b} if not b.source.is_zero() and not b.target.is_zero() else {}
+        b = comps[0] = descend(px.pi0, py.pi0.compose(psi_cm.map(0)))
     for i in psi_cm.maps:
         if i >= 1:
             comps[i] = psi_cm.maps[i]
@@ -368,14 +362,7 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
         else:
             cterms[top - 1] = k
             if top - 2 in cdiffs:
-                prev = cdiffs[top - 2]
-                mats = {}
-                for v in alg.quiver.vertices:
-                    xm = solve(kincl.mats[v], prev.mats[v])
-                    if xm is None:
-                        raise ValueError("incoming differential does not factor through the kernel")
-                    mats[v] = xm
-                cdiffs[top - 2] = RepHom(prev.source, k, mats, check=False)
+                cdiffs[top - 2] = lift(kincl, cdiffs[top - 2])
         top = max(cterms) if cterms else 1
 
     slot_m1 = cterms.get(-1, zero_rep(alg))

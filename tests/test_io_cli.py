@@ -331,6 +331,20 @@ def test_cli_cosyzygy_error_is_an_error_line(capsys):
     assert capsys.readouterr().err.startswith("error: module is not GP to depth 2")
 
 
+@pytest.mark.parametrize("verb", ["gp-check", "cosyzygy"])
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_cli_local_depth_below_one_is_an_error(capsys, verb, depth):
+    # a local --depth 0 used to fall back to the global default of 8
+    assert main(["--corpus", "1", verb, "--module", "M_0_1", "--depth", depth]) == 1
+    assert capsys.readouterr().err == "error: depth must be >= 1\n"
+
+
+@pytest.mark.parametrize("verb", ["gp-check", "cosyzygy"])
+def test_cli_global_depth_below_one_is_an_error(capsys, verb):
+    assert main(["--corpus", "1", "--depth", "0", verb, "--module", "M_0_1"]) == 1
+    assert capsys.readouterr().err == "error: depth must be >= 1\n"
+
+
 BAD_DEFINITIONS = {
     "unknown_module_vertex": (
         '"Y": {"algebra": "T", "dims": {"3": 1}, "mats": {}}',

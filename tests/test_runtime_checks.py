@@ -177,3 +177,34 @@ def test_every_traced_entry_point_exists():
         if not ok:
             missing.append(f"{layer}.{entry}")
     assert not missing, f"entry points patched by perfbench/tracing.py but missing from the package: {missing}"
+
+
+def _solves_on_vertex_matrices(tree: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing top-level function, line) of each `solve` call that has a
+    `.mats[...]` argument."""
+    out = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "solve"):
+                continue
+            subs = [s for arg in node.args for s in ast.walk(arg) if isinstance(s, ast.Subscript)]
+            if any(isinstance(s.value, ast.Attribute) and s.value.attr == "mats" for s in subs):
+                out.append((getattr(top, "name", "<module>"), node.lineno))
+    return out
+
+
+def test_maps_are_factored_only_in_modules():
+    """Factoring a map through a mono or an epi vertex by vertex is
+    `modules.lift` / `modules.descend`; no other module solves on vertex
+    matrices itself.  `functors.lift_to_resolutions` is the one exception:
+    it lifts only the generator columns."""
+    found = []
+    for module in MODULES:
+        if module == "modules.py":
+            continue
+        for func, line in _solves_on_vertex_matrices(ast.parse((SRC / module).read_text(), filename=module)):
+            if (module, func) != ("functors.py", "lift_to_resolutions"):
+                found.append(f"{module}:{line} in {func}")
+    assert not found, f"per-vertex solves outside modules.py (use lift or descend): {found}"
+    functors = ast.parse((SRC / "functors.py").read_text(), filename="functors.py")
+    assert [func for func, _ in _solves_on_vertex_matrices(functors)] == ["lift_to_resolutions"]
