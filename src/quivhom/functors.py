@@ -24,15 +24,7 @@ import numpy as np
 from .algebra import BoundQuiverAlgebra, Element, Path, Quiver, path_arrows, path_source
 from .complexes import Complex, HomEngine, ShiftedMap, hom_k, homology, is_quasi_iso
 from .exactlin import Matrix, column_space_basis, inverse, nullspace, rank, solve
-from .homological import (
-    _apply_poly,
-    _end_radical,
-    _min_poly,
-    _splitting_factor,
-    _stable_power,
-    _total_matrix,
-    minimal_resolution,
-)
+from .homological import _end_radical, _split_idempotent, minimal_resolution
 from .modules import (
     ElementMatrix,
     ProjSummands,
@@ -380,8 +372,11 @@ class TiltingReport:
 
 
 def _split_proj_complex(pc: ProjComplex, seed: int = 0, budget: int = 40) -> list[ProjComplex]:
-    """Direct summands of a complex of projectives, via Fitting splitting
-    of strict chain endomorphisms.  Pieces are re-minimized."""
+    """Direct summands of a complex of projectives.  A piece splits along
+    an idempotent of F_p[f] (`homological._split_idempotent`), f a random
+    strict chain endomorphism taken degreewise; a piece whose strict
+    chain endomorphisms are the scalars, or that budget such f leave
+    unsplit, is kept whole.  Pieces are re-minimized."""
     rng = np.random.default_rng(seed)
     out: list[ProjComplex] = []
     stack = [pc]
@@ -396,39 +391,35 @@ def _split_proj_complex(pc: ProjComplex, seed: int = 0, budget: int = 40) -> lis
         if cycles.cols <= 1:
             out.append(cur)
             continue
-        split = None
+        degrees = sorted(c.terms)
         for _ in range(budget):
             f = eng.map_of(0, cycles.data @ rng.integers(0, p, size=cycles.cols) % p)
-            fm = {i: f.comp(i) for i in sorted(c.terms)}
-            mp = _min_poly(p, _total_matrix(list(fm.values())), rng)
-            fac = _splitting_factor(p, mp, rng)
-            if fac is None:
-                continue
-            split = _complex_fitting(c, fm, fac)
-            if split is not None:
+            e = _split_idempotent([f.comp(i) for i in degrees], rng)
+            split = e and _complex_fitting(c, dict(zip(degrees, e)))
+            if split:
+                stack.extend(split)
                 break
-        if split is None:
+        else:
             out.append(cur)
-            continue
-        stack.extend(split)
     return out
 
 
-def _complex_fitting(c: Complex, fm: dict, poly) -> list[ProjComplex] | None:
-    """Split a projective complex along ker/im of poly(f)^N degreewise.
-    Each piece is the complex of kernels (images) with the induced
-    differential (g is a chain endomorphism, so these are subcomplexes),
-    presented by `recognize`; None when a piece is not projective
-    termwise, so the caller rerolls."""
+def _complex_fitting(c: Complex, e: dict) -> list[ProjComplex] | None:
+    """Split a projective complex along ker e (+) im e, for e an
+    idempotent of F_p[f] from `homological._split_idempotent`, given
+    degreewise: f is a chain endomorphism, so the kernels and the images
+    of e form complementary subcomplexes.  Each piece is the complex of
+    kernels (images) with the induced differential, presented by
+    `recognize`; None when a piece is zero or not projective termwise,
+    so the caller rerolls."""
     alg = c.algebra
     n = c.total_dim()
-    g = {i: _stable_power(_apply_poly(fm[i], poly), n) for i in c.terms}
     pieces = []
     dim = 0
     for which in (kernel, image):
         carriers = {}
         for i in c.terms:
-            sub, incl = which(g[i])
+            sub, incl = which(e[i])
             if sub.total_dim():
                 carriers[i] = (sub, incl)
         if not carriers:

@@ -5,8 +5,11 @@ Ext is computed from a minimal projective resolution through the Yoneda
 identification Hom(P_v, N) = N(v), which keeps every boundary map a
 small dense matrix assembled from the resolution's element-matrix
 differentials.  Decomposition is a Las Vegas algorithm (seeded): split
-along generalized eigenspaces of random endomorphisms until every piece
-has certified local endomorphism ring.
+along idempotents of F_p[f] for random endomorphisms f until every piece
+has certified local endomorphism ring.  The idempotents come from the
+Berlekamp subalgebra of F_p[f] by linear algebra on f itself, with no
+polynomial formed (`_split_idempotent`, shared with the splitting of
+complexes of projectives in `functors`).
 """
 
 from __future__ import annotations
@@ -328,166 +331,80 @@ def transpose(m: Representation) -> Representation:
 # -- decomposition ---------------------------------------------------------
 
 
-def _poly_mod(p, a, m):
-    """a mod m for dense coefficient lists (lowest degree first) over F_p."""
-    a = [c % p for c in a]
-    dm = len(m) - 1
-    inv = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < dm:
-            break
-        c = (a[-1] * inv) % p
-        shift = len(a) - 1 - dm
-        for i, cm in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * cm) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a if a else [0]
-
-
-def _poly_gcd(p, a, b):
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while any(b):
-        a, b = b, _poly_mod(p, a, b)
-    if not any(a):
-        return [0]
-    inv = pow(a[-1], p - 2, p)
-    return [(c * inv) % p for c in a]
-
-
-def _poly_mulmod(p, a, b, m):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_mod(p, out, m)
-
-
-def _local_min_poly(p, F: np.ndarray, v: np.ndarray) -> list[int]:
-    """Monic annihilator of v under F of least degree (lowest-first coeffs)."""
-    cols = [v % p]
-    while True:
-        w = (F @ cols[-1]) % p
-        K = Matrix(p, np.stack(cols, axis=1))
-        x = solve(K, Matrix(p, w.reshape(-1, 1)))
-        if x is not None:
-            return [(-int(c)) % p for c in x.data[:, 0]] + [1]
-        cols.append(w)
-
-
-def _min_poly(p, F: np.ndarray, rng) -> list[int]:
-    """Minimal polynomial of F, probabilistically (lcm of a few local
-    annihilators).  An underestimate only costs a retry downstream: every
-    split candidate is verified dimension-exactly before use."""
-    n = F.shape[0]
-    if n == 0:
-        return [0, 1]
-    mp = [1]
-    for _ in range(3):
-        v = rng.integers(0, p, size=n)
-        cand = _local_min_poly(p, F, v)
-        g = _poly_gcd(p, mp, cand)
-        prod = [0] * (len(mp) + len(cand) - 1)
-        for i, ca in enumerate(mp):
-            for j, cb in enumerate(cand):
-                prod[i + j] = (prod[i + j] + ca * cb) % p
-        mp = _poly_exact_div(p, prod, g)
-        if len(mp) - 1 == n:
-            break
-    return mp
-
-
-def _poly_exact_div(p, a, b):
-    a = [c % p for c in a]
-    out = [0] * (len(a) - len(b) + 1)
-    inv = pow(b[-1], p - 2, p)
-    for k in range(len(out) - 1, -1, -1):
-        c = (a[len(b) - 1 + k] * inv) % p
-        out[k] = c
-        for i, cb in enumerate(b):
-            a[k + i] = (a[k + i] - c * cb) % p
+def _power(x, e: int, mul, one):
+    """x^e (e >= 0) by square-and-multiply, for the product mul with unit one."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        e >>= 1
     return out
 
 
-def _splitting_factor(p, mp, rng):
-    """A nontrivial monic factor of the squarefree part of mp, or None
-    when mp looks primary (a power of one irreducible): no Fitting split
-    comes from such an endomorphism, so the caller re-rolls."""
-    deg = len(mp) - 1
-    if deg < 2:
+def _split_idempotent(maps: list[RepHom], rng) -> list[RepHom] | None:
+    """A nontrivial idempotent e of A = F_p[f], f the endomorphism given
+    degreewise by maps (one map for a module), as one RepHom per map; None
+    when A is local (f splits nothing) or no draw of twelve gave one.
+
+    A is spanned by f^0, ..., f^(d-1), up to the first dependent power.
+    Its Berlekamp subalgebra B = ker(x -> x^p - x) (F_p-linear, as A is
+    commutative of characteristic p) is the span of the primitive
+    idempotents e_i of A.  For a random b = sum c_i e_i in B,
+    s = b^((p-1)/2) = sum chi(c_i) e_i, chi the quadratic character, and
+    e = (s^2 + s)/2 is the sum of the e_i with chi(c_i) = 1: no
+    polynomial is formed.  A draw is trivial (e = 0 or 1) with
+    probability about 2^(1 - dim B) <= 1/2.
+    """
+    p = maps[0].source.p
+    verts = maps[0].source.algebra.quiver.vertices
+    blocks = [f.mats[v].data for f in maps for v in verts]
+    one = [np.eye(len(x), dtype=np.int64) for x in blocks]
+
+    def mul(x, y):
+        return [a @ b % p for a, b in zip(x, y)]
+
+    def columns(elems):
+        return np.stack([np.concatenate([a.ravel() for a in x]) for x in elems], axis=1)
+
+    # double the number of powers until one depends on those before it
+    powers = [one]
+    while True:
+        for _ in range(len(powers)):
+            powers.append(mul(powers[-1], blocks))
+        d = rank(Matrix(p, columns(powers)))
+        if d < len(powers):
+            break
+    span = Matrix(p, columns(powers[:d]))
+    # Frobenius sends f^j to (f^p)^j; its matrix in the power basis
+    fp = _power(blocks, p, mul, one)
+    images = [one]
+    for _ in range(d - 1):
+        images.append(mul(images[-1], fp))
+    fixed = nullspace(solve(span, Matrix(p, columns(images))) - Matrix.identity(p, d))
+    if fixed.cols < 2:
         return None
-    deriv = [(i * mp[i]) % p for i in range(1, len(mp))]
-    sf = mp
-    if any(deriv):
-        g = _poly_gcd(p, mp, deriv)
-        if len(g) - 1 > 0:
-            sf = _poly_exact_div(p, mp, g)
-    dw = len(sf) - 1
-    if dw < 2:
-        return None
-    # Cantor-Zassenhaus probes: gcd(sf, h^((p-1)/2) - 1) splits sf whenever
-    # sf has at least two distinct irreducible factors
+    B = span.data @ fixed.data % p
+    cuts = np.cumsum([x.size for x in blocks])[:-1]
     for _ in range(12):
-        h = [int(rng.integers(0, p)) for _ in range(dw)]
-        if not any(h):
-            continue
-        acc, base, e = [1], h, (p - 1) // 2
-        while e:
-            if e & 1:
-                acc = _poly_mulmod(p, acc, base, sf)
-            base = _poly_mulmod(p, base, base, sf)
-            e >>= 1
-        acc = list(acc)
-        acc[0] = (acc[0] - 1) % p
-        g = _poly_gcd(p, sf, acc)
-        if 0 < len(g) - 1 < dw:
-            return g
+        flat = B @ rng.integers(0, p, size=fixed.cols) % p
+        b = [part.reshape(x.shape) for part, x in zip(np.split(flat, cuts), blocks)]
+        s = _power(b, (p - 1) // 2, mul, one)
+        e = [(x @ x % p + x) * ((p + 1) // 2) % p for x in s]
+        if any(x.any() for x in e) and any((x != i).any() for x, i in zip(e, one)):
+            it = iter(e)
+            return [RepHom(f.source, f.source, {v: Matrix(p, next(it)) for v in verts}, check=False) for f in maps]
     return None
 
 
-def _total_matrix(maps: list[RepHom]) -> np.ndarray:
-    """The endomorphisms in maps as one block-diagonal matrix, vertex
-    blocks in quiver order, map after map."""
-    alg = maps[0].source.algebra
-    return Matrix.block_diag(alg.p, [f.mats[v] for f in maps for v in alg.quiver.vertices]).data
-
-
-def _apply_poly(f: RepHom, poly) -> RepHom:
-    p = f.source.p
-    out = None
-    power = identity_hom(f.source)
-    for c in poly:
-        if c % p:
-            term = power.scale(c)
-            out = term if out is None else out + term
-        power = f.compose(power)
-    if out is None:
-        out = identity_hom(f.source).scale(0)
-    return out
-
-
-def _stable_power(g: RepHom, n: int) -> RepHom:
-    """g^(2^k) with 2^k > n, by repeated squaring: on a space of dimension
-    n its kernel and image are those of every higher power (Fitting)."""
-    for _ in range(max(1, n.bit_length())):
-        g = g.compose(g)
-    return g
-
-
-def _fitting_split(m: Representation, g: RepHom):
-    """m = ker(g^N) (+) im(g^N) when both are nonzero; returns the pair of
-    (rep, incl) or None if the split is trivial."""
+def _fitting_split(m: Representation, e: RepHom):
+    """m = ker e (+) im e for an idempotent e of `_split_idempotent`;
+    returns the pair of (rep, incl), or None if the split is trivial."""
     n = m.total_dim()
-    power = _stable_power(g, n)
-    k, kincl = kernel(power)
+    k, kincl = kernel(e)
     if k.total_dim() == 0 or k.total_dim() == n:
         return None
-    i, iincl = image(power)
+    i, iincl = image(e)
     if k.total_dim() + i.total_dim() != n:
         return None
     return (k, kincl), (i, iincl)
@@ -548,62 +465,40 @@ def _is_local_end(m: Representation, frame: HomFrame | None = None) -> bool:
     r = radbasis.cols
     if n - r == 1:
         return True
-    # quotient E/rad: commutative semisimple iff product of fields; then
-    # count factors Berlekamp-style via fixed points of Frobenius.  The
+    # E/rad is local iff it is commutative (no matrix factor) and has one
+    # field factor, counted Berlekamp-style as dim ker(x -> x^p - x).  The
     # unit vectors independent of rad and of the ones before them span a
-    # complement of rad.
+    # complement of rad; qsc holds the structure constants of E/rad in
+    # those coordinates, e_i e_j = sum_k qsc[i, j, k] e_k.
     _, comp = extending_columns(radbasis, Matrix.identity(p, n))
-    # multiplication in the quotient, in complement coordinates
     full = Matrix.hstack([radbasis, Matrix(p, np.eye(n, dtype=np.int64)[:, comp])])
     to_comp = inverse(full).data[r:]  # full is square and invertible
     q = len(comp)
-
-    def to_quot(vec):
-        return to_comp @ vec % p
+    qsc = sc[np.ix_(comp, comp)] @ to_comp.T % p
+    if not np.array_equal(qsc, qsc.transpose(1, 0, 2)):
+        return False
 
     def qmul(a, b):
-        out = np.zeros(n, dtype=np.int64)
-        for i in range(q):
-            if not a[i]:
-                continue
-            for j in range(q):
-                if not b[j]:
-                    continue
-                out = (out + (a[i] * b[j] % p) * sc[comp[i], comp[j]]) % p
-        return to_quot(out)
+        """Row-wise products a[r] b[r] in E/rad: two products, each with
+        inner dimension q."""
+        t = (a @ qsc.reshape(q, q * q) % p).reshape(-1, q, q)
+        return (b[:, None, :] @ t)[:, 0, :] % p
 
-    # commutativity check
-    for i in range(q):
-        ei = np.zeros(q, dtype=np.int64)
-        ei[i] = 1
-        for j in range(i + 1, q):
-            ej = np.zeros(q, dtype=np.int64)
-            ej[j] = 1
-            if not np.array_equal(qmul(ei, ej), qmul(ej, ei)):
-                return False  # matrix factor present: decomposable
-    # Frobenius fixed-point count: number of field factors of E/rad equals
-    # dim ker(x -> x^p - x); the quotient is local iff that count is 1
-    one = to_quot(frame.coordinates(identity_hom(m).flat()[:, None])[:, 0])
-    frob_cols = []
-    for i in range(q):
-        ei = np.zeros(q, dtype=np.int64)
-        ei[i] = 1
-        res, basepow, e = one, ei, p
-        while e:
-            if e & 1:
-                res = qmul(res, basepow)
-            basepow = qmul(basepow, basepow)
-            e >>= 1
-        frob_cols.append((res - ei) % p)
-    fixed = nullspace(Matrix(p, np.stack(frob_cols, axis=1)))
-    return fixed.cols == 1
+    one = to_comp @ frame.coordinates(identity_hom(m).flat()[:, None]) % p
+    eye = np.eye(q, dtype=np.int64)
+    frob = _power(eye, p, qmul, np.repeat(one.T, q, axis=0))
+    return nullspace(Matrix(p, (frob - eye).T)).cols == 1
 
 
 def decompose(m: Representation, seed: int = 0, budget: int = 60):
     """Indecomposable direct summands with multiplicity.
 
-    Returns a list of (representation, multiplicity); the parts are
-    certified indecomposable (local End) and their dimensions add up.
+    Returns a list of (representation, multiplicity), sorted by total
+    dimension and then by dimension vector (in quiver vertex order); the
+    parts are certified indecomposable (local End) and their dimensions
+    add up.  Each split comes from `_split_idempotent` of a random
+    endomorphism; budget bounds the endomorphisms tried per piece, and
+    DecompositionError names it and the piece that would not split.
     """
     key = ("decompose", seed)
     if key in m._cache:
@@ -620,29 +515,23 @@ def decompose(m: Representation, seed: int = 0, budget: int = 60):
         if _is_local_end(cur, frame):
             pieces.append(cur)
             continue
-        split = None
         for _ in range(budget):
-            f = frame.combination(rng.integers(0, cur.p, size=len(basis)))
-            F = _total_matrix([f])
-            mp = _min_poly(cur.p, F, rng)
-            fac = _splitting_factor(cur.p, mp, rng)
-            if fac is None:
-                continue
-            g = _apply_poly(f, fac)
-            split = _fitting_split(cur, g)
-            if split is not None:
+            e = _split_idempotent([frame.combination(rng.integers(0, cur.p, size=len(basis)))], rng)
+            split = e and _fitting_split(cur, e[0])
+            if split:
                 break
-        if split is None:
+        else:
             raise DecompositionError(
-                "could not certify a split within budget",
+                f"could not certify a split within budget = {budget} random endomorphisms "
+                f"of the piece with dimension vector {list(cur.dims.values())}",
                 partial=pieces + [cur] + stack,
             )
         (k, _), (i, _) = split
         stack.append(k)
         stack.append(i)
-    # group by isomorphism
+    # group by isomorphism, in order of (total dim, dimension vector)
     grouped: list[tuple[Representation, int]] = []
-    for piece in sorted(pieces, key=lambda r: r.total_dim()):
+    for piece in sorted(pieces, key=lambda r: (r.total_dim(), list(r.dims.values()))):
         placed = False
         for idx, (rep, mult) in enumerate(grouped):
             if rep.total_dim() == piece.total_dim() and is_isomorphic(rep, piece, seed=seed):

@@ -1,0 +1,54 @@
+"""The CLI verbs whose answers go through a split, pinned byte for byte.
+
+`tilting-check`, `endo`, `decompose` and `cosyzygy` all rest on splitting
+a module or a complex by a random endomorphism.  Their exit codes, stdout
+and stderr on corpus 1, in both formats and at two seeds, are compared
+with text captured before the splitting step was last rewritten.
+
+To recapture (only when an output is meant to change):
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from quivhom.cli import main
+from quivhom.corpus import corpus
+
+GOLDEN = Path(__file__).parent / "data" / "cli_split_golden.json"
+
+
+def calls():
+    names = [f"M_{i}_{l}" for i, l in sorted(corpus(1).M)]
+    out = []
+    for fmt in ("table", "json"):
+        for seed in (0, 1):
+            base = ["--corpus", "1", "--format", fmt, "--seed", str(seed)]
+            out.append(base + ["tilting-check"])
+            out.append(base + ["endo"])
+            out += [base + ["decompose", "--module", name] for name in names]
+            out += [base + ["cosyzygy", "--module", name, "--depth", "2"] for name in names]
+    return out
+
+
+def run(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return {"argv": argv, "code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+
+
+def test_split_verbs_match_the_golden_text():
+    want = json.loads(GOLDEN.read_text())
+    argvs = calls()
+    assert [w["argv"] for w in want] == argvs
+    assert len(argvs) == 88
+    for expected in want:
+        assert run(expected["argv"]) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps([run(argv) for argv in calls()], indent=1) + "\n")
