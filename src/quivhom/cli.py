@@ -320,7 +320,7 @@ def cmd_gp_check(ctx, args):
 
 
 def cmd_cosyzygy(ctx, args):
-    seq = cosyzygy_sequence(ctx.module(args.module), _verb_depth(ctx, args), seed=ctx.seed)
+    seq = cosyzygy_sequence(ctx.module(args.module), _verb_depth(ctx, args))
     payload = {
         "module_dims": [m.total_dim() for m in seq.modules],
         "verified": seq.verify(),

@@ -13,10 +13,10 @@ because the profiles repeat with that period.  Without one, no finite
 depth decides the property in general, so positive verdicts carry their
 depth.
 
-The forward shift on certified modules is realized as Tr o Omega o Tr
-with projective normalization, producing explicit short exact sequences
-0 -> X^i -> P -> X^{i+1} -> 0 whose quotients are re-checked against
-the remaining depth.
+The forward shift on certified modules is the cokernel of the minimal
+left approximation by projectives, one exact construction per step,
+producing explicit short exact sequences 0 -> X^i -> P -> X^{i+1} -> 0
+whose quotients are re-checked against the remaining depth.
 """
 
 from __future__ import annotations
@@ -24,23 +24,15 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import hom_d_dim, module_complex
-from .homological import (
-    decompose,
-    ext,
-    ext_profile,
-    find_iso,
-    minimal_resolution,
-    projdim,
-    strip_projectives,
-    syzygy,
-    transpose,
-)
+from .exactlin import Matrix, extending_columns
+from .homological import ext, ext_profile, projdim, transpose
 from .modules import (
+    ProjSummands,
+    RepHom,
     Representation,
     cokernel,
-    direct_sum,
-    identity_hom,
-    is_mono,
+    element_matrix_to_hom,
+    hom_space,
     is_projective,
     is_ses,
     projective,
@@ -131,16 +123,6 @@ def is_gorenstein_projective(x: Representation, d: int = 8) -> GPReport:
     return GPReport(x, d, ext_left, ext_right, verdict, witness, period_left, period_right)
 
 
-def inverse_syzygy(x: Representation) -> Representation:
-    """Tr o Omega o Tr with projective summands stripped."""
-    if x.is_zero():
-        return x
-    tr, _ = strip_projectives(transpose(x))
-    om = syzygy(tr, 1)
-    back, _ = strip_projectives(transpose(om))
-    return back
-
-
 class CosyzygySequence:
     """Chain of short exact sequences 0 -> X^i -> P^{i+1} -> X^{i+1} -> 0
     with projective middles, starting at X^0 = x."""
@@ -165,68 +147,38 @@ class CosyzygyError(RuntimeError):
         self.step = step
 
 
-def _match_embedding(x: Representation, seed: int = 0):
-    """An explicit monomorphism of x into a projective whose cokernel is
-    the forward shift (up to projective summands).
+def _left_approximation(x: Representation) -> RepHom:
+    """The minimal left approximation of x by projectives, x -> (+)_v P_v^{n_v}.
 
-    x is split into summands; the non-projective ones are matched, up to
-    isomorphism, with summands of the kernel of the cover of the forward
-    shift, and the projective ones ride along as identity padding.
-    Returns (embedding, quotient_map).
+    A map x -> P_v is radical when it factors through a radical map of
+    projectives, that is, through rho_a : P_w -> P_v (the element [[a]])
+    for some arrow a: v -> w.  The basis maps of Hom(x, P_v) independent
+    of those composites are kept, and stacked into one map to the sum of
+    their targets, in vertex order.
     """
     alg = x.algebra
-    rng = np.random.default_rng(seed)
-    y = inverse_syzygy(x)
-    x_nonproj: list[Representation] = []
-    x_proj: list[Representation] = []
-    for rep, mult in decompose(x, seed=seed):
-        (x_proj if is_projective(rep) else x_nonproj).extend([rep] * mult)
-    if y.is_zero():
-        if x_nonproj:
-            raise CosyzygyError("inverse shift vanished on a non-projective module", 0)
-        return identity_hom(x), zero_hom(x, zero_rep(alg))
-    res = minimal_resolution(y, 1)
-    psY, K, kincl = res.terms[0], res.syzygy_module(1), res.incls[1]
-    kpieces: list[Representation] = []
-    for rep, mult in decompose(K, seed=seed):
-        kpieces.extend([rep] * mult)
-    ksum, kslot_inc, _ = direct_sum(kpieces)
-    kiso = find_iso(ksum, K, rng)
-    if kiso is None:
-        raise CosyzygyError("kernel change of basis not found", 0)
-    into_p = kincl.compose(kiso)  # ksum -> P(y)
-    used = [False] * len(kpieces)
-    legs = []  # (slot in kpieces, isomorphism piece -> kpieces[slot])
-    for piece in x_nonproj:
-        for idx, kp in enumerate(kpieces):
-            iso = None if used[idx] else find_iso(piece, kp, rng)
-            if iso is not None:
-                used[idx] = True
-                legs.append((idx, iso))
-                break
-        else:
-            raise CosyzygyError("could not match a summand inside the cover kernel", 0)
-    parts = x_nonproj + x_proj
-    xsum, _, xprojs = direct_sum(parts)
-    ptotal, pincls, _ = direct_sum([psY.rep()] + x_proj)
-    emb_sum = zero_hom(xsum, ptotal)
-    for idx, (slot, iso) in enumerate(legs):
-        leg = pincls[0].compose(into_p).compose(kslot_inc[slot]).compose(iso)
-        emb_sum = emb_sum + leg.compose(xprojs[idx])
-    for jdx, piece in enumerate(x_proj):
-        emb_sum = emb_sum + pincls[1 + jdx].compose(xprojs[len(x_nonproj) + jdx])
-    xiso = find_iso(x, xsum, rng)
-    if xiso is None:
-        raise CosyzygyError("module does not match its own summand list", 0)
-    emb = emb_sum.compose(xiso)
-    if not is_mono(emb):
-        raise CosyzygyError("constructed embedding is not injective", 0)
-    _, qmap = cokernel(emb)
-    return emb, qmap
+    homs = {v: hom_space(x, projective(alg, v)) for v in alg.quiver.vertices}
+    radical = {v: [] for v in alg.quiver.vertices}
+    for a, v, w in alg.quiver.arrows:
+        rho = element_matrix_to_hom(alg, [[alg.arrow(a)]], ProjSummands(alg, [w]), ProjSummands(alg, [v]))
+        radical[v] += [rho.compose(b) for b in homs[w]]
+    verts, kept = [], []
+    for v, basis in homs.items():
+        new = range(len(basis))
+        if radical[v] and basis:
+            flats = [Matrix(alg.p, np.stack([g.flat() for g in maps], axis=1)) for maps in (radical[v], basis)]
+            _, new = extending_columns(*flats)
+        verts += [v] * len(new)
+        kept += [basis[k] for k in new]
+    if not kept:
+        return zero_hom(x, zero_rep(alg))
+    mats = {u: Matrix.vstack([g.mats[u] for g in kept]) for u in alg.quiver.vertices}
+    return RepHom(x, ProjSummands(alg, verts).rep(), mats, check=False)
 
 
-def cosyzygy_sequence(x: Representation, d: int, seed: int = 0) -> CosyzygySequence:
-    """Forward chain of embeddings into projectives, of length d."""
+def cosyzygy_sequence(x: Representation, d: int) -> CosyzygySequence:
+    """Forward chain of length d: each step is the minimal left
+    approximation by projectives and its cokernel."""
     report = is_gorenstein_projective(x, d)
     if not report.is_gp:
         raise CosyzygyError(f"module is not GP to depth {d}: {report.witness}", -1)
@@ -235,7 +187,8 @@ def cosyzygy_sequence(x: Representation, d: int, seed: int = 0) -> CosyzygySeque
     quotients = []
     cur = x
     for step in range(d):
-        emb, qmap = _match_embedding(cur, seed=seed)
+        emb = _left_approximation(cur)
+        _, qmap = cokernel(emb)
         if not is_ses(emb, qmap):
             raise CosyzygyError("constructed step is not exact", step)
         nxt = qmap.target

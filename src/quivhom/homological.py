@@ -500,7 +500,7 @@ def decompose(m: Representation, seed: int = 0, budget: int = 60):
     endomorphism; budget bounds the endomorphisms tried per piece, and
     DecompositionError names it and the piece that would not split.
     """
-    key = ("decompose", seed)
+    key = ("decompose", seed, budget)
     if key in m._cache:
         return m._cache[key]
     rng = np.random.default_rng(seed)

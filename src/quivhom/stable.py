@@ -61,30 +61,29 @@ from .projcplx import ProjComplex, minimize
 
 
 class StableHomSpace:
-    """Hom(x, y) together with the subspace of maps factoring through
-    projectives (= maps factoring through the cover of y)."""
+    """Hom(x, y) together with the subspace P(x, y) of maps factoring
+    through projectives (= maps factoring through the cover of y)."""
 
     def __init__(self, x: Representation, y: Representation):
         self.x = x
         self.y = y
         self.basis = hom_space(x, y)
         ps, epi = projective_cover(y)
-        lift_basis = hom_space(x, ps.rep())
-        self.factoring = [epi.compose(b) for b in lift_basis]
-        p = x.p
-        if self.factoring:
-            self._fmat = Matrix(p, np.stack([b.flat() for b in self.factoring], axis=1))
-        else:
-            self._fmat = None
-        self.dim = len(self.basis) - (rank(self._fmat) if self._fmat else 0)
+        self._factoring = [epi.compose(b).flat() for b in hom_space(x, ps.rep())]  # spans P(x, y)
+        self.dim = len(self.basis) - (rank(Matrix(x.p, np.stack(self._factoring, axis=1))) if self._factoring else 0)
 
-    def factors_through_projective(self, f: RepHom) -> bool:
-        if f.is_zero():
+    def spans(self, maps: list[RepHom], g: RepHom) -> bool:
+        """Whether g lies in span(maps) + P(x, y): one solve."""
+        if g.is_zero():
             return True
-        if self._fmat is None:
+        cols = [m.flat() for m in maps] + self._factoring
+        if not cols:
             return False
         p = self.x.p
-        return solve(self._fmat, Matrix(p, f.flat().reshape(-1, 1))) is not None
+        return solve(Matrix(p, np.stack(cols, axis=1)), Matrix(p, g.flat().reshape(-1, 1))) is not None
+
+    def factors_through_projective(self, f: RepHom) -> bool:
+        return self.spans([], f)
 
     def equal(self, f: RepHom, g: RepHom) -> bool:
         return self.factors_through_projective(f - g)
@@ -104,29 +103,15 @@ class StableHom:
     def equals(self, other: "StableHom") -> bool:
         return self.space.equal(self.rep, other.rep)
 
-    def is_stable_iso(self, seed: int = 0) -> bool:
-        """True if the class is invertible in the stable category, found
-        by searching for a two-sided stable inverse."""
-        x, _ = strip_projectives(self.space.x)
-        y, _ = strip_projectives(self.space.y)
-        if x.total_dim() != y.total_dim():
-            return False
-        sx = StableHomSpace(self.space.y, self.space.x)
-        xx = StableHomSpace(self.space.x, self.space.x)
-        yy = StableHomSpace(self.space.y, self.space.y)
-        idx = identity_hom(self.space.x)
-        idy = identity_hom(self.space.y)
-
-        def inverts(g):
-            return xx.equal(g.compose(self.rep), idx) and yy.equal(
-                self.rep.compose(g), idy
-            )
-
-        if any(inverts(g) for g in sx.basis):
-            return True
-        frame = hom_frame(sx.x, sx.y, sx.basis)
-        rng = np.random.default_rng(seed)
-        return any(inverts(frame.combination(rng.integers(0, sx.x.p, size=len(sx.basis)))) for _ in range(40))
+    def is_stable_iso(self) -> bool:
+        """True if the class f: x -> y is invertible in the stable category:
+        id_x lies in Hom(y, x) f + P(x, x) (a left inverse) and id_y in
+        f Hom(y, x) + P(y, y) (a right inverse).  Stably, a left and a
+        right inverse agree, so together they are one two-sided inverse."""
+        x, y, f = self.space.x, self.space.y, self.rep
+        back = hom_space(y, x)
+        left = StableHomSpace(x, x).spans([g.compose(f) for g in back], identity_hom(x))
+        return left and StableHomSpace(y, y).spans([f.compose(g) for g in back], identity_hom(y))
 
 
 def stable_hom(x: Representation, y: Representation) -> StableHomSpace:

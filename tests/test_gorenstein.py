@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quivhom.algebra import dual_numbers
 from quivhom.corpus import corpus
 from quivhom.functors import identity_functor, shift_functor
 from quivhom.gorenstein import (
@@ -8,19 +9,28 @@ from quivhom.gorenstein import (
     cosyzygy_sequence,
     findim_bounds_check,
     gp_preservation_check,
-    inverse_syzygy,
     is_gorenstein_projective,
     perp_check,
 )
-from quivhom.homological import is_isomorphic, projdim, syzygy
+from quivhom.homological import is_isomorphic, projdim, strip_projectives, syzygy, transpose
 from quivhom.modules import direct_sum, projective, simple
-from quivhom.stable import stable_iso
+from quivhom.stable import stable_image, stable_iso
 from tests.conftest import random_module
 
 
 @pytest.fixture(scope="module")
 def C1():
     return corpus(1)
+
+
+def inverse_syzygy(x):
+    """The reference forward shift, Tr o Omega o Tr with projective
+    summands stripped: on GP modules it is the cosyzygy."""
+    if x.is_zero():
+        return x
+    tr, _ = strip_projectives(transpose(x))
+    back, _ = strip_projectives(transpose(syzygy(tr, 1)))
+    return back
 
 
 def test_perp_projective_always(A1):
@@ -85,9 +95,45 @@ def test_inverse_syzygy_roundtrip(keps, C1):
     k = simple(keps, "0")
     y = inverse_syzygy(k)
     assert is_isomorphic(syzygy(y, 1), k)
+    assert is_isomorphic(cosyzygy_sequence(k, 1).modules[1], y)
     x = C1.M[(2, 1)]
     y = inverse_syzygy(x)
     assert stable_iso(syzygy(y, 1), x)
+    assert is_isomorphic(cosyzygy_sequence(x, 1).modules[1], y)
+
+
+def gp_sweep():
+    """(name, GP module): every M_i_l and S_P_i and the F-stable image of
+    each M_i_l at n <= 2, S_P_1 (+) P_0, and the GP second syzygies of
+    seeded random modules over Lambda_1, Gamma_1 and k[eps]."""
+    out = []
+    for n in (1, 2):
+        C = corpus(n)
+        out += [(f"n{n} M_{i}_{l}", x) for (i, l), x in sorted(C.M.items())]
+        out += [(f"n{n} S_P_{i}", x) for i, x in sorted(C.S_P.items())]
+        out += [(f"n{n} F(M_{i}_{l})", stable_image(C.F, x)[0]) for (i, l), x in sorted(C.M.items())]
+    C = corpus(1)
+    out.append(("S_P_1 + P_0", direct_sum([C.S_P[1], projective(C.Lam, "0")])[0]))
+    rng = np.random.default_rng(53)
+    for name, alg in (("Lam1", C.Lam), ("Gam1", C.Gam), ("keps", dual_numbers())):
+        for k in range(8):
+            x = syzygy(random_module(alg, rng, summands=3), 2)
+            if not x.is_zero() and is_gorenstein_projective(x, 4).is_gp:
+                out.append((f"{name} syzygy {k}", x))
+    return out
+
+
+def test_cosyzygies_match_the_reference_shift():
+    # the minimal left approximation by projectives and Tr o Omega o Tr
+    # give isomorphic cosyzygies, to depth two
+    sweep = gp_sweep()
+    assert len(sweep) >= 80
+    for name, x in sweep:
+        seq = cosyzygy_sequence(x, 2)
+        ref = x
+        for got in seq.modules[1:]:
+            ref = inverse_syzygy(ref)
+            assert is_isomorphic(got, ref), name
 
 
 def test_cosyzygy_chain_dual_numbers(keps):

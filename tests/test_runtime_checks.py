@@ -208,3 +208,31 @@ def test_maps_are_factored_only_in_modules():
     assert not found, f"per-vertex solves outside modules.py (use lift or descend): {found}"
     functors = ast.parse((SRC / "functors.py").read_text(), filename="functors.py")
     assert [func for func, _ in _solves_on_vertex_matrices(functors)] == ["lift_to_resolutions"]
+
+
+def _default_rng_calls(module: str) -> list[str]:
+    """The top-level function or `Class.method` around each `default_rng`
+    call in module, once per call."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    scopes = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            scopes += [(f"{top.name}.{node.name}", node) for node in top.body if isinstance(node, ast.FunctionDef)]
+        else:
+            scopes.append((getattr(top, "name", "<module>"), top))
+    return [
+        name
+        for name, scope in scopes
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call) and "default_rng" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+
+
+def test_cosyzygies_and_stable_inverses_are_not_searched_for():
+    """A cosyzygy is the cokernel of the minimal left approximation, and a
+    stable inverse comes from two solves: gorenstein draws nothing at
+    random, and stable only in the homotopy correction of
+    `exact_sequence_image`."""
+    found = [f"gorenstein.py {name}" for name in _default_rng_calls("gorenstein.py")]
+    found += [f"stable.py {name}" for name in _default_rng_calls("stable.py") if name != "exact_sequence_image"]
+    assert not found, f"random draws where an exact construction is expected: {found}"

@@ -108,6 +108,19 @@ def test_decomposition_error_names_its_budget_and_piece():
         decompose(direct_sum([r, r])[0], budget=0)
 
 
+def test_decompose_cache_is_keyed_on_the_budget():
+    # a result cached under the default budget must not answer budget = 0
+    alg = linear_algebra_An(3)
+    parts = [interval_module(alg, 0, 2), interval_module(alg, 1, 2)]
+    with pytest.raises(DecompositionError) as fresh:
+        decompose(direct_sum(parts)[0], budget=0)
+    m = direct_sum(parts)[0]
+    assert len(decompose(m)) == 2
+    with pytest.raises(DecompositionError) as cached:
+        decompose(m, budget=0)
+    assert str(cached.value) == str(fresh.value)
+
+
 # -- the local-End certificate ----------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from quivhom.complexes import is_acyclic, is_quasi_iso
 from quivhom.corpus import corpus
+from quivhom.exactlin import Matrix, solve
 from quivhom.functors import (
     compose,
     conjugation_comparison,
@@ -13,17 +14,20 @@ from quivhom.functors import (
 from quivhom.homological import is_isomorphic, strip_projectives, syzygy
 from quivhom.modules import (
     direct_sum,
+    hom_frame,
     hom_space,
     identity_hom,
     is_projective,
     is_ses,
     projective,
+    projective_cover,
     radical,
     simple,
     top,
     zero_hom,
 )
 from quivhom.stable import (
+    StableHom,
     _pipeline,
     exact_sequence_image,
     omega_functor,
@@ -406,3 +410,72 @@ def test_stable_image_map_functorial(C1):
         bgf = stable_image_map(C1.F, g.compose(f))
         sp = stable_hom(bf.rep.source, bg.rep.target)
         assert sp.equal(bgf.rep, bg.rep.compose(bf.rep))
+
+
+# -- stable invertibility by two solves -------------------------------------
+
+
+def stable_left_inverse(f):
+    """A g: y -> x with g f - id_x factoring through a projective, read off
+    one solve over Hom(y, x) and the maps x -> cover(x) -> x, or None."""
+    x, y = f.source, f.target
+    back = hom_space(y, x)
+    ps, epi = projective_cover(x)
+    cols = [g.compose(f).flat() for g in back] + [epi.compose(b).flat() for b in hom_space(x, ps.rep())]
+    if not cols:
+        return None
+    sol = solve(Matrix(x.p, np.stack(cols, axis=1)), Matrix(x.p, identity_hom(x).flat().reshape(-1, 1)))
+    if sol is None:
+        return None
+    return hom_frame(y, x, back).combination(sol.data[: len(back), 0])
+
+
+def assert_two_sided_stable_inverse(f, g):
+    x, y = f.source, f.target
+    assert stable_hom(x, x).equal(g.compose(f), identity_hom(x))
+    assert stable_hom(y, y).equal(f.compose(g), identity_hom(y))
+
+
+def test_scalar_multiples_of_the_identity_are_stable_isos(C1):
+    x = C1.M[(1, 3)]
+    for c in range(1, 6):
+        f = identity_hom(x).scale(c)
+        assert StableHom(f, stable_hom(x, x)).is_stable_iso(), c
+        assert_two_sided_stable_inverse(f, stable_left_inverse(f))
+
+
+def test_random_automorphisms_are_stable_isos(C1):
+    rng = np.random.default_rng(61)
+    for key, x in sorted(C1.M.items()):
+        basis = hom_space(x, x)
+        frame = hom_frame(x, x, basis)
+        autos = [f for f in (frame.combination(rng.integers(0, x.p, size=len(basis))) for _ in range(8)) if f.is_iso()]
+        assert autos, key
+        for f in autos:
+            assert StableHom(f, stable_hom(x, x)).is_stable_iso(), key
+            assert_two_sided_stable_inverse(f, stable_left_inverse(f))
+
+
+def test_maps_between_images_that_are_not_stably_isomorphic(C1):
+    # F(M_0_2) and F(M_2_2) have no projective summands and different
+    # dimensions; Hom between them holds a map factoring through a
+    # projective and one that does not
+    x, _ = stable_image(C1.F, C1.M[(0, 2)])
+    y, _ = stable_image(C1.F, C1.M[(2, 2)])
+    assert strip_projectives(x)[0].total_dim() == 7 and strip_projectives(y)[0].total_dim() == 3
+    space = stable_hom(x, y)
+    kinds = set()
+    for f in space.basis:
+        assert not f.is_zero()
+        assert not StableHom(f, space).is_stable_iso()
+        kinds.add(space.factors_through_projective(f))
+    assert kinds == {True, False}
+
+
+def test_one_sided_stable_inverses_are_not_enough(C1):
+    # the inclusion of a summand has a left inverse and the projection a
+    # right one; the other summand is not projective, so neither inverts
+    x, y = C1.M[(1, 2)], C1.M[(0, 3)]
+    total, incls, projs = direct_sum([x, y])
+    assert not StableHom(incls[0], stable_hom(x, total)).is_stable_iso()
+    assert not StableHom(projs[0], stable_hom(total, x)).is_stable_iso()
