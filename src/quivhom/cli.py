@@ -247,7 +247,7 @@ def cmd_stable_map(ctx, args):
     basis = hom_space(x, y)
     if not basis:
         raise OperationError("Hom space is zero")
-    if args.hom_index >= len(basis):
+    if not 0 <= args.hom_index < len(basis):
         raise OperationError(f"hom index out of range (dim {len(basis)})")
     sh = stable_image_map(f, basis[args.hom_index])
     payload = {

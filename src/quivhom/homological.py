@@ -281,6 +281,8 @@ def syzygy(m: Representation, k: int) -> Representation:
 def projdim(m: Representation, bound: int):
     """Length of the minimal resolution: the least k <= bound with
     P_(k+1) = 0, or None if it exceeds bound."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     res = minimal_resolution(m, 0)
     for k in range(bound + 1):
         if not res.extend_to(k + 1).terms[k + 1].vertices:

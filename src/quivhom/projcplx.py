@@ -6,8 +6,11 @@ This exact combinatorial form is what functor data acts on, and it makes
 of a differential between two copies of the same P_v whose trivial-path
 coefficient is nonzero is a unit of the local ring e_v A e_v, and the
 corresponding 2x2 block splits off.  `minimize` performs all such
-cancellations and tracks the degreewise projection/inclusion homotopy
-equivalence back to the original complex.
+cancellations in place, degree by degree in ascending order: a
+cancellation in d^i only deletes a row of d^(i-1) and a column of
+d^(i+1), so it never creates a unit outside d^i.  It tracks the
+degreewise projection/inclusion homotopy equivalence back to the
+original complex, correcting only the two degrees of each cancelled pair.
 """
 
 from __future__ import annotations
@@ -101,11 +104,6 @@ class ProjComplex:
     def summands(self, i: int) -> ProjSummands:
         return self.terms.get(i, ProjSummands(self.algebra, ()))
 
-    def dmat(self, i: int) -> ElementMatrix:
-        if i in self.dmats:
-            return self.dmats[i]
-        return _zero_emat(len(self.summands(i + 1).vertices), len(self.summands(i).vertices))
-
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
@@ -191,19 +189,22 @@ def identity_proj_chain_map(pc: ProjComplex) -> ProjChainMap:
     return ProjChainMap(pc, pc, comps)
 
 
-def _find_unit(alg, pc: ProjComplex):
-    for i in sorted(pc.dmats):
-        d = pc.dmats[i]
-        src = pc.terms[i].vertices
-        tgt = pc.terms[i + 1].vertices
-        for k in range(len(tgt)):
-            for j in range(len(src)):
-                if src[j] != tgt[k]:
-                    continue
-                e = d[k][j]
-                if e.get((src[j], ()), 0):
-                    return i, k, j
+def _first_unit(d: ElementMatrix, src: list, tgt: list):
+    """(k, j) of the first unit entry of d, row by row, or None."""
+    for k, row in enumerate(d):
+        v = tgt[k]
+        for j, e in enumerate(row):
+            if src[j] == v and e.get((v, ()), 0):
+                return k, j
     return None
+
+
+def _add_products(alg, row: list, xs: list, y: Element) -> None:
+    """row[c] += xs[c] y (the product of elements) for every c."""
+    if y:
+        for c, x in enumerate(xs):
+            if x:
+                row[c] = alg.add(row[c], alg.mul(x, y))
 
 
 def minimize(pc: ProjComplex) -> tuple[ProjComplex, ProjChainMap, ProjChainMap]:
@@ -212,87 +213,56 @@ def minimize(pc: ProjComplex) -> tuple[ProjComplex, ProjChainMap, ProjChainMap]:
     Returns (minimal complex, proj, inc) with proj : pc -> min and
     inc : min -> pc forming a homotopy equivalence (proj o inc = id).
     After minimization every differential entry lies in the radical.
+
+    The cancellation is Gaussian elimination on per-degree copies of the
+    differentials, of proj and of inc.  For a unit alpha = d^i[k1][j1],
+    with beta the rest of row k1 and gamma the rest of column j1 of d^i:
+    d^i becomes the Schur complement delta - gamma alpha^-1 beta; d^(i-1)
+    loses row j1 and d^(i+1) loses column k1; proj loses row j1 in degree
+    i, and in degree i+1 row k takes away gamma_k alpha^-1 (row k1); inc
+    loses column k1 in degree i+1, and in degree i column j takes away
+    (column j1) alpha^-1 beta_j.  alpha^-1 beta_j is formed once per
+    column and serves both d^i and inc.  Only d^i can gain a unit, so the
+    degrees are cleared in ascending order, each while a unit is left: the
+    same pairs in the same order as rescanning from the lowest degree
+    after every step.
     """
     alg = pc.algebra
-    cur = pc
-    proj = identity_proj_chain_map(pc)
-    inc = identity_proj_chain_map(pc)
-    while True:
-        hit = _find_unit(alg, cur)
-        if hit is None:
-            return cur, proj, inc
-        i, k1, j1 = hit
-        src = list(cur.terms[i].vertices)
-        tgt = list(cur.terms[i + 1].vertices)
-        d = cur.dmat(i)
-        alpha = d[k1][j1]
-        ainv = element_unit_inverse(alg, alpha)
-        js = [j for j in range(len(src)) if j != j1]
-        ks = [k for k in range(len(tgt)) if k != k1]
-        # Schur complement: delta' = delta - gamma alpha^{-1} beta
-        newd = _zero_emat(len(ks), len(js))
-        for a_, k in enumerate(ks):
-            for b_, j in enumerate(js):
-                # gamma o alpha^{-1} o beta; composite entries multiply
-                # first-applied on the left
-                corr = alg.mul(alg.mul(d[k1][j], ainv), d[k][j1])
-                newd[a_][b_] = alg.add(d[k][j], alg.smul(-1, corr))
-        new_terms = dict(cur.terms)
-        new_dmats = dict(cur.dmats)
-        new_terms[i] = ProjSummands(alg, [src[j] for j in js])
-        new_terms[i + 1] = ProjSummands(alg, [tgt[k] for k in ks])
-        if js and ks:
-            new_dmats[i] = newd
-        else:
-            new_dmats.pop(i, None)
-        # incoming and outgoing differentials: drop the cancelled row/col
-        if (i - 1) in cur.dmats:
-            e = cur.dmat(i - 1)
-            new_dmats[i - 1] = [[e[j][l] for l in range(len(e[0]))] for j in js]
-            if not js:
-                new_dmats.pop(i - 1, None)
-        if (i + 1) in cur.dmats:
-            f = cur.dmat(i + 1)
-            new_dmats[i + 1] = [[f[l][k] for k in ks] for l in range(len(f))]
-            if not ks:
-                new_dmats.pop(i + 1, None)
-        nxt = ProjComplex(alg, new_terms, new_dmats, check=False)
-        # step projection: identity except X-degree selects the kept rows
-        # and Y-degree corrects by -gamma alpha^{-1} on the cancelled one
-        pcomp = {}
-        icomp = {}
-        for deg, t in nxt.terms.items():
-            nt = len(t.vertices)
-            if deg == i:
-                mat = _zero_emat(nt, len(src))
-                for a_, j in enumerate(js):
-                    mat[a_][j] = alg.e(src[j])
-                pcomp[deg] = mat
-                imat = _zero_emat(len(src), nt)
-                for a_, j in enumerate(js):
-                    imat[j][a_] = alg.e(src[j])
-                    # inc X-component: -(alpha^{-1} o beta) on the cancelled row
-                    imat[j1][a_] = alg.smul(-1, alg.mul(d[k1][j], ainv))
-                icomp[deg] = imat
-            elif deg == i + 1:
-                mat = _zero_emat(nt, len(tgt))
-                for a_, k in enumerate(ks):
-                    mat[a_][k] = alg.e(tgt[k])
-                    # proj Y-component: -(gamma o alpha^{-1}) out of the cancelled col
-                    mat[a_][k1] = alg.smul(-1, alg.mul(ainv, d[k][j1]))
-                pcomp[deg] = mat
-                imat = _zero_emat(len(tgt), nt)
-                for a_, k in enumerate(ks):
-                    imat[k][a_] = alg.e(tgt[k])
-                icomp[deg] = imat
-            else:
-                pcomp[deg] = _identity_emat(alg, t)
-                icomp[deg] = _identity_emat(alg, t)
-        step_proj = ProjChainMap(cur, nxt, pcomp)
-        step_inc = ProjChainMap(nxt, cur, icomp)
-        proj = step_proj.compose(proj)
-        inc = inc.compose(step_inc)
-        cur = nxt
+    terms = {i: list(t.vertices) for i, t in pc.terms.items()}
+    dmats = {i: [list(row) for row in d] for i, d in pc.dmats.items()}
+    proj = {i: _identity_emat(alg, t) for i, t in pc.terms.items()}
+    inc = {i: _identity_emat(alg, t) for i, t in pc.terms.items()}
+    cancelled = False
+    for i in sorted(dmats):
+        d, src, tgt = dmats[i], terms[i], terms[i + 1]
+        while (hit := _first_unit(d, src, tgt)) is not None:
+            cancelled = True
+            k1, j1 = hit
+            beta = d.pop(k1)
+            neg_ainv = alg.smul(-1, element_unit_inverse(alg, beta.pop(j1)))
+            gamma = [row.pop(j1) for row in d]
+            # entries multiply first-applied on the left: b_j = -alpha^-1 beta_j
+            # and g_k = -gamma_k alpha^-1 as composites
+            b = [alg.mul(e, neg_ainv) for e in beta]
+            g = [alg.mul(neg_ainv, e) for e in gamma]
+            for row, gk in zip(d, gamma):
+                _add_products(alg, row, b, gk)
+            del src[j1], tgt[k1], proj[i][j1]
+            if i - 1 in dmats:
+                del dmats[i - 1][j1]
+            for row in dmats.get(i + 1, ()):
+                del row[k1]
+            for row in inc[i + 1]:
+                del row[k1]
+            pk1 = proj[i + 1].pop(k1)
+            for row, gk in zip(proj[i + 1], g):
+                _add_products(alg, row, pk1, gk)
+            for row in inc[i]:
+                _add_products(alg, row, b, row.pop(j1))
+    if not cancelled:
+        return pc, ProjChainMap(pc, pc, proj), ProjChainMap(pc, pc, inc)
+    minimal = ProjComplex(alg, {i: ProjSummands(alg, v) for i, v in terms.items()}, dmats, check=False)
+    return minimal, ProjChainMap(pc, minimal, proj), ProjChainMap(minimal, pc, inc)
 
 
 def direct_sum_proj(pcs: list[ProjComplex]) -> ProjComplex:

@@ -15,6 +15,8 @@ factoring through a projective, so the stable class is well defined.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .complexes import (
@@ -62,15 +64,24 @@ from .projcplx import ProjComplex, minimize
 
 class StableHomSpace:
     """Hom(x, y) together with the subspace P(x, y) of maps factoring
-    through projectives (= maps factoring through the cover of y)."""
+    through projectives (= maps factoring through the cover of y).
+    `basis` and `dim` are computed on first read: `spans` needs neither."""
 
     def __init__(self, x: Representation, y: Representation):
         self.x = x
         self.y = y
-        self.basis = hom_space(x, y)
         ps, epi = projective_cover(y)
         self._factoring = [epi.compose(b).flat() for b in hom_space(x, ps.rep())]  # spans P(x, y)
-        self.dim = len(self.basis) - (rank(Matrix(x.p, np.stack(self._factoring, axis=1))) if self._factoring else 0)
+
+    @cached_property
+    def basis(self) -> list[RepHom]:
+        return hom_space(self.x, self.y)
+
+    @cached_property
+    def dim(self) -> int:
+        if not self._factoring:
+            return len(self.basis)
+        return len(self.basis) - rank(Matrix(self.x.p, np.stack(self._factoring, axis=1)))
 
     def spans(self, maps: list[RepHom], g: RepHom) -> bool:
         """Whether g lies in span(maps) + P(x, y): one solve."""

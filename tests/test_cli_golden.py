@@ -1,4 +1,6 @@
-"""The CLI verbs whose answers went through a split, pinned byte for byte.
+"""CLI verbs pinned byte for byte against text captured before a rewrite.
+
+The first golden covers the verbs whose answers went through a split.
 
 `tilting-check`, `endo` and `decompose` rest on splitting a module or a
 complex by a random endomorphism; `cosyzygy` did too, until it became the
@@ -7,6 +9,11 @@ codes, stdout and stderr on corpus 1, in both formats and at two seeds,
 and `cosyzygy` to depth 3 on every M_i_l of corpus 2, are compared with
 text captured before the splitting step and the cosyzygy were last
 rewritten.
+
+The second golden covers the verbs whose answers pass through
+`projcplx.minimize`: `stable-image`, `apply` and `resolve` on every M_i_l
+of corpus 1, and `stable-map` between the first three, in both formats.
+It was captured before `minimize` became an in-place cancellation.
 
 To recapture (only when an output is meant to change):
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -21,6 +28,7 @@ from quivhom.cli import main
 from quivhom.corpus import corpus
 
 GOLDEN = Path(__file__).parent / "data" / "cli_split_golden.json"
+MINIMIZE_GOLDEN = Path(__file__).parent / "data" / "cli_minimize_golden.json"
 
 
 def calls():
@@ -35,6 +43,21 @@ def calls():
             out += [base + ["cosyzygy", "--module", name, "--depth", "2"] for name in names]
     base = ["--corpus", "2", "--format", "json", "--seed", "0", "cosyzygy"]
     out += [base + ["--module", f"M_{i}_{l}", "--depth", "3"] for i, l in sorted(corpus(2).M)]
+    return out
+
+
+def minimize_calls():
+    names = [f"M_{i}_{l}" for i, l in sorted(corpus(1).M)]
+    out = []
+    for fmt in ("table", "json"):
+        base = ["--corpus", "1", "--format", fmt]
+        for name in names:
+            out.append(base + ["stable-image", "--functor", "F", "--module", name])
+            out.append(base + ["apply", "--functor", "F", "--module", name])
+            out.append(base + ["resolve", "--module", name])
+        for x in names[:3]:
+            for y in names[:3]:
+                out.append(base + ["stable-map", "--functor", "F", "--from", x, "--to", y])
     return out
 
 
@@ -54,6 +77,16 @@ def test_split_verbs_match_the_golden_text():
         assert run(expected["argv"]) == expected
 
 
+def test_minimize_verbs_match_the_golden_text():
+    want = json.loads(MINIMIZE_GOLDEN.read_text())
+    argvs = minimize_calls()
+    assert [w["argv"] for w in want] == argvs
+    assert len(argvs) == 78
+    for expected in want:
+        assert run(expected["argv"]) == expected
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([run(argv) for argv in calls()], indent=1) + "\n")
+    MINIMIZE_GOLDEN.write_text(json.dumps([run(argv) for argv in minimize_calls()], indent=1) + "\n")

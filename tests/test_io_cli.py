@@ -290,6 +290,26 @@ def test_cli_stable_map_verb():
     assert payload["class_is_zero"] is False
 
 
+@pytest.mark.parametrize("index", ["-1", "2"])
+def test_cli_stable_map_hom_index_out_of_range(index, capsys):
+    argv = ["--corpus", "1", "--format", "json", "stable-map", "--functor", "F", "--from", "M_0_1", "--to", "M_0_1"]
+    assert main(argv + ["--hom-index", index]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: hom index out of range (dim 2)")
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [["projdim", "--module", "M_0_1"], ["findim-check", "--functor", "F_BA", "--modules", "proj_B_0"]],
+)
+def test_cli_negative_bound_is_an_error_line(verb, capsys):
+    assert main(["--corpus", "1", "--format", "json", *verb, "--bound", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bound must be >= 0\n"
+
+
 ENDO_CORPUS_1 = {
     "arrows": [["x0", "2", "0"], ["x1", "3", "1"], ["x2", "0", "3"]],
     "dim": 10,

@@ -64,6 +64,30 @@ def test_stable_end_nonzero_on_gp_family(C1):
     assert stable_hom(sp1, sp1).dim > 0
 
 
+def test_stable_hom_space_builds_hom_x_y_only_when_read(C1, monkeypatch):
+    import quivhom.stable as stable
+
+    x, y = next(
+        (C1.M[a], C1.M[b]) for a in sorted(C1.M) for b in sorted(C1.M) if a != b and hom_space(C1.M[a], C1.M[b])
+    )
+    f = hom_space(x, y)[0]
+    pairs = []
+
+    def counting(a, b):
+        pairs.append((a, b))
+        return hom_space(a, b)
+
+    monkeypatch.setattr(stable, "hom_space", counting)
+    space = stable.StableHomSpace(x, y)
+    space.factors_through_projective(f)
+    space.spans([f], f.scale(2))
+    space.equal(f, f)
+    assert not [pr for pr in pairs if pr[0] is x and pr[1] is y]
+    assert 0 <= space.dim <= len(space.basis)
+    assert space.basis is space.basis  # read once, then cached
+    assert len([pr for pr in pairs if pr[0] is x and pr[1] is y]) == 1
+
+
 def test_stable_iso_absorbs_projectives(A1):
     rng = np.random.default_rng(42)
     x = random_module(A1, rng)
