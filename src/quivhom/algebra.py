@@ -7,11 +7,13 @@ product ``x * y`` is "traverse y, then x"; concretely
 ``mul({p: 1}, {q: 1}) = {q ++ p: 1}`` when q's target equals p's source.
 
 Algebra elements are plain dicts mapping paths to coefficients in
-[0, p).  The admissible relation ideal is handled by a degree-truncated
-two-sided Groebner-style rewriting system with the deglex order
-(length first, then lexicographically by arrow-name sequence), which
-yields a deterministic irreducible-path basis and normal forms for all
-products of basis paths.
+[0, p).  The admissible relation ideal is handled by a two-sided
+Groebner-style rewriting system with the deglex order (length first,
+then lexicographically by arrow-name sequence), which yields a
+deterministic irreducible-path basis and normal forms for all products
+of basis paths.  Finiteness is decided from the leading monomials, and
+the completion's length bound is worked out from the longest
+irreducible path.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ Element = dict[Path, int]
 
 
 class NonAdmissibleError(ValueError):
-    """Raised when no finite path basis exists below the length cap."""
+    """Raised when the relations are not shown to leave finitely many paths."""
+
+
+# The longest ambiguity resolved while the leading monomials still leave
+# infinitely many paths (a completion that has not ended may yet end).
+_AMBIGUITY_BUDGET = 32
 
 
 class Quiver:
@@ -45,10 +52,8 @@ class Quiver:
                 raise ValueError(f"arrow {n}: endpoint not a vertex")
         self.arrow_by_name = {n: (s, t) for n, s, t in self.arrows}
         self.out_arrows = {v: [] for v in self.vertices}
-        self.in_arrows = {v: [] for v in self.vertices}
         for n, s, t in self.arrows:
             self.out_arrows[s].append(n)
-            self.in_arrows[t].append(n)
 
     def source(self, arrow: str) -> str:
         return self.arrow_by_name[arrow][0]
@@ -98,18 +103,16 @@ class BoundQuiverAlgebra:
     >= 2 and all paths within one relation must be parallel.
     """
 
-    def __init__(self, quiver: Quiver, relations, p: int = DEFAULT_PRIME, length_cap: int = 32):
+    def __init__(self, quiver: Quiver, relations, p: int = DEFAULT_PRIME):
         self.quiver = quiver
         self.p = check_prime(p)
-        self.length_cap = length_cap
         self.relations: tuple[Element, ...] = tuple(
             self._canonical(dict(r)) for r in relations
         )
         for r in self.relations:
             self._validate_relation(r)
-        self._gb = self._complete(list(self.relations))
-        self._lms = [lm for lm, _ in self._gb]
-        self.path_basis: tuple[Path, ...] = self._irreducible_paths()
+        self._gb, succ = self._certified_system()
+        self.path_basis: tuple[Path, ...] = self._irreducible_paths(succ)
         self.dim = len(self.path_basis)
         self.basis_index = {pth: i for i, pth in enumerate(self.path_basis)}
         self.basis_by_source: dict[str, list[Path]] = {v: [] for v in quiver.vertices}
@@ -130,17 +133,11 @@ class BoundQuiverAlgebra:
         return v
 
     def _validate_relation(self, r: Element):
-        if not r:
-            return
-        ends = None
         for pth in r:
             if path_len(pth) < 2:
                 raise ValueError(f"relation contains a path of length < 2: {pth}")
-            e = (path_source(pth), self.path_target(pth))
-            if ends is None:
-                ends = e
-            elif ends != e:
-                raise ValueError("relation mixes non-parallel paths")
+        if r and self.element_source_target(r) is None:
+            raise ValueError("relation mixes non-parallel paths")
 
     def _canonical(self, e: Element) -> Element:
         out = {}
@@ -191,103 +188,112 @@ class BoundQuiverAlgebra:
                 if not e[new_path]:
                     del e[new_path]
 
-    def _complete(self, gens):
+    def _certified_system(self):
+        """The completed rewriting system and its automaton's transitions.
+
+        With m the longest irreducible path, resolving every ambiguity up to
+        length 2m + 2 certifies the normal form of every product of two basis
+        paths (Bergman's diamond lemma).  The first bound is twice the longest
+        relation path plus 2.  While the leading monomials leave infinitely
+        many paths and an ambiguity was skipped, the bound doubles, up to
+        ``_AMBIGUITY_BUDGET``; with none skipped, the refusal is exact."""
+        bound = 2 * max((path_len(q) for r in self.relations for q in r), default=0) + 2
+        while True:
+            gb, skipped = self._complete(bound)
+            succ, m = self._automaton({path_arrows(lm) for lm, _ in gb})
+            if m is not None and (not skipped or 2 * m + 2 <= bound):
+                return gb, succ
+            if not skipped:
+                raise NonAdmissibleError("infinitely many irreducible paths; the relation ideal is not admissible")
+            if m is None and bound >= _AMBIGUITY_BUDGET:
+                raise NonAdmissibleError(f"not certified finite from ambiguities up to length {bound}")
+            bound = min(2 * bound, _AMBIGUITY_BUDGET) if m is None else 2 * m + 2
+
+    def _complete(self, bound: int):
+        """Add to the relations the reduced S-polynomial of every ambiguity
+        up to length bound, and say whether a longer one was skipped."""
         p = self.p
         gb: list[tuple[Path, Element]] = []
 
-        def add(e: Element):
+        def insert(e: Element):
             e = self._reduce(e, gb)
-            if not e:
-                return None
-            lm = max(e, key=_order_key)
-            inv = pow(e[lm], p - 2, p)
-            e = {k: (v * inv) % p for k, v in e.items()}
-            gb.append((lm, e))
-            return lm
+            if e:
+                lm = max(e, key=_order_key)
+                gb.append((lm, self.smul(pow(e[lm], p - 2, p), e)))
 
-        pending = list(gens)
-        for g in pending:
-            add(g)
-        # resolve overlap ambiguities in superposition-length order
+        for r in self.relations:
+            insert(r)
+        skipped = False
         done = 0
         while done < len(gb):
-            i = done
+            lm1, g1 = gb[done]
             done += 1
-            lm1, g1 = gb[i]
-            snapshot = list(gb)
-            for lm2, g2 in snapshot:
-                for s1, s2, w1, w2 in ((lm1, lm2, g1, g2), (lm2, lm1, g2, g1)):
+            for lm2, g2 in list(gb):
+                for s1, w1, s2, w2 in ((lm1, g1, lm2, g2), (lm2, g2, lm1, g1)):
                     a1, a2 = path_arrows(s1), path_arrows(s2)
-                    # suffix of s1 == prefix of s2
-                    for k in range(1, min(len(a1), len(a2))):
-                        if a1[len(a1) - k :] == a2[:k]:
-                            sup = a1 + a2[k:]
-                            if len(sup) > self.length_cap:
-                                continue
-                            src = path_source(s1)
-                            spoly: Element = {}
-                            tail2 = a2[k:]
-                            for mono, c in w1.items():
-                                w = path_arrows(mono) + tail2
-                                spoly[(src, w)] = (spoly.get((src, w), 0) + c) % p
-                            head1 = a1[: len(a1) - k]
-                            for mono, c in w2.items():
-                                w = head1 + path_arrows(mono)
-                                key = (src, w)
-                                spoly[key] = (spoly.get(key, 0) - c) % p
-                            spoly = {k2: v for k2, v in spoly.items() if v}
-                            add(spoly)
-                    # containment: s2 inside s1
-                    L = len(a2)
-                    for j in range(len(a1) - L + 1):
-                        if a1[j : j + L] == a2 and (len(a1) > L):
-                            src = path_source(s1)
-                            spoly = {}
-                            for mono, c in w1.items():
-                                w = path_arrows(mono)
-                                key = (src, w)
-                                spoly[key] = (spoly.get(key, 0) + c) % p
-                            for mono, c in w2.items():
-                                w = a1[:j] + path_arrows(mono) + a1[j + L :]
-                                key = (src, w)
-                                spoly[key] = (spoly.get(key, 0) - c) % p
-                            spoly = {k2: v for k2, v in spoly.items() if v}
-                            add(spoly)
-        return gb
+                    n1, n2 = len(a1), len(a2)
+                    # s2 starts at offset j of s1 and runs past its end
+                    # (an overlap) or ends inside it (an inclusion)
+                    for j in range(n1):
+                        if (j == 0 and n2 >= n1) or a1[j : j + n2] != a2[: n1 - j]:
+                            continue
+                        tail = a2[n1 - j :]
+                        if n1 + len(tail) > bound:
+                            skipped = True
+                            continue
+                        # the superposition's two rewrites: w1 before tail,
+                        # and w2 spliced between a1's head and tail
+                        src = path_source(s1)
+                        insert(self.add(
+                            {(src, path_arrows(mono) + tail): c for mono, c in w1.items()},
+                            {(src, a1[:j] + path_arrows(mono) + a1[j + n2 :]): -c for mono, c in w2.items()},
+                        ))
+        return gb, skipped
 
-    def _irreducible_paths(self) -> tuple[Path, ...]:
-        lms = [path_arrows(lm) for lm in self._lms]
+    def _automaton(self, lms: set[tuple[str, ...]]):
+        """The transitions {state: [(arrow, next state)]} of the paths with no
+        factor in lms, from the trivial paths, and the longest path's length
+        (None if infinitely many paths avoid lms: a cycle, by Ufnarovskii).
+        A state is (vertex, longest suffix of the path that begins a word of
+        lms), which decides the arrows that may follow.  The depth-first
+        search is iterative: the state count can pass the recursion limit."""
+        begins = {w[:i] for w in lms for i in range(len(w))} | {()}
+
+        def moves(state):
+            v, u = state
+            out = []
+            for a in self.quiver.out_arrows[v]:
+                word = u + (a,)
+                suffixes = [word[i:] for i in range(len(word) + 1)]
+                if lms.isdisjoint(suffixes):
+                    out.append((a, (self.quiver.target(a), next(s for s in suffixes if s in begins))))
+            return out
+
+        succ: dict = {}
+        height: dict = {}
+        stack = [(v, ()) for v in self.quiver.vertices]
+        while stack:
+            state = stack[-1]
+            if state in succ:  # second visit: every successor is finished
+                stack.pop()
+                height[state] = max((height[n] + 1 for _, n in succ[state]), default=0)
+                continue
+            succ[state] = moves(state)
+            for _, nxt in succ[state]:
+                if nxt not in succ:
+                    stack.append(nxt)
+                elif nxt not in height:  # entered, unfinished: on the search path
+                    return succ, None
+        return succ, max(height.values(), default=0)
+
+    def _irreducible_paths(self, succ) -> tuple[Path, ...]:
         out: list[Path] = []
-        max_seen = 0
-
-        def reducible_tail(word: tuple[str, ...]) -> bool:
-            # only suffixes can newly contain an LM after appending a letter
-            for w in lms:
-                L = len(w)
-                if L <= len(word) and word[len(word) - L :] == w:
-                    return True
-            return False
-
         for v in self.quiver.vertices:
-            stack: list[tuple[str, tuple[str, ...]]] = [(v, ())]
+            stack = [((v, ()), ())]
             while stack:
-                cur, word = stack.pop()
+                state, word = stack.pop()
                 out.append((v, word))
-                max_seen = max(max_seen, len(word))
-                if len(word) >= self.length_cap:
-                    raise NonAdmissibleError(
-                        f"irreducible path of length {self.length_cap} found; "
-                        "relation ideal is not admissible below the cap"
-                    )
-                for a in self.quiver.out_arrows[cur]:
-                    nw = word + (a,)
-                    if not reducible_tail(nw):
-                        stack.append((self.quiver.target(a), nw))
-        if 2 * max_seen + 2 > self.length_cap:
-            raise NonAdmissibleError(
-                "length cap too small to certify normal forms of basis products; "
-                f"need cap >= {2 * max_seen + 2}"
-            )
+                stack.extend((nxt, word + (a,)) for a, nxt in succ[state])
         return tuple(sorted(out, key=_order_key))
 
     # -- element arithmetic ----------------------------------------------
@@ -369,7 +375,7 @@ class BoundQuiverAlgebra:
                 arrows = tuple(reversed(path_arrows(pth)))
                 nr[(self.path_target(pth), arrows)] = c
             rrels.append(nr)
-        op = BoundQuiverAlgebra(rq, rrels, p=self.p, length_cap=self.length_cap)
+        op = BoundQuiverAlgebra(rq, rrels, p=self.p)
         self._op = op
         op._op = self
         return op
@@ -390,7 +396,7 @@ class BoundQuiverAlgebra:
             rels.append({(v, (eps[v], eps[v])): 1})
         for n, s, t in self.quiver.arrows:
             rels.append({(s, (n, eps[t])): 1, (s, (eps[s], n)): self.p - 1})
-        return BoundQuiverAlgebra(q2, rels, p=self.p, length_cap=self.length_cap)
+        return BoundQuiverAlgebra(q2, rels, p=self.p)
 
     def __repr__(self):
         return (
@@ -419,8 +425,3 @@ def one_vertex_algebra(p: int = DEFAULT_PRIME) -> BoundQuiverAlgebra:
 def dual_numbers(p: int = DEFAULT_PRIME) -> BoundQuiverAlgebra:
     """k[eps]/(eps^2) as a one-vertex quiver algebra."""
     return one_vertex_algebra(p).dual_numbers_extension()
-
-
-def path_basis(alg: BoundQuiverAlgebra) -> tuple[Path, ...]:
-    """The irreducible-path basis, in (length, name, source) order."""
-    return alg.path_basis

@@ -94,14 +94,12 @@ class Context:
     def module(self, name: str):
         if name in self.modules:
             return self.modules[name]
-        for prefix, kind in (("proj", projective), ("simple", simple)):
-            if name.startswith(prefix + "_"):
-                _, aname, v = name.split("_", 2)
-                amap = {"A": "A", "B": "B", "L": "Lambda", "G": "Gamma"}
-                aname = amap.get(aname, aname)
-                alg = self.algebras.get(aname)
-                if alg is not None and v in alg.quiver.vertices:
-                    return kind(alg, v)
+        prefix, _, rest = name.partition("_")
+        aname, _, v = rest.partition("_")
+        kind = {"proj": projective, "simple": simple}.get(prefix)
+        alg = self.algebras.get({"L": "Lambda", "G": "Gamma"}.get(aname, aname))
+        if kind is not None and alg is not None and v in alg.quiver.vertices:
+            return kind(alg, v)
         raise OperationError(f"unknown module {name}")
 
     def functor(self, name: str):
@@ -275,16 +273,21 @@ def _find_ses(ctx, sub, mid, quot, seed):
 def cmd_exact_image(ctx, args):
     f = ctx.functor(args.functor)
     if args.pair:
-        i, l = (int(t) for t in args.pair.split(","))
+        try:
+            i, l = (int(t) for t in args.pair.split(","))
+        except ValueError:
+            raise DefinitionError("--pair", f"expected a corpus pair i,l, got {args.pair!r}")
         if ctx.corpus is None:
             raise OperationError("--pair needs --corpus")
         if (i, l) not in ctx.corpus.ses:
             raise OperationError(f"no corpus sequence for pair {i},{l}")
         incl, proj = ctx.corpus.ses[(i, l)]
-    else:
+    elif args.sub and args.mid and args.quot:
         incl, proj = _find_ses(
             ctx, ctx.module(args.sub), ctx.module(args.mid), ctx.module(args.quot), ctx.seed
         )
+    else:
+        raise DefinitionError("exact-image", "needs --pair i,l or all of --sub, --mid and --quot")
     res = exact_sequence_image(f, incl, proj)
     a_expected = stable_image_map(f, incl)
     u_expected = stable_image_map(f, proj)

@@ -138,10 +138,6 @@ class Matrix:
         return Matrix(p, np.vstack([m.data for m in mats]))
 
     @staticmethod
-    def block(rows_of_blocks: list[list["Matrix"]]) -> "Matrix":
-        return Matrix.vstack([Matrix.hstack(row) for row in rows_of_blocks])
-
-    @staticmethod
     def block_diag(p: int, mats: list["Matrix"]) -> "Matrix":
         rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)

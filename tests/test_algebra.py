@@ -115,7 +115,7 @@ def test_non_admissible_detected():
     # a loop with no relations has unbounded powers
     q = Quiver(["0"], [("l", "0", "0")])
     with pytest.raises(NonAdmissibleError):
-        BoundQuiverAlgebra(q, [], length_cap=12)
+        BoundQuiverAlgebra(q, [])
 
 
 def test_relation_validation():

@@ -210,7 +210,24 @@ def test_cli_exact_image_pair_without_sequence_is_an_error_line(capsys):
     assert captured.err.startswith("error: no corpus sequence for pair 0,4")
 
 
-@pytest.mark.parametrize("name", ["simple_A_99", "proj_A_99"])
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--pair", "1"], "--pair: expected a corpus pair i,l"),
+        (["--pair", "a,b"], "--pair: expected a corpus pair i,l"),
+        ([], "needs --pair i,l or all of --sub, --mid and --quot"),
+        (["--sub", "SQ_1", "--mid", "M_0_2"], "needs --pair i,l or all of --sub, --mid and --quot"),
+    ],
+)
+def test_cli_exact_image_usage_errors_exit_2(args, message, capsys):
+    assert main(["--corpus", "1", "exact-image", "--functor", "F", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", ["simple_A_99", "proj_A_99", "proj_A", "simple_Gamma"])
 def test_cli_module_at_unknown_vertex_is_unknown(name, capsys):
     assert main(["--corpus", "1", "--format", "json", "projdim", "--module", name]) == 1
     captured = capsys.readouterr()

@@ -79,12 +79,12 @@ def test_every_private_helper_is_referenced():
     assert not orphans, f"private helpers referenced nowhere else in the package: {orphans}"
 
 
-def _uses(node: ast.AST) -> dict[str, int]:
-    """How often each name is read under node, as a bare name or as an
-    attribute of anything but numpy (np.kron is not exactlin's kron)."""
+def _uses(node: ast.AST, bare: bool) -> dict[str, int]:
+    """How often each name is read under node as an attribute of anything
+    but numpy (np.kron is not exactlin's kron) and, if bare, as a bare name."""
     counts: dict[str, int] = {}
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if bare and isinstance(sub, ast.Name):
             name = sub.id
         elif isinstance(sub, ast.Attribute) and not (isinstance(sub.value, ast.Name) and sub.value.id == "np"):
             name = sub.attr
@@ -95,21 +95,25 @@ def _uses(node: ast.AST) -> dict[str, int]:
 
 
 def test_every_exactlin_function_and_matrix_method_is_used():
-    """Every public function of exactlin and public method of Matrix is read
-    somewhere in the package or the tests, outside its own body."""
-    total: dict[str, int] = {}
-    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
-        for name, k in _uses(ast.parse(path.read_text(), filename=path.name)).items():
-            total[name] = total.get(name, 0) + k
+    """Every public function of exactlin is read somewhere in the package or
+    the tests, outside its own body, and every public method of Matrix is
+    read there as an attribute: a local variable of the same name is not a
+    use of the method."""
+    trees = [ast.parse(path.read_text(), filename=path.name) for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))]
+    total: dict[bool, dict[str, int]] = {True: {}, False: {}}
+    for bare, counts in total.items():
+        for tree in trees:
+            for name, k in _uses(tree, bare).items():
+                counts[name] = counts.get(name, 0) + k
     tree = ast.parse((SRC / "exactlin.py").read_text(), filename="exactlin.py")
-    defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs = [(node, True) for node in tree.body if isinstance(node, ast.FunctionDef)]
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and node.name == "Matrix":
-            defs += [f for f in node.body if isinstance(f, ast.FunctionDef)]
+            defs += [(f, False) for f in node.body if isinstance(f, ast.FunctionDef)]
     unused = [
         f"exactlin.py:{f.lineno} {f.name}"
-        for f in defs
-        if not f.name.startswith("_") and total.get(f.name, 0) == _uses(f).get(f.name, 0)
+        for f, bare in defs
+        if not f.name.startswith("_") and total[bare].get(f.name, 0) == _uses(f, bare).get(f.name, 0)
     ]
     assert not unused, f"exactlin functions and Matrix methods used nowhere: {unused}"
 
