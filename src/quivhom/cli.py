@@ -38,6 +38,7 @@ from .gorenstein import (
     GPCrossCheckError,
     cosyzygy_sequence,
     findim_bounds_check,
+    gorenstein_dimension,
     is_gorenstein_projective,
 )
 from .homological import DecompositionError, decompose, ext, is_isomorphic, projdim
@@ -318,6 +319,7 @@ def cmd_gp_check(ctx, args):
         "verdict": rep.verdict,
         "depth": rep.depth,
         "witness": list(rep.witness) if rep.witness else None,
+        "gorenstein_dimension": rep.certificate,
     }
     emit(ctx, payload, [f"{k}: {v}" for k, v in sorted(payload.items())])
 
@@ -351,6 +353,10 @@ def cmd_findim_check(ctx, args):
         "entries": [[a, b] for a, b in rep.entries],
         "findim_source": rep.findim_source,
         "findim_image": rep.findim_image,
+        # derived equivalence preserves Gorensteinness, so the two agree
+        # in being finite
+        "gorenstein_dimension_source": gorenstein_dimension(f.source, args.bound),
+        "gorenstein_dimension_target": gorenstein_dimension(f.target, args.bound),
         "bounds_ok": rep.bounds_ok,
         "gap_ok": rep.findim_gap_ok,
     }

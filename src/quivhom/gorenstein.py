@@ -1,17 +1,28 @@
 """Gorenstein projective detection and finitistic-dimension utilities.
 
-The detector is the totally-reflexive criterion truncated at a depth d:
-a module is refuted as soon as some Ext^i(X, P) or Ext^i(Tr X, P') with
-1 <= i <= d is nonzero (an exact, definitive verdict, re-verified by an
-independent derived-category computation), and certified
-"GP up to depth d" when both Ext columns vanish.  Each side is one Ext
-profile against the regular module (homological.ext_profile), which
+Let g be the Gorenstein dimension of the algebra (`gorenstein_dimension`):
+the injective dimension of the regular module, the same on both sides.
+When g is finite, x is Gorenstein projective (GP) iff Ext^i(x, A) = 0 for
+1 <= i <= g, A the regular module, since Ext^i(-, A) vanishes above g.
+So the detector reads one Ext row of x against A, a degree at a time
+(homological.ext_row), and asks after every degree whether g is known
+within that bound.  Whichever decides first gives the verdict:
+
+* a nonzero Ext^i(x, A) refutes x, with a witness vertex re-verified by
+  an independent derived-category computation;
+* g, once known with the row zero up to degree g, certifies x: the
+  verdict `gp` holds in every degree and carries g as its certificate.
+  A projective x is `gp` at once, with no g asked for, because
+  projectives are GP over any algebra.
+
+Only if neither settles by the depth d (g > d, or the algebra is not
+Gorenstein) does the detector fall back to the totally-reflexive
+criterion truncated at d: the Ext columns of x and of Tr x against the
+regular module, each one Ext profile (homological.ext_profile) that
 stops resolving at the first explicit isomorphism between two syzygies
-Omega^j -> Omega^k.  Such a period is returned with the report, and a
-positive verdict with a period on both sides holds in every degree,
-because the profiles repeat with that period.  Without one, no finite
-depth decides the property in general, so positive verdicts carry their
-depth.
+Omega^j -> Omega^k.  Both columns zero gives `gp-up-to-depth` d; a
+period on both sides (returned with the report) makes it hold in every
+degree, because the profiles repeat with that period.
 
 The forward shift on certified modules is the cokernel of the minimal
 left approximation by projectives, one exact construction per step,
@@ -25,7 +36,7 @@ import numpy as np
 
 from .complexes import hom_d_dim, module_complex
 from .exactlin import Matrix, extending_columns
-from .homological import ext, ext_profile, projdim, transpose
+from .homological import dual, ext, ext_profile, ext_row, projdim, transpose
 from .modules import (
     ProjSummands,
     RepHom,
@@ -36,11 +47,45 @@ from .modules import (
     is_projective,
     is_ses,
     projective,
+    regular_module,
     zero_hom,
     zero_rep,
 )
 from .functors import FunctorData
 from .stable import stable_image
+
+
+def gorenstein_dimension(alg, bound: int) -> int | None:
+    """The Gorenstein dimension of alg within bound: the largest projdim
+    of an indecomposable injective, taken over alg and over alg.opposite(),
+    or None when some injective's projdim exceeds bound.
+
+    The injective modules of alg are the duals of the projectives of the
+    opposite algebra, dual(projective(alg.opposite(), v)); the largest of
+    their projdims is the injective dimension of the regular module of
+    the opposite algebra, and the other side gives that of alg.  When both
+    are finite they are equal (Zaks, "Injective dimension of semi-primary
+    rings", J. Algebra 13, 1969), alg is Iwanaga-Gorenstein of dimension
+    g, and a module M is Gorenstein projective iff Ext^i(M, alg) = 0 for
+    1 <= i <= g (Enochs-Jenda, Relative Homological Algebra, 2000,
+    ch. 10-11).  g = 0 means alg is self-injective: every module is GP.
+
+    Cached per bound on the regular module of alg; the injectives keep
+    their resolutions, so a larger bound extends them.
+    """
+    cache = regular_module(alg)._cache
+    key = ("gorenstein_dimension", bound)
+    if key not in cache:
+        g = 0
+        for side in (alg, alg.opposite()):
+            for v in side.quiver.vertices:
+                pd = projdim(dual(projective(side.opposite(), v)), bound)
+                if pd is None:
+                    cache[key] = None
+                    return None
+                g = max(g, pd)
+        cache[key] = g
+    return cache[key]
 
 
 def perp_check(x: Representation, m: int, d: int) -> bool:
@@ -59,37 +104,38 @@ class GPCrossCheckError(RuntimeError):
 
 class GPReport:
     def __init__(self, module, depth, ext_left, ext_right, verdict, witness=None,
-                 period_left=None, period_right=None):
+                 period_left=None, period_right=None, certificate=None):
         self.module = module
         self.depth = depth
         self.ext_left = ext_left
         self.ext_right = ext_right
-        self.verdict = verdict  # "gp-up-to-depth" or "refuted"
+        self.verdict = verdict  # "gp", "gp-up-to-depth" or "refuted"
         self.witness = witness  # (side, degree, vertex) when refuted
-        # (j, k, iso: Omega^j -> Omega^k) of the side's minimal resolution
-        # (on x, on Tr x), or None when no period showed up to depth
+        # "gp": the Gorenstein dimension g whose Ext row (ext_left) is
+        # zero, or None when the module is projective
+        self.certificate = certificate
+        # "gp-up-to-depth": (j, k, iso: Omega^j -> Omega^k) of the side's
+        # minimal resolution (on x, on Tr x), or None when no period
+        # showed up to depth
         self.period_left = period_left
         self.period_right = period_right
 
     @property
     def is_gp(self) -> bool:
-        return self.verdict == "gp-up-to-depth"
+        return self.verdict in ("gp", "gp-up-to-depth")
 
     def __repr__(self):
+        if self.verdict == "gp":
+            why = "projective" if self.certificate is None else f"Gorenstein dimension {self.certificate}"
+            return f"GPReport(gp, {why})"
         if self.is_gp:
             return f"GPReport(gp-up-to-depth {self.depth})"
         return f"GPReport(refuted at {self.witness})"
 
 
-def _side(y: Representation, d: int, side: str):
-    """(ext row, period, witness) of one side of the detector: the row
-    lists dim Ext^i(y, A) for the degrees before the first nonzero one,
-    where the profile stops; its vertex is recovered by per-vertex Ext
-    and confirmed by derived Hom."""
-    dims, period = ext_profile(y, d, stop_above=0)
-    i = next((i for i, e in enumerate(dims, start=1) if e), None)
-    if i is None:
-        return dims, period, None
+def _witness(y: Representation, i: int, side: str):
+    """(side, i, v) for the first vertex v with Ext^i(y, P_v) nonzero,
+    confirmed by derived Hom; Ext^i(y, A) is known to be nonzero."""
     alg = y.algebra
     for v in alg.quiver.vertices:
         P = projective(alg, v)
@@ -101,26 +147,51 @@ def _side(y: Representation, d: int, side: str):
                     f"refutation witness ({side}, {i}, {v}) failed cross-check: "
                     f"Ext = {e}, derived Hom = {crosscheck}"
                 )
-            return dims[: i - 1], period, (side, i, v)
+            return side, i, v
     raise GPCrossCheckError(f"Ext^{i} against the regular module is nonzero on the {side} side, but zero at every vertex")
 
 
 def is_gorenstein_projective(x: Representation, d: int = 8) -> GPReport:
-    """Totally-reflexive test to depth d.
+    """GP test of x with the depth d as its only bound.
+
+    A projective x is `gp` with no certificate.  Otherwise, for
+    k = 0, 1, ..., d: if `gorenstein_dimension(alg, k)` is known, x is
+    `gp` with that certificate (the row is zero up to degree k); else the
+    Ext row of x against the regular module is extended to degree k + 1,
+    and a nonzero entry refutes x.  The two alternate, so a refutation
+    over an algebra that is not Gorenstein never waits for its
+    injectives to be resolved deep (over k<x, y>/(x, y)^2 their
+    resolutions double in size at every degree).  The projective case
+    comes first for the same reason: its row is zero in every degree.
+    If neither settles by degree d, the two-sided depth-d test on x and
+    Tr x decides (`gp-up-to-depth` d or refuted on the right).
 
     Refutations exhibit a nonzero Ext witness and re-verify it through
     the derived-category Hom computation (an independent code path).
     """
     if d < 1:
         raise ValueError("depth must be >= 1")
-    if x.is_zero():
-        return GPReport(x, d, [], [], "gp-up-to-depth")
-    ext_left, period_left, witness = _side(x, d, "left")
-    if witness is not None:
-        return GPReport(x, d, ext_left, [], "refuted", witness, period_left)
-    ext_right, period_right, witness = _side(transpose(x), d, "right")
-    verdict = "refuted" if witness is not None else "gp-up-to-depth"
-    return GPReport(x, d, ext_left, ext_right, verdict, witness, period_left, period_right)
+    if is_projective(x):
+        return GPReport(x, d, [], [], "gp")
+    alg = x.algebra
+    row: list[int] = []
+    for k in range(d + 1):
+        g = gorenstein_dimension(alg, k)
+        if g is not None:
+            return GPReport(x, d, row, [], "gp", certificate=g)
+        if k == d:
+            break
+        row = ext_row(x, k + 1)
+        if row[k]:
+            return GPReport(x, d, row[:k], [], "refuted", _witness(x, k + 1, "left"))
+    # the row is zero up to degree d, so the left profile adds its period
+    ext_left, period_left = ext_profile(x, d, stop_above=0)
+    tr = transpose(x)
+    ext_right, period_right = ext_profile(tr, d, stop_above=0)
+    i = next((i for i, e in enumerate(ext_right, start=1) if e), None)
+    if i is None:
+        return GPReport(x, d, ext_left, ext_right, "gp-up-to-depth", None, period_left, period_right)
+    return GPReport(x, d, ext_left, ext_right[: i - 1], "refuted", _witness(tr, i, "right"), period_left, period_right)
 
 
 class CosyzygySequence:

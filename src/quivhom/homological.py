@@ -154,13 +154,38 @@ def ext(m: Representation, n: Representation, i: int) -> int:
     return cocycles.cols - rank(d_prev)
 
 
+def _ext_ranks(y: Representation, k: int) -> list[int]:
+    """[rk d_i* for i = 0..k] (rk d_0* = 0), d_i* = Hom(d_i, A) on the
+    minimal resolution of y, A = (+)_v P_v the regular module.  Cached
+    on y and extended one degree at a time; ext_row and ext_profile
+    both read it."""
+    ranks = y._cache.setdefault("ext_ranks", [0])
+    if len(ranks) <= k:
+        alg = y.algebra
+        A = regular_module(alg)
+        res = minimal_resolution(y, k)
+        for i in range(len(ranks), k + 1):
+            ranks.append(rank(_yoneda_boundary(alg, res.dmats[i], res.terms[i], res.terms[i - 1], A)))
+    return ranks
+
+
+def ext_row(y: Representation, k: int) -> list[int]:
+    """[dim Ext^i(y, A) for i = 1..k] against the regular module A, with
+    no period search: dim Ext^i = dim Hom(P_i, A) - rk d_(i+1)* - rk d_i*,
+    from a resolution of depth k + 1."""
+    ranks = _ext_ranks(y, k + 1)
+    res = minimal_resolution(y, k + 1)
+    A = regular_module(y.algebra)
+    return [_yoneda_space_dim(res.terms[i], A) - ranks[i + 1] - ranks[i] for i in range(1, k + 1)]
+
+
 def ext_profile(y: Representation, d: int, stop_above: int | None = None):
     """(dims, period): dims[i - 1] = dim Ext^i(y, A) for i = 1..d, with
     A = (+)_v P_v the regular module, so dims[i - 1] is the sum over v of
     dim Ext^i(y, P_v).
 
     The minimal resolution is extended one step at a time.  Step k adds
-    the boundary rank rk d_k*, which settles degree k - 1:
+    the boundary rank rk d_k* (`_ext_ranks`), which settles degree k - 1:
     dim Ext^i = dim Hom(P_i, A) - rk d_(i+1)* - rk d_i*.  Then the new
     syzygy K_k (K_0 = y) is compared with the earlier K_j of the same
     dimension vector.  The first explicit isomorphism K_j -> K_k found by
@@ -182,14 +207,9 @@ def ext_profile(y: Representation, d: int, stop_above: int | None = None):
     hit = y._cache.get(key)
     if hit is not None and (len(hit[0]) == d or (stop_above is not None and any(hit[0][stop_above:]))):
         return list(hit[0]), hit[1]
-    alg = y.algebra
-    A = regular_module(alg)
+    A = regular_module(y.algebra)
     res = minimal_resolution(y, 0)
     rng = np.random.default_rng(0)
-
-    def boundary_rank(i):
-        res.extend_to(i)
-        return rank(_yoneda_boundary(alg, res.dmats[i], res.terms[i], res.terms[i - 1], A))
 
     def ext_dim(i):
         return _yoneda_space_dim(res.terms[i], A) - ranks[i + 1] - ranks[i]
@@ -198,7 +218,7 @@ def ext_profile(y: Representation, d: int, stop_above: int | None = None):
     dims: list[int] = []
     period = None
     for k in range(1, d + 1):
-        ranks.append(boundary_rank(k))
+        ranks.append(_ext_ranks(y, k)[k])
         if k > 1:
             dims.append(ext_dim(k - 1))
             if stop_above is not None and k - 1 > stop_above and dims[-1]:
@@ -217,7 +237,7 @@ def ext_profile(y: Representation, d: int, stop_above: int | None = None):
                 dims.append(dims[i - (k - j) - 1])
             break
     else:
-        ranks.append(boundary_rank(d + 1))
+        ranks.append(_ext_ranks(y, d + 1)[d + 1])
         dims.append(ext_dim(d))
     if hit is None or len(dims) > len(hit[0]):
         y._cache[key] = (dims, period)
@@ -294,10 +314,14 @@ def projdim(m: Representation, bound: int):
 
 
 def dual(m: Representation) -> Representation:
-    """The linear dual, a representation of the opposite algebra."""
-    op = m.algebra.opposite()
-    mats = {n: m.mats[n].transpose() for n, _, _ in m.algebra.quiver.arrows}
-    return Representation(op, dict(m.dims), mats)
+    """The linear dual, a representation of the opposite algebra; cached
+    on m, so the dual of a shared projective (an injective) keeps its
+    own minimal resolution."""
+    if "dual" not in m._cache:
+        op = m.algebra.opposite()
+        mats = {n: m.mats[n].transpose() for n, _, _ in m.algebra.quiver.arrows}
+        m._cache["dual"] = Representation(op, dict(m.dims), mats)
+    return m._cache["dual"]
 
 
 def op_element(alg: BoundQuiverAlgebra, e: Element) -> Element:

@@ -111,9 +111,6 @@ class StableHom:
     def is_zero(self) -> bool:
         return self.space.factors_through_projective(self.rep)
 
-    def equals(self, other: "StableHom") -> bool:
-        return self.space.equal(self.rep, other.rep)
-
     def is_stable_iso(self) -> bool:
         """True if the class f: x -> y is invertible in the stable category:
         id_x lies in Hom(y, x) f + P(x, x) (a left inverse) and id_y in

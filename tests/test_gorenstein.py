@@ -1,18 +1,21 @@
+import time
+
 import numpy as np
 import pytest
 
-from quivhom.algebra import dual_numbers
+from quivhom.algebra import BoundQuiverAlgebra, Quiver, dual_numbers
 from quivhom.corpus import corpus
 from quivhom.functors import identity_functor, shift_functor
 from quivhom.gorenstein import (
     CosyzygyError,
     cosyzygy_sequence,
     findim_bounds_check,
+    gorenstein_dimension,
     gp_preservation_check,
     is_gorenstein_projective,
     perp_check,
 )
-from quivhom.homological import is_isomorphic, projdim, strip_projectives, syzygy, transpose
+from quivhom.homological import dual, ext_row, is_isomorphic, projdim, strip_projectives, syzygy, transpose
 from quivhom.modules import direct_sum, projective, simple
 from quivhom.stable import stable_image, stable_iso
 from tests.conftest import random_module
@@ -48,16 +51,65 @@ def test_perp_refutes_tree_simple(A1):
 
 
 def test_gp_projective(A1, keps):
+    # a projective is GP over any algebra: certified with no degree read
     for alg, v in ((A1, "1"), (keps, "0")):
-        rep = is_gorenstein_projective(projective(alg, v), 3)
-        assert rep.is_gp
-        assert rep.ext_left == [0, 0, 0]
+        P = projective(alg, v)
+        rep = is_gorenstein_projective(P, 3)
+        assert (rep.verdict, rep.certificate, rep.ext_left, rep.ext_right) == ("gp", None, [], [])
+        assert ext_row(P, 3) == [0, 0, 0]
 
 
 def test_gp_simple_over_dual_numbers(keps):
-    rep = is_gorenstein_projective(simple(keps, "0"), 8)
-    assert rep.is_gp
-    assert rep.ext_left == [0] * 8 and rep.ext_right == [0] * 8
+    s = simple(keps, "0")
+    rep = is_gorenstein_projective(s, 8)
+    assert (rep.verdict, rep.certificate, rep.ext_left, rep.ext_right) == ("gp", 0, [], [])
+    assert ext_row(s, 8) == ext_row(transpose(s), 8) == [0] * 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gorenstein_dimensions_of_the_corpus(n):
+    c = corpus(n)
+    assert [gorenstein_dimension(alg, 4) for alg in (c.A, c.Lam, c.B, c.Gam)] == [2, 2, 1, 1]
+    # g is not known below itself
+    assert [gorenstein_dimension(alg, 1) for alg in (c.A, c.Lam, c.B)] == [None, None, 1]
+    assert gorenstein_dimension(c.Gam, 0) is None
+
+
+def test_self_injective_dual_numbers_have_dimension_zero(keps):
+    assert gorenstein_dimension(keps, 0) == 0
+
+
+def _injdims(alg, bound):
+    """projdim of each indecomposable injective alg-module."""
+    return [projdim(dual(projective(alg.opposite(), v)), bound) for v in alg.quiver.vertices]
+
+
+def test_both_sides_agree_as_zaks_says(C1):
+    # the injective dimensions of the regular module on the two sides
+    for alg in (C1.A, C1.B, C1.Lam, C1.Gam):
+        assert max(_injdims(alg, 4)) == max(_injdims(alg.opposite(), 4)) == gorenstein_dimension(alg, 4)
+
+
+def _radical_square_zero():
+    """k<x, y>/(x, y)^2, which is not Gorenstein."""
+    q = Quiver(["0"], [("x", "0", "0"), ("y", "0", "0")])
+    return BoundQuiverAlgebra(q, [{("0", (a, b)): 1} for a in "xy" for b in "xy"])
+
+
+def test_non_gorenstein_algebra_has_no_dimension_within_bound():
+    R = _radical_square_zero()
+    assert gorenstein_dimension(R, 4) is None
+    assert _injdims(R, 4) == [None]
+
+
+def test_non_gorenstein_simple_is_refuted_at_once():
+    # the refutation in degree 1 comes before the injective is resolved
+    # deep: asking for the dimension first would resolve it to depth 8
+    s = simple(_radical_square_zero(), "0")
+    t = time.perf_counter()
+    rep = is_gorenstein_projective(s, 8)
+    assert time.perf_counter() - t < 0.5
+    assert (rep.verdict, rep.witness) == ("refuted", ("left", 1, "0"))
 
 
 def test_gp_refutes_simple_over_tree(A1):

@@ -1,9 +1,9 @@
-"""The GP detector built on ext_profile against the per-vertex detector it
-replaced, and the syzygy-periodicity certificates it returns.
+"""The GP detector against the per-vertex detector it replaced, and the
+syzygy-periodicity certificates of ext_profile.
 
 The per-vertex detector below is kept only here, as the reference: it
 asks ext(., P_v, i) separately for every vertex v and every degree i on
-both sides, with no periodicity shortcut.
+both sides, with no periodicity shortcut and no Gorenstein dimension.
 """
 
 import numpy as np
@@ -12,13 +12,16 @@ import pytest
 import quivhom.gorenstein as gorenstein
 from quivhom.complexes import hom_d_dim, module_complex
 from quivhom.corpus import corpus
-from quivhom.gorenstein import GPCrossCheckError, is_gorenstein_projective, perp_check
-from quivhom.homological import ext, ext_profile, minimal_resolution, transpose
-from quivhom.modules import projective, simple
+from quivhom.gorenstein import GPCrossCheckError, gorenstein_dimension, is_gorenstein_projective, perp_check
+from quivhom.homological import ext, ext_profile, minimal_resolution, syzygy, transpose
+from quivhom.modules import is_projective, projective, simple
 from quivhom.stable import stable_image
 from tests.conftest import random_module
 
-DEPTHS = (2, 5, 8)
+# depth 1 is below the Gorenstein dimension 2 of A and Lambda, so there
+# the detector takes the two-sided path
+DEPTHS = (1, 2, 5, 8)
+RANDOM_PER_ALGEBRA = 60
 
 
 def per_vertex_detector(x, d, ext_at):
@@ -47,10 +50,27 @@ def per_vertex_profile(y, d):
     return [sum(ext(y, projective(y.algebra, v), i) for v in y.algebra.quiver.vertices) for i in range(1, d + 1)]
 
 
-def assert_same_verdicts(x):
-    """New and per-vertex detectors agree at every depth in DEPTHS.  The
-    per-vertex Ext values are shared between the depths (keyed by the
-    module's dimension vector and matrices, as Tr x is rebuilt per call)."""
+def assert_agrees(new, ref):
+    """The detector's report against the reference (verdict, ext_left,
+    ext_right, witness) at the same depth.  A certified `gp` reads the
+    left row up to its certificate g only (no degree for a projective),
+    so its row is the reference row cut to g; every other verdict is
+    compared field by field."""
+    verdict, left, right, witness = ref
+    assert (new.is_gp, new.witness) == (verdict == "gp-up-to-depth", witness)
+    if new.verdict == "gp":
+        if new.certificate is None:
+            assert is_projective(new.module) and new.ext_left == []
+        else:
+            assert new.certificate <= new.depth and new.ext_left == left[: new.certificate]
+        assert new.ext_right == []
+    else:
+        assert (new.verdict, new.ext_left, new.ext_right) == (verdict, left, right)
+
+
+def memo_ext():
+    """ext(y, P_v, i) keyed by the module's dimension vector and matrices,
+    as Tr x is rebuilt per call."""
     memo = {}
 
     def ext_at(y, v, i):
@@ -59,9 +79,15 @@ def assert_same_verdicts(x):
             memo[key] = ext(y, projective(y.algebra, v), i)
         return memo[key]
 
+    return ext_at
+
+
+def assert_same_verdicts(x):
+    """The detector and the per-vertex reference agree at every depth in
+    DEPTHS; the reference's Ext values are shared between the depths."""
+    ext_at = memo_ext()
     for d in DEPTHS:
-        new = is_gorenstein_projective(x, d)
-        assert (new.verdict, new.ext_left, new.ext_right, new.witness) == per_vertex_detector(x, d, ext_at), d
+        assert_agrees(is_gorenstein_projective(x, d), per_vertex_detector(x, d, ext_at))
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +124,29 @@ def test_random_modules_agree(C1, keps):
     assert refuted > 0  # the sample exercises the witness path too
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_certified_path_agrees_on_random_modules_and_syzygies(n, keps):
+    """Seeded random modules with their first two syzygies over A, B,
+    Lambda, Gamma (and k[eps] at n = 1), 540 modules in all: the detector
+    at depth 8 against the reference.  Over each algebra of Gorenstein
+    dimension g >= 1 some sample module is refuted in degree g exactly,
+    so a certificate one degree short would call it GP."""
+    c = corpus(n)
+    algebras = [c.A, c.B, c.Lam, c.Gam] + [keps] * (n == 1)
+    ext_at = memo_ext()
+    for a, alg in enumerate(algebras):
+        g = gorenstein_dimension(alg, 8)
+        rng = np.random.default_rng(1000 * n + a)
+        refuted_at_g = 0
+        for _ in range(RANDOM_PER_ALGEBRA):
+            x = random_module(alg, rng, 3)
+            for y in (x, syzygy(x, 1), syzygy(x, 2)):
+                report = is_gorenstein_projective(y, 8)
+                assert_agrees(report, per_vertex_detector(y, 8, ext_at))
+                refuted_at_g += report.witness is not None and report.witness[1] == g
+        assert g == 0 or refuted_at_g > 0
+
+
 def test_profile_matches_per_vertex_sums(C1):
     rng = np.random.default_rng(11)
     mods = [simple(C1.A, v) for v in C1.A.quiver.vertices] + [random_module(C1.Gam, rng, 3) for _ in range(4)]
@@ -124,19 +173,34 @@ def assert_certificate(y, period):
 def test_dual_numbers_simple_has_period_one(keps):
     s = simple(keps, "0")
     report = is_gorenstein_projective(s, 8)
-    assert report.is_gp
-    assert report.period_left[:2] == (0, 1) and report.period_right[:2] == (0, 1)
-    assert_certificate(s, report.period_left)
-    assert_certificate(transpose(s), report.period_right)
+    assert (report.verdict, report.certificate) == ("gp", 0)
+    (left, period_left), (right, period_right) = ext_profile(s, 8), ext_profile(transpose(s), 8)
+    assert left == right == [0] * 8
+    assert period_left[:2] == (0, 1) and period_right[:2] == (0, 1)
+    assert_certificate(s, period_left)
+    assert_certificate(transpose(s), period_right)
 
 
 def test_corpus_gp_modules_carry_certificates(C1):
     for key in sorted(C1.M):
         x = C1.M[key]
-        report = is_gorenstein_projective(x, 8)
-        assert report.is_gp
-        assert_certificate(x, report.period_left)
-        assert_certificate(transpose(x), report.period_right)
+        assert is_gorenstein_projective(x, 8).verdict == "gp"
+        for y in (x, transpose(x)):
+            dims, period = ext_profile(y, 8)
+            assert dims == [0] * 8
+            assert_certificate(y, period)
+
+
+def test_depth_below_gorenstein_dimension_keeps_the_two_sided_verdict(C1):
+    # Lambda has g = 2, so at depth 1 no certificate shows up and each side
+    # is one ext_profile with its period, as before g was computed
+    assert gorenstein_dimension(C1.Lam, 1) is None
+    for key in sorted(C1.M):
+        y = stable_image(C1.F, C1.M[key])[0]
+        report = is_gorenstein_projective(y, 1)
+        assert (report.verdict, report.certificate, report.ext_left, report.ext_right) == ("gp-up-to-depth", None, [0], [0])
+        assert_certificate(y, report.period_left)
+        assert_certificate(transpose(y), report.period_right)
 
 
 def test_finite_projdim_gives_zero_syzygy_certificate(A1):

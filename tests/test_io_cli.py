@@ -121,7 +121,17 @@ def test_cli_ext():
 def test_cli_gp_check_table():
     code, out = run_cli(["--corpus", "1", "gp-check", "--module", "M_1_3", "--depth", "4"])
     assert code == 0
-    assert "gp-up-to-depth" in out
+    assert "verdict: gp\n" in out and "gorenstein_dimension: 1\n" in out
+
+
+def test_cli_gp_check_below_the_gorenstein_dimension():
+    # Lambda has g = 2: at depth 1 the verdict is the two-sided one, with
+    # no certificate; at depth 2 it is certified
+    code, out = run_cli(["--corpus", "1", "--format", "json", "gp-check", "--module", "SP_1", "--depth", "1"])
+    assert code == 0
+    assert json.loads(out) == {"depth": 1, "gorenstein_dimension": None, "verdict": "gp-up-to-depth", "witness": None}
+    code, out = run_cli(["--corpus", "1", "--format", "json", "gp-check", "--module", "SP_1", "--depth", "2"])
+    assert json.loads(out)["gorenstein_dimension"] == 2
 
 
 def test_cli_stable_image_json_deterministic():
@@ -293,6 +303,8 @@ def test_cli_findim_check_with_modules():
     assert code == 0
     payload = json.loads(out)
     assert payload["bounds_ok"] and payload["gap_ok"]
+    # F_BA goes from the hereditary B to the gentle A
+    assert (payload["gorenstein_dimension_source"], payload["gorenstein_dimension_target"]) == (1, 2)
 
 
 def test_cli_stable_map_verb():
