@@ -59,7 +59,6 @@ from .homological import (
     decompose,
     dual,
     ext,
-    ext_profile,
     is_isomorphic,
     projdim,
     strip_projectives,

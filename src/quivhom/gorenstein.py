@@ -17,12 +17,9 @@ within that bound.  Whichever decides first gives the verdict:
 
 Only if neither settles by the depth d (g > d, or the algebra is not
 Gorenstein) does the detector fall back to the totally-reflexive
-criterion truncated at d: the Ext columns of x and of Tr x against the
-regular module, each one Ext profile (homological.ext_profile) that
-stops resolving at the first explicit isomorphism between two syzygies
-Omega^j -> Omega^k.  Both columns zero gives `gp-up-to-depth` d; a
-period on both sides (returned with the report) makes it hold in every
-degree, because the profiles repeat with that period.
+criterion truncated at d: the Ext rows of x and of Tr x against the
+regular module, each read to degree d or to its first nonzero entry.
+Both rows zero gives `gp-up-to-depth` d, a verdict whose budget is d.
 
 The forward shift on certified modules is the cokernel of the minimal
 left approximation by projectives, one exact construction per step,
@@ -36,7 +33,7 @@ import numpy as np
 
 from .complexes import hom_d_dim, module_complex
 from .exactlin import Matrix, extending_columns
-from .homological import dual, ext, ext_profile, ext_row, projdim, transpose
+from .homological import dual, ext, ext_row, projdim, transpose
 from .modules import (
     ProjSummands,
     RepHom,
@@ -88,13 +85,39 @@ def gorenstein_dimension(alg, bound: int) -> int | None:
     return cache[key]
 
 
+def _left_row(x: Representation, m: int, d: int) -> tuple[list[int], int | None]:
+    """(row, g): row[i - 1] = dim Ext^i(x, A) against the regular module
+    A, read above degree m a degree at a time.  For k = m, m + 1, ..., d:
+    if g = `gorenstein_dimension(alg, k)` is known, stop, since
+    Ext^i(x, A) = 0 above g <= k; at k = d stop with g None; else extend
+    the row to degree k + 1 and stop if that entry is nonzero.  The two
+    alternate, so over an algebra that is not Gorenstein a nonzero entry
+    never waits for the injectives to be resolved deep (over
+    k<x, y>/(x, y)^2 their resolutions double in size at every degree).
+    A nonzero entry above m is the row's last; the row is [] when g
+    settles at k = m.
+    """
+    alg = x.algebra
+    row: list[int] = []
+    for k in range(m, d + 1):
+        g = gorenstein_dimension(alg, k)
+        if g is not None or k == d:
+            return row, g
+        row = ext_row(x, k + 1)
+        if row[k]:
+            return row, None
+
+
 def perp_check(x: Representation, m: int, d: int) -> bool:
     """Ext^i(x, P_v) = 0 for every indecomposable projective and every
-    m < i <= d."""
+    m < i <= d.  Over an algebra of Gorenstein dimension g <= d the row
+    is read to degree g at most, and not at all when g <= m."""
+    if m < 0:
+        raise ValueError("degree bound must be >= 0")
     if d < m:
         raise ValueError("depth must be at least the degree bound")
-    dims, _ = ext_profile(x, d, stop_above=m)
-    return not any(dims[m:])
+    row, _ = _left_row(x, m, d)
+    return not any(row[m:])
 
 
 class GPCrossCheckError(RuntimeError):
@@ -103,8 +126,7 @@ class GPCrossCheckError(RuntimeError):
 
 
 class GPReport:
-    def __init__(self, module, depth, ext_left, ext_right, verdict, witness=None,
-                 period_left=None, period_right=None, certificate=None):
+    def __init__(self, module, depth, ext_left, ext_right, verdict, witness=None, certificate=None):
         self.module = module
         self.depth = depth
         self.ext_left = ext_left
@@ -114,11 +136,6 @@ class GPReport:
         # "gp": the Gorenstein dimension g whose Ext row (ext_left) is
         # zero, or None when the module is projective
         self.certificate = certificate
-        # "gp-up-to-depth": (j, k, iso: Omega^j -> Omega^k) of the side's
-        # minimal resolution (on x, on Tr x), or None when no period
-        # showed up to depth
-        self.period_left = period_left
-        self.period_right = period_right
 
     @property
     def is_gp(self) -> bool:
@@ -154,17 +171,14 @@ def _witness(y: Representation, i: int, side: str):
 def is_gorenstein_projective(x: Representation, d: int = 8) -> GPReport:
     """GP test of x with the depth d as its only bound.
 
-    A projective x is `gp` with no certificate.  Otherwise, for
-    k = 0, 1, ..., d: if `gorenstein_dimension(alg, k)` is known, x is
-    `gp` with that certificate (the row is zero up to degree k); else the
-    Ext row of x against the regular module is extended to degree k + 1,
-    and a nonzero entry refutes x.  The two alternate, so a refutation
-    over an algebra that is not Gorenstein never waits for its
-    injectives to be resolved deep (over k<x, y>/(x, y)^2 their
-    resolutions double in size at every degree).  The projective case
-    comes first for the same reason: its row is zero in every degree.
-    If neither settles by degree d, the two-sided depth-d test on x and
-    Tr x decides (`gp-up-to-depth` d or refuted on the right).
+    A projective x is `gp` with no certificate: its row is zero in every
+    degree, so no g is asked for.  Otherwise the Ext row of x against the
+    regular module is read by `_left_row` (m = 0): a nonzero entry
+    refutes x, and g = `gorenstein_dimension(alg, k)`, once known with
+    the row zero up to k, makes x `gp` with certificate g.  If neither
+    settles by degree d, the row of Tr x is read degree by degree to d:
+    a nonzero entry refutes x on the right, and none gives
+    `gp-up-to-depth` d.
 
     Refutations exhibit a nonzero Ext witness and re-verify it through
     the derived-category Hom computation (an independent code path).
@@ -173,25 +187,17 @@ def is_gorenstein_projective(x: Representation, d: int = 8) -> GPReport:
         raise ValueError("depth must be >= 1")
     if is_projective(x):
         return GPReport(x, d, [], [], "gp")
-    alg = x.algebra
-    row: list[int] = []
-    for k in range(d + 1):
-        g = gorenstein_dimension(alg, k)
-        if g is not None:
-            return GPReport(x, d, row, [], "gp", certificate=g)
-        if k == d:
-            break
-        row = ext_row(x, k + 1)
-        if row[k]:
-            return GPReport(x, d, row[:k], [], "refuted", _witness(x, k + 1, "left"))
-    # the row is zero up to degree d, so the left profile adds its period
-    ext_left, period_left = ext_profile(x, d, stop_above=0)
+    row, g = _left_row(x, 0, d)
+    if g is not None:
+        return GPReport(x, d, row, [], "gp", certificate=g)
+    if any(row):
+        return GPReport(x, d, row[:-1], [], "refuted", _witness(x, len(row), "left"))
     tr = transpose(x)
-    ext_right, period_right = ext_profile(tr, d, stop_above=0)
-    i = next((i for i, e in enumerate(ext_right, start=1) if e), None)
-    if i is None:
-        return GPReport(x, d, ext_left, ext_right, "gp-up-to-depth", None, period_left, period_right)
-    return GPReport(x, d, ext_left, ext_right[: i - 1], "refuted", _witness(tr, i, "right"), period_left, period_right)
+    for i in range(1, d + 1):
+        right = ext_row(tr, i)
+        if right[-1]:
+            return GPReport(x, d, row, right[:-1], "refuted", _witness(tr, i, "right"))
+    return GPReport(x, d, row, right, "gp-up-to-depth")
 
 
 class CosyzygySequence:

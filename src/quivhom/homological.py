@@ -154,94 +154,20 @@ def ext(m: Representation, n: Representation, i: int) -> int:
     return cocycles.cols - rank(d_prev)
 
 
-def _ext_ranks(y: Representation, k: int) -> list[int]:
-    """[rk d_i* for i = 0..k] (rk d_0* = 0), d_i* = Hom(d_i, A) on the
-    minimal resolution of y, A = (+)_v P_v the regular module.  Cached
-    on y and extended one degree at a time; ext_row and ext_profile
-    both read it."""
-    ranks = y._cache.setdefault("ext_ranks", [0])
-    if len(ranks) <= k:
-        alg = y.algebra
-        A = regular_module(alg)
-        res = minimal_resolution(y, k)
-        for i in range(len(ranks), k + 1):
-            ranks.append(rank(_yoneda_boundary(alg, res.dmats[i], res.terms[i], res.terms[i - 1], A)))
-    return ranks
-
-
 def ext_row(y: Representation, k: int) -> list[int]:
-    """[dim Ext^i(y, A) for i = 1..k] against the regular module A, with
-    no period search: dim Ext^i = dim Hom(P_i, A) - rk d_(i+1)* - rk d_i*,
-    from a resolution of depth k + 1."""
-    ranks = _ext_ranks(y, k + 1)
+    """[dim Ext^i(y, A) for i = 1..k] against the regular module
+    A = (+)_v P_v, from a resolution of depth k + 1: dim Ext^i =
+    dim Hom(P_i, A) - rk d_(i+1)* - rk d_i*, d_i* = Hom(d_i, A).  The
+    ranks [rk d_i* for i = 0..] (rk d_0* = 0) are cached on y and
+    extended one degree at a time, so reading the row a degree further
+    costs one new rank."""
+    alg = y.algebra
+    A = regular_module(alg)
     res = minimal_resolution(y, k + 1)
-    A = regular_module(y.algebra)
+    ranks = y._cache.setdefault("ext_ranks", [0])
+    for i in range(len(ranks), k + 2):
+        ranks.append(rank(_yoneda_boundary(alg, res.dmats[i], res.terms[i], res.terms[i - 1], A)))
     return [_yoneda_space_dim(res.terms[i], A) - ranks[i + 1] - ranks[i] for i in range(1, k + 1)]
-
-
-def ext_profile(y: Representation, d: int, stop_above: int | None = None):
-    """(dims, period): dims[i - 1] = dim Ext^i(y, A) for i = 1..d, with
-    A = (+)_v P_v the regular module, so dims[i - 1] is the sum over v of
-    dim Ext^i(y, P_v).
-
-    The minimal resolution is extended one step at a time.  Step k adds
-    the boundary rank rk d_k* (`_ext_ranks`), which settles degree k - 1:
-    dim Ext^i = dim Hom(P_i, A) - rk d_(i+1)* - rk d_i*.  Then the new
-    syzygy K_k (K_0 = y) is compared with the earlier K_j of the same
-    dimension vector.  The first explicit isomorphism K_j -> K_k found by
-    find_iso (a zero syzygy matches the next one, also zero) is
-    returned as period = (j, k, iso); it certifies that the profile
-    repeats with period k - j in every degree above j, because
-    Ext^i(y, N) = Ext^(i-j)(K_j, N) for i > j.  The resolution stops at
-    P_k: the minimal presentations of K_k and K_j are isomorphic
-    complexes, so rk d_(k+1)* = rk d_(j+1)*.  Degrees above k are filled
-    by periodicity.  Without an isomorphism up to K_d the period is None
-    and all d degrees are computed from a resolution of depth d + 1.
-
-    With stop_above = m the profile stops at the first nonzero degree
-    i > m settled before a period shows up: dims then ends at degree i.
-    Profiles are cached on y per depth; a cached one is reused whenever
-    it settles the call.
-    """
-    key = ("ext_profile", d)
-    hit = y._cache.get(key)
-    if hit is not None and (len(hit[0]) == d or (stop_above is not None and any(hit[0][stop_above:]))):
-        return list(hit[0]), hit[1]
-    A = regular_module(y.algebra)
-    res = minimal_resolution(y, 0)
-    rng = np.random.default_rng(0)
-
-    def ext_dim(i):
-        return _yoneda_space_dim(res.terms[i], A) - ranks[i + 1] - ranks[i]
-
-    ranks = [0]
-    dims: list[int] = []
-    period = None
-    for k in range(1, d + 1):
-        ranks.append(_ext_ranks(y, k)[k])
-        if k > 1:
-            dims.append(ext_dim(k - 1))
-            if stop_above is not None and k - 1 > stop_above and dims[-1]:
-                break
-        kk = res.syzygy_module(k)
-        for j in range(k):
-            iso = find_iso(res.syzygy_module(j), kk, rng)
-            if iso is not None:
-                period = (j, k, iso)
-                break
-        if period is not None:
-            j, k, _ = period
-            ranks.append(ranks[j + 1])
-            dims.append(ext_dim(k))
-            for i in range(k + 1, d + 1):
-                dims.append(dims[i - (k - j) - 1])
-            break
-    else:
-        ranks.append(_ext_ranks(y, d + 1)[d + 1])
-        dims.append(ext_dim(d))
-    if hit is None or len(dims) > len(hit[0]):
-        y._cache[key] = (dims, period)
-    return list(dims), period
 
 
 # -- syzygies -----------------------------------------------------------

@@ -4,7 +4,7 @@ their dual-numbers extensions, and generic random-module helpers."""
 import numpy as np
 import pytest
 
-from quivhom.algebra import dual_numbers, linear_algebra_An
+from quivhom.algebra import BoundQuiverAlgebra, Quiver, dual_numbers, linear_algebra_An
 from quivhom.corpus import gentle_tree_algebra
 from quivhom.modules import ProjSummands, Representation, cokernel, element_matrix_to_hom
 
@@ -32,6 +32,13 @@ def Lam1(A1):
 @pytest.fixture(scope="session")
 def Gam1(B1):
     return B1.dual_numbers_extension()
+
+
+def radical_square_zero():
+    """k<x, y>/(x, y)^2, which is not Gorenstein; a new instance per call,
+    so nothing is cached on it yet."""
+    q = Quiver(["0"], [("x", "0", "0"), ("y", "0", "0")])
+    return BoundQuiverAlgebra(q, [{("0", (a, b)): 1} for a in "xy" for b in "xy"])
 
 
 def random_module(alg, rng, summands: int = 2) -> Representation:

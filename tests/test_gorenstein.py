@@ -3,7 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from quivhom.algebra import BoundQuiverAlgebra, Quiver, dual_numbers
+import quivhom.homological as homological
+from quivhom.algebra import dual_numbers
 from quivhom.corpus import corpus
 from quivhom.functors import identity_functor, shift_functor
 from quivhom.gorenstein import (
@@ -18,7 +19,7 @@ from quivhom.gorenstein import (
 from quivhom.homological import dual, ext_row, is_isomorphic, projdim, strip_projectives, syzygy, transpose
 from quivhom.modules import direct_sum, projective, simple
 from quivhom.stable import stable_image, stable_iso
-from tests.conftest import random_module
+from tests.conftest import radical_square_zero, random_module
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,28 @@ def test_perp_dual_numbers_simple(keps):
 
 def test_perp_refutes_tree_simple(A1):
     assert not perp_check(simple(A1, "1"), 0, 2)
+
+
+def test_perp_rejects_a_negative_degree_bound(A1):
+    # read as a slice start, m = -1 would test degree d alone
+    with pytest.raises(ValueError, match="degree bound must be >= 0"):
+        perp_check(simple(A1, "1"), -1, 3)
+
+
+def test_gp_layer_answers_without_an_isomorphism_search(C1, monkeypatch):
+    # the depth-1 fallback over Lambda, perp_check and the cosyzygies read
+    # Ext rows only, so they never look for a syzygy isomorphism
+    images = [stable_image(C1.F, C1.M[key])[0] for key in sorted(C1.M)]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_iso called")
+
+    monkeypatch.setattr(homological, "find_iso", no_search)
+    for y in images:
+        assert is_gorenstein_projective(y, 1).verdict == "gp-up-to-depth"
+        assert perp_check(y, 0, 3) and perp_check(y, 1, 3)
+    for key in sorted(C1.M):
+        assert cosyzygy_sequence(C1.M[key], 3).verify()
 
 
 def test_gp_projective(A1, keps):
@@ -90,14 +113,8 @@ def test_both_sides_agree_as_zaks_says(C1):
         assert max(_injdims(alg, 4)) == max(_injdims(alg.opposite(), 4)) == gorenstein_dimension(alg, 4)
 
 
-def _radical_square_zero():
-    """k<x, y>/(x, y)^2, which is not Gorenstein."""
-    q = Quiver(["0"], [("x", "0", "0"), ("y", "0", "0")])
-    return BoundQuiverAlgebra(q, [{("0", (a, b)): 1} for a in "xy" for b in "xy"])
-
-
 def test_non_gorenstein_algebra_has_no_dimension_within_bound():
-    R = _radical_square_zero()
+    R = radical_square_zero()
     assert gorenstein_dimension(R, 4) is None
     assert _injdims(R, 4) == [None]
 
@@ -105,7 +122,7 @@ def test_non_gorenstein_algebra_has_no_dimension_within_bound():
 def test_non_gorenstein_simple_is_refuted_at_once():
     # the refutation in degree 1 comes before the injective is resolved
     # deep: asking for the dimension first would resolve it to depth 8
-    s = simple(_radical_square_zero(), "0")
+    s = simple(radical_square_zero(), "0")
     t = time.perf_counter()
     rep = is_gorenstein_projective(s, 8)
     assert time.perf_counter() - t < 0.5

@@ -1,9 +1,10 @@
-"""The GP detector against the per-vertex detector it replaced, and the
-syzygy-periodicity certificates of ext_profile.
+"""The GP detector and perp_check against the per-vertex detector they
+replaced, and the Ext row against the regular module that both read.
 
 The per-vertex detector below is kept only here, as the reference: it
 asks ext(., P_v, i) separately for every vertex v and every degree i on
-both sides, with no periodicity shortcut and no Gorenstein dimension.
+both sides, with no row shared between vertices and no Gorenstein
+dimension.
 """
 
 import numpy as np
@@ -13,10 +14,10 @@ import quivhom.gorenstein as gorenstein
 from quivhom.complexes import hom_d_dim, module_complex
 from quivhom.corpus import corpus
 from quivhom.gorenstein import GPCrossCheckError, gorenstein_dimension, is_gorenstein_projective, perp_check
-from quivhom.homological import ext, ext_profile, minimal_resolution, syzygy, transpose
+from quivhom.homological import ext, ext_row, syzygy, transpose
 from quivhom.modules import is_projective, projective, simple
 from quivhom.stable import stable_image
-from tests.conftest import random_module
+from tests.conftest import radical_square_zero, random_module
 
 # depth 1 is below the Gorenstein dimension 2 of A and Lambda, so there
 # the detector takes the two-sided path
@@ -111,16 +112,18 @@ def test_simples_agree(A1, keps):
 
 
 def test_random_modules_agree(C1, keps):
+    # k<x, y>/(x, y)^2 is not Gorenstein, so there perp_check reads the
+    # row with no g to stop it
     refuted = 0
-    for alg in (C1.A, C1.B, C1.Lam, C1.Gam, keps):
+    for alg in (C1.A, C1.B, C1.Lam, C1.Gam, keps, radical_square_zero()):
         rng = np.random.default_rng(2017)
         for _ in range(5):
             x = random_module(alg, rng)
             assert_same_verdicts(x)
             refuted += not is_gorenstein_projective(x, 8).is_gp
-            for m in (0, 1):
-                old = all(e == 0 for e in per_vertex_profile(x, 5)[m:])
-                assert perp_check(x, m, 5) == old
+            profile = per_vertex_profile(x, 5)
+            for m in range(5):
+                assert perp_check(x, m, 5) == (not any(profile[m:]))
     assert refuted > 0  # the sample exercises the witness path too
 
 
@@ -149,81 +152,31 @@ def test_certified_path_agrees_on_random_modules_and_syzygies(n, keps):
 
 def test_profile_matches_per_vertex_sums(C1):
     rng = np.random.default_rng(11)
-    mods = [simple(C1.A, v) for v in C1.A.quiver.vertices] + [random_module(C1.Gam, rng, 3) for _ in range(4)]
+    # the projective and the simples of A have finite projdim, so their
+    # rows end in zeros
+    mods = [projective(C1.A, "1")] + [simple(C1.A, v) for v in C1.A.quiver.vertices]
+    mods += [random_module(C1.Gam, rng, 3) for _ in range(4)]
     for y in mods:
-        dims, _ = ext_profile(y, 6)
-        assert dims == per_vertex_profile(y, 6)
-
-
-def same_rep(a, b):
-    return a.dims == b.dims and all(a.mats[n] == b.mats[n] for n in a.mats)
-
-
-def assert_certificate(y, period):
-    """iso : Omega^j y -> Omega^k y, j < k, in y's minimal resolution (the
-    resolution is deterministic, so a recomputed Tr x resolves alike)."""
-    j, k, iso = period
-    res = minimal_resolution(y, k)
-    assert 0 <= j < k
-    assert same_rep(iso.source, res.syzygy_module(j))
-    assert same_rep(iso.target, res.syzygy_module(k))
-    assert iso.verify() and iso.is_iso()
-
-
-def test_dual_numbers_simple_has_period_one(keps):
-    s = simple(keps, "0")
-    report = is_gorenstein_projective(s, 8)
-    assert (report.verdict, report.certificate) == ("gp", 0)
-    (left, period_left), (right, period_right) = ext_profile(s, 8), ext_profile(transpose(s), 8)
-    assert left == right == [0] * 8
-    assert period_left[:2] == (0, 1) and period_right[:2] == (0, 1)
-    assert_certificate(s, period_left)
-    assert_certificate(transpose(s), period_right)
+        assert ext_row(y, 6) == per_vertex_profile(y, 6)
 
 
 def test_corpus_gp_modules_carry_certificates(C1):
     for key in sorted(C1.M):
         x = C1.M[key]
-        assert is_gorenstein_projective(x, 8).verdict == "gp"
+        report = is_gorenstein_projective(x, 8)
+        assert (report.verdict, report.certificate) == ("gp", gorenstein_dimension(x.algebra, 8))
         for y in (x, transpose(x)):
-            dims, period = ext_profile(y, 8)
-            assert dims == [0] * 8
-            assert_certificate(y, period)
+            assert ext_row(y, 8) == [0] * 8
 
 
 def test_depth_below_gorenstein_dimension_keeps_the_two_sided_verdict(C1):
     # Lambda has g = 2, so at depth 1 no certificate shows up and each side
-    # is one ext_profile with its period, as before g was computed
+    # is read to degree 1, as before g was computed
     assert gorenstein_dimension(C1.Lam, 1) is None
     for key in sorted(C1.M):
         y = stable_image(C1.F, C1.M[key])[0]
         report = is_gorenstein_projective(y, 1)
         assert (report.verdict, report.certificate, report.ext_left, report.ext_right) == ("gp-up-to-depth", None, [0], [0])
-        assert_certificate(y, report.period_left)
-        assert_certificate(transpose(y), report.period_right)
-
-
-def test_finite_projdim_gives_zero_syzygy_certificate(A1):
-    for y in (projective(A1, "1"), simple(A1, "1")):
-        dims, period = ext_profile(y, 8)
-        assert period is not None
-        j, k, iso = period
-        assert k == j + 1
-        assert iso.source.is_zero() and iso.target.is_zero()
-        assert_certificate(y, period)
-        assert iso.source is minimal_resolution(y, k).syzygy_module(j)
-        assert dims == per_vertex_profile(y, 8)
-    assert ext_profile(projective(A1, "1"), 8)[1][:2] == (1, 2)
-
-
-def test_no_period_within_depth_falls_back(A1):
-    s = simple(A1, "1")
-    dims, period = ext_profile(s, 2)
-    assert period is None
-    assert dims == per_vertex_profile(s, 2) == [2, 1]
-    report = is_gorenstein_projective(s, 2)
-    assert report.period_left is None
-    assert (report.verdict, report.ext_left, report.witness) == ("refuted", [], ("left", 1, "0"))
 
 
 def test_refutation_cross_check_raises(A1, monkeypatch):
@@ -246,17 +199,19 @@ def test_cli_cross_check_failure_exits_1(monkeypatch, capsys):
 
 def test_refuted_profile_stops_at_first_nonzero_degree(A1):
     s = simple(A1, "1")
-    dims, period = ext_profile(s, 8, stop_above=0)
-    assert (dims, period) == ([2], None)
+    report = is_gorenstein_projective(s, 8)
+    assert (report.verdict, report.ext_left, report.witness) == ("refuted", [], ("left", 1, "0"))
     # Ext^1 is settled by rk d_2*, so the resolution went no further than P_2
     assert len(s._cache["minres"].terms) == 3
-    assert ext_profile(s, 8, stop_above=1)[0] == per_vertex_profile(s, 2)
+    assert ext_row(s, 2) == per_vertex_profile(s, 2) == [2, 1]
 
 
-def test_profile_is_cached_per_depth(C1):
+def test_row_is_cached_and_returned_as_a_copy(C1):
     x = C1.M[sorted(C1.M)[0]]
-    dims, period = ext_profile(x, 8)
-    again, period_again = ext_profile(x, 8, stop_above=1)
-    assert again == dims and period_again is period
-    again.append(99)
-    assert ext_profile(x, 8)[0] == dims
+    row = ext_row(x, 8)
+    ranks = x._cache["ext_ranks"]
+    assert len(ranks) == 10
+    # a shorter row is read off the cached ranks, with none added
+    assert ext_row(x, 3) == row[:3] and x._cache["ext_ranks"] is ranks and len(ranks) == 10
+    row.append(99)
+    assert ext_row(x, 8) == row[:8]

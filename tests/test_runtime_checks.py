@@ -233,10 +233,12 @@ def _default_rng_calls(module: str) -> list[str]:
 
 
 def test_cosyzygies_and_stable_inverses_are_not_searched_for():
-    """A cosyzygy is the cokernel of the minimal left approximation, and a
-    stable inverse comes from two solves: gorenstein draws nothing at
-    random, and stable only in the homotopy correction of
-    `exact_sequence_image`."""
+    """A cosyzygy is the cokernel of the minimal left approximation, a
+    stable inverse comes from two solves, and Ext is read off boundary
+    ranks: gorenstein draws nothing at random, stable only in the
+    homotopy correction of `exact_sequence_image`, and homological only
+    in `decompose` and `find_iso`."""
     found = [f"gorenstein.py {name}" for name in _default_rng_calls("gorenstein.py")]
     found += [f"stable.py {name}" for name in _default_rng_calls("stable.py") if name != "exact_sequence_image"]
+    found += [f"homological.py {name}" for name in _default_rng_calls("homological.py") if name not in ("decompose", "find_iso")]
     assert not found, f"random draws where an exact construction is expected: {found}"
