@@ -149,9 +149,6 @@ class Matrix:
             c += m.cols
         return Matrix(p, out)
 
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return Matrix(self.p, self.data[np.ix_(list(row_idx), list(col_idx))])
-
     def column(self, j: int) -> "Matrix":
         return Matrix(self.p, self.data[:, j : j + 1])
 
@@ -250,9 +247,14 @@ def extending_columns(a: Matrix, b: Matrix) -> tuple[int, list[int]]:
 
 
 def column_space_basis(m: Matrix) -> Matrix:
-    """Columns of m restricted to a maximal independent subset."""
-    _, pivots = rref(m)
-    return m.submatrix(range(m.rows), pivots)
+    """Basis of the column space of m, in the reduced-echelon normal form
+    `nullspace` gives: basis vector k is 1 at its last nonzero entry F[k],
+    every basis vector is 0 at the other entries of F, and F ascends.  It
+    depends only on the span.  One rref of the transpose with the
+    coordinates reversed (the last nonzero entries turn into the pivots),
+    read back in reverse."""
+    r, pivots = rref(Matrix(m.p, m.data.T[:, ::-1]))
+    return Matrix(m.p, r.data[: len(pivots)][::-1, ::-1].T)
 
 
 def left_nullspace(m: Matrix) -> Matrix:

@@ -34,6 +34,7 @@ from .modules import (
     identity_hom,
     image,
     kernel,
+    kernel_cover,
     projective,
     projective_cover,
     regular_module,
@@ -48,7 +49,11 @@ class MinimalResolution:
     resolution of m that every consumer reads.
 
     terms[k] is a ProjSummands; dmats[k] (k >= 1) is the element matrix
-    of d_k : P_k -> P_{k-1}; epi : P_0 -> m.  Extended lazily.
+    of d_k : P_k -> P_{k-1}; homs[0] is the cover P_0 ->> m.  Extended
+    lazily, one `kernel_cover` of the last map per step: its kernel is
+    read in the echelon coordinates of `nullspace`, so no kernel module
+    is built.  The syzygy K_k is built on demand, as the kernel of the
+    map before it.
     """
 
     def __init__(self, m: Representation):
@@ -58,32 +63,32 @@ class MinimalResolution:
         self.terms: list[ProjSummands] = [p0]
         self.dmats: list[ElementMatrix | None] = [None]
         self.homs: list[RepHom] = [epi]
-        self.incls: list[RepHom | None] = [None]  # incl_k : K_k -> P_(k-1)
+        self._maps: list[RepHom] = [epi]  # _maps[k] = d_k for k >= 1
+        self._syzygies: dict[int, Representation] = {0: m}
         self._proj_complexes: dict[int, ProjComplex] = {}
 
     def extend_to(self, depth: int):
-        # homs[k] is the minimal epi P_k ->> K_k (K_0 = m); its kernel is
-        # K_{k+1}, and d_{k+1} = (K_{k+1} -> P_k) o (P_{k+1} ->> K_{k+1})
+        # d_(k+1) is the cover of ker d_k (of ker epi for k = 0) composed into P_k
         while len(self.terms) <= depth:
             k = len(self.terms) - 1
-            ker, incl = kernel(self.homs[k])
-            pk, epi = projective_cover(ker)
-            d = incl.compose(epi)
+            pk, d = kernel_cover(self._maps[k])
             self.terms.append(pk)
             self.dmats.append(hom_to_element_matrix(self.algebra, d, pk, self.terms[k]))
-            self.homs.append(epi)
-            self.incls.append(incl)
+            self._maps.append(d)
         return self
 
     def syzygy_module(self, k: int) -> Representation:
-        """K_k, the kernel of P_(k-1) ->> K_(k-1) (K_0 = m), unstripped."""
-        self.extend_to(k)
-        return self.module if k == 0 else self.incls[k].source
+        """K_k, the kernel of P_(k-1) ->> K_(k-1) (K_0 = m), unstripped:
+        kernel(d_(k-1)), or kernel(homs[0]) for k = 1.  Built once."""
+        if k not in self._syzygies:
+            self.extend_to(k)
+            self._syzygies[k] = kernel(self._maps[k - 1])[0]
+        return self._syzygies[k]
 
     def diff_hom(self, k: int) -> RepHom:
-        """d_k = incl_k o epi_k : P_k ->> K_k -> P_{k-1} as a RepHom."""
+        """d_k : P_k -> P_{k-1} as a RepHom (k >= 1)."""
         self.extend_to(k)
-        return self.incls[k].compose(self.homs[k])
+        return self._maps[k]
 
     def proj_complex(self, window_lo: int) -> ProjComplex:
         """The resolution as a ProjComplex in degrees [window_lo, 0]
@@ -262,12 +267,15 @@ def transpose(m: Representation) -> Representation:
     """Auslander-Bridger transpose over the opposite algebra.
 
     Given the minimal presentation P_1 -> P_0 -> m -> 0, returns
-    coker(Hom(P_0, A) -> Hom(P_1, A)); Tr(projective) = 0.
+    coker(Hom(P_0, A) -> Hom(P_1, A)); Tr(projective) = 0.  Cached on m,
+    like `dual`, so Tr m keeps its own minimal resolution.
     """
     alg = m.algebra
     op = alg.opposite()
     if m.is_zero():
         return zero_rep(op)
+    if "transpose" in m._cache:
+        return m._cache["transpose"]
     res = minimal_resolution(m, 1)
     p0, p1 = res.terms[0], res.terms[1]
     d = res.dmats[1]  # rows = p0 summands, cols = p1 summands
@@ -277,6 +285,7 @@ def transpose(m: Representation) -> Representation:
     emat = [[op_element(alg, d[l][j]) for l in range(len(p0.vertices))] for j in range(len(p1.vertices))]
     dual_hom = element_matrix_to_hom(op, emat, p0_op, p1_op)
     coker, _ = cokernel(dual_hom)
+    m._cache["transpose"] = coker
     return coker
 
 

@@ -230,6 +230,11 @@ def _proj_sum(alg: BoundQuiverAlgebra, vertices: tuple) -> _ProjSum:
     each vertex w the coordinates are grouped summand by summand, each
     block listing that projective's basis paths into w in algebra order.
     The entry is shared, so its layout and index are read-only.
+
+    A single P_v gets its arrow matrices from `mul_basis` and the full
+    relation check.  Any other tuple is the block diagonal of those
+    entries' matrices, which is exactly its layout; relations evaluate
+    blockwise on it, so it is built unchecked.
     """
     entry = alg._proj_cache.get(vertices)
     if entry is not None:
@@ -242,14 +247,20 @@ def _proj_sum(alg: BoundQuiverAlgebra, vertices: tuple) -> _ProjSum:
         for pth in alg.basis_by_source[v]:
             layout[alg.path_target(pth)].append((j, pth))
     index = {jp: i for lay in layout.values() for i, jp in enumerate(lay)}
-    mats = {}
-    for n, s, t in alg.quiver.arrows:
-        m = np.zeros((len(layout[t]), len(layout[s])), dtype=np.int64)
-        for col, (j, pth) in enumerate(layout[s]):
-            for mono, c in alg.mul_basis((s, (n,)), pth).items():
-                m[index[(j, mono)], col] = c
-        mats[n] = Matrix(alg.p, m)
-    rep = Representation(alg, {w: len(lay) for w, lay in layout.items()}, mats)
+    dims = {w: len(lay) for w, lay in layout.items()}
+    if len(vertices) == 1:
+        mats = {}
+        for n, s, t in alg.quiver.arrows:
+            m = np.zeros((dims[t], dims[s]), dtype=np.int64)
+            for col, (j, pth) in enumerate(layout[s]):
+                for mono, c in alg.mul_basis((s, (n,)), pth).items():
+                    m[index[(j, mono)], col] = c
+            mats[n] = Matrix(alg.p, m)
+        rep = Representation(alg, dims, mats)
+    else:
+        parts = [_proj_sum(alg, (v,)).rep for v in vertices]
+        mats = {n: Matrix.block_diag(alg.p, [r.mats[n] for r in parts]) for n, _, _ in alg.quiver.arrows}
+        rep = Representation(alg, dims, mats, check=False)
     rep._cache["proj_sum"] = vertices  # hom_space reads Hom out of it off the generators
     # relations have length >= 2, so every trivial path is a basis path
     gens = tuple(index[(j, (v, ()))] for j, v in enumerate(vertices))
@@ -370,9 +381,7 @@ def _hom_rows_from_generators(vertices: tuple, n: Representation, offs, total) -
     Basis map (j, i) sends summand j's generator to e_i in n(v_j), so its
     column at layout entry (j, path) is n(path) e_i; each path's action is
     computed once, from that of its prefix.  These maps span Hom, and
-    their normal form is the rref of their span with the coordinates
-    reversed (the free coordinates turn into the pivots), read back in
-    reverse.
+    their normal form is the `column_space_basis` of their span.
     """
     p = n.p
     layout = _proj_sum(n.algebra, vertices).layout
@@ -396,7 +405,7 @@ def _hom_rows_from_generators(vertices: tuple, n: Representation, offs, total) -
         for c, (j, pth) in enumerate(lay):
             # entry (r, c) of f_w sits at offs[w] + r * width + c
             rows[starts[j] : starts[j + 1], offs[w] + c : offs[w] + n.dims[w] * width : width] = act(pth).T
-    return rref(Matrix(p, rows[:, ::-1]))[0].data[::-1, ::-1]
+    return column_space_basis(Matrix(p, rows.T)).data.T
 
 
 class HomFrame(NamedTuple):
@@ -430,12 +439,7 @@ class HomFrame(NamedTuple):
     def coordinates(self, vecs: np.ndarray) -> np.ndarray:
         """Coordinates of each column of vecs (flat maps source -> target),
         one column each: the entries at `free`, checked by one product."""
-        p = self.source.p
-        vecs = vecs % p
-        x = vecs[self.free]
-        if ((self.flats @ x - vecs) % p).any():
-            raise ValueError("composite escaped the hom space")
-        return x
+        return _read_off(self.flats, self.free, vecs, self.source.p, "composite escaped the hom space")
 
 
 def hom_frame(m: Representation, n: Representation, basis: list[RepHom]) -> HomFrame:
@@ -444,9 +448,7 @@ def hom_frame(m: Representation, n: Representation, basis: list[RepHom]) -> HomF
     flats = np.zeros((total, len(basis)), dtype=np.int64)
     for k, b in enumerate(basis):
         flats[:, k] = b.flat()
-    # the last nonzero entry of each column
-    free = total - 1 - np.argmax(flats[::-1] != 0, axis=0) if basis else np.zeros(0, dtype=np.intp)
-    return HomFrame(m, n, flats, free)
+    return HomFrame(m, n, flats, _free_rows(flats))
 
 
 def flatten_blocks(alg: BoundQuiverAlgebra, blocks: dict[str, np.ndarray]) -> np.ndarray:
@@ -460,6 +462,41 @@ def flatten_blocks(alg: BoundQuiverAlgebra, blocks: dict[str, np.ndarray]) -> np
 
 
 # -- sub / quotient machinery -------------------------------------------
+
+
+def _free_rows(basis: np.ndarray) -> np.ndarray:
+    """The row of the last nonzero entry of each column of basis."""
+    if not basis.size:
+        return np.zeros(0, dtype=np.intp)
+    return basis.shape[0] - 1 - np.argmax(basis[::-1] != 0, axis=0)
+
+
+def _read_off(basis: np.ndarray, free: np.ndarray, vecs: np.ndarray, p: int, msg: str) -> np.ndarray:
+    """Coordinates of the columns of vecs in a basis in reduced-echelon
+    normal form (column k is 1 at row free[k], every column is 0 at the
+    other free rows): their entries at free, checked by one product;
+    ValueError(msg) when a column is not in the span."""
+    vecs = vecs % p
+    x = vecs[free]
+    if ((basis @ x - vecs) % p).any():
+        raise ValueError(msg)
+    return x
+
+
+def _sub_actions(m: Representation, bases: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The arrow matrices of the subrepresentation of m spanned by bases
+    (vertex -> columns in reduced-echelon normal form), read off the arrow
+    images at the free rows; ValueError when a basis is not in that form
+    or the span is not arrow-stable."""
+    free = {}
+    for v, b in bases.items():
+        free[v] = _free_rows(b)
+        if not np.array_equal(b[free[v]], np.eye(len(free[v]), dtype=np.int64)):
+            raise ValueError(f"basis at {v} is not in reduced-echelon normal form")
+    return {
+        n: _read_off(bases[t], free[t], m.mats[n].data @ bases[s], m.p, f"bases not stable under arrow {n}")
+        for n, s, t in m.algebra.quiver.arrows
+    }
 
 
 def _solve_or_raise(a: Matrix, b: Matrix, msg: str) -> Matrix:
@@ -490,20 +527,21 @@ def descend(q: RepHom, g: RepHom) -> RepHom:
 
 
 def sub_from_bases(m: Representation, bases: dict[str, Matrix]):
-    """Subrepresentation spanned columnwise by bases.  Each basis must have
-    linearly independent columns (a `nullspace` or `column_space_basis`
-    does) and their span must be arrow-stable; the bases are the
-    inclusion's matrices as given.
+    """Subrepresentation spanned columnwise by bases; the bases are the
+    inclusion's matrices as given.  Each basis must be in reduced-echelon
+    normal form, as a `nullspace` or `column_space_basis` is: column k is 1
+    at its last nonzero entry F[k], and every column is 0 at the other
+    entries of F.  The arrow actions are then the arrow images' entries
+    at F, each checked by one product.  ValueError when a basis is not in
+    that form or the span is not arrow-stable.
 
     Returns (sub, inclusion).
     """
     alg = m.algebra
     bases = {v: bases.get(v, Matrix.zeros(alg.p, m.dims[v], 0)) for v in alg.quiver.vertices}
-    dims = {v: bases[v].cols for v in alg.quiver.vertices}
-    mats = {}
-    for n, s, t in alg.quiver.arrows:
-        mats[n] = _solve_or_raise(bases[t], m.mats[n] @ bases[s], f"bases not stable under arrow {n}")
-    sub = Representation(alg, dims, mats, check=False)
+    acts = _sub_actions(m, {v: b.data for v, b in bases.items()})
+    dims = {v: b.cols for v, b in bases.items()}
+    sub = Representation(alg, dims, {n: Matrix(alg.p, x) for n, x in acts.items()}, check=False)
     return sub, RepHom(sub, m, bases, check=False)
 
 
@@ -513,18 +551,20 @@ def quotient_by_bases(m: Representation, bases: dict[str, Matrix]):
     Returns (quot, projection).
     """
     alg = m.algebra
-    projs = {}
+    p = alg.p
+    cols = {}  # q_v^T, a nullspace and so in normal form
     for v in alg.quiver.vertices:
-        b = bases.get(v, Matrix.zeros(alg.p, m.dims[v], 0))
+        b = bases.get(v, Matrix.zeros(p, m.dims[v], 0))
         # rows spanning the left annihilator of b: kernel of projection = span(b)
-        projs[v] = nullspace(b.transpose()).transpose()
+        cols[v] = nullspace(b.transpose()).data
+    projs = {v: Matrix(p, c.T) for v, c in cols.items()}
     dims = {v: projs[v].rows for v in alg.quiver.vertices}
     mats = {}
     for n, s, t in alg.quiver.arrows:
-        # induced action: solve q_t m_a = a' q_s for a'
-        rhs = (projs[t] @ m.mats[n]).transpose()
-        x = _solve_or_raise(projs[s].transpose(), rhs, f"subspace not stable under arrow {n}")
-        mats[n] = x.transpose()
+        # induced action a' with q_t m_a = a' q_s, read off q_s^T
+        rhs = (projs[t] @ m.mats[n]).data.T
+        x = _read_off(cols[s], _free_rows(cols[s]), rhs, p, f"subspace not stable under arrow {n}")
+        mats[n] = Matrix(p, x.T)
     quot = Representation(alg, dims, mats, check=False)
     return quot, RepHom(m, quot, projs, check=False)
 
@@ -533,6 +573,17 @@ def kernel(f: RepHom):
     """(ker f, inclusion)."""
     bases = {v: nullspace(f.mats[v]) for v in f.source.algebra.quiver.vertices}
     return sub_from_bases(f.source, bases)
+
+
+def kernel_cover(f: RepHom):
+    """(P, d): the minimal projective cover of ker f, composed into the
+    source of f as d : P ->> ker f -> f.source, with no kernel module
+    built.  The kernel's basis at v is nullspace(f_v); its arrow actions
+    are read off that basis (`_sub_actions`), and the generators are
+    picked as `projective_cover` picks them (`_cover_into`)."""
+    src = f.source
+    bases = {v: nullspace(f.mats[v]).data for v in src.algebra.quiver.vertices}
+    return _cover_into(src, bases, _sub_actions(src, bases))
 
 
 def image(f: RepHom):
@@ -699,55 +750,65 @@ def emat_is_zero(emat: ElementMatrix) -> bool:
     return all(not e for row in emat for e in row)
 
 
-def projective_cover(m: Representation):
-    """Minimal projective cover (P, epi) with P an explicit ProjSummands.
+def _cover_into(m: Representation, bases: dict[str, np.ndarray], acts: dict[str, np.ndarray]):
+    """The minimal projective cover of the submodule K of m with bases
+    (vertex -> columns in m, in normal form) and arrow matrices acts, as
+    (P, the map P ->> K -> m).
 
-    rad m(v) is the span of the arrow images into v.  One rref of their
-    transpose puts a pivot on rad m(v)'s echelon coordinates; the standard
-    basis vectors at the other coordinates complete it to m(v), so they
-    lift a basis of top m(v).  P has one P_v per such coordinate, listed
-    vertex by vertex in coordinate order, and the epi sends that summand's
-    generator to the basis vector, so ker(epi) lies in rad P.  The epi's
-    columns are the actions of P's basis paths on these generators, each
+    rad K(v) is the span of the arrow images into v.  One rref of their
+    transpose puts a pivot on rad K(v)'s echelon coordinates; the basis
+    columns at the other coordinates complete it to K(v), so they lift a
+    basis of top K(v).  P has one P_v per such column, listed vertex by
+    vertex in coordinate order, and that summand's generator goes to the
+    column, so the kernel of P ->> K lies in rad P.  The map's columns
+    are the actions in m of P's basis paths on these generators, each
     path's action computed once, from that of its prefix.
+    """
+    alg = m.algebra
+    p = alg.p
+    verts = []
+    slot = []  # position of each summand among the generators at its vertex
+    gens = {}  # vertex -> the generators there, as columns in m
+    for v in alg.quiver.vertices:
+        if not bases[v].shape[1]:
+            continue
+        imgs = [acts[n] for n, _, t in alg.quiver.arrows if t == v and acts[n].shape[1]]
+        pivots = set(rref(Matrix(p, np.hstack(imgs).T))[1]) if imgs else set()
+        free = [i for i in range(bases[v].shape[1]) if i not in pivots]
+        verts.extend([v] * len(free))
+        slot.extend(range(len(free)))
+        gens[v] = bases[v][:, free]
+    acts_on = {}  # path -> its action on the generators at its source
+
+    def act(pth: Path) -> np.ndarray:
+        if pth not in acts_on:
+            v, arrows = pth
+            if arrows:
+                acts_on[pth] = m.mats[arrows[-1]].data @ act((v, arrows[:-1])) % p
+            else:
+                acts_on[pth] = gens[v]
+        return acts_on[pth]
+
+    ps = ProjSummands(alg, verts)
+    mats = {}
+    for w, lay in ps.layout().items():
+        cols = np.zeros((m.dims[w], len(lay)), dtype=np.int64)
+        for c, (j, pth) in enumerate(lay):
+            cols[:, c] = act(pth)[:, slot[j]]
+        mats[w] = Matrix(p, cols)
+    return ps, RepHom(ps.rep(), m, mats, check=False)
+
+
+def projective_cover(m: Representation):
+    """Minimal projective cover (P, epi) with P an explicit ProjSummands:
+    `_cover_into` with m its own submodule on the identity bases, so the
+    epi sends each summand's generator to a standard basis vector of m.
+    Cached on m.
     """
     key = "cover"
     if key not in m._cache:
-        alg = m.algebra
-        p = alg.p
-        verts = []
-        slot = []  # position of each summand among the generators at its vertex
-        gens = {}  # vertex -> the generators there, as columns of the identity
-        for v in alg.quiver.vertices:
-            if not m.dims[v]:
-                continue
-            imgs = [m.mats[n].data for n, _, t in alg.quiver.arrows if t == v and m.mats[n].cols]
-            pivots = set(rref(Matrix(p, np.hstack(imgs).T))[1]) if imgs else set()
-            free = [i for i in range(m.dims[v]) if i not in pivots]
-            verts.extend([v] * len(free))
-            slot.extend(range(len(free)))
-            gens[v] = np.eye(m.dims[v], dtype=np.int64)[:, free]
-        acts = {}  # path -> its action on the generators at its source
-
-        def act(pth: Path) -> np.ndarray:
-            if pth not in acts:
-                v, arrows = pth
-                if arrows:
-                    acts[pth] = m.mats[arrows[-1]].data @ act((v, arrows[:-1])) % p
-                else:
-                    acts[pth] = gens[v]
-            return acts[pth]
-
-        ps = ProjSummands(alg, verts)
-        prep = ps.rep()
-        mats = {}
-        for w in alg.quiver.vertices:
-            cols = np.zeros((m.dims[w], prep.dims[w]), dtype=np.int64)
-            for c, (j, pth) in enumerate(ps.layout()[w]):
-                cols[:, c] = act(pth)[:, slot[j]]
-            mats[w] = Matrix(p, cols)
-        epi = RepHom(prep, m, mats, check=False)
-        m._cache[key] = (ps, epi)
+        ident = {v: np.eye(d, dtype=np.int64) for v, d in m.dims.items()}
+        m._cache[key] = _cover_into(m, ident, {n: a.data for n, a in m.mats.items()})
     return m._cache[key]
 
 

@@ -17,7 +17,7 @@ from quivhom.gorenstein import (
     perp_check,
 )
 from quivhom.homological import dual, ext_row, is_isomorphic, projdim, strip_projectives, syzygy, transpose
-from quivhom.modules import direct_sum, projective, simple
+from quivhom.modules import Representation, direct_sum, projective, simple
 from quivhom.stable import stable_image, stable_iso
 from tests.conftest import radical_square_zero, random_module
 
@@ -290,3 +290,35 @@ def test_cosyzygy_with_projective_padding(C1):
     padded, _, _ = direct_sum([x, projective(C1.Lam, "0")])
     seq = cosyzygy_sequence(padded, 2)
     assert seq.verify()
+
+
+def test_transpose_is_cached_so_the_fallback_resolves_once(monkeypatch):
+    """Depth 1 is below g = 2 for Lambda, so every verdict takes the
+    `gp-up-to-depth` fallback and reads the row of Tr x.  Asked twice, the
+    second pass finds Tr x and its resolution on x: no resolution step."""
+    c = corpus(2)
+    images = []
+    for key in sorted(c.M):
+        y = stable_image(c.F, c.M[key])[0]
+        images.append(Representation(y.algebra, y.dims, y.mats, check=False))
+    steps = [0]
+    new_res, extend = homological.MinimalResolution.__init__, homological.MinimalResolution.extend_to
+
+    def counted_init(self, m):
+        new_res(self, m)
+        steps[0] += 1
+
+    def counted_extend(self, depth):
+        before = len(self.terms)
+        out = extend(self, depth)
+        steps[0] += len(self.terms) - before
+        return out
+
+    monkeypatch.setattr(homological.MinimalResolution, "__init__", counted_init)
+    monkeypatch.setattr(homological.MinimalResolution, "extend_to", counted_extend)
+    first = [repr(is_gorenstein_projective(y, 1)) for y in images]
+    assert steps[0] and all(v == "GPReport(gp-up-to-depth 1)" for v in first)
+    steps[0] = 0
+    assert [repr(is_gorenstein_projective(y, 1)) for y in images] == first
+    assert steps[0] == 0
+    assert all(transpose(y) is transpose(y) for y in images)
