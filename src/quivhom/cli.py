@@ -258,11 +258,10 @@ def cmd_stable_map(ctx, args):
 
 
 def _find_ses(ctx, sub, mid, quot, seed):
-    basis = hom_space(sub, mid)
-    frame = hom_frame(sub, mid, basis)
+    frame = hom_frame(sub, mid)
     rng = np.random.default_rng(seed)
-    for _ in range(80 if basis else 0):
-        f = frame.combination(rng.integers(0, sub.p, size=len(basis)))
+    for _ in range(80 if frame.dim else 0):
+        f = frame.combination(rng.integers(0, sub.p, size=frame.dim))
         if not is_mono(f):
             continue
         q, qmap = cokernel(f)

@@ -17,6 +17,8 @@ truncated where chain maps and homotopies can no longer reach Y[n].
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .exactlin import Matrix, extending_columns, inverse, nullspace, rank, solve
@@ -29,17 +31,14 @@ from .modules import (
     cokernel,
     descend,
     direct_sum_module,
-    flatten_blocks,
     hom_frame,
-    hom_space,
     hom_to_element_matrix,
     identity_hom,
     is_projective,
     kernel,
+    kernel_cover,
     lift,
-    projective_cover,
     quotient_by_bases,
-    sub_from_bases,
     zero_hom,
     zero_rep,
 )
@@ -361,32 +360,22 @@ def _good_truncate_unchecked(c: Complex):
 class HomEngine:
     """Total Hom complex of a pair of bounded complexes, with coordinates.
 
-    Coordinates in Hom(c^i, d^j) are read off its basis (`HomFrame`), not
-    solved for; each degree pair's basis and frame and each D_m are built
-    once per engine.
+    Hom(c^i, d^j) is one `HomFrame` per degree pair, built once per
+    engine; coordinates are read off it, not solved for, and each D_m is
+    built once.
     """
 
     def __init__(self, c: Complex, d: Complex):
         self.c = c
         self.d = d
         self.p = c.algebra.p
-        self._pair: dict[tuple[int, int], list[RepHom]] = {}
         self._frames: dict[tuple[int, int], HomFrame] = {}
         self._bnd: dict[int, Matrix] = {}
-
-    def pair_basis(self, i: int, j: int) -> list[RepHom]:
-        key = (i, j)
-        if key not in self._pair:
-            if self.c.term(i).is_zero() or self.d.term(j).is_zero():
-                self._pair[key] = []
-            else:
-                self._pair[key] = hom_space(self.c.term(i), self.d.term(j))
-        return self._pair[key]
 
     def frame(self, i: int, j: int) -> HomFrame:
         key = (i, j)
         if key not in self._frames:
-            self._frames[key] = hom_frame(self.c.term(i), self.d.term(j), self.pair_basis(i, j))
+            self._frames[key] = hom_frame(self.c.term(i), self.d.term(j))
         return self._frames[key]
 
     def layout(self, m: int) -> list[tuple[int, int, int]]:
@@ -394,7 +383,7 @@ class HomEngine:
         out = []
         off = 0
         for i in range(self.c.lo, self.c.hi + 1):
-            size = len(self.pair_basis(i, i + m))
+            size = self.frame(i, i + m).dim
             if size:
                 out.append((i, off, size))
                 off += size
@@ -412,22 +401,17 @@ class HomEngine:
         """
         if m in self._bnd:
             return self._bnd[m]
-        alg = self.c.algebra
         tgt_off = {i: off for i, off, _ in self.layout(m + 1)}
         out = np.zeros((self.space_dim(m + 1), self.space_dim(m)), dtype=np.int64)
         sign = 1 if m % 2 == 0 else -1
         for i, off, size in self.layout(m):
-            blocks = self.frame(i, i + m).blocks()
+            frame = self.frame(i, i + m)
             if i in tgt_off:
-                dy = self.d.diff(i + m).mats
-                comp = {v: dy[v].data @ b for v, b in blocks.items()}
-                x = self.frame(i, i + m + 1).coordinates(flatten_blocks(alg, comp))
+                x = self.frame(i, i + m + 1).coordinates(frame.postcompose(self.d.diff(i + m)))
                 o = tgt_off[i]
                 out[o : o + len(x), off : off + size] += x
             if (i - 1) in tgt_off:
-                dx = self.c.diff(i - 1).mats
-                comp = {v: b @ dx[v].data for v, b in blocks.items()}
-                x = self.frame(i - 1, i + m).coordinates(flatten_blocks(alg, comp))
+                x = self.frame(i - 1, i + m).coordinates(frame.precompose(self.c.diff(i - 1)))
                 o = tgt_off[i - 1]
                 out[o : o + len(x), off : off + size] -= sign * x
         self._bnd[m] = Matrix(self.p, out)
@@ -469,7 +453,10 @@ class HomEngine:
 
 
 class HomKResult:
-    """Homotopy classes of chain maps c -> d[n]."""
+    """Homotopy classes of chain maps c -> d[n]: `dim` and the chosen
+    class vectors in Hom^n coordinates come from one rref; `basis`, the
+    classes as chain maps, is built on first read, so a dimension alone
+    (`hom_k_dim`, `hom_d_dim`) builds no maps."""
 
     def __init__(self, engine: HomEngine, n: int):
         self.engine = engine
@@ -477,7 +464,11 @@ class HomKResult:
         self.dim, chosen, self._bnd, _ = engine.homotopy_classes(n)
         # the chosen class vectors in Hom^n coordinates, as columns
         self.vectors = np.hstack([v.data for v in chosen]) if chosen else self._bnd.data[:, :0]
-        self.basis = [engine.map_of(n, v) for v in self.vectors.T]
+
+    @cached_property
+    def basis(self) -> list[ShiftedMap]:
+        """The chosen classes as chain maps, built on first read."""
+        return [self.engine.map_of(self.n, v) for v in self.vectors.T]
 
     def coordinates(self, f: ShiftedMap) -> np.ndarray:
         """Class coordinates of f in the chosen basis."""
@@ -529,9 +520,12 @@ class _Resolution:
     Step i (from c.hi down) takes P_i as the projective cover of the
     kernel of
     [[dP_(i+1), 0], [eps_(i+1), -d_c^i]] : P_(i+1) (+) c^i -> P_(i+2) (+) c^(i+1),
-    so P_i, its differential into P_(i+1) and eps_i : P_i -> c^i depend
-    only on the steps above i.  psums, dmats, eps and dP are un-minimized;
-    lo is the lowest degree constructed so far.
+    read in echelon coordinates by `kernel_cover`, so no kernel module is
+    built.  P_i, its differential into P_(i+1) and eps_i : P_i -> c^i
+    depend only on the steps above i.  psums, dmats, eps and dP are
+    un-minimized; last_sum is P_(i+1) (+) c^i for the last step i run,
+    the target of step i-1's map when P_i is nonzero; lo is the lowest
+    degree constructed so far.
     """
 
     def __init__(self, c: Complex):
@@ -540,6 +534,7 @@ class _Resolution:
         self.dmats: dict[int, list] = {}
         self.eps: dict[int, RepHom] = {}
         self.dP: dict[int, RepHom] = {}
+        self.last_sum: Representation | None = None
         self.lo = c.hi + 1
 
     def extend_to(self, window_lo: int):
@@ -551,23 +546,22 @@ class _Resolution:
             r2 = c.term(i)
             if r1.is_zero() and r2.is_zero():
                 continue
-            # K~ is the kernel of G = [[dP_(i+1), 0], [eps_(i+1), -d_c^i]]
-            # on P_(i+1) (+) c^i, taken vertex by vertex
+            # P_i covers the kernel of G = [[dP_(i+1), 0], [eps_(i+1), -d_c^i]]
+            # on P_(i+1) (+) c^i, and dP_i and eps_i are the row blocks of
+            # the cover's map into P_(i+1) (+) c^i
             neg_d = c.diff(i).scale(-1)
-            bases = {}
+            mats = {}
             for v in alg.quiver.vertices:
-                g = neg_d.mats[v].data
+                mats[v] = neg_d.mats[v]
                 if pnext:
                     upper = np.zeros((dP[i + 1].target.dims[v], r2.dims[v]), dtype=np.int64)
-                    g = np.block([[dP[i + 1].mats[v].data, upper], [eps[i + 1].mats[v].data, g]])
-                bases[v] = nullspace(Matrix(p, g))
-            ktilde, kincl = sub_from_bases(direct_sum_module([r1, r2]), bases)
-            ps, pi = projective_cover(ktilde)
+                    mats[v] = Matrix(p, np.block([[dP[i + 1].mats[v].data, upper], [eps[i + 1].mats[v].data, mats[v].data]]))
+            source = direct_sum_module([r1, r2])
+            ps, cover = kernel_cover(RepHom(source, self.last_sum if pnext else c.term(i + 1), mats, check=False))
+            self.last_sum = source
             psums[i] = ps
-            # dP_i and eps_i are the row blocks of kincl o pi
-            combined = kincl.compose(pi).mats
-            dP[i] = RepHom(ps.rep(), r1, {v: Matrix(p, m.data[: r1.dims[v]]) for v, m in combined.items()}, check=False)
-            eps[i] = RepHom(ps.rep(), r2, {v: Matrix(p, m.data[r1.dims[v] :]) for v, m in combined.items()}, check=False)
+            dP[i] = RepHom(ps.rep(), r1, {v: Matrix(p, m.data[: r1.dims[v]]) for v, m in cover.mats.items()}, check=False)
+            eps[i] = RepHom(ps.rep(), r2, {v: Matrix(p, m.data[r1.dims[v] :]) for v, m in cover.mats.items()}, check=False)
             if pnext is not None:
                 dmats[i] = hom_to_element_matrix(alg, dP[i], ps, pnext)
         self.lo = min(self.lo, window_lo)

@@ -131,13 +131,6 @@ class Matrix:
         return Matrix(p, np.hstack([m.data for m in mats]))
 
     @staticmethod
-    def vstack(mats: list["Matrix"]) -> "Matrix":
-        if not mats:
-            raise ValueError("vstack of empty list")
-        p = mats[0].p
-        return Matrix(p, np.vstack([m.data for m in mats]))
-
-    @staticmethod
     def block_diag(p: int, mats: list["Matrix"]) -> "Matrix":
         rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)

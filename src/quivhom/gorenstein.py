@@ -40,7 +40,7 @@ from .modules import (
     Representation,
     cokernel,
     element_matrix_to_hom,
-    hom_space,
+    hom_frame,
     is_projective,
     is_ses,
     projective,
@@ -234,22 +234,22 @@ def _left_approximation(x: Representation) -> RepHom:
     their targets, in vertex order.
     """
     alg = x.algebra
-    homs = {v: hom_space(x, projective(alg, v)) for v in alg.quiver.vertices}
+    homs = {v: hom_frame(x, projective(alg, v)) for v in alg.quiver.vertices}
     radical = {v: [] for v in alg.quiver.vertices}
     for a, v, w in alg.quiver.arrows:
         rho = element_matrix_to_hom(alg, [[alg.arrow(a)]], ProjSummands(alg, [w]), ProjSummands(alg, [v]))
-        radical[v] += [rho.compose(b) for b in homs[w]]
-    verts, kept = [], []
-    for v, basis in homs.items():
-        new = range(len(basis))
-        if radical[v] and basis:
-            flats = [Matrix(alg.p, np.stack([g.flat() for g in maps], axis=1)) for maps in (radical[v], basis)]
-            _, new = extending_columns(*flats)
+        radical[v].append(homs[w].postcompose(rho))
+    verts, rows = [], {u: [] for u in alg.quiver.vertices}
+    for v, frame in homs.items():
+        new = list(range(frame.dim))
+        if radical[v] and frame.dim:
+            _, new = extending_columns(Matrix(alg.p, np.hstack(radical[v])), Matrix(alg.p, frame.flats))
         verts += [v] * len(new)
-        kept += [basis[k] for k in new]
-    if not kept:
+        for u, b in frame.blocks().items():
+            rows[u].append(b[new].reshape(len(new) * b.shape[1], b.shape[2]))
+    if not verts:
         return zero_hom(x, zero_rep(alg))
-    mats = {u: Matrix.vstack([g.mats[u] for g in kept]) for u in alg.quiver.vertices}
+    mats = {u: Matrix(alg.p, np.vstack(rows[u])) for u in alg.quiver.vertices}
     return RepHom(x, ProjSummands(alg, verts).rep(), mats, check=False)
 
 

@@ -29,7 +29,6 @@ from .modules import (
     element_matrix_to_hom,
     flatten_blocks,
     hom_frame,
-    hom_space,
     hom_to_element_matrix,
     identity_hom,
     image,
@@ -203,19 +202,19 @@ def _split_projectives(m: Representation):
     cover, _ = projective_cover(m)
     rows, dropped = {v: [] for v in alg.quiver.vertices}, []
     for v in dict.fromkeys(cover.vertices):
-        fs = hom_space(m, projective(alg, v))
-        if not fs:
+        frame = hom_frame(m, projective(alg, v))
+        if not frame.dim:
             continue
         gen = ProjSummands(alg, (v,)).generator_index(0)
-        pairing = Matrix(m.p, np.stack([f.mats[v].data[gen] for f in fs], axis=1))
-        for j in rref(pairing)[1]:
+        blocks = frame.blocks()
+        for j in rref(Matrix(m.p, blocks[v][:, gen].T))[1]:
             for w in alg.quiver.vertices:
-                rows[w].append(fs[j].mats[w])
-            dropped.append(fs[j].target)
+                rows[w].append(blocks[w][j])
+            dropped.append(frame.target)
     if not dropped:
         return m, []
     total = direct_sum_module(dropped)
-    mats = {w: Matrix.vstack(rows[w]) for w in alg.quiver.vertices}
+    mats = {w: Matrix(m.p, np.vstack(rows[w])) for w in alg.quiver.vertices}
     rest, _ = kernel(RepHom(m, total, mats, check=False))
     return rest, dropped
 
@@ -247,11 +246,13 @@ def projdim(m: Representation, bound: int):
 def dual(m: Representation) -> Representation:
     """The linear dual, a representation of the opposite algebra; cached
     on m, so the dual of a shared projective (an injective) keeps its
-    own minimal resolution."""
+    own minimal resolution.  A relation of the opposite algebra is a
+    reversed relation of m's, and acts on the transposed matrices as the
+    transpose of its action on m, so the dual is built unchecked."""
     if "dual" not in m._cache:
         op = m.algebra.opposite()
         mats = {n: m.mats[n].transpose() for n, _, _ in m.algebra.quiver.arrows}
-        m._cache["dual"] = Representation(op, dict(m.dims), mats)
+        m._cache["dual"] = Representation(op, dict(m.dims), mats, check=False)
     return m._cache["dual"]
 
 
@@ -383,7 +384,7 @@ def _end_structure(frame: HomFrame):
     """Structure constants of End(m) in the basis of frame (Hom(m, m)):
     b_i o b_j = sum_k sc[i, j, k] b_k.  All n^2 composites are formed at
     once and read off the frame in one call."""
-    n = frame.flats.shape[1]
+    n = frame.dim
     comp = {v: (b[:, None] @ b[None, :]).reshape(n * n, *b.shape[1:]) for v, b in frame.blocks().items()}
     coords = frame.coordinates(flatten_blocks(frame.source.algebra, comp))
     return coords.T.reshape(n, n, n)
@@ -413,11 +414,11 @@ def _end_radical(p: int, sc) -> Matrix:
 
 
 def _is_local_end(m: Representation, frame: HomFrame | None = None) -> bool:
-    """Certify that End(m) is local (m indecomposable); frame is the
-    HomFrame of hom_space(m, m) when the caller already has it."""
+    """Certify that End(m) is local (m indecomposable); frame is
+    hom_frame(m, m) when the caller already has it."""
     if frame is None:
-        frame = hom_frame(m, m, hom_space(m, m))
-    n = frame.flats.shape[1]
+        frame = hom_frame(m, m)
+    n = frame.dim
     if n == 1:
         return True
     p = m.p
@@ -471,13 +472,12 @@ def decompose(m: Representation, seed: int = 0, budget: int = 60):
         cur = stack.pop()
         if cur.total_dim() == 0:
             continue
-        basis = hom_space(cur, cur)
-        frame = hom_frame(cur, cur, basis)
+        frame = hom_frame(cur, cur)
         if _is_local_end(cur, frame):
             pieces.append(cur)
             continue
         for _ in range(budget):
-            e = _split_idempotent([frame.combination(rng.integers(0, cur.p, size=len(basis)))], rng)
+            e = _split_idempotent([frame.combination(rng.integers(0, cur.p, size=frame.dim))], rng)
             split = e and _fitting_split(cur, e[0])
             if split:
                 break
@@ -508,8 +508,8 @@ def decompose(m: Representation, seed: int = 0, budget: int = 60):
 def find_iso(a: Representation, b: Representation, rng, budget: int = 60) -> RepHom | None:
     """An explicit isomorphism a -> b, or None when none was found.
 
-    Tries budget random combinations of a hom_space basis (one
-    `HomFrame.combination` each), then the basis maps themselves.  Las
+    Tries budget random combinations of the basis of hom_frame(a, b)
+    (one `HomFrame.combination` each), then the basis maps themselves.  Las
     Vegas: a returned map is an isomorphism, but None from equal
     dimension vectors and a nonzero Hom space is only a failed search.
     rng is a numpy Generator, or a seed for one, which is then made only
@@ -521,16 +521,15 @@ def find_iso(a: Representation, b: Representation, rng, budget: int = 60) -> Rep
         return None
     if a.is_zero():
         return zero_hom(a, b)
-    basis = hom_space(a, b)
-    if not basis:
+    frame = hom_frame(a, b)
+    if not frame.dim:
         return None
-    frame = hom_frame(a, b, basis)
     rng = np.random.default_rng(rng)
     for _ in range(budget):
-        f = frame.combination(rng.integers(0, a.p, size=len(basis)))
+        f = frame.combination(rng.integers(0, a.p, size=frame.dim))
         if f.is_iso():
             return f
-    return next((f for f in basis if f.is_iso()), None)
+    return next((f for f in frame.basis() if f.is_iso()), None)
 
 
 def is_isomorphic(m: Representation, n: Representation, seed: int = 0, budget: int = 60) -> bool:

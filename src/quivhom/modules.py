@@ -16,7 +16,7 @@ resolution, transpose, and functor machinery downstream.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -83,19 +83,30 @@ class Representation:
         return m
 
     def evaluate(self, e: Element) -> Matrix:
-        """Action matrix of a parallel-path element (target dim x source dim)."""
-        ends = self.algebra.element_source_target(e)
-        if ends is None:
+        """Action matrix of a parallel-path element (target dim x source dim):
+        the path actions (`_path_actions`) summed in one array, reduced once."""
+        if self.algebra.element_source_target(e) is None:
             raise ValueError("element mixes non-parallel paths")
-        s, t = ends
-        out = Matrix.zeros(self.p, self.dims[t], self.dims[s])
-        for pth, c in e.items():
-            out = out + self.path_matrix(pth).scale(c)
-        return out
+        act = _path_actions(self, lambda v: np.eye(self.dims[v], dtype=np.int64))
+        return Matrix(self.p, sum(c % self.p * act(pth) for pth, c in e.items()))
 
     def __repr__(self):
         dv = ",".join(f"{v}:{d}" for v, d in self.dims.items())
         return f"Rep({dv})"
+
+
+def _path_actions(m: Representation, start) -> Callable[[Path], np.ndarray]:
+    """pth -> m(pth) @ start(v) for a path pth from v, memoized: each
+    path's action is one product with that of its prefix."""
+    acts = {}
+
+    def act(pth: Path) -> np.ndarray:
+        if pth not in acts:
+            v, arrows = pth
+            acts[pth] = m.mats[arrows[-1]].data @ act((v, arrows[:-1])) % m.p if arrows else start(v)
+        return acts[pth]
+
+    return act
 
 
 class RepHom:
@@ -318,31 +329,31 @@ def _flat_offsets(m: Representation, n: Representation) -> tuple[dict[str, int],
 
 
 def hom_space(m: Representation, n: Representation) -> list[RepHom]:
-    """Basis of Hom(m, n), in reduced-echelon normal form on the flat
-    coordinates: basis vector k is 1 at one coordinate F[k], its last
-    nonzero entry, and every basis vector is 0 at the other coordinates
-    of F, with F ascending.  This is the basis `nullspace` gives, and
-    `HomFrame.coordinates` relies on it: the coordinates of a map in the
-    span are its flat entries at F.
+    """Basis of Hom(m, n): the basis maps of `hom_frame(m, n)`."""
+    return hom_frame(m, n).basis()
+
+
+def hom_frame(m: Representation, n: Representation) -> HomFrame:
+    """Hom(m, n) as a HomFrame, its basis columns straight from one
+    echelon computation.
 
     If m is a shared sum of projectives (+)_j P_{v_j} (`_proj_sum`), the
     basis is read off the generator images, Hom(m, n) = (+)_j n(v_j) by
     Yoneda, and put in normal form by one rref.  Otherwise it is the
     nullspace of the constraints n_a f_s - f_t m_a = 0, one block per
-    arrow a: s -> t, on the stacked vertex matrices f_v.
+    arrow a: s -> t, on the stacked vertex matrices f_v.  Both give the
+    normal form of the span, so the basis does not depend on the path.
     """
     if m.algebra is not n.algebra:
         raise ValueError("modules over different algebras")
     offs, total = _flat_offsets(m, n)
-    if total == 0:
-        return []
     vertices = m._cache.get("proj_sum")
     if vertices is not None:
-        rows = _hom_rows_from_generators(vertices, n, offs, total)
+        flats = _hom_basis_from_generators(vertices, n, offs, total)
     else:
         sysmat = _hom_system(m, n, offs, total)
-        rows = np.eye(total, dtype=np.int64) if sysmat is None else nullspace(sysmat).data.T
-    return [_hom_of_flat(m, n, offs, row) for row in rows]
+        flats = np.eye(total, dtype=np.int64) if sysmat is None else nullspace(sysmat).data
+    return HomFrame(m, n, flats, _free_rows(flats))
 
 
 def _hom_of_flat(m: Representation, n: Representation, offs, flat: np.ndarray) -> RepHom:
@@ -374,60 +385,70 @@ def _hom_system(m: Representation, n: Representation, offs, total) -> Matrix | N
     return Matrix(m.p, np.vstack(blocks)) if blocks else None
 
 
-def _hom_rows_from_generators(vertices: tuple, n: Representation, offs, total) -> np.ndarray:
-    """Flat rows of hom_space(P, n) for the shared sum P of the P_v, v in
-    vertices, from where the generators go.
+def _hom_basis_from_generators(vertices: tuple, n: Representation, offs, total) -> np.ndarray:
+    """Flat basis columns of Hom(P, n) for the shared sum P of the P_v, v
+    in vertices, from where the generators go.
 
-    Basis map (j, i) sends summand j's generator to e_i in n(v_j), so its
-    column at layout entry (j, path) is n(path) e_i; each path's action is
-    computed once, from that of its prefix.  These maps span Hom, and
-    their normal form is the `column_space_basis` of their span.
+    Map (j, i) sends summand j's generator to e_i in n(v_j), so its
+    column at layout entry (j, path) is n(path) e_i (`_path_actions`).
+    These maps span Hom, and their normal form is the
+    `column_space_basis` of their span.
     """
-    p = n.p
     layout = _proj_sum(n.algebra, vertices).layout
     starts = np.cumsum([0] + [n.dims[v] for v in vertices])
     if not starts[-1]:
-        return np.zeros((0, total), dtype=np.int64)
-    acts = {}  # path -> n(path)
-
-    def act(pth: Path) -> np.ndarray:
-        if pth not in acts:
-            v, arrows = pth
-            if arrows:
-                acts[pth] = n.mats[arrows[-1]].data @ act((v, arrows[:-1])) % p
-            else:
-                acts[pth] = np.eye(n.dims[v], dtype=np.int64)
-        return acts[pth]
-
+        return np.zeros((total, 0), dtype=np.int64)
+    act = _path_actions(n, lambda v: np.eye(n.dims[v], dtype=np.int64))
     rows = np.zeros((starts[-1], total), dtype=np.int64)
     for w, lay in layout.items():
         width = len(lay)
         for c, (j, pth) in enumerate(lay):
             # entry (r, c) of f_w sits at offs[w] + r * width + c
             rows[starts[j] : starts[j + 1], offs[w] + c : offs[w] + n.dims[w] * width : width] = act(pth).T
-    return column_space_basis(Matrix(p, rows.T)).data.T
+    return column_space_basis(Matrix(n.p, rows.T)).data
 
 
 class HomFrame(NamedTuple):
-    """A hom_space basis of Hom(source, target), laid out for batched
-    coordinates: `flats` holds the basis as columns of flat coordinates,
-    and `free[k]` is the coordinate where basis vector k is 1 and all
-    others are 0."""
+    """Hom(source, target), the one representation of a Hom space: its
+    basis as the columns of `flats`, on the flat coordinates of
+    `RepHom.flat`, in reduced-echelon normal form.  Column k is 1 at row
+    free[k], its last nonzero entry, and every column is 0 at the other
+    free rows, with free ascending; so the coordinates of a map in the
+    span are its flat entries at free.  The basis maps, combinations and
+    composites of the whole basis with a map are read off the columns."""
 
     source: Representation
     target: Representation
     flats: np.ndarray
     free: np.ndarray
 
+    @property
+    def dim(self) -> int:
+        return self.flats.shape[1]
+
+    def basis(self) -> list[RepHom]:
+        """The basis maps, one per column, cut into vertex blocks."""
+        offs, _ = _flat_offsets(self.source, self.target)
+        return [_hom_of_flat(self.source, self.target, offs, col) for col in self.flats.T]
+
     def blocks(self) -> dict[str, np.ndarray]:
         """All basis maps at once: v -> array (k, target.dims[v], source.dims[v])."""
         offs, _ = _flat_offsets(self.source, self.target)
-        k = self.flats.shape[1]
         out = {}
         for v, off in offs.items():
             a, b = self.target.dims[v], self.source.dims[v]
-            out[v] = self.flats[off : off + a * b].T.reshape(k, a, b)
+            out[v] = self.flats[off : off + a * b].T.reshape(self.dim, a, b)
         return out
+
+    def postcompose(self, g: RepHom) -> np.ndarray:
+        """Flat columns of g o b for every basis map b, in basis order: one
+        block product per vertex, reduced mod p."""
+        return flatten_blocks(self.source.algebra, {v: g.mats[v].data @ b % g.source.p for v, b in self.blocks().items()})
+
+    def precompose(self, f: RepHom) -> np.ndarray:
+        """Flat columns of b o f for every basis map b, in basis order: one
+        block product per vertex, reduced mod p."""
+        return flatten_blocks(self.source.algebra, {v: b @ f.mats[v].data % f.source.p for v, b in self.blocks().items()})
 
     def combination(self, coeffs: np.ndarray) -> RepHom:
         """The map sum_k coeffs[k] * (basis vector k), the inverse of
@@ -440,15 +461,6 @@ class HomFrame(NamedTuple):
         """Coordinates of each column of vecs (flat maps source -> target),
         one column each: the entries at `free`, checked by one product."""
         return _read_off(self.flats, self.free, vecs, self.source.p, "composite escaped the hom space")
-
-
-def hom_frame(m: Representation, n: Representation, basis: list[RepHom]) -> HomFrame:
-    """The HomFrame of basis = hom_space(m, n)."""
-    _, total = _flat_offsets(m, n)
-    flats = np.zeros((total, len(basis)), dtype=np.int64)
-    for k, b in enumerate(basis):
-        flats[:, k] = b.flat()
-    return HomFrame(m, n, flats, _free_rows(flats))
 
 
 def flatten_blocks(alg: BoundQuiverAlgebra, blocks: dict[str, np.ndarray]) -> np.ndarray:
@@ -761,8 +773,8 @@ def _cover_into(m: Representation, bases: dict[str, np.ndarray], acts: dict[str,
     basis of top K(v).  P has one P_v per such column, listed vertex by
     vertex in coordinate order, and that summand's generator goes to the
     column, so the kernel of P ->> K lies in rad P.  The map's columns
-    are the actions in m of P's basis paths on these generators, each
-    path's action computed once, from that of its prefix.
+    are the actions in m of P's basis paths on these generators
+    (`_path_actions`).
     """
     alg = m.algebra
     p = alg.p
@@ -778,17 +790,7 @@ def _cover_into(m: Representation, bases: dict[str, np.ndarray], acts: dict[str,
         verts.extend([v] * len(free))
         slot.extend(range(len(free)))
         gens[v] = bases[v][:, free]
-    acts_on = {}  # path -> its action on the generators at its source
-
-    def act(pth: Path) -> np.ndarray:
-        if pth not in acts_on:
-            v, arrows = pth
-            if arrows:
-                acts_on[pth] = m.mats[arrows[-1]].data @ act((v, arrows[:-1])) % p
-            else:
-                acts_on[pth] = gens[v]
-        return acts_on[pth]
-
+    act = _path_actions(m, gens.__getitem__)
     ps = ProjSummands(alg, verts)
     mats = {}
     for w, lay in ps.layout().items():

@@ -33,13 +33,13 @@ from .complexes import (
 from .exactlin import Matrix, rank, solve
 from .homological import is_isomorphic, strip_projectives
 from .modules import (
+    HomFrame,
     RepHom,
     Representation,
     descend,
     direct_sum,
     direct_sum_module,
     hom_frame,
-    hom_space,
     identity_hom,
     is_projective,
     is_ses,
@@ -65,36 +65,41 @@ from .projcplx import ProjComplex, minimize
 class StableHomSpace:
     """Hom(x, y) together with the subspace P(x, y) of maps factoring
     through projectives (= maps factoring through the cover of y).
-    `basis` and `dim` are computed on first read: `spans` needs neither."""
+    P(x, y) is spanned by the composites of Hom(x, cover) with the
+    cover's epi, formed for that whole basis at once.  `frame`, `basis`
+    and `dim` are computed on first read: `spans` needs none of them."""
 
     def __init__(self, x: Representation, y: Representation):
         self.x = x
         self.y = y
         ps, epi = projective_cover(y)
-        self._factoring = [epi.compose(b).flat() for b in hom_space(x, ps.rep())]  # spans P(x, y)
+        self._factoring = hom_frame(x, ps.rep()).postcompose(epi)  # flat columns spanning P(x, y)
+
+    @cached_property
+    def frame(self) -> HomFrame:
+        return hom_frame(self.x, self.y)
 
     @cached_property
     def basis(self) -> list[RepHom]:
-        return hom_space(self.x, self.y)
+        return self.frame.basis()
 
     @cached_property
     def dim(self) -> int:
-        if not self._factoring:
-            return len(self.basis)
-        return len(self.basis) - rank(Matrix(self.x.p, np.stack(self._factoring, axis=1)))
+        return self.frame.dim - rank(Matrix(self.x.p, self._factoring))
 
-    def spans(self, maps: list[RepHom], g: RepHom) -> bool:
-        """Whether g lies in span(maps) + P(x, y): one solve."""
+    def spans(self, cols: np.ndarray, g: RepHom) -> bool:
+        """Whether g lies in span(cols) + P(x, y), for cols flat columns of
+        maps x -> y (`RepHom.flat`): one solve."""
         if g.is_zero():
             return True
-        cols = [m.flat() for m in maps] + self._factoring
-        if not cols:
+        full = np.hstack([cols, self._factoring])
+        if not full.shape[1]:
             return False
         p = self.x.p
-        return solve(Matrix(p, np.stack(cols, axis=1)), Matrix(p, g.flat().reshape(-1, 1))) is not None
+        return solve(Matrix(p, full), Matrix(p, g.flat().reshape(-1, 1))) is not None
 
     def factors_through_projective(self, f: RepHom) -> bool:
-        return self.spans([], f)
+        return self.spans(self._factoring[:, :0], f)
 
     def equal(self, f: RepHom, g: RepHom) -> bool:
         return self.factors_through_projective(f - g)
@@ -117,9 +122,9 @@ class StableHom:
         f Hom(y, x) + P(y, y) (a right inverse).  Stably, a left and a
         right inverse agree, so together they are one two-sided inverse."""
         x, y, f = self.space.x, self.space.y, self.rep
-        back = hom_space(y, x)
-        left = StableHomSpace(x, x).spans([g.compose(f) for g in back], identity_hom(x))
-        return left and StableHomSpace(y, y).spans([f.compose(g) for g in back], identity_hom(y))
+        back = hom_frame(y, x)
+        left = StableHomSpace(x, x).spans(back.precompose(f), identity_hom(x))
+        return left and StableHomSpace(y, y).spans(back.postcompose(f), identity_hom(y))
 
 
 def stable_hom(x: Representation, y: Representation) -> StableHomSpace:
@@ -371,14 +376,12 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
 
     section = zero_hom(V, slot1)
     if not V.is_zero():
-        basis = hom_space(V, slot1)
-        cols = [d_1.compose(b).flat() for b in basis]
-        mat = Matrix(alg.p, np.stack(cols, axis=1))
+        frame = hom_frame(V, slot1)
         rhs = Matrix(alg.p, identity_hom(V).flat().reshape(-1, 1))
-        sol = solve(mat, rhs)
+        sol = solve(Matrix(alg.p, frame.postcompose(d_1)), rhs)
         if sol is None:
             raise ValueError("no section onto the collapsed projective")
-        section = hom_frame(V, slot1, basis).combination(sol.data[:, 0])
+        section = frame.combination(sol.data[:, 0])
 
     mid, mid_incls, mid_projs = direct_sum([V, slot0])
     left = mid_incls[1].compose(d_m1)

@@ -49,6 +49,34 @@ def test_relation_check_at_construction(A1):
         )
 
 
+def reference_evaluate(m, e):
+    """The action of e as a sum of `path_matrix` terms, each path from an
+    identity matrix, one `scale` and one `+` per term."""
+    s, t = m.algebra.element_source_target(e)
+    out = Matrix.zeros(m.p, m.dims[t], m.dims[s])
+    for pth, c in e.items():
+        out = out + m.path_matrix(pth).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("which", ["A1", "Lam1", "Gam1", "keps"])
+def test_evaluate_is_the_sum_of_path_matrices(which, A1, Lam1, Gam1, keps):
+    alg = {"A1": A1, "Lam1": Lam1, "Gam1": Gam1, "keps": keps}[which]
+    rng = np.random.default_rng(31)
+    mods = [random_module(alg, rng, summands=3) for _ in range(3)] + [projective(alg, v) for v in alg.quiver.vertices]
+    # every pair of vertices with parallel basis paths, each path with a
+    # random coefficient (negative ones too), plus the relations
+    elements = [r for r in alg.relations if r]
+    for v in alg.quiver.vertices:
+        by_target = {}
+        for pth in alg.basis_by_source[v]:
+            by_target.setdefault(alg.path_target(pth), []).append(pth)
+        elements += [{pth: int(rng.integers(-alg.p, alg.p)) for pth in paths} for paths in by_target.values()]
+    for m in mods:
+        for e in elements:
+            assert m.evaluate(e) == reference_evaluate(m, e), e
+
+
 def test_projective_dims(A1, B1, Lam1):
     assert projective(A1, "1").dim_vector() == {"0": 1, "1": 1, "2": 0, "3": 1}
     assert projective(A1, "0").total_dim() == 1

@@ -147,3 +147,24 @@ def test_every_sum_the_corpus_builds_passes_the_relation_check():
                     assert rep.mats == reference_mul_basis_sum(side, vs), vs
                     seen += len(vs) > 1
     assert seen > 100
+
+
+def test_every_dual_the_corpus_builds_passes_the_relation_check():
+    """Duals are built unchecked: the transposed arrow matrices satisfy the
+    reversed relations by construction.  After the GP verdicts of the
+    corpus at n <= 3, every cached dual of a shared sum over A, B, Lambda,
+    Gamma and their opposites still passes the full check."""
+    seen = 0
+    for n in (1, 2, 3):
+        c = corpus(n)
+        for key in sorted(c.M):
+            assert is_gorenstein_projective(c.M[key], 8).is_gp
+        for alg in (c.A, c.B, c.Lam, c.Gam):
+            for side in (alg, alg.opposite()):
+                for entry in side._proj_cache.values():
+                    d = entry.rep._cache.get("dual")
+                    if d is not None:
+                        assert d.algebra is side.opposite()
+                        Representation(d.algebra, d.dims, d.mats)
+                        seen += 1
+    assert seen > 20

@@ -3,7 +3,10 @@ would vanish under `python -O`."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -181,6 +184,18 @@ def test_every_traced_entry_point_exists():
         if not ok:
             missing.append(f"{layer}.{entry}")
     assert not missing, f"entry points patched by perfbench/tracing.py but missing from the package: {missing}"
+
+
+def test_the_benchmark_selfcheck_passes():
+    """The traced run reads package caches by key and wraps entry points
+    by name; its self-check runs every workload on tiny inputs, traced and
+    untraced, and requires the same answers, which names alone cannot show."""
+    root = SRC.parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "selfcheck.py")], cwd=root, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def _solves_on_vertex_matrices(tree: ast.Module) -> list[tuple[str, int]]:

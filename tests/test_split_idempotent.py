@@ -25,7 +25,7 @@ from quivhom.homological import (
     decompose,
     find_iso,
 )
-from quivhom.modules import Representation, direct_sum, hom_frame, hom_space, identity_hom
+from quivhom.modules import Representation, direct_sum, hom_frame, identity_hom
 from tests.conftest import random_module
 from tests.test_combinations import corpus_modules, corpus_sums
 
@@ -127,7 +127,7 @@ def test_decompose_cache_is_keyed_on_the_budget():
 def old_is_local_end(m):
     """The loop version: E/rad multiplied one product of basis vectors at
     a time, commutativity checked pair by pair, Frobenius per basis vector."""
-    frame = hom_frame(m, m, hom_space(m, m))
+    frame = hom_frame(m, m)
     n = frame.flats.shape[1]
     if n == 1:
         return True
