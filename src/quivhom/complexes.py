@@ -361,8 +361,8 @@ class HomEngine:
     """Total Hom complex of a pair of bounded complexes, with coordinates.
 
     Hom(c^i, d^j) is one `HomFrame` per degree pair, built once per
-    engine; coordinates are read off it, not solved for, and each D_m is
-    built once.
+    engine; coordinates are read off it, not solved for, and each layout
+    and each D_m is built once.
     """
 
     def __init__(self, c: Complex, d: Complex):
@@ -370,6 +370,7 @@ class HomEngine:
         self.d = d
         self.p = c.algebra.p
         self._frames: dict[tuple[int, int], HomFrame] = {}
+        self._layouts: dict[int, list[tuple[int, int, int]]] = {}
         self._bnd: dict[int, Matrix] = {}
 
     def frame(self, i: int, j: int) -> HomFrame:
@@ -379,15 +380,12 @@ class HomEngine:
         return self._frames[key]
 
     def layout(self, m: int) -> list[tuple[int, int, int]]:
-        """[(i, offset, size)] for Hom^m, over source degrees i."""
-        out = []
-        off = 0
-        for i in range(self.c.lo, self.c.hi + 1):
-            size = self.frame(i, i + m).dim
-            if size:
-                out.append((i, off, size))
-                off += size
-        return out
+        """[(i, offset, size)] for Hom^m, over source degrees i, made once."""
+        if m not in self._layouts:
+            sizes = [(i, self.frame(i, i + m).dim) for i in range(self.c.lo, self.c.hi + 1)]
+            offs = np.cumsum([0] + [size for _, size in sizes]).tolist()
+            self._layouts[m] = [(i, off, size) for (i, size), off in zip(sizes, offs) if size]
+        return self._layouts[m]
 
     def space_dim(self, m: int) -> int:
         lay = self.layout(m)
@@ -525,8 +523,16 @@ class _Resolution:
     depend only on the steps above i.  psums, dmats, eps and dP are
     un-minimized; last_sum is P_(i+1) (+) c^i for the last step i run,
     the target of step i-1's map when P_i is nonzero; lo is the lowest
-    degree constructed so far.
+    degree constructed so far.  Derived Hom reads the construction itself
+    (`truncation`); `projective_resolution` is its minimized view.
     """
+
+    @staticmethod
+    def of(c: Complex) -> "_Resolution":
+        """The construction kept on c, made on first use."""
+        if "resolution" not in c._cache:
+            c._cache["resolution"] = _Resolution(c)
+        return c._cache["resolution"]
 
     def __init__(self, c: Complex):
         self.complex = c
@@ -547,15 +553,19 @@ class _Resolution:
             if r1.is_zero() and r2.is_zero():
                 continue
             # P_i covers the kernel of G = [[dP_(i+1), 0], [eps_(i+1), -d_c^i]]
-            # on P_(i+1) (+) c^i, and dP_i and eps_i are the row blocks of
-            # the cover's map into P_(i+1) (+) c^i
-            neg_d = c.diff(i).scale(-1)
+            # on P_(i+1) (+) c^i, written per vertex into one array, and dP_i
+            # and eps_i are the row blocks of the cover's map into P_(i+1) (+) c^i
+            d = c.diff(i)
             mats = {}
             for v in alg.quiver.vertices:
-                mats[v] = neg_d.mats[v]
+                g = neg = -d.mats[v].data
                 if pnext:
-                    upper = np.zeros((dP[i + 1].target.dims[v], r2.dims[v]), dtype=np.int64)
-                    mats[v] = Matrix(p, np.block([[dP[i + 1].mats[v].data, upper], [eps[i + 1].mats[v].data, mats[v].data]]))
+                    top, left = dP[i + 1].target.dims[v], r1.dims[v]
+                    g = np.zeros((top + neg.shape[0], left + neg.shape[1]), dtype=np.int64)
+                    g[:top, :left] = dP[i + 1].mats[v].data
+                    g[top:, :left] = eps[i + 1].mats[v].data
+                    g[top:, left:] = neg
+                mats[v] = Matrix(p, g)
             source = direct_sum_module([r1, r2])
             ps, cover = kernel_cover(RepHom(source, self.last_sum if pnext else c.term(i + 1), mats, check=False))
             self.last_sum = source
@@ -565,6 +575,17 @@ class _Resolution:
             if pnext is not None:
                 dmats[i] = hom_to_element_matrix(alg, dP[i], ps, pnext)
         self.lo = min(self.lo, window_lo)
+
+    def truncation(self, window_lo: int) -> tuple[Complex, ChainMap]:
+        """(P, eps): the construction in degrees >= window_lo, extended there
+        first, as a Complex of the shared sums psums[i].rep() with the
+        differentials dP, and the comparison eps : P -> c.  Nothing is
+        minimized or converted: `minimize` is a homotopy equivalence of
+        this same complex, so Hom_K out of either has the same dimensions."""
+        self.extend_to(window_lo)
+        terms = {i: ps.rep() for i, ps in self.psums.items() if i >= window_lo}
+        pc = Complex(self.complex.algebra, terms, self.dP, check=False)  # keeps the dP between its terms
+        return pc, ChainMap(pc, self.complex, {i: self.eps[i] for i in terms}, check=False)
 
 
 def projective_resolution(c: Complex, window_lo: int):
@@ -576,23 +597,18 @@ def projective_resolution(c: Complex, window_lo: int):
     c._cache["resolution"]: a lower window extends it from the lowest
     degree reached so far instead of rebuilding it from c.hi.  Each call
     minimizes the degrees >= window_lo of that construction and builds
-    the comparison from it.
+    the comparison from it; this minimized view is for the `resolve`
+    verb and for callers that want element matrices.  Derived Hom reads
+    the un-minimized construction (`_Resolution.truncation`) instead.
     """
     alg = c.algebra
-    if c.is_zero():
-        pc = ProjComplex(alg, {}, {}, check=False)
-        return pc, ChainMap(pc.to_complex(), c, {}, check=False)
-    res = c._cache.get("resolution")
-    if res is None:
-        res = c._cache["resolution"] = _Resolution(c)
+    res = _Resolution.of(c)
     res.extend_to(window_lo)
     terms = {i: ps for i, ps in res.psums.items() if i >= window_lo}
     dmats = {i: d for i, d in res.dmats.items() if i >= window_lo}
     pc_min, _, minc = minimize(ProjComplex(alg, terms, dmats, check=False))
     minc_cm = minc.to_chain_map()
-    comps = {}
-    for i in pc_min.terms:
-        comps[i] = res.eps[i].compose(minc_cm.map(i))
+    comps = {i: res.eps[i].compose(minc_cm.map(i)) for i in pc_min.terms}
     return pc_min, ChainMap(pc_min.to_complex(), c, comps, check=False)
 
 
@@ -605,11 +621,12 @@ def hom_d_window(d: Complex, n: int) -> int:
 
 
 def hom_d_dim(c: Complex, d: Complex, n: int) -> int:
-    """Hom in the derived category, via a truncated projective resolution."""
+    """Hom in the derived category: Hom_K into d[n] out of the un-minimized
+    construction of c truncated at the window (`_Resolution.truncation`),
+    with no minimize, element matrix or comparison map built."""
     if c.is_zero() or d.is_zero():
         return 0
-    res, _ = projective_resolution(c, hom_d_window(d, n))
-    return hom_k_dim(res.to_complex(), d, n)
+    return hom_k_dim(_Resolution.of(c).truncation(hom_d_window(d, n))[0], d, n)
 
 
 class LocalizationReport:
@@ -645,18 +662,13 @@ def perpendicularity_hypothesis(x: Complex, y: Complex, depth: int = 6) -> bool:
 
 def localization_compare(x: Complex, y: Complex, n: int, depth: int = 6) -> LocalizationReport:
     """Compare Hom up to homotopy with Hom in the derived category at
-    shift n, together with the rank of the localization map."""
+    shift n, together with the rank of the localization map: each class
+    x -> y[n] is pulled back along the comparison eps of the un-minimized
+    construction of x (`_Resolution.truncation`), which also gives Hom_D."""
     hk = hom_k(x, y, n)
-    res, epsmap = projective_resolution(x, hom_d_window(y, n))
-    rk = hom_k(res.to_complex(), y, n)
-    cols = []
-    for b in hk.basis:
-        pulled = b.precompose(epsmap)
-        cols.append(rk.coordinates(pulled))
-    if cols and rk.dim:
-        mat = Matrix(x.algebra.p, np.stack(cols, axis=1))
-        r = rank(mat)
-    else:
-        r = 0
+    res, epsmap = _Resolution.of(x).truncation(hom_d_window(y, n))
+    rk = hom_k(res, y, n)
+    cols = [rk.coordinates(b.precompose(epsmap)) for b in hk.basis]
+    r = rank(Matrix(x.algebra.p, np.stack(cols, axis=1))) if cols and rk.dim else 0
     hyp = perpendicularity_hypothesis(x, y, depth)
     return LocalizationReport(hk.dim, rk.dim, r, hyp, r == rk.dim)

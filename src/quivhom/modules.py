@@ -343,17 +343,23 @@ def hom_frame(m: Representation, n: Representation) -> HomFrame:
     nullspace of the constraints n_a f_s - f_t m_a = 0, one block per
     arrow a: s -> t, on the stacked vertex matrices f_v.  Both give the
     normal form of the span, so the basis does not depend on the path.
+    Hom(P, n) depends only on P's vertex tuple and n, so that frame is
+    built once, with read-only flats, and kept on n (key "hom_from").
     """
     if m.algebra is not n.algebra:
         raise ValueError("modules over different algebras")
-    offs, total = _flat_offsets(m, n)
     vertices = m._cache.get("proj_sum")
-    if vertices is not None:
-        flats = _hom_basis_from_generators(vertices, n, offs, total)
-    else:
+    if vertices is None:
+        offs, total = _flat_offsets(m, n)
         sysmat = _hom_system(m, n, offs, total)
         flats = np.eye(total, dtype=np.int64) if sysmat is None else nullspace(sysmat).data
-    return HomFrame(m, n, flats, _free_rows(flats))
+        return HomFrame(m, n, flats, _free_rows(flats))
+    key = ("hom_from", vertices)
+    if key not in n._cache:
+        flats = _hom_basis_from_generators(vertices, n, *_flat_offsets(m, n))
+        flats.setflags(write=False)
+        n._cache[key] = HomFrame(m, n, flats, _free_rows(flats))
+    return n._cache[key]
 
 
 def _hom_of_flat(m: Representation, n: Representation, offs, flat: np.ndarray) -> RepHom:

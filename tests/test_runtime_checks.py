@@ -257,3 +257,37 @@ def test_cosyzygies_and_stable_inverses_are_not_searched_for():
     found += [f"stable.py {name}" for name in _default_rng_calls("stable.py") if name != "exact_sequence_image"]
     found += [f"homological.py {name}" for name in _default_rng_calls("homological.py") if name not in ("decompose", "find_iso")]
     assert not found, f"random draws where an exact construction is expected: {found}"
+
+
+def _definitions(tree: ast.Module) -> dict[str, list[ast.AST]]:
+    """Name -> nodes: each top-level function and class, and each method
+    under its own name."""
+    defs: dict[str, list[ast.AST]] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.setdefault(node.name, []).append(node)
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    defs.setdefault(sub.name, []).append(sub)
+    return defs
+
+
+@pytest.mark.parametrize("entry", ["hom_d_dim", "localization_compare"])
+def test_derived_hom_reads_the_unminimized_construction(entry):
+    """Derived Hom is Hom_K out of the resolution construction itself, so
+    nothing that `complexes.hom_d_dim` or `localization_compare` reaches in
+    complexes.py (following every name read that a definition there
+    carries) reads `projective_resolution`, `minimize` or `to_chain_map`:
+    the per-window minimized rebuild cannot come back unnoticed."""
+    defs = _definitions(ast.parse((SRC / "complexes.py").read_text(), filename="complexes.py"))
+    reached, todo = set(), [entry]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [used for node in defs[name] for used in _name_counts(node) if used in defs]
+    forbidden = {"projective_resolution", "minimize", "to_chain_map"}
+    bad = sorted({name for name in reached for node in defs[name] if forbidden & set(_name_counts(node))})
+    assert not bad, f"{entry} reaches {bad}, which minimize or convert a resolution"
+    assert "truncation" in reached
