@@ -38,6 +38,7 @@ from .modules import (
     kernel,
     kernel_cover,
     lift,
+    projective_cover,
     quotient_by_bases,
     zero_hom,
     zero_rep,
@@ -512,19 +513,22 @@ def hom_k_dim(c: Complex, d: Complex, n: int) -> int:
 
 
 class _Resolution:
-    """The construction behind projective_resolution for one complex c,
-    kept on c and extended downward on demand.
+    """The one construction of projective resolutions: that of a complex
+    c, kept on c and extended downward on demand.  A module's minimal
+    resolution (`homological.MinimalResolution`) is a view of it.
 
-    Step i (from c.hi down) takes P_i as the projective cover of the
-    kernel of
-    [[dP_(i+1), 0], [eps_(i+1), -d_c^i]] : P_(i+1) (+) c^i -> P_(i+2) (+) c^(i+1),
-    read in echelon coordinates by `kernel_cover`, so no kernel module is
-    built.  P_i, its differential into P_(i+1) and eps_i : P_i -> c^i
-    depend only on the steps above i.  psums, dmats, eps and dP are
-    un-minimized; last_sum is P_(i+1) (+) c^i for the last step i run,
-    the target of step i-1's map when P_i is nonzero; lo is the lowest
-    degree constructed so far.  Derived Hom reads the construction itself
-    (`truncation`); `projective_resolution` is its minimized view.
+    Step i (from c.hi down) covers by P_i the kernel of
+    G = [[dP_(i+1), 0], [eps_(i+1), -d_c^i]] : P_(i+1) (+) c^i -> P_(i+2) (+) c^(i+1),
+    read in echelon coordinates by `kernel_cover`; zero summands are left
+    out of both sums.  G's first column is the cover map of step i + 1
+    (`last`), all of G where c^i = 0; where P_(i+1) = 0, G has the kernel
+    of d_c^i, all of c^i (`projective_cover`) where c^(i+1) = 0 too.
+    dP_i : P_i -> P_(i+1) and eps_i : P_i -> c^i, kept only where c^i is
+    nonzero, are the row blocks of the cover map.  Nothing is minimized,
+    and `dmat(i)`, the element matrix of dP_i, is built on first read;
+    lo is the lowest degree constructed.  Derived Hom reads the
+    construction itself (`truncation`); `projective_resolution` is its
+    minimized view.
     """
 
     @staticmethod
@@ -540,52 +544,62 @@ class _Resolution:
         self.dmats: dict[int, list] = {}
         self.eps: dict[int, RepHom] = {}
         self.dP: dict[int, RepHom] = {}
-        self.last_sum: Representation | None = None
+        self.last: RepHom | None = None
         self.lo = c.hi + 1
+        self._proj_complexes: dict[int, ProjComplex] = {}
 
     def extend_to(self, window_lo: int):
-        c, alg, p = self.complex, self.complex.algebra, self.complex.algebra.p
-        psums, dmats, eps, dP = self.psums, self.dmats, self.eps, self.dP
+        c, p = self.complex, self.complex.algebra.p
         for i in range(self.lo - 1, window_lo - 1, -1):
-            pnext = psums.get(i + 1)
-            r1 = pnext.rep() if pnext else zero_rep(alg)
-            r2 = c.term(i)
-            if r1.is_zero() and r2.is_zero():
+            pnext, ci = self.psums.get(i + 1), c.terms.get(i)
+            if not pnext and ci is None:
                 continue
-            # P_i covers the kernel of G = [[dP_(i+1), 0], [eps_(i+1), -d_c^i]]
-            # on P_(i+1) (+) c^i, written per vertex into one array, and dP_i
-            # and eps_i are the row blocks of the cover's map into P_(i+1) (+) c^i
-            d = c.diff(i)
-            mats = {}
-            for v in alg.quiver.vertices:
-                g = neg = -d.mats[v].data
-                if pnext:
-                    top, left = dP[i + 1].target.dims[v], r1.dims[v]
-                    g = np.zeros((top + neg.shape[0], left + neg.shape[1]), dtype=np.int64)
-                    g[:top, :left] = dP[i + 1].mats[v].data
-                    g[top:, :left] = eps[i + 1].mats[v].data
-                    g[top:, left:] = neg
-                mats[v] = Matrix(p, g)
-            source = direct_sum_module([r1, r2])
-            ps, cover = kernel_cover(RepHom(source, self.last_sum if pnext else c.term(i + 1), mats, check=False))
-            self.last_sum = source
-            psums[i] = ps
-            dP[i] = RepHom(ps.rep(), r1, {v: Matrix(p, m.data[: r1.dims[v]]) for v, m in cover.mats.items()}, check=False)
-            eps[i] = RepHom(ps.rep(), r2, {v: Matrix(p, m.data[r1.dims[v] :]) for v, m in cover.mats.items()}, check=False)
-            if pnext is not None:
-                dmats[i] = hom_to_element_matrix(alg, dP[i], ps, pnext)
+            if not pnext:
+                ps, cover = kernel_cover(c.diffs[i]) if i in c.diffs else projective_cover(ci)
+                self.eps[i] = cover
+            elif ci is None:
+                ps, cover = kernel_cover(self.last)
+                self.dP[i] = cover
+            else:
+                # G written per vertex into one array
+                r1, d, mats = pnext.rep(), c.diff(i), {}
+                for v, m in self.last.mats.items():
+                    g = np.zeros((m.rows, m.cols + ci.dims[v]), dtype=np.int64)
+                    g[:, : m.cols] = m.data
+                    g[m.rows - d.target.dims[v] :, m.cols :] = -d.mats[v].data
+                    mats[v] = Matrix(p, g)
+                ps, cover = kernel_cover(RepHom(direct_sum_module([r1, ci]), self.last.target, mats, check=False))
+                self.dP[i] = RepHom(ps.rep(), r1, {v: Matrix(p, m.data[: r1.dims[v]]) for v, m in cover.mats.items()}, check=False)
+                self.eps[i] = RepHom(ps.rep(), ci, {v: Matrix(p, m.data[r1.dims[v] :]) for v, m in cover.mats.items()}, check=False)
+            self.psums[i], self.last = ps, cover
         self.lo = min(self.lo, window_lo)
+
+    def dmat(self, i: int) -> list:
+        """The element matrix of dP_i, built on first read."""
+        if i not in self.dmats:
+            self.dmats[i] = hom_to_element_matrix(self.complex.algebra, self.dP[i], self.psums[i], self.psums[i + 1])
+        return self.dmats[i]
+
+    def proj_complex(self, window_lo: int) -> ProjComplex:
+        """The construction in degrees >= window_lo as a ProjComplex, one
+        cached object per window: the minimal resolution of a module, and
+        what `projective_resolution` minimizes."""
+        if window_lo not in self._proj_complexes:
+            self.extend_to(window_lo)
+            terms = {i: ps for i, ps in self.psums.items() if i >= window_lo and ps}
+            dmats = {i: self.dmat(i) for i in terms if i + 1 in terms}
+            self._proj_complexes[window_lo] = ProjComplex(self.complex.algebra, terms, dmats, check=False)
+        return self._proj_complexes[window_lo]
 
     def truncation(self, window_lo: int) -> tuple[Complex, ChainMap]:
         """(P, eps): the construction in degrees >= window_lo, extended there
         first, as a Complex of the shared sums psums[i].rep() with the
-        differentials dP, and the comparison eps : P -> c.  Nothing is
-        minimized or converted: `minimize` is a homotopy equivalence of
-        this same complex, so Hom_K out of either has the same dimensions."""
+        differentials dP, and the comparison eps : P -> c, unminimized:
+        `minimize` is a homotopy equivalence, so Hom_K dimensions agree."""
         self.extend_to(window_lo)
         terms = {i: ps.rep() for i, ps in self.psums.items() if i >= window_lo}
         pc = Complex(self.complex.algebra, terms, self.dP, check=False)  # keeps the dP between its terms
-        return pc, ChainMap(pc, self.complex, {i: self.eps[i] for i in terms}, check=False)
+        return pc, ChainMap(pc, self.complex, {i: self.eps[i] for i in terms if i in self.eps}, check=False)
 
 
 def projective_resolution(c: Complex, window_lo: int):
@@ -593,22 +607,16 @@ def projective_resolution(c: Complex, window_lo: int):
     degrees >= window_lo + 1, termwise minimal (contractible summands are
     cancelled).  Returns (ProjComplex, comparison ChainMap into c).
 
-    All windows of c share one construction, kept in
-    c._cache["resolution"]: a lower window extends it from the lowest
-    degree reached so far instead of rebuilding it from c.hi.  Each call
-    minimizes the degrees >= window_lo of that construction and builds
-    the comparison from it; this minimized view is for the `resolve`
-    verb and for callers that want element matrices.  Derived Hom reads
-    the un-minimized construction (`_Resolution.truncation`) instead.
+    Every window of c reads the one construction kept on c (`_Resolution`),
+    extended from the lowest degree it reached; each call minimizes its
+    `proj_complex` for the window, for the `resolve` verb and for callers
+    that want element matrices.  Derived Hom reads the un-minimized
+    construction (`_Resolution.truncation`) instead.
     """
-    alg = c.algebra
     res = _Resolution.of(c)
-    res.extend_to(window_lo)
-    terms = {i: ps for i, ps in res.psums.items() if i >= window_lo}
-    dmats = {i: d for i, d in res.dmats.items() if i >= window_lo}
-    pc_min, _, minc = minimize(ProjComplex(alg, terms, dmats, check=False))
+    pc_min, _, minc = minimize(res.proj_complex(window_lo))
     minc_cm = minc.to_chain_map()
-    comps = {i: res.eps[i].compose(minc_cm.map(i)) for i in pc_min.terms}
+    comps = {i: res.eps[i].compose(minc_cm.map(i)) for i in pc_min.terms if i in res.eps}
     return pc_min, ChainMap(pc_min.to_complex(), c, comps, check=False)
 
 

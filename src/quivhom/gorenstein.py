@@ -9,7 +9,7 @@ So the detector reads one Ext row of x against A, a degree at a time
 within that bound.  Whichever decides first gives the verdict:
 
 * a nonzero Ext^i(x, A) refutes x, with a witness vertex re-verified by
-  an independent derived-category computation;
+  balance, over the opposite algebra;
 * g, once known with the row zero up to degree g, certifies x: the
   verdict `gp` holds in every degree and carries g as its certificate.
   A projective x is `gp` at once, with no g asked for, because
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import hom_d_dim, module_complex
 from .exactlin import Matrix, extending_columns
 from .homological import dual, ext, ext_row, projdim, transpose
 from .modules import (
@@ -121,8 +120,8 @@ def perp_check(x: Representation, m: int, d: int) -> bool:
 
 
 class GPCrossCheckError(RuntimeError):
-    """A refutation witness that the independent derived-Hom computation
-    does not confirm."""
+    """A refutation witness Ext^i(y, P_v) != 0 that balance does not
+    confirm: Ext^i_(A^op)(D P_v, D y) differs from it."""
 
 
 class GPReport:
@@ -152,17 +151,19 @@ class GPReport:
 
 def _witness(y: Representation, i: int, side: str):
     """(side, i, v) for the first vertex v with Ext^i(y, P_v) nonzero,
-    confirmed by derived Hom; Ext^i(y, A) is known to be nonzero."""
+    confirmed by balance as Ext^i_(A^op)(D P_v, D y), which resolves the
+    injective D P_v over the opposite algebra, not y, whose resolution Ext
+    and derived Hom share.  Ext^i(y, A) is known to be nonzero."""
     alg = y.algebra
     for v in alg.quiver.vertices:
         P = projective(alg, v)
         e = ext(y, P, i)
         if e:
-            crosscheck = hom_d_dim(module_complex(y), module_complex(P), i)
-            if crosscheck != e:
+            balanced = ext(dual(P), dual(y), i)
+            if balanced != e:
                 raise GPCrossCheckError(
                     f"refutation witness ({side}, {i}, {v}) failed cross-check: "
-                    f"Ext = {e}, derived Hom = {crosscheck}"
+                    f"Ext = {e}, Ext by balance = {balanced}"
                 )
             return side, i, v
     raise GPCrossCheckError(f"Ext^{i} against the regular module is nonzero on the {side} side, but zero at every vertex")
@@ -180,8 +181,9 @@ def is_gorenstein_projective(x: Representation, d: int = 8) -> GPReport:
     a nonzero entry refutes x on the right, and none gives
     `gp-up-to-depth` d.
 
-    Refutations exhibit a nonzero Ext witness and re-verify it through
-    the derived-category Hom computation (an independent code path).
+    Refutations exhibit a nonzero Ext witness and re-verify it by
+    balance, from a resolution of another module over the opposite
+    algebra (`_witness`).
     """
     if d < 1:
         raise ValueError("depth must be >= 1")

@@ -1,15 +1,17 @@
 """Module-level homological operations: minimal resolutions, Ext groups,
 syzygies, transpose, duality, decomposition and isomorphism testing.
 
-Ext is computed from a minimal projective resolution through the Yoneda
-identification Hom(P_v, N) = N(v), which keeps every boundary map a
-small dense matrix assembled from the resolution's element-matrix
-differentials.  Decomposition is a Las Vegas algorithm (seeded): split
-along idempotents of F_p[f] for random endomorphisms f until every piece
-has certified local endomorphism ring.  The idempotents come from the
-Berlekamp subalgebra of F_p[f] by linear algebra on f itself, with no
-polynomial formed (`_split_idempotent`, shared with the splitting of
-complexes of projectives in `functors`).
+A minimal resolution is a view of the package's one resolution
+construction, `complexes._Resolution` of the module's stalk complex.  Ext
+is read off it through the Yoneda identification Hom(P_v, N) = N(v),
+which keeps every boundary map a small dense matrix assembled from the
+resolution's element-matrix differentials, and is checked by balance,
+Ext^i_A(M, N) = Ext^i_(A^op)(DN, DM).  Decomposition is a Las Vegas
+algorithm (seeded): split along idempotents of F_p[f] for random
+endomorphisms f until every piece has certified local endomorphism ring.
+The idempotents come from the Berlekamp subalgebra of F_p[f] by linear
+algebra on f itself, with no polynomial formed (`_split_idempotent`,
+shared with the splitting of complexes of projectives in `functors`).
 """
 
 from __future__ import annotations
@@ -29,11 +31,9 @@ from .modules import (
     element_matrix_to_hom,
     flatten_blocks,
     hom_frame,
-    hom_to_element_matrix,
     identity_hom,
     image,
     kernel,
-    kernel_cover,
     projective,
     projective_cover,
     regular_module,
@@ -45,75 +45,61 @@ from .projcplx import ProjComplex
 
 class MinimalResolution:
     """Minimal projective resolution ... -> P_1 -> P_0 -> m -> 0, the one
-    resolution of m that every consumer reads.
+    resolution of m that every consumer reads: a view, with P_k in degree
+    -k, of the construction `complexes._Resolution` of the stalk complex
+    of m, with no step of its own.
 
-    terms[k] is a ProjSummands; dmats[k] (k >= 1) is the element matrix
-    of d_k : P_k -> P_{k-1}; homs[0] is the cover P_0 ->> m.  Extended
-    lazily, one `kernel_cover` of the last map per step: its kernel is
-    read in the echelon coordinates of `nullspace`, so no kernel module
-    is built.  The syzygy K_k is built on demand, as the kernel of the
-    map before it.
+    terms[k] is a ProjSummands, for k up to the depth the view reached;
+    dmats[k] (k >= 1) is the element matrix of d_k : P_k -> P_{k-1} ([]
+    where P_{k-1} = 0), built on first read and kept on the construction;
+    homs[0] is the cover P_0 ->> m.  The syzygy K_k is built on demand,
+    as the kernel of the map before it.
     """
 
     def __init__(self, m: Representation):
-        self.module = m
-        self.algebra = m.algebra
-        p0, epi = projective_cover(m)
+        from .complexes import _Resolution, module_complex
+
+        self._res = _Resolution.of(module_complex(m))
+        p0, epi = projective_cover(m)  # the construction's P_0 and eps_0
         self.terms: list[ProjSummands] = [p0]
-        self.dmats: list[ElementMatrix | None] = [None]
         self.homs: list[RepHom] = [epi]
-        self._maps: list[RepHom] = [epi]  # _maps[k] = d_k for k >= 1
         self._syzygies: dict[int, Representation] = {0: m}
-        self._proj_complexes: dict[int, ProjComplex] = {}
 
     def extend_to(self, depth: int):
-        # d_(k+1) is the cover of ker d_k (of ker epi for k = 0) composed into P_k
-        while len(self.terms) <= depth:
-            k = len(self.terms) - 1
-            pk, d = kernel_cover(self._maps[k])
-            self.terms.append(pk)
-            self.dmats.append(hom_to_element_matrix(self.algebra, d, pk, self.terms[k]))
-            self._maps.append(d)
+        self._res.extend_to(-depth)
+        empty = ProjSummands(self._res.complex.algebra, ())
+        self.terms += [self._res.psums.get(-k, empty) for k in range(len(self.terms), depth + 1)]
         return self
+
+    @property
+    def dmats(self) -> list[ElementMatrix | None]:
+        return [None] + [self._res.dmat(-k) if self.terms[k - 1] else [] for k in range(1, len(self.terms))]
 
     def syzygy_module(self, k: int) -> Representation:
         """K_k, the kernel of P_(k-1) ->> K_(k-1) (K_0 = m), unstripped:
         kernel(d_(k-1)), or kernel(homs[0]) for k = 1.  Built once."""
         if k not in self._syzygies:
-            self.extend_to(k)
-            self._syzygies[k] = kernel(self._maps[k - 1])[0]
+            self._syzygies[k] = kernel(self.homs[0] if k == 1 else self.diff_hom(k - 1))[0]
         return self._syzygies[k]
 
     def diff_hom(self, k: int) -> RepHom:
         """d_k : P_k -> P_{k-1} as a RepHom (k >= 1)."""
         self.extend_to(k)
-        return self._maps[k]
+        d = self._res.dP.get(-k)
+        return d if d is not None else zero_hom(self.terms[k].rep(), self.terms[k - 1].rep())
 
     def proj_complex(self, window_lo: int) -> ProjComplex:
-        """The resolution as a ProjComplex in degrees [window_lo, 0]
-        (P_k in degree -k), one cached object per window."""
-        pc = self._proj_complexes.get(window_lo)
-        if pc is None:
-            self.extend_to(-window_lo)
-            terms = {-k: self.terms[k] for k in range(-window_lo + 1) if self.terms[k].vertices}
-            dmats = {-k: self.dmats[k] for k in range(1, -window_lo + 1) if -k in terms and -k + 1 in terms}
-            pc = ProjComplex(self.algebra, terms, dmats, check=False)
-            self._proj_complexes[window_lo] = pc
-        return pc
+        """The resolution as a ProjComplex in degrees [window_lo, 0], the
+        construction's one cached object per window."""
+        self.extend_to(-window_lo)
+        return self._res.proj_complex(window_lo)
 
 
 def minimal_resolution(m: Representation, depth: int) -> MinimalResolution:
-    key = "minres"
-    res = m._cache.get(key)
+    res = m._cache.get("minres")
     if res is None:
-        res = MinimalResolution(m)
-        m._cache[key] = res
-    res.extend_to(depth)
-    return res
-
-
-def _yoneda_space_dim(ps: ProjSummands, n: Representation) -> int:
-    return sum(n.dims[v] for v in ps.vertices)
+        res = m._cache["minres"] = MinimalResolution(m)
+    return res.extend_to(depth)
 
 
 def _yoneda_boundary(alg, emat: ElementMatrix, src: ProjSummands, tgt: ProjSummands, n: Representation) -> Matrix:
@@ -171,7 +157,7 @@ def ext_row(y: Representation, k: int) -> list[int]:
     ranks = y._cache.setdefault("ext_ranks", [0])
     for i in range(len(ranks), k + 2):
         ranks.append(rank(_yoneda_boundary(alg, res.dmats[i], res.terms[i], res.terms[i - 1], A)))
-    return [_yoneda_space_dim(res.terms[i], A) - ranks[i + 1] - ranks[i] for i in range(1, k + 1)]
+    return [sum(A.dims[v] for v in res.terms[i].vertices) - ranks[i + 1] - ranks[i] for i in range(1, k + 1)]
 
 
 # -- syzygies -----------------------------------------------------------

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from quivhom import gorenstein, modules, projcplx
+from quivhom import modules, projcplx
 from quivhom.algebra import dual_numbers
 from quivhom.complexes import (
     hom_d_dim,
@@ -37,6 +37,7 @@ from quivhom.modules import _flat_offsets, _free_rows, _hom_basis_from_generator
 from quivhom.stable import stable_image
 from tests.conftest import random_module, random_two_term_complex
 from tests.test_complex_resolution import WINDOWS, complexes as window_complexes, localization_pair
+from tests.test_gp_profile import spy_on_balance
 
 
 def reference_hom_d_dim(c, d, n):
@@ -145,7 +146,7 @@ def derived_inputs():
     """Inputs for hom_d_dim, localization_compare and the GP cross-check,
     built from a fresh corpus, so nothing is cached on them yet: stalk
     cases, localization cases and non-GP modules whose refutation is
-    cross-checked by derived Hom."""
+    cross-checked by balance."""
     c = Corpus(1)
     rng = np.random.default_rng(47)
     non_gp = [simple(alg, v) for alg in (c.A, c.Lam) for v in alg.quiver.vertices]
@@ -163,19 +164,37 @@ def derived_answers(inputs):
 def test_derived_hom_builds_no_minimized_resolution(monkeypatch):
     """With minimize, the chain map conversion and element matrices to
     maps all raising, derived Hom, the localization comparison and the
-    GP refutation cross-check answer as before, on fresh inputs."""
+    GP refutation cross-check by balance answer as before, on fresh
+    inputs."""
     fresh = derived_inputs()
     want = derived_answers(derived_inputs())
     assert any(want[0]) and any(f[2] for f in want[1])
     assert sum(1 for verdict, _ in want[2] if verdict == "refuted") >= 3
-    crosschecks = []
-    real = gorenstein.hom_d_dim
-    monkeypatch.setattr(gorenstein, "hom_d_dim", lambda *a: crosschecks.append(a) or real(*a))
+    crosschecks = spy_on_balance(monkeypatch)
     monkeypatch.setattr(projcplx.ProjChainMap, "to_chain_map", _raise)
     _patch_everywhere(monkeypatch, projcplx.minimize)
     _patch_everywhere(monkeypatch, modules.element_matrix_to_hom)
     assert derived_answers(fresh) == want
     assert crosschecks
+
+
+def test_derived_hom_builds_no_element_matrix(monkeypatch):
+    """Element matrices of the construction are built on first read, and
+    derived Hom reads none: with `hom_to_element_matrix` raising in every
+    namespace, `hom_d_dim` and `localization_compare` answer as before on
+    fresh inputs.  The perpendicularity hypothesis that
+    `localization_compare` reports is Ext, which reads element matrices of
+    the terms' own resolutions by design, so it is read once before the
+    patch; the localization complexes are resolved only under it."""
+    stalks, locs, _ = derived_inputs()
+    want_stalks, want_locs, _ = derived_inputs()
+    want = [hom_d_dim(x, y, n) for x, y, n in want_stalks], [fields(localization_compare(x, y, n)) for x, y, n in want_locs]
+    for x, y, _ in locs:
+        perpendicularity_hypothesis(x, y)
+    assert all("resolution" not in x._cache for x, _, _ in locs)
+    _patch_everywhere(monkeypatch, modules.hom_to_element_matrix)
+    got = [hom_d_dim(x, y, n) for x, y, n in stalks], [fields(localization_compare(x, y, n)) for x, y, n in locs]
+    assert got == want
 
 
 def corpus_targets(n):

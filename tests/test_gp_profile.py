@@ -179,21 +179,42 @@ def test_depth_below_gorenstein_dimension_keeps_the_two_sided_verdict(C1):
         assert (report.verdict, report.certificate, report.ext_left, report.ext_right) == ("gp-up-to-depth", None, [0], [0])
 
 
+def spy_on_balance(monkeypatch, error=0):
+    """Patch the GP layer so that every Ext it reads by balance, on duals
+    that `gorenstein.dual` made, is off by error; returns the list of
+    those (m, n, i) calls as they happen."""
+    real_ext, real_dual = gorenstein.ext, gorenstein.dual
+    duals, calls = [], []
+
+    def dual(m):
+        duals.append(real_dual(m))
+        return duals[-1]
+
+    def ext(m, n, i):
+        if not any(m is d for d in duals):
+            return real_ext(m, n, i)
+        calls.append((m, n, i))
+        return real_ext(m, n, i) + error
+
+    monkeypatch.setattr(gorenstein, "dual", dual)
+    monkeypatch.setattr(gorenstein, "ext", ext)
+    return calls
+
+
 def test_refutation_cross_check_raises(A1, monkeypatch):
-    real = gorenstein.hom_d_dim
-    monkeypatch.setattr(gorenstein, "hom_d_dim", lambda a, b, i: real(a, b, i) + 1)
-    with pytest.raises(GPCrossCheckError):
+    calls = spy_on_balance(monkeypatch, error=1)
+    with pytest.raises(GPCrossCheckError, match="by balance"):
         is_gorenstein_projective(simple(A1, "1"), 2)
+    assert calls and all(m.algebra is A1.opposite() for m, _, _ in calls)
     assert issubclass(GPCrossCheckError, RuntimeError)
 
 
 def test_cli_cross_check_failure_exits_1(monkeypatch, capsys):
     from quivhom.cli import main
 
-    real = gorenstein.hom_d_dim
-    monkeypatch.setattr(gorenstein, "hom_d_dim", lambda a, b, i: real(a, b, i) + 1)
+    calls = spy_on_balance(monkeypatch, error=1)
     code = main(["--corpus", "1", "gp-check", "--module", "simple_A_1", "--depth", "2"])
-    assert code == 1
+    assert code == 1 and calls
     assert "error: refutation witness" in capsys.readouterr().err
 
 

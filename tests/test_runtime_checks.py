@@ -229,9 +229,9 @@ def test_maps_are_factored_only_in_modules():
     assert [func for func, _ in _solves_on_vertex_matrices(functors)] == ["lift_to_resolutions"]
 
 
-def _default_rng_calls(module: str) -> list[str]:
-    """The top-level function or `Class.method` around each `default_rng`
-    call in module, once per call."""
+def _call_scopes(module: str, name: str) -> list[str]:
+    """The top-level function or `Class.method` around each call of name
+    (bare or as an attribute) in module, once per call."""
     tree = ast.parse((SRC / module).read_text(), filename=module)
     scopes = []
     for top in tree.body:
@@ -240,10 +240,10 @@ def _default_rng_calls(module: str) -> list[str]:
         else:
             scopes.append((getattr(top, "name", "<module>"), top))
     return [
-        name
-        for name, scope in scopes
+        scope_name
+        for scope_name, scope in scopes
         for node in ast.walk(scope)
-        if isinstance(node, ast.Call) and "default_rng" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
     ]
 
 
@@ -253,10 +253,28 @@ def test_cosyzygies_and_stable_inverses_are_not_searched_for():
     ranks: gorenstein draws nothing at random, stable only in the
     homotopy correction of `exact_sequence_image`, and homological only
     in `decompose` and `find_iso`."""
-    found = [f"gorenstein.py {name}" for name in _default_rng_calls("gorenstein.py")]
-    found += [f"stable.py {name}" for name in _default_rng_calls("stable.py") if name != "exact_sequence_image"]
-    found += [f"homological.py {name}" for name in _default_rng_calls("homological.py") if name not in ("decompose", "find_iso")]
+    found = [f"gorenstein.py {name}" for name in _call_scopes("gorenstein.py", "default_rng")]
+    found += [f"stable.py {name}" for name in _call_scopes("stable.py", "default_rng") if name != "exact_sequence_image"]
+    found += [f"homological.py {name}" for name in _call_scopes("homological.py", "default_rng") if name not in ("decompose", "find_iso")]
     assert not found, f"random draws where an exact construction is expected: {found}"
+
+
+def test_one_resolution_engine():
+    """Every projective resolution in the package is built by one class,
+    `complexes._Resolution`: `kernel_cover` is called from its `extend_to`
+    alone, and no loop in homological takes a cover or a kernel, so
+    `MinimalResolution` stays a view with no step of its own."""
+    found = {f"{module} {scope}" for module in MODULES for scope in _call_scopes(module, "kernel_cover")}
+    assert found == {"complexes.py _Resolution.extend_to"}, found
+    tree = ast.parse((SRC / "homological.py").read_text(), filename="homological.py")
+    steps = {"kernel_cover", "projective_cover", "kernel"}
+    loops = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.DictComp, ast.SetComp))
+        and any(isinstance(sub, ast.Call) and steps & {getattr(sub.func, "attr", None), getattr(sub.func, "id", None)} for sub in ast.walk(node))
+    ]
+    assert not loops, f"resolution loops in homological.py at lines {loops}"
 
 
 def _definitions(tree: ast.Module) -> dict[str, list[ast.AST]]:
