@@ -13,6 +13,11 @@ D(f)_i = d_Y f_i - (-1)^m f_{i+1} d_X, whose cohomology at n is the space
 of homotopy classes X -> Y[n].  Maps in the derived category are
 computed by replacing X with a bounded-above projective resolution,
 truncated where chain maps and homotopies can no longer reach Y[n].
+
+Every cohomology dimension, of a complex or of a total Hom complex, is
+the rank count dim C^n - rk d^n - rk d^(n-1) (`homology_dims`,
+`hom_k_dim`); homology modules and homotopy class bases are built only
+where they are read (`homology`, `HomKResult`).
 """
 
 from __future__ import annotations
@@ -288,7 +293,11 @@ def homology(c: Complex, i: int) -> Representation:
 
 
 def homology_dims(c: Complex) -> dict[int, int]:
-    dims = {i: homology(c, i).total_dim() for i in range(c.lo, c.hi + 1)}
+    """The nonzero dim H^i(c) = dim c^i - rk d^i - rk d^(i-1), in ascending
+    degree, from the vertexwise ranks of the differentials: no homology
+    module is built."""
+    rk = {i: sum(rank(m) for m in d.mats.values()) for i, d in c.diffs.items()}
+    dims = {i: c.terms[i].total_dim() - rk.get(i, 0) - rk.get(i - 1, 0) for i in sorted(c.terms)}
     return {i: d for i, d in dims.items() if d}
 
 
@@ -314,7 +323,7 @@ def is_quasi_iso(f: ChainMap) -> bool:
 
 
 def is_acyclic(c: Complex) -> bool:
-    return all(homology(c, i).is_zero() for i in range(c.lo, c.hi + 1))
+    return not homology_dims(c)
 
 
 def good_truncate_geq0(c: Complex):
@@ -324,9 +333,9 @@ def good_truncate_geq0(c: Complex):
     returns (truncated, witness) with witness : c -> truncated a
     quasi-isomorphism.
     """
-    for i in range(c.lo, 0):
-        if not homology(c, i).is_zero():
-            raise ValueError(f"nonzero homology in negative degree {i}")
+    negative = [i for i in homology_dims(c) if i < 0]
+    if negative:
+        raise ValueError(f"nonzero homology in negative degree {negative[0]}")
     return _good_truncate_unchecked(c)
 
 
@@ -362,8 +371,8 @@ class HomEngine:
     """Total Hom complex of a pair of bounded complexes, with coordinates.
 
     Hom(c^i, d^j) is one `HomFrame` per degree pair, built once per
-    engine; coordinates are read off it, not solved for, and each layout
-    and each D_m is built once.
+    engine; coordinates are read off it, not solved for, and each layout,
+    each D_m and each rank of D_m is computed once.
     """
 
     def __init__(self, c: Complex, d: Complex):
@@ -373,6 +382,7 @@ class HomEngine:
         self._frames: dict[tuple[int, int], HomFrame] = {}
         self._layouts: dict[int, list[tuple[int, int, int]]] = {}
         self._bnd: dict[int, Matrix] = {}
+        self._ranks: dict[int, int] = {}
 
     def frame(self, i: int, j: int) -> HomFrame:
         key = (i, j)
@@ -416,6 +426,11 @@ class HomEngine:
         self._bnd[m] = Matrix(self.p, out)
         return self._bnd[m]
 
+    def boundary_rank(self, m: int) -> int:
+        if m not in self._ranks:
+            self._ranks[m] = rank(self.boundary(m))
+        return self._ranks[m]
+
     def vector_of(self, f: ShiftedMap) -> np.ndarray:
         m = f.n
         vec = np.zeros(self.space_dim(m), dtype=np.int64)
@@ -430,17 +445,6 @@ class HomEngine:
         comps = {i: self.frame(i, i + m).combination(vec[off : off + size]) for i, off, size in self.layout(m)}
         return ShiftedMap(self.c, self.d, m, comps, check=False)
 
-    def homotopy_classes(self, n: int):
-        """(dim, class-basis vectors, boundary matrix, cycle basis).
-
-        The classes are the cycles independent of the boundaries and of
-        the cycles before them, from one rref of [D_{n-1} | Z_n].
-        """
-        cycles = nullspace(self.boundary(n))
-        dprev = self.boundary(n - 1)
-        bnd_rank, new = extending_columns(dprev, cycles)
-        return cycles.cols - bnd_rank, [cycles.column(k) for k in new], dprev, cycles
-
     def solve_nullhomotopy(self, f: ShiftedMap) -> ShiftedMap | None:
         """h with D(h) = f (an explicit homotopy witnessing f ~ 0)."""
         vec = self.vector_of(f)
@@ -452,17 +456,22 @@ class HomEngine:
 
 
 class HomKResult:
-    """Homotopy classes of chain maps c -> d[n]: `dim` and the chosen
-    class vectors in Hom^n coordinates come from one rref; `basis`, the
-    classes as chain maps, is built on first read, so a dimension alone
-    (`hom_k_dim`, `hom_d_dim`) builds no maps."""
+    """Homotopy classes of chain maps c -> d[n], for the callers that read
+    them: the classes are the cycles independent of the boundaries and of
+    the cycles before them, so `dim` and the class vectors in Hom^n
+    coordinates come together from one rref of [D_(n-1) | Z_n].  `basis`,
+    the classes as chain maps, is built on first read.  A dimension alone
+    is `hom_k_dim`, which reads ranks and builds no HomKResult."""
 
     def __init__(self, engine: HomEngine, n: int):
         self.engine = engine
         self.n = n
-        self.dim, chosen, self._bnd, _ = engine.homotopy_classes(n)
+        cycles = nullspace(engine.boundary(n))
+        self._bnd = engine.boundary(n - 1)
+        bnd_rank, new = extending_columns(self._bnd, cycles)
+        self.dim = cycles.cols - bnd_rank
         # the chosen class vectors in Hom^n coordinates, as columns
-        self.vectors = np.hstack([v.data for v in chosen]) if chosen else self._bnd.data[:, :0]
+        self.vectors = cycles.data[:, new]
 
     @cached_property
     def basis(self) -> list[ShiftedMap]:
@@ -491,22 +500,25 @@ def hom_complex(c: Complex, d: Complex):
     return dims, bnds
 
 
-def hom_k(c: Complex, d: Complex, n: int) -> HomKResult:
+def _engine(c: Complex, d: Complex) -> HomEngine:
     # the engine (shared by every shift) is cached by id with identity
     # verification: the stored reference keeps d alive, so a recycled id
     # cannot alias
     ekey = ("homeng", id(d))
     ehit = c._cache.get(ekey)
-    if ehit is not None and ehit[0] is d:
-        eng = ehit[1]
-    else:
-        eng = HomEngine(c, d)
-        c._cache[ekey] = (d, eng)
-    return HomKResult(eng, n)
+    if ehit is None or ehit[0] is not d:
+        ehit = c._cache[ekey] = (d, HomEngine(c, d))
+    return ehit[1]
+
+
+def hom_k(c: Complex, d: Complex, n: int) -> HomKResult:
+    return HomKResult(_engine(c, d), n)
 
 
 def hom_k_dim(c: Complex, d: Complex, n: int) -> int:
-    return hom_k(c, d, n).dim
+    """dim Hom^n - rk D_n - rk D_(n-1), from the engine's cached ranks."""
+    eng = _engine(c, d)
+    return eng.space_dim(n) - eng.boundary_rank(n) - eng.boundary_rank(n - 1)
 
 
 # -- projective resolutions ----------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Element, Path, Quiver, path_arrows, path_source
-from .complexes import Complex, HomEngine, ShiftedMap, hom_k, homology, is_quasi_iso
+from .complexes import Complex, HomEngine, ShiftedMap, hom_k, homology_dims, is_quasi_iso
 from .exactlin import Matrix, column_space_basis, inverse, nullspace, rank, solve
 from .homological import _end_radical, _split_idempotent, minimal_resolution
 from .modules import (
@@ -339,11 +339,9 @@ def is_non_negative(f: FunctorData, depth: int = 8) -> NonNegativityReport:
         for v in f.source.quiver.vertices:
             s = simple(f.source, v)
             img = apply_to_module(f, s, -depth - 2)
-            c = img.to_complex()
-            for i in range(-depth, 0):
-                h = homology(c, i)
-                if not h.is_zero():
-                    details[("homology", v, i)] = h.total_dim()
+            for i, h in homology_dims(img.to_complex()).items():
+                if -depth <= i < 0:
+                    details[("homology", v, i)] = h
                     ok = False
     return NonNegativityReport(ok, depth, details)
 

@@ -3,10 +3,11 @@ syzygies, transpose, duality, decomposition and isomorphism testing.
 
 A minimal resolution is a view of the package's one resolution
 construction, `complexes._Resolution` of the module's stalk complex.  Ext
-is read off it through the Yoneda identification Hom(P_v, N) = N(v),
-which keeps every boundary map a small dense matrix assembled from the
-resolution's element-matrix differentials, and is checked by balance,
-Ext^i_A(M, N) = Ext^i_(A^op)(DN, DM).  Decomposition is a Las Vegas
+is read off it through the Yoneda identification Hom(P_v, N) = N(v) as
+the rank count dim Hom(P_i, N) - rk d_(i+1)* - rk d_i*, each d_i* a small
+dense matrix assembled from the resolution's element-matrix
+differentials, and is checked by balance, Ext^i_A(M, N) =
+Ext^i_(A^op)(DN, DM).  Decomposition is a Las Vegas
 algorithm (seeded): split along idempotents of F_p[f] for random
 endomorphisms f until every piece has certified local endomorphism ring.
 The idempotents come from the Berlekamp subalgebra of F_p[f] by linear
@@ -102,61 +103,48 @@ def minimal_resolution(m: Representation, depth: int) -> MinimalResolution:
     return res.extend_to(depth)
 
 
-def _yoneda_boundary(alg, emat: ElementMatrix, src: ProjSummands, tgt: ProjSummands, n: Representation) -> Matrix:
-    """Matrix of Hom(d, n): Hom(tgt, n) -> Hom(src, n) in Yoneda coordinates.
+def _yoneda_rank(res: MinimalResolution, i: int, n: Representation) -> int:
+    """rk d_i* for d_i* = Hom(d_i, n) : Hom(P_(i-1), n) -> Hom(P_i, n) in
+    Yoneda coordinates, 0 for i = 0.
 
-    d : src -> tgt has element matrix emat (rows = tgt summands); the
+    d_i has element matrix res.dmats[i] (rows = P_(i-1) summands); the
     entry u in Hom(P_{v_j}, P_{w_l}) pulls back along the action of u.
     """
-    p = alg.p
-    rows = sum(n.dims[v] for v in src.vertices)
-    cols = sum(n.dims[w] for w in tgt.vertices)
-    out = np.zeros((rows, cols), dtype=np.int64)
-    roff = [0]
-    for v in src.vertices:
-        roff.append(roff[-1] + n.dims[v])
-    coff = [0]
-    for w in tgt.vertices:
-        coff.append(coff[-1] + n.dims[w])
+    if i == 0:
+        return 0
+    src, tgt, emat = res.terms[i], res.terms[i - 1], res.dmats[i]
+    roff = np.cumsum([0] + [n.dims[v] for v in src.vertices])
+    coff = np.cumsum([0] + [n.dims[w] for w in tgt.vertices])
+    out = np.zeros((roff[-1], coff[-1]), dtype=np.int64)
     for l in range(len(tgt.vertices)):
         for j in range(len(src.vertices)):
-            u = emat[l][j]
-            if not u:
-                continue
-            act = n.evaluate(u)  # n(w_l) -> n(v_j)
-            out[roff[j] : roff[j + 1], coff[l] : coff[l + 1]] = act.data
-    return Matrix(p, out)
+            if emat[l][j]:
+                out[roff[j] : roff[j + 1], coff[l] : coff[l + 1]] = n.evaluate(emat[l][j]).data  # n(w_l) -> n(v_j)
+    return rank(Matrix(n.p, out))
 
 
 def ext(m: Representation, n: Representation, i: int) -> int:
-    """dim Ext^i(m, n), via Hom(minimal resolution, n)."""
+    """dim Ext^i(m, n) = dim Hom(P_i, n) - rk d_(i+1)* - rk d_i*, with
+    Hom(P_v, n) = n(v), from a resolution of depth i + 1."""
     if i < 0:
         raise ValueError("ext degree must be >= 0")
     if m.is_zero() or n.is_zero():
         return 0
-    alg = m.algebra
     res = minimal_resolution(m, i + 1)
-    d_next = _yoneda_boundary(alg, res.dmats[i + 1], res.terms[i + 1], res.terms[i], n)
-    cocycles = nullspace(d_next)
-    if i == 0:
-        return cocycles.cols
-    d_prev = _yoneda_boundary(alg, res.dmats[i], res.terms[i], res.terms[i - 1], n)
-    return cocycles.cols - rank(d_prev)
+    return sum(n.dims[v] for v in res.terms[i].vertices) - _yoneda_rank(res, i + 1, n) - _yoneda_rank(res, i, n)
 
 
 def ext_row(y: Representation, k: int) -> list[int]:
     """[dim Ext^i(y, A) for i = 1..k] against the regular module
-    A = (+)_v P_v, from a resolution of depth k + 1: dim Ext^i =
-    dim Hom(P_i, A) - rk d_(i+1)* - rk d_i*, d_i* = Hom(d_i, A).  The
-    ranks [rk d_i* for i = 0..] (rk d_0* = 0) are cached on y and
-    extended one degree at a time, so reading the row a degree further
-    costs one new rank."""
-    alg = y.algebra
-    A = regular_module(alg)
+    A = (+)_v P_v, by the rank count of `ext`.  The ranks
+    [rk d_i* for i = 0..] are cached on y and extended one degree at a
+    time, so reading the row a degree further costs one new rank."""
+    if k < 0:
+        raise ValueError("ext_row length must be >= 0")
+    A = regular_module(y.algebra)
     res = minimal_resolution(y, k + 1)
-    ranks = y._cache.setdefault("ext_ranks", [0])
-    for i in range(len(ranks), k + 2):
-        ranks.append(rank(_yoneda_boundary(alg, res.dmats[i], res.terms[i], res.terms[i - 1], A)))
+    ranks = y._cache.setdefault("ext_ranks", [])
+    ranks += [_yoneda_rank(res, i, A) for i in range(len(ranks), k + 2)]
     return [sum(A.dims[v] for v in res.terms[i].vertices) - ranks[i + 1] - ranks[i] for i in range(1, k + 1)]
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from quivhom.algebra import dual_numbers, linear_algebra_An
-from quivhom.complexes import HomEngine
+from quivhom.complexes import HomEngine, HomKResult, hom_k_dim
 from quivhom.corpus import corpus, interval_module
 from quivhom.exactlin import MAX_PRIME, Matrix, extending_columns, nullspace, rank, solve
 from quivhom.homological import _end_radical, _end_structure, decompose
@@ -261,10 +261,11 @@ def test_hom_engine_matches_per_vector_solves_and_greedy_classes(which, A1, Lam1
                 assert eng.boundary(m) == reference_boundary(eng, m)
                 assert eng.boundary(m) is eng.boundary(m)
             for n in window:
-                dim, chosen, dprev, cycles = eng.homotopy_classes(n)
-                bnd_rank, ks = reference_extending_columns(dprev, cycles)
-                assert dim == cycles.cols - bnd_rank
-                assert [v.data[:, 0].tolist() for v in chosen] == [cycles.data[:, k].tolist() for k in ks]
+                classes = HomKResult(eng, n)
+                cycles = nullspace(eng.boundary(n))
+                bnd_rank, ks = reference_extending_columns(eng.boundary(n - 1), cycles)
+                assert classes.dim == cycles.cols - bnd_rank == hom_k_dim(c, d, n)
+                assert classes.vectors.T.tolist() == [cycles.data[:, k].tolist() for k in ks]
 
 
 def interval_sum(n, p):
