@@ -16,8 +16,9 @@ truncated where chain maps and homotopies can no longer reach Y[n].
 
 Every cohomology dimension, of a complex or of a total Hom complex, is
 the rank count dim C^n - rk d^n - rk d^(n-1) (`homology_dims`,
-`hom_k_dim`); homology modules and homotopy class bases are built only
-where they are read (`homology`, `HomKResult`).
+`hom_k_dim`), and f is a quasi-isomorphism when its cone is acyclic;
+homology modules and homotopy class bases are built only where they are
+read (`homology`, `HomKResult`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactlin import Matrix, extending_columns, inverse, nullspace, rank, solve
+from .exactlin import Matrix, extending_columns, nullspace, rank, solve
 from .homological import ext
 from .modules import (
     HomFrame,
@@ -310,16 +311,8 @@ def induced_homology_map(f: ChainMap, i: int):
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
-    lo = min(f.source.lo, f.target.lo) - 1
-    hi = max(f.source.hi, f.target.hi) + 1
-    for i in range(lo, hi + 1):
-        hx, hy, mats = induced_homology_map(f, i)
-        if hx.dims != hy.dims:
-            return False
-        for v, m in mats.items():
-            if m.rows != m.cols or (m.rows and inverse(m) is None):
-                return False
-    return True
+    """f is a quasi-isomorphism exactly when its cone is acyclic."""
+    return is_acyclic(cone(f)[0])
 
 
 def is_acyclic(c: Complex) -> bool:
@@ -371,8 +364,8 @@ class HomEngine:
     """Total Hom complex of a pair of bounded complexes, with coordinates.
 
     Hom(c^i, d^j) is one `HomFrame` per degree pair, built once per
-    engine; coordinates are read off it, not solved for, and each layout,
-    each D_m and each rank of D_m is computed once.
+    engine; coordinates are read off it, not solved for, and each layout
+    and each D_m is built once.
     """
 
     def __init__(self, c: Complex, d: Complex):
@@ -382,7 +375,6 @@ class HomEngine:
         self._frames: dict[tuple[int, int], HomFrame] = {}
         self._layouts: dict[int, list[tuple[int, int, int]]] = {}
         self._bnd: dict[int, Matrix] = {}
-        self._ranks: dict[int, int] = {}
 
     def frame(self, i: int, j: int) -> HomFrame:
         key = (i, j)
@@ -425,11 +417,6 @@ class HomEngine:
                 out[o : o + len(x), off : off + size] -= sign * x
         self._bnd[m] = Matrix(self.p, out)
         return self._bnd[m]
-
-    def boundary_rank(self, m: int) -> int:
-        if m not in self._ranks:
-            self._ranks[m] = rank(self.boundary(m))
-        return self._ranks[m]
 
     def vector_of(self, f: ShiftedMap) -> np.ndarray:
         m = f.n
@@ -516,9 +503,9 @@ def hom_k(c: Complex, d: Complex, n: int) -> HomKResult:
 
 
 def hom_k_dim(c: Complex, d: Complex, n: int) -> int:
-    """dim Hom^n - rk D_n - rk D_(n-1), from the engine's cached ranks."""
+    """dim Hom^n - rk D_n - rk D_(n-1)."""
     eng = _engine(c, d)
-    return eng.space_dim(n) - eng.boundary_rank(n) - eng.boundary_rank(n - 1)
+    return eng.space_dim(n) - rank(eng.boundary(n)) - rank(eng.boundary(n - 1))
 
 
 # -- projective resolutions ----------------------------------------------

@@ -2,9 +2,10 @@
 
 `homology_dims`, `is_acyclic`, `good_truncate_geq0`, `hom_k_dim`, `ext`
 and `ext_row` read dim C^n - rk d^n - rk d^(n-1) off the ranks of the
-differentials, and build no homology module, class basis or nullspace.
-The references kept here are what they no longer build: the homology
-module `homology(c, i)` and the Hom space `hom_frame(m, n)`.
+differentials, and build no homology module, class basis or nullspace;
+`is_quasi_iso` asks whether the cone is acyclic.  The references kept
+here are what they no longer build: the homology module `homology(c, i)`,
+the maps `induced_homology_map(f, i)` and the Hom space `hom_frame(m, n)`.
 """
 
 import numpy as np
@@ -21,11 +22,14 @@ from quivhom.complexes import (
     homology,
     homology_dims,
     identity_chain_map,
+    induced_homology_map,
     is_acyclic,
+    is_quasi_iso,
     module_complex,
     projective_resolution,
 )
 from quivhom.corpus import corpus
+from quivhom.exactlin import inverse
 from quivhom.functors import apply_to_module
 from quivhom.homological import ext, ext_row
 from quivhom.modules import hom_frame, simple
@@ -60,6 +64,35 @@ def test_homology_dims_match_the_homology_modules(name, request):
         assert is_acyclic(c) == (not want)
         acyclic += not want
     assert 0 < acyclic < len(cases)
+
+
+def reference_is_quasi_iso(f):
+    """Every induced map H^i(f) is square and invertible at every vertex."""
+    for i in range(min(f.source.lo, f.target.lo) - 1, max(f.source.hi, f.target.hi) + 2):
+        hx, hy, mats = induced_homology_map(f, i)
+        if hx.dims != hy.dims:
+            return False
+        if any(m.rows != m.cols or (m.rows and inverse(m) is None) for m in mats.values()):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["A1", "Lam1", "keps"])
+def test_quasi_isomorphisms_match_the_induced_homology_maps(name, request):
+    """The resolution comparisons, identities, and the two canonical maps
+    of each of their cones."""
+    alg = request.getfixturevalue(name)
+    maps = []
+    for c in resolution_inputs(alg, seed=len(name)):
+        for f in (projective_resolution(c, -4)[1], identity_chain_map(c)):
+            _, incl, proj = cone(f)
+            maps += [f, incl, proj]
+    quasi = 0
+    for f in maps:
+        want = reference_is_quasi_iso(f)
+        assert is_quasi_iso(f) == want
+        quasi += want
+    assert 0 < quasi < len(maps)
 
 
 @pytest.mark.parametrize("name", ["A1", "Lam1", "keps"])
@@ -141,6 +174,7 @@ def rank_answers(inputs):
         [truncated(x) for x in cxs],
         [ext(m, n, i) for m, n in pairs for i in range(3)],
         [ext_row(m, 3) for m in mods],
+        [is_quasi_iso(cone(identity_chain_map(x))[k]) for x in cxs for k in (1, 2)],
     )
 
 
@@ -151,14 +185,15 @@ def _raise(*args, **kwargs):
 def test_dimensions_build_no_kernel_quotient_or_nullspace(monkeypatch, A1, Lam1):
     """With `nullspace`, `extending_columns`, `kernel` and
     `quotient_by_bases` raising in `quivhom.complexes`, and `nullspace` in
-    `quivhom.homological`, every dimension answers as before on fresh
-    inputs."""
+    `quivhom.homological`, every dimension and `is_quasi_iso` answer as
+    before on fresh inputs."""
     fresh = guarded_inputs(A1, Lam1)
     want = rank_answers(guarded_inputs(A1, Lam1))
-    hom_k, hom_d, hdims, acyclic, trunc, exts, rows = want
+    hom_k, hom_d, hdims, acyclic, trunc, exts, rows, quasi = want
     assert any(hom_k) and any(hom_d) and any(exts) and any(map(any, rows))
     assert any(hdims) and any(acyclic) and not all(acyclic)
     assert any(isinstance(t, str) for t in trunc) and any(isinstance(t, dict) for t in trunc)
+    assert any(quasi) and not all(quasi)
     for name in ("nullspace", "extending_columns", "kernel", "quotient_by_bases"):
         monkeypatch.setattr(complexes, name, _raise)
     monkeypatch.setattr(homological, "nullspace", _raise)
