@@ -6,7 +6,10 @@ window_lo = -width - 2, which makes the result exact in all degrees
 >= -1), cancel contractible summands, and truncate at degree zero.  The
 degree-0 cokernel M is the stable image; the part in degrees >= 1 is a
 bounded complex of projectives U, and the degreewise-split sequence
-U -> model -> M[0] is the defining truncation triangle.
+U -> model -> M[0] is the defining truncation triangle.  One
+`TruncationTriangle` per (f, x) holds M, the model and the choices that
+morphism transport reuses; U and the maps i, pi and mu of the triangle
+are built on first read.
 
 Morphisms are transported by lifting to resolutions, substituting, and
 inducing on the degree-0 cokernels.  Two different lifts differ by a map
@@ -143,70 +146,57 @@ def stable_iso(x: Representation, y: Representation, seed: int = 0) -> bool:
 
 
 class TruncationTriangle:
-    """U -> model -> M[0], the degreewise-split brutal truncation of the
+    """The stable image of x under f and its truncation triangle
+    U -> model -> M[0], the degreewise-split brutal truncation of the
     canonical model of F(x) at degree one.
 
-    U is a bounded complex of projectives in degrees >= 1; pi is a
-    quasi-isomorphism exactly when U is acyclic; mu is the cone
-    identification cone(i) -> M[0] (a quasi-isomorphism witnessing the
-    connecting map of the triangle).
+    The model is the good truncation in degrees >= 0 of the minimized
+    complex cmin, which is exact in degree -1; its degree-zero term M is
+    the cokernel of d^{-1} and pi0 the projection onto it.  Morphism
+    transport reuses these canonical choices.
+
+    The rest of the triangle is built on first read: U is the bounded
+    complex of projectives in degrees >= 1; pi is a quasi-isomorphism
+    exactly when U is acyclic; mu is the cone identification
+    cone(i) -> M[0] (a quasi-isomorphism witnessing the connecting map
+    of the triangle).
     """
 
-    def __init__(self, U: ProjComplex, model: Complex, i_map: ChainMap, pi: ChainMap, M: Representation, mu: ChainMap):
-        self.U = U
-        self.model = model
-        self.i = i_map
-        self.pi = pi
-        self.M = M
-        self.mu = mu
-
-
-def truncation_data(alg, cmin: ProjComplex):
-    """(M, pi0, model, triangle) for a minimized projective complex that
-    is exact in degree -1: the model is its good truncation in degrees
-    >= 0, whose degree-zero term M is the cokernel of d^{-1} and pi0 the
-    projection onto it; the triangle is the degreewise-split brutal
-    truncation at degree one."""
-    model, wit = _good_truncate_unchecked(cmin.to_complex())
-    M, pi0 = model.term(0), wit.map(0)
-    uterms = {i: t for i, t in cmin.terms.items() if i >= 1}
-    udmats = {i: d for i, d in cmin.dmats.items() if i >= 1}
-    U = ProjComplex(alg, uterms, udmats, check=False)
-    uc = U.to_complex()
-    i_map = ChainMap(uc, model, {i: identity_hom(uc.terms[i]) for i in uc.terms}, check=False)
-    mc = module_complex(M) if not M.is_zero() else Complex(alg, {}, {}, check=False)
-    pi = ChainMap(model, mc, {0: identity_hom(M)} if not M.is_zero() else {}, check=False)
-    cn, _, _ = cone(i_map)
-    mu_comps = {}
-    if not M.is_zero() and not cn.term(0).is_zero():
-        parts0 = [uc.term(1), model.term(0)]
-        mu_comps[0] = _block_hom(
-            cn.term(0), M, parts0, [M], {(0, 1): identity_hom(M)}
-        )
-    mu = ChainMap(cn, mc, mu_comps, check=False)
-    return M, pi0, model, TruncationTriangle(U, model, i_map, pi, M, mu)
-
-
-class StableImagePipeline:
-    """Everything produced while computing one stable image; retained so
-    morphism transport can reuse the same canonical choices."""
-
     def __init__(self, f: FunctorData, x: Representation):
-        self.f = f
-        self.x = x
         self.window = -f.width - 2
-        raw = apply_to_module(f, x, self.window)
-        self.raw = raw
-        self.cmin, self.mproj, self.minc = minimize(raw)
-        self.M, self.pi0, self.model, self.triangle = truncation_data(f.target, self.cmin)
+        self.cmin, self.mproj, self.minc = minimize(apply_to_module(f, x, self.window))
+        self.model, wit = _good_truncate_unchecked(self.cmin.to_complex())
+        self.M, self.pi0 = self.model.term(0), wit.map(0)
+
+    @cached_property
+    def U(self) -> ProjComplex:
+        uterms = {i: t for i, t in self.cmin.terms.items() if i >= 1}
+        udmats = {i: d for i, d in self.cmin.dmats.items() if i >= 1}
+        return ProjComplex(self.cmin.algebra, uterms, udmats, check=False)
+
+    @cached_property
+    def i(self) -> ChainMap:
+        uc = self.U.to_complex()
+        return ChainMap(uc, self.model, {i: identity_hom(uc.terms[i]) for i in uc.terms}, check=False)
+
+    @cached_property
+    def pi(self) -> ChainMap:
+        return ChainMap(self.model, module_complex(self.M), {0: identity_hom(self.M)}, check=False)
+
+    @cached_property
+    def mu(self) -> ChainMap:
+        cn, _, _ = cone(self.i)
+        parts0 = [self.i.source.term(1), self.M]
+        mu0 = _block_hom(cn.term(0), self.M, parts0, [self.M], {(0, 1): identity_hom(self.M)})
+        return ChainMap(cn, module_complex(self.M), {0: mu0}, check=False)
 
 
-def _pipeline(f: FunctorData, x: Representation) -> StableImagePipeline:
+def _pipeline(f: FunctorData, x: Representation) -> TruncationTriangle:
     key = ("stable", id(x))
     hit = f._apply_cache.get(key)
     if hit is not None and hit[0] is x:
         return hit[1]
-    pl = StableImagePipeline(f, x)
+    pl = TruncationTriangle(f, x)
     f._apply_cache[key] = (x, pl)
     return pl
 
@@ -214,35 +204,29 @@ def _pipeline(f: FunctorData, x: Representation) -> StableImagePipeline:
 def stable_image(f: FunctorData, x: Representation):
     """(M, truncation triangle) for the stable image of x under f."""
     pl = _pipeline(f, x)
-    return pl.M, pl.triangle
+    return pl.M, pl
 
 
-def _model_chain_map(f: FunctorData, phi: RepHom) -> tuple[ChainMap, RepHom]:
+def _model_chain_map(f: FunctorData, phi: RepHom) -> ChainMap:
     """Chain map between the models of F(source) and F(target) induced by
-    a module map, together with the degree-0 component M_x -> M_y."""
+    a module map; its degree-0 component is the induced map M_x -> M_y."""
     px = _pipeline(f, phi.source)
     py = _pipeline(f, phi.target)
     lam = lift_to_resolutions(phi, px.window)
     flam = apply_to_proj_chain_map(f, lam)
     psi = py.mproj.compose(flam).compose(px.minc)
     psi_cm = psi.to_chain_map()
-    comps = {}
-    b = zero_hom(px.M, py.M)
+    comps = {i: m for i, m in psi_cm.maps.items() if i >= 1}
     if not px.M.is_zero() and not py.M.is_zero():
-        b = comps[0] = descend(px.pi0, py.pi0.compose(psi_cm.map(0)))
-    for i in psi_cm.maps:
-        if i >= 1:
-            comps[i] = psi_cm.maps[i]
-    cm = ChainMap(px.model, py.model, comps)
-    return cm, b
+        comps[0] = descend(px.pi0, py.pi0.compose(psi_cm.map(0)))
+    return ChainMap(px.model, py.model, comps)
 
 
 def stable_image_map(f: FunctorData, phi: RepHom) -> StableHom:
     """The stable class of the induced map between stable images."""
     px = _pipeline(f, phi.source)
     py = _pipeline(f, phi.target)
-    _, b = _model_chain_map(f, phi)
-    return StableHom(b, stable_hom(px.M, py.M))
+    return StableHom(_model_chain_map(f, phi).map(0), stable_hom(px.M, py.M))
 
 
 def omega_functor(alg, k: int) -> FunctorData:
@@ -257,13 +241,11 @@ class ExactSequenceImage:
     """0 -> M_x -> M_y (+) P -> M_z (+) Q -> 0 with projective P, Q, and
     edge maps whose stable classes agree with the transported maps."""
 
-    def __init__(self, P, Q, left, right, mid_parts, end_parts, a_hom, u_hom):
+    def __init__(self, P, Q, left, right, a_hom, u_hom):
         self.P = P
         self.Q = Q
         self.left = left
         self.right = right
-        self.mid_parts = mid_parts
-        self.end_parts = end_parts
         self.a_hom = a_hom
         self.u_hom = u_hom
 
@@ -290,8 +272,8 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
     px = _pipeline(f, fmap.source)
     py = _pipeline(f, fmap.target)
     pz = _pipeline(f, gmap.target)
-    pcm, bf = _model_chain_map(f, fmap)
-    qcm, bg = _model_chain_map(f, gmap)
+    pcm = _model_chain_map(f, fmap)
+    qcm = _model_chain_map(f, gmap)
     dx, dy, dz = px.model, py.model, pz.model
     qp = qcm.compose(pcm)
     cls = hom_k(dx, dz, -1)
@@ -397,26 +379,21 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
     # extract the M_y and M_z edge components
     a_hom = _extract_block(left, None, None, [V, p_x1, m_y], 2)
     u_hom = _extract_block(right, [V, p_x1, m_y], 2, [p_x2, p_y1, m_z], 2)
-    out = ExactSequenceImage(
-        P, Q, left, right, (V, p_x1, m_y), (p_x2, p_y1, m_z), a_hom, u_hom
-    )
+    out = ExactSequenceImage(P, Q, left, right, a_hom, u_hom)
     if not out.verify_exact():
         raise ValueError("constructed sequence is not exact")
     return out
 
 
-def _extract_block(f: RepHom, src_parts, src_idx, tgt_parts=None, tgt_idx=None) -> RepHom:
+def _extract_block(f: RepHom, src_parts, src_idx, tgt_parts, tgt_idx) -> RepHom:
     """Component of a map between direct sums (row/column block slice)."""
     p = f.source.p
     alg = f.source.algebra
     mats = {}
     for v in alg.quiver.vertices:
         m = f.mats[v].data
-        if tgt_parts is None:
-            r0, r1 = 0, m.shape[0]
-        else:
-            r0 = sum(t.dims[v] for t in tgt_parts[:tgt_idx])
-            r1 = r0 + tgt_parts[tgt_idx].dims[v]
+        r0 = sum(t.dims[v] for t in tgt_parts[:tgt_idx])
+        r1 = r0 + tgt_parts[tgt_idx].dims[v]
         if src_parts is None:
             c0, c1 = 0, m.shape[1]
         else:
@@ -424,5 +401,4 @@ def _extract_block(f: RepHom, src_parts, src_idx, tgt_parts=None, tgt_idx=None) 
             c1 = c0 + src_parts[src_idx].dims[v]
         mats[v] = Matrix(p, m[r0:r1, c0:c1])
     src_rep = f.source if src_parts is None else src_parts[src_idx]
-    tgt_rep = f.target if tgt_parts is None else tgt_parts[tgt_idx]
-    return RepHom(src_rep, tgt_rep, mats, check=False)
+    return RepHom(src_rep, tgt_parts[tgt_idx], mats, check=False)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from quivhom import complexes, stable
 from quivhom.complexes import is_acyclic, is_quasi_iso
-from quivhom.corpus import corpus
+from quivhom.corpus import Corpus, corpus
 from quivhom.exactlin import Matrix, solve
 from quivhom.functors import (
     compose,
@@ -11,8 +12,10 @@ from quivhom.functors import (
     perturb_functor_data,
     shift_functor,
 )
+from quivhom.gorenstein import is_gorenstein_projective
 from quivhom.homological import is_isomorphic, strip_projectives, syzygy
 from quivhom.modules import (
+    cokernel,
     direct_sum,
     hom_frame,
     hom_space,
@@ -35,7 +38,6 @@ from quivhom.stable import (
     stable_image,
     stable_image_map,
     stable_iso,
-    truncation_data,
 )
 from quivhom.projcplx import ProjComplex, direct_sum_proj
 from quivhom.modules import ProjSummands
@@ -65,8 +67,6 @@ def test_stable_end_nonzero_on_gp_family(C1):
 
 
 def test_stable_hom_space_builds_hom_x_y_only_when_read(C1, monkeypatch):
-    import quivhom.stable as stable
-
     x, y = next(
         (C1.M[a], C1.M[b]) for a in sorted(C1.M) for b in sorted(C1.M) if a != b and hom_space(C1.M[a], C1.M[b])
     )
@@ -110,16 +110,26 @@ def test_stable_image_identity_functor(A1):
 
 
 def test_truncation_triangle_structure(C1):
-    M, tri = stable_image(C1.F, C1.S_Q[1])
-    # degreewise split: U (+) M[0] matches the model termwise
-    assert tri.model.term(0).dims == M.dims
-    for i in tri.U.terms:
-        assert tri.model.term(i).dims == tri.U.terms[i].rep().dims
-    # U sits in degrees >= 1 with projective terms
-    assert all(i >= 1 for i in tri.U.terms)
-    assert is_projective(tri.U.to_complex().term(1))
-    # the cone identification is a quasi-isomorphism
-    assert is_quasi_iso(tri.mu)
+    # every corpus-1 M(i, l) and P_1 of Gamma, under F and under F o G;
+    # U, i, pi and mu are built on first read
+    xs = [C1.M[key] for key in sorted(C1.M)] + [projective(C1.Gam, "1")]
+    for f in (C1.F, compose(C1.F, C1.G)):
+        for x in xs:
+            M, tri = stable_image(f, x)
+            # degreewise split: U (+) M[0] matches the model termwise
+            assert min(tri.model.terms, default=0) >= 0
+            assert tri.model.term(0).dims == M.dims
+            for i in set(tri.model.terms) | set(tri.U.terms):
+                if i >= 1:
+                    assert tri.model.term(i).dims == tri.U.terms[i].rep().dims
+            # U sits in degrees >= 1 with projective terms
+            uc = tri.U.to_complex()
+            assert all(i >= 1 for i in tri.U.terms)
+            assert all(is_projective(t) for t in uc.terms.values())
+            # the cone identification is a quasi-isomorphism, and pi is
+            # one exactly when U is acyclic
+            assert is_quasi_iso(tri.mu)
+            assert is_quasi_iso(tri.pi) == is_acyclic(uc)
 
 
 def test_pi_quasi_iso_iff_u_acyclic(A1, C1):
@@ -259,9 +269,7 @@ def test_exact_image_rejects_non_exact(C1):
 
 def test_padded_strategy_gives_stably_equal_images(C1):
     # second resolution strategy: pad the minimal complex with a split
-    # projective pair before truncating
-    from quivhom.stable import truncation_data
-
+    # projective pair before truncating; M is the cokernel of d^{-1}
     x = C1.M[(0, 2)]
     pl = _pipeline(C1.F, x)
     lam = C1.Lam
@@ -271,7 +279,7 @@ def test_padded_strategy_gives_stably_equal_images(C1):
         {0: [[lam.e("2")]]},
     )
     padded = direct_sum_proj([pl.cmin, pad])
-    M2, _, _, tri2 = truncation_data(lam, padded)
+    M2, _ = cokernel(padded.to_complex().diff(-1))
     assert M2.total_dim() == pl.M.total_dim() + projective(lam, "2").total_dim()
     assert stable_iso(M2, pl.M)
 
@@ -502,3 +510,37 @@ def test_one_sided_stable_inverses_are_not_enough(C1):
     total, incls, projs = direct_sum([x, y])
     assert not StableHom(incls[0], stable_hom(x, total)).is_stable_iso()
     assert not StableHom(projs[0], stable_hom(total, x)).is_stable_iso()
+
+
+def _image_answers(c):
+    """Stable images of every M(i, l) under F (dims and arrow matrices),
+    their GP verdicts, and whether the images of the basis maps of
+    Hom(M(i, l), M(i', l')), for (i', l') equal to (i, l) or next to it
+    in key order, are stably zero."""
+    keys = sorted(c.M)
+    images = [stable_image(c.F, c.M[key])[0] for key in keys]
+    shapes = [(m.dims, {a: mat.data.tolist() for a, mat in m.mats.items()}) for m in images]
+    gp = [is_gorenstein_projective(m, 8).is_gp for m in images]
+    pairs = list(zip(keys, keys)) + list(zip(keys, keys[1:]))
+    phis = [phi for a, b in pairs for phi in hom_space(c.M[a], c.M[b])]
+    zero = [stable_image_map(c.F, phi).is_zero() for phi in phis]
+    return shapes, gp, zero
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a stable image built a mapping cone")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stable_images_build_no_cone(monkeypatch, n):
+    """With `cone` raising in `quivhom.stable` and `quivhom.complexes`,
+    stable images, their GP verdicts and transported maps answer as
+    unpatched: the triangle's cone is built only when mu is read.  Both
+    runs use a fresh corpus, so no image is cached from the other."""
+    want = _image_answers(Corpus(n))
+    _, _, zero = want
+    assert any(zero) and not all(zero)
+    fresh = Corpus(n)
+    monkeypatch.setattr(stable, "cone", _raise)
+    monkeypatch.setattr(complexes, "cone", _raise)
+    assert _image_answers(fresh) == want
