@@ -12,7 +12,6 @@ from .algebra import BoundQuiverAlgebra, NonAdmissibleError, Quiver, dual_number
 from .complexes import (
     ChainMap,
     Complex,
-    ShiftedMap,
     brutal_truncate_geq,
     brutal_truncate_lt,
     cone,

@@ -5,7 +5,9 @@ Conventions, fixed once and property-tested:
   * shift: (X[n])^i = X^{i+n} and the differential picks up (-1)^n;
   * cone(f)^i = X^{i+1} (+) Y^i with d(x, y) = (-d x, f x + d y);
   * a chain map X -> Y[n] is a family f^i : X^i -> Y^{i+n} with
-    f^{i+1} d_X^i = (-1)^n d_Y^{i+n} f^i.
+    f^{i+1} d_X^i = (-1)^n d_Y^{i+n} f^i; it is one `ChainMap` with
+    shift n, stored unshifted, and g o f has components g^{i+m} f^i and
+    shift n + m for f : X -> Y[m] and g : Y -> Z[n].
 
 Hom computations go through the total Hom complex: Hom^m = the direct
 sum over i of Hom(X^i, Y^{i+m}) with differential
@@ -108,48 +110,47 @@ def module_complex(m: Representation, degree: int = 0) -> Complex:
 
 
 class ChainMap:
-    """Degreewise morphism commuting with the differentials."""
+    """A chain map source -> target[n]: maps f^i : X^i -> Y^(i+n) with
+    f^(i+1) d_X^i = (-1)^n d_Y^(i+n) f^i, checked where X^i is nonzero."""
 
-    def __init__(self, source: Complex, target: Complex, maps: dict[int, RepHom], check: bool = True):
+    def __init__(self, source: Complex, target: Complex, maps: dict[int, RepHom], check: bool = True, n: int = 0):
         self.source = source
         self.target = target
+        self.n = n
         self.maps = {
             i: f
             for i, f in maps.items()
-            if not source.term(i).is_zero() and not target.term(i).is_zero()
+            if not source.term(i).is_zero() and not target.term(i + n).is_zero()
         }
         if check:
-            lo = min(source.lo, target.lo)
-            hi = max(source.hi, target.hi)
-            for i in range(lo, hi + 1):
+            for i in source.degrees():
                 lhs = self.map(i + 1).compose(source.diff(i))
-                rhs = target.diff(i).compose(self.map(i))
-                if not (lhs - rhs).is_zero():
+                rhs = target.diff(i + n).compose(self.map(i))
+                if not (lhs + rhs if n % 2 else lhs - rhs).is_zero():
                     raise ValueError(f"chain map fails to commute at degree {i}")
 
     def map(self, i: int) -> RepHom:
         f = self.maps.get(i)
         if f is not None:
             return f
-        return zero_hom(self.source.term(i), self.target.term(i))
+        return zero_hom(self.source.term(i), self.target.term(i + self.n))
 
     def compose(self, other: "ChainMap") -> "ChainMap":
-        maps = {}
-        for i in set(self.maps) | set(other.maps):
-            maps[i] = self.map(i).compose(other.map(i))
-        return ChainMap(other.source, self.target, maps, check=False)
+        """self o other, a chain map other.source -> self.target[self.n + other.n]."""
+        maps = {i: self.maps[i + other.n].compose(f) for i, f in other.maps.items() if i + other.n in self.maps}
+        return ChainMap(other.source, self.target, maps, check=False, n=self.n + other.n)
 
     def __add__(self, other):
         maps = {}
         for i in set(self.maps) | set(other.maps):
             maps[i] = self.map(i) + other.map(i)
-        return ChainMap(self.source, self.target, maps, check=False)
+        return ChainMap(self.source, self.target, maps, check=False, n=self.n)
 
     def __sub__(self, other):
         maps = {}
         for i in set(self.maps) | set(other.maps):
             maps[i] = self.map(i) - other.map(i)
-        return ChainMap(self.source, self.target, maps, check=False)
+        return ChainMap(self.source, self.target, maps, check=False, n=self.n)
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.maps.values())
@@ -157,44 +158,6 @@ class ChainMap:
 
 def identity_chain_map(c: Complex) -> ChainMap:
     return ChainMap(c, c, {i: identity_hom(c.terms[i]) for i in c.terms}, check=False)
-
-
-class ShiftedMap:
-    """A chain map source -> target[n], stored unshifted degreewise."""
-
-    def __init__(self, source: Complex, target: Complex, n: int, comps: dict[int, RepHom], check: bool = True):
-        self.source = source
-        self.target = target
-        self.n = n
-        self.comps = {
-            i: f
-            for i, f in comps.items()
-            if not source.term(i).is_zero() and not target.term(i + n).is_zero()
-        }
-        if check:
-            sign = 1 if n % 2 == 0 else -1
-            for i in range(source.lo - 1, source.hi + 1):
-                lhs = self.comp(i + 1).compose(source.diff(i))
-                rhs = target.diff(i + n).compose(self.comp(i)).scale(sign)
-                if not (lhs - rhs).is_zero():
-                    raise ValueError(f"shifted chain map fails at degree {i}")
-
-    def comp(self, i: int) -> RepHom:
-        f = self.comps.get(i)
-        if f is not None:
-            return f
-        return zero_hom(self.source.term(i), self.target.term(i + self.n))
-
-    def to_chain_map(self) -> ChainMap:
-        if self.n != 0:
-            raise ValueError("only shift-0 maps convert to plain chain maps")
-        return ChainMap(self.source, self.target, dict(self.comps), check=False)
-
-    def precompose(self, g: ChainMap) -> "ShiftedMap":
-        comps = {}
-        for i in set(self.comps) | set(g.maps):
-            comps[i] = self.comp(i).compose(g.map(i))
-        return ShiftedMap(g.source, self.target, self.n, comps, check=False)
 
 
 # -- elementary constructions ------------------------------------------
@@ -418,21 +381,21 @@ class HomEngine:
         self._bnd[m] = Matrix(self.p, out)
         return self._bnd[m]
 
-    def vector_of(self, f: ShiftedMap) -> np.ndarray:
+    def vector_of(self, f: ChainMap) -> np.ndarray:
         m = f.n
         vec = np.zeros(self.space_dim(m), dtype=np.int64)
         for i, off, size in self.layout(m):
-            vec[off : off + size] = self.frame(i, i + m).coordinates(f.comp(i).flat()[:, None])[:, 0]
+            vec[off : off + size] = self.frame(i, i + m).coordinates(f.map(i).flat()[:, None])[:, 0]
         return vec
 
-    def map_of(self, m: int, vec: np.ndarray) -> ShiftedMap:
+    def map_of(self, m: int, vec: np.ndarray) -> ChainMap:
         """The map with coordinate vector vec in Hom^m, the inverse of
         `vector_of`: one `HomFrame.combination` per degree block, on the
         frames that `boundary` builds."""
-        comps = {i: self.frame(i, i + m).combination(vec[off : off + size]) for i, off, size in self.layout(m)}
-        return ShiftedMap(self.c, self.d, m, comps, check=False)
+        maps = {i: self.frame(i, i + m).combination(vec[off : off + size]) for i, off, size in self.layout(m)}
+        return ChainMap(self.c, self.d, maps, check=False, n=m)
 
-    def solve_nullhomotopy(self, f: ShiftedMap) -> ShiftedMap | None:
+    def solve_nullhomotopy(self, f: ChainMap) -> ChainMap | None:
         """h with D(h) = f (an explicit homotopy witnessing f ~ 0)."""
         vec = self.vector_of(f)
         dprev = self.boundary(f.n - 1)
@@ -461,11 +424,11 @@ class HomKResult:
         self.vectors = cycles.data[:, new]
 
     @cached_property
-    def basis(self) -> list[ShiftedMap]:
+    def basis(self) -> list[ChainMap]:
         """The chosen classes as chain maps, built on first read."""
         return [self.engine.map_of(self.n, v) for v in self.vectors.T]
 
-    def coordinates(self, f: ShiftedMap) -> np.ndarray:
+    def coordinates(self, f: ChainMap) -> np.ndarray:
         """Class coordinates of f in the chosen basis."""
         vec = self.engine.vector_of(f)
         full = Matrix(self.engine.p, np.hstack([self.vectors, self._bnd.data]))
@@ -474,7 +437,7 @@ class HomKResult:
             raise ValueError("map is not a cycle in the Hom complex")
         return x.data[: self.dim, 0]
 
-    def is_null_homotopic(self, f: ShiftedMap) -> bool:
+    def is_null_homotopic(self, f: ChainMap) -> bool:
         return not self.coordinates(f).any()
 
 
@@ -675,7 +638,7 @@ def localization_compare(x: Complex, y: Complex, n: int, depth: int = 6) -> Loca
     hk = hom_k(x, y, n)
     res, epsmap = _Resolution.of(x).truncation(hom_d_window(y, n))
     rk = hom_k(res, y, n)
-    cols = [rk.coordinates(b.precompose(epsmap)) for b in hk.basis]
+    cols = [rk.coordinates(b.compose(epsmap)) for b in hk.basis]
     r = rank(Matrix(x.algebra.p, np.stack(cols, axis=1))) if cols and rk.dim else 0
     hyp = perpendicularity_hypothesis(x, y, depth)
     return LocalizationReport(hk.dim, rk.dim, r, hyp, r == rk.dim)

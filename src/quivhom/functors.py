@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Element, Path, Quiver, path_arrows, path_source
-from .complexes import Complex, HomEngine, ShiftedMap, hom_k, homology_dims, is_quasi_iso
+from .complexes import ChainMap, Complex, HomEngine, hom_k, homology_dims, is_quasi_iso
 from .exactlin import Matrix, column_space_basis, inverse, nullspace, rank, solve
 from .homological import _end_radical, _split_idempotent, minimal_resolution
 from .modules import (
@@ -392,7 +392,7 @@ def _split_proj_complex(pc: ProjComplex, seed: int = 0, budget: int = 40) -> lis
         degrees = sorted(c.terms)
         for _ in range(budget):
             f = eng.map_of(0, cycles.data @ rng.integers(0, p, size=cycles.cols) % p)
-            e = _split_idempotent([f.comp(i) for i in degrees], rng)
+            e = _split_idempotent([f.map(i) for i in degrees], rng)
             split = e and _complex_fitting(c, dict(zip(degrees, e)))
             if split:
                 stack.extend(split)
@@ -492,7 +492,7 @@ def check_tilting(t: TiltingCandidate, search_depth: int = 4, seed: int = 0) -> 
     return TiltingReport(selforth, "yes" if reached() else "unknown", rounds, failures)
 
 
-def _proj_cone(x: ProjComplex, y: ProjComplex, n: int, b: ShiftedMap) -> ProjComplex:
+def _proj_cone(x: ProjComplex, y: ProjComplex, n: int, b: ChainMap) -> ProjComplex:
     """Cone of a chain map x -> y[n], at the element-matrix level."""
     alg = x.algebra
     ysh = y.shift(n)
@@ -504,7 +504,7 @@ def _proj_cone(x: ProjComplex, y: ProjComplex, n: int, b: ShiftedMap) -> ProjCom
         tgt_ps = ysh.summands(i)
         if not len(src_ps.vertices) or not len(tgt_ps.vertices):
             continue
-        comps[i] = hom_to_element_matrix(alg, b.comp(i), src_ps, tgt_ps)
+        comps[i] = hom_to_element_matrix(alg, b.map(i), src_ps, tgt_ps)
     terms = {}
     dmats = {}
     for i in range(min(x.lo - 1, ysh.lo), max(x.hi, ysh.hi) + 1):
@@ -591,13 +591,7 @@ def endomorphism_presentation(t: TiltingCandidate, seed: int = 0, relation_cap: 
         for i2, (v2, w, k2) in enumerate(basis_index):
             if v2 != v:
                 continue
-            fmap = hk[(u, v)].basis[k1]
-            gmap = hk[(v, w)].basis[k2]
-            comp_comps = {}
-            for d in set(fmap.comps) | set(gmap.comps):
-                comp_comps[d] = gmap.comp(d).compose(fmap.comp(d))
-            comp = ShiftedMap(cxs[u], cxs[w], 0, comp_comps, check=False)
-            coords = hk[(u, w)].coordinates(comp)
+            coords = hk[(u, w)].coordinates(hk[(v, w)].basis[k2].compose(hk[(u, v)].basis[k1]))
             sc[i1, i2] = as_vector(u, w, coords)
     radbasis = _end_radical(p, sc)
     # arrows u -> v of the presentation live in the block Hom(S_v, S_u)
@@ -682,7 +676,7 @@ def _proj_complexes_homotopy_iso(x: ProjComplex, y: ProjComplex, seed: int = 0) 
     rng = np.random.default_rng(seed)
     for _ in range(20):
         f = hk.engine.map_of(0, hk.vectors @ rng.integers(0, p, size=hk.dim) % p)
-        if is_quasi_iso(f.to_chain_map()):
+        if is_quasi_iso(f):
             return True
     return False
 
@@ -690,14 +684,14 @@ def _proj_complexes_homotopy_iso(x: ProjComplex, y: ProjComplex, seed: int = 0) 
 def strict_chain_automorphism(img: ProjComplex, rng) -> tuple[ProjChainMap, ProjChainMap]:
     """A random strict chain automorphism of a projective complex and its
     inverse, as element-level maps (identity plus a random strict endo,
-    retried until invertible)."""
+    retried until invertible); ValueError when 20 draws are all singular."""
     alg = img.algebra
     c = img.to_complex()
     eng = HomEngine(c, c)
     cycles = nullspace(eng.boundary(0))
     for _ in range(20):
         f = eng.map_of(0, cycles.data @ rng.integers(0, alg.p, size=cycles.cols) % alg.p)
-        hs = {i: identity_hom(ps.rep()) + f.comp(i) for i, ps in img.terms.items()}
+        hs = {i: identity_hom(ps.rep()) + f.map(i) for i, ps in img.terms.items()}
         invs = {i: {v: inverse(m) for v, m in h.mats.items()} for i, h in hs.items()}
         if any(m is None for inv in invs.values() for m in inv.values()):
             continue
@@ -705,7 +699,7 @@ def strict_chain_automorphism(img: ProjComplex, rng) -> tuple[ProjChainMap, Proj
         for i, ps in img.terms.items():
             invs[i] = hom_to_element_matrix(alg, RepHom(ps.rep(), ps.rep(), invs[i], check=False), ps, ps)
         return ProjChainMap(img, img, comps), ProjChainMap(img, img, invs)
-    return identity_proj_chain_map(img), identity_proj_chain_map(img)
+    raise ValueError("no invertible strict chain endomorphism in 20 draws")
 
 
 def perturb_functor_data(f: FunctorData, seed: int = 0) -> tuple[FunctorData, dict]:

@@ -25,11 +25,11 @@ import numpy as np
 from .complexes import (
     ChainMap,
     Complex,
-    ShiftedMap,
+    HomEngine,
+    HomKResult,
     _block_hom,
     _good_truncate_unchecked,
     cone,
-    hom_k,
     is_acyclic,
     module_complex,
 )
@@ -50,7 +50,6 @@ from .modules import (
     lift,
     projective_cover,
     zero_hom,
-    zero_rep,
 )
 from .functors import (
     FunctorData,
@@ -238,8 +237,9 @@ def omega_functor(alg, k: int) -> FunctorData:
 
 
 class ExactSequenceImage:
-    """0 -> M_x -> M_y (+) P -> M_z (+) Q -> 0 with projective P, Q, and
-    edge maps whose stable classes agree with the transported maps."""
+    """0 -> M_x -> M_y (+) P -> M_z (+) Q -> 0 (`left`, `right`) with
+    projective P, Q; a_hom : M_x -> M_y and u_hom : M_y -> M_z are the
+    transported maps, the M_y and M_z blocks of its edge maps."""
 
     def __init__(self, P, Q, left, right, a_hom, u_hom):
         self.P = P
@@ -257,28 +257,25 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
     """Transport a short exact sequence through the stable functor.
 
     Follows the mapping-cone construction: present the images of the two
-    maps by chain maps on the canonical models, identify the model of the
-    source with the shifted cone of the second map (the comparison is a
-    quasi-isomorphism, built from an explicit null-homotopy of the
-    composite), and contract the acyclic total cone down to a four-term
-    exact sequence whose ends are the stable images padded by
-    projectives.
+    maps by chain maps p, q on the canonical models, identify the model of
+    the source with the shifted cone of q (the comparison is a
+    quasi-isomorphism, built from an explicit null-homotopy h of q p), and
+    read the sequence off the acyclic total cone.  Its degrees >= 2 are
+    projective, so V = ker d^2 = im d^1 is projective and
+    0 -> M_x -> M_y (+) V (+) dx^1 -> M_z (+) dx^2 (+) dy^1 -> 0 is exact.
+    The edge maps M_x -> M_y and M_y -> M_z are the transported maps
+    p^0 and q^0 themselves.
     """
     if fmap.target is not gmap.source:
         raise ValueError("maps do not compose")
     if not is_ses(fmap, gmap):
         raise ValueError("input is not a short exact sequence")
     alg = f.target
-    px = _pipeline(f, fmap.source)
-    py = _pipeline(f, fmap.target)
-    pz = _pipeline(f, gmap.target)
     pcm = _model_chain_map(f, fmap)
     qcm = _model_chain_map(f, gmap)
-    dx, dy, dz = px.model, py.model, pz.model
-    qp = qcm.compose(pcm)
-    cls = hom_k(dx, dz, -1)
-    eng = cls.engine
-    h0 = eng.solve_nullhomotopy(ShiftedMap(dx, dz, 0, dict(qp.maps), check=False))
+    dx, dy, dz = pcm.source, pcm.target, qcm.target
+    eng = HomEngine(dx, dz)
+    h0 = eng.solve_nullhomotopy(qcm.compose(pcm))
     if h0 is None:
         raise ValueError("composite image is not null-homotopic")
 
@@ -303,102 +300,55 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
                 (0, 0): dx.diff(i + 1).scale(-1),
                 (1, 0): pcm.map(i + 1),
                 (1, 1): dy.diff(i),
-                (2, 0): h.comp(i + 1).scale(-1),
+                (2, 0): h.map(i + 1).scale(-1),
                 (2, 1): qcm.map(i).scale(-1),
                 (2, 2): dz.diff(i - 1).scale(-1),
             }
             diffs[i] = _block_hom(terms[i], terms[i + 1], parts[i], parts[i + 1], blocks)
-        return Complex(alg, terms, diffs), parts
+        return Complex(alg, terms, diffs)
 
     # (image of f, minus the homotopy) always lifts the projection square,
     # but only some homotopy choices make the comparison a
     # quasi-isomorphism: correct h by shift-(-1) homotopy classes until
-    # the total cone is acyclic
-    cn, parts = build_cone(h0)
+    # the total cone is acyclic; with no such class there is nothing to try
+    cn = build_cone(h0)
     if not is_acyclic(cn):
+        cls = HomKResult(eng, -1)
         rng = np.random.default_rng(0)
         v0 = eng.vector_of(h0)
-        for _ in range(60):
-            h = eng.map_of(-1, (v0 + cls.vectors @ rng.integers(0, alg.p, size=cls.dim)) % alg.p)
-            cn, parts = build_cone(h)
+        for _ in range(60 if cls.dim else 0):
+            cn = build_cone(eng.map_of(-1, (v0 + cls.vectors @ rng.integers(0, alg.p, size=cls.dim)) % alg.p))
             if is_acyclic(cn):
                 break
         else:
             raise ValueError("no homotopy correction makes the total cone acyclic")
 
-    # contract everything above degree 2 into iterated kernels
-    cterms = dict(cn.terms)
-    cdiffs = dict(cn.diffs)
-    top = max(cterms) if cterms else 1
-    while top > 2:
-        dtop = cdiffs.pop(top - 1)
-        k, kincl = kernel(dtop)
-        del cterms[top]
-        if k.is_zero():
-            # the top differential was an isomorphism; the incoming map is
-            # forced to vanish, so drop it with the two cancelled terms
-            del cterms[top - 1]
-            cdiffs.pop(top - 2, None)
-        else:
-            cterms[top - 1] = k
-            if top - 2 in cdiffs:
-                cdiffs[top - 2] = lift(kincl, cdiffs[top - 2])
-        top = max(cterms) if cterms else 1
-
-    slot_m1 = cterms.get(-1, zero_rep(alg))
-    slot0 = cterms.get(0, zero_rep(alg))
-    slot1 = cterms.get(1, zero_rep(alg))
-    V = cterms.get(2, zero_rep(alg))
+    # cn is acyclic and projective above degree 1, so im d^1 = ker d^2 is
+    # projective; it is all of cn^2 when cn stops there
+    if 3 in cn.terms:
+        V, vincl = kernel(cn.diff(2))
+        d_1 = lift(vincl, cn.diff(1))
+    else:
+        V, d_1 = cn.term(2), cn.diff(1)
     if not is_projective(V):
         raise ValueError("collapsed top term is not projective")
 
-    d_m1 = cdiffs.get(-1, zero_hom(slot_m1, slot0))
-    d_0 = cdiffs.get(0, zero_hom(slot0, slot1))
-    d_1 = cdiffs.get(1, zero_hom(slot1, V))
-
-    section = zero_hom(V, slot1)
+    c1 = cn.term(1)
+    section = zero_hom(V, c1)
     if not V.is_zero():
-        frame = hom_frame(V, slot1)
+        frame = hom_frame(V, c1)
         rhs = Matrix(alg.p, identity_hom(V).flat().reshape(-1, 1))
         sol = solve(Matrix(alg.p, frame.postcompose(d_1)), rhs)
         if sol is None:
             raise ValueError("no section onto the collapsed projective")
         section = frame.combination(sol.data[:, 0])
 
-    mid, mid_incls, mid_projs = direct_sum([V, slot0])
-    left = mid_incls[1].compose(d_m1)
-    right = section.compose(mid_projs[0]) + d_0.compose(mid_projs[1])
-    right = right.scale(-1)
-
-    # part bookkeeping so the projective padding can be read off blockwise
-    zeros = [zero_rep(alg)] * 3
-    p_x1, m_y, _ = parts.get(0, zeros)
-    p_x2, p_y1, m_z = parts.get(1, zeros)
-    P = direct_sum_module([V, p_x1])
-    Q = direct_sum_module([p_x2, p_y1])
-    # extract the M_y and M_z edge components
-    a_hom = _extract_block(left, None, None, [V, p_x1, m_y], 2)
-    u_hom = _extract_block(right, [V, p_x1, m_y], 2, [p_x2, p_y1, m_z], 2)
-    out = ExactSequenceImage(P, Q, left, right, a_hom, u_hom)
+    mid, mid_incls, mid_projs = direct_sum([V, cn.term(0)])
+    left = mid_incls[1].compose(cn.diff(-1))
+    right = (section.compose(mid_projs[0]) + cn.diff(0).compose(mid_projs[1])).scale(-1)
+    P = direct_sum_module([V, dx.term(1)])
+    Q = direct_sum_module([dx.term(2), dy.term(1)])
+    out = ExactSequenceImage(P, Q, left, right, pcm.map(0), qcm.map(0))
     if not out.verify_exact():
         raise ValueError("constructed sequence is not exact")
     return out
-
-
-def _extract_block(f: RepHom, src_parts, src_idx, tgt_parts, tgt_idx) -> RepHom:
-    """Component of a map between direct sums (row/column block slice)."""
-    p = f.source.p
-    alg = f.source.algebra
-    mats = {}
-    for v in alg.quiver.vertices:
-        m = f.mats[v].data
-        r0 = sum(t.dims[v] for t in tgt_parts[:tgt_idx])
-        r1 = r0 + tgt_parts[tgt_idx].dims[v]
-        if src_parts is None:
-            c0, c1 = 0, m.shape[1]
-        else:
-            c0 = sum(t.dims[v] for t in src_parts[:src_idx])
-            c1 = c0 + src_parts[src_idx].dims[v]
-        mats[v] = Matrix(p, m[r0:r1, c0:c1])
-    src_rep = f.source if src_parts is None else src_parts[src_idx]
-    return RepHom(src_rep, tgt_parts[tgt_idx], mats, check=False)

@@ -15,6 +15,13 @@ The second golden covers the verbs whose answers pass through
 of corpus 1, and `stable-map` between the first three, in both formats.
 It was captured before `minimize` became an in-place cancellation.
 
+The third golden covers the verbs whose answers pass through chain maps
+of complexes and the exactness construction: `exact-image` on every
+corpus-1 and corpus-2 sequence, in both formats, and `hom-k`, `hom-d`
+and `compare-kd` between the first three M_i_l of corpus 1 at shifts -1,
+0 and 1.  It was captured before `ShiftedMap` was folded into `ChainMap`
+and `exact_sequence_image` stopped contracting its total cone.
+
 To recapture (only when an output is meant to change):
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -29,6 +36,7 @@ from quivhom.corpus import corpus
 
 GOLDEN = Path(__file__).parent / "data" / "cli_split_golden.json"
 MINIMIZE_GOLDEN = Path(__file__).parent / "data" / "cli_minimize_golden.json"
+EXACT_GOLDEN = Path(__file__).parent / "data" / "cli_exact_golden.json"
 
 
 def calls():
@@ -61,6 +69,21 @@ def minimize_calls():
     return out
 
 
+def exact_calls():
+    out = []
+    for n in (1, 2):
+        for fmt in ("table", "json"):
+            base = ["--corpus", str(n), "--format", fmt, "exact-image", "--functor", "F"]
+            out += [base + ["--pair", f"{i},{l}"] for i, l in sorted(corpus(n).ses)]
+    names = [f"M_{i}_{l}" for i, l in sorted(corpus(1).M)][:3]
+    for verb in ("hom-k", "hom-d", "compare-kd"):
+        for x in names:
+            for y in names:
+                for n in (-1, 0, 1):
+                    out.append(["--corpus", "1", "--format", "json", verb, "--source", x, "--target", y, "--shift", str(n)])
+    return out
+
+
 def run(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -86,7 +109,17 @@ def test_minimize_verbs_match_the_golden_text():
         assert run(expected["argv"]) == expected
 
 
+def test_exact_and_hom_verbs_match_the_golden_text():
+    want = json.loads(EXACT_GOLDEN.read_text())
+    argvs = exact_calls()
+    assert [w["argv"] for w in want] == argvs
+    assert len(argvs) == 42 + 81
+    for expected in want:
+        assert run(expected["argv"]) == expected
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([run(argv) for argv in calls()], indent=1) + "\n")
     MINIMIZE_GOLDEN.write_text(json.dumps([run(argv) for argv in minimize_calls()], indent=1) + "\n")
+    EXACT_GOLDEN.write_text(json.dumps([run(argv) for argv in exact_calls()], indent=1) + "\n")

@@ -281,7 +281,7 @@ def old_split_proj_complex(pc, seed=0, budget=40):
             fm = {i: None for i in c.terms}
             for co, b in zip(coeffs, endos):
                 for i in c.terms:
-                    term = b.comp(i).scale(int(co))
+                    term = b.map(i).scale(int(co))
                     fm[i] = term if fm[i] is None else fm[i] + term
             blocks = [fm[i].mats[v].data for i in sorted(c.terms) for v in c.algebra.quiver.vertices if fm[i].mats[v].rows]
             n = sum(b.shape[0] for b in blocks)
@@ -434,7 +434,7 @@ def test_map_of_is_the_accumulation_loop(n):
                 eng = HomEngine(c, d)
                 for m in range(d.lo - c.hi - 1, d.hi - c.lo + 2):
                     vec = rng.integers(0, c.algebra.p, size=eng.space_dim(m))
-                    got = eng.map_of(m, vec).comps
+                    got = eng.map_of(m, vec).maps
                     want = old_map_of(eng, m, vec)
                     assert sorted(got) == sorted(want)
                     assert all(got[i].mats == want[i].mats for i in want)

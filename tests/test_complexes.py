@@ -4,7 +4,6 @@ import pytest
 from quivhom.complexes import (
     ChainMap,
     Complex,
-    ShiftedMap,
     brutal_truncate_geq,
     brutal_truncate_lt,
     cone,
@@ -76,7 +75,7 @@ def test_cone_of_identity_acyclic_and_contractible(A1):
     cn, _, _ = cone(identity_chain_map(c))
     assert is_acyclic(cn)
     hk = hom_k(cn, cn, 0)
-    ident = ShiftedMap(cn, cn, 0, {i: identity_hom(cn.terms[i]) for i in cn.terms})
+    ident = ChainMap(cn, cn, {i: identity_hom(cn.terms[i]) for i in cn.terms})
     assert hk.is_null_homotopic(ident)
 
 
@@ -114,7 +113,7 @@ def test_cone_triangle_maps_commute(A1):
     basis = hom_k(x, y, 0).basis
     if not basis:
         pytest.skip("no chain maps in this sample")
-    f = basis[0].to_chain_map()
+    f = basis[0]
     cn, incl, proj = cone(f)
     # incl then proj vanishes
     assert proj.compose(incl).is_zero()
@@ -171,7 +170,7 @@ def test_hom_k_identity_class(A1):
     rng = np.random.default_rng(11)
     c = random_two_term_complex(A1, rng)
     hk = hom_k(c, c, 0)
-    ident = ShiftedMap(c, c, 0, {i: identity_hom(c.terms[i]) for i in c.terms})
+    ident = ChainMap(c, c, {i: identity_hom(c.terms[i]) for i in c.terms})
     assert hk.dim >= 1
     assert hk.coordinates(ident).any()
 
@@ -179,7 +178,7 @@ def test_hom_k_identity_class(A1):
 def test_coordinates_of_a_non_cycle_raise_value_error(A1):
     # the identity on the source term alone does not commute with d
     c = two_term_projective(A1)
-    half = ShiftedMap(c, c, 0, {0: identity_hom(c.terms[0])}, check=False)
+    half = ChainMap(c, c, {0: identity_hom(c.terms[0])}, check=False)
     with pytest.raises(ValueError, match="not a cycle"):
         hom_k(c, c, 0).coordinates(half)
 
@@ -295,8 +294,7 @@ def test_cone_acyclic_iff_quasi_iso(A1):
     for _ in range(6):
         x = random_two_term_complex(A1, rng)
         y = random_two_term_complex(A1, rng)
-        for b in hom_k(x, y, 0).basis[:2]:
-            f = b.to_chain_map()
+        for f in hom_k(x, y, 0).basis[:2]:
             cn, _, _ = cone(f)
             assert is_acyclic(cn) == is_quasi_iso(f)
             seen += 1
@@ -344,3 +342,38 @@ def test_localization_flags_hypothesis_violation(A1):
     rep = localization_compare(xc, yc, 0)
     assert not rep.hypothesis_ok
     assert rep.hom_k_dim == 0 and rep.hom_d_dim == 1
+
+
+
+def test_chain_maps_check_and_compose_with_their_shift(A1):
+    """`ChainMap(..., n=n)` checks f^(i+1) d = (-1)^n d f^i.  The identity
+    components are a chain map c -> (c[-n])[n] at odd n, and fail once one
+    component is negated; composing the two identities gives the identity
+    of c at shift 0.  Every class of Hom_K(x, y[n]) passes the check at its
+    own shift, and g o f, built by `compose`, at the sum of the shifts."""
+    c = two_term_projective(A1)
+    ident = {i: identity_hom(c.terms[i]) for i in c.terms}
+    for n in (-1, 1):
+        y = shift(c, -n)
+        f = ChainMap(c, y, ident, n=n)
+        with pytest.raises(ValueError, match="fails to commute"):
+            ChainMap(c, y, {0: ident[0], 1: ident[1].scale(-1)}, n=n)
+        back = ChainMap(y, c, {i + n: g for i, g in ident.items()}, n=-n)
+        h = back.compose(f)
+        assert h.n == 0 and all(h.map(i).mats == ident[i].mats for i in c.terms)
+        ChainMap(c, c, h.maps)
+    rng = np.random.default_rng(21)
+    composed = 0
+    for _ in range(6):
+        x = random_two_term_complex(A1, rng)
+        y = random_three_term_complex(A1, rng)
+        for n in (-1, 0, 1):
+            for f in hom_k(x, y, n).basis:
+                ChainMap(x, y, f.maps, n=n)
+                for m in (-1, 0, 1):
+                    for g in hom_k(y, x, m).basis:
+                        h = g.compose(f)
+                        assert h.n == n + m
+                        ChainMap(x, x, h.maps, n=n + m)
+                        composed += 1
+    assert composed

@@ -50,7 +50,7 @@ def reference_localization(x, y, n, depth=6):
     hk = hom_k(x, y, n)
     res, epsmap = projective_resolution(x, hom_d_window(y, n))
     rk = hom_k(res.to_complex(), y, n)
-    cols = [rk.coordinates(b.precompose(epsmap)) for b in hk.basis]
+    cols = [rk.coordinates(b.compose(epsmap)) for b in hk.basis]
     r = rank(Matrix(x.algebra.p, np.stack(cols, axis=1))) if cols and rk.dim else 0
     return hk.dim, rk.dim, r, perpendicularity_hypothesis(x, y, depth), r == rk.dim
 

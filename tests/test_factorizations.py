@@ -2,8 +2,8 @@
 
 `modules.lift` (the x with f o x = g, for a mono f) and `modules.descend`
 (the x with x o q = g, for an epi q) replace the per-vertex `solve` loops
-that homology, good truncation, the induced stable map, the kernel
-contraction of `exact_sequence_image`, the Fitting split and `recognize`
+that homology, good truncation, the induced stable map, the top of the
+total cone in `exact_sequence_image`, the Fitting split and `recognize`
 each wrote for themselves.  `sub_from_bases` no longer re-reduces bases
 that its callers have already made independent.  The old loops and the
 old `sub_from_bases` are kept here as references; each factorization is

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from quivhom.complexes import (
-    ShiftedMap,
     homology,
     homology_dims,
     hom_k,
@@ -29,7 +28,7 @@ from quivhom.functors import (
 from quivhom.homological import is_isomorphic
 from quivhom.exactlin import Matrix
 from quivhom.modules import ProjSummands, RepHom, projective, radical, simple, top
-from quivhom.projcplx import ProjChainMap, ProjComplex, minimize
+from quivhom.projcplx import ProjChainMap, ProjComplex, identity_proj_chain_map, minimize
 from quivhom.stable import stable_iso
 from tests.conftest import random_module
 
@@ -150,13 +149,11 @@ def test_functor_sends_cones_to_cones(C1):
     from quivhom.functors import apply_to_proj_chain_map
     from quivhom.modules import hom_to_element_matrix
 
-    emat = hom_to_element_matrix(C1.B, b.comp(0), x.summands(0), y.summands(0))
+    emat = hom_to_element_matrix(C1.B, b.map(0), x.summands(0), y.summands(0))
     mu = ProjChainMap(x, y, {0: emat})
     fmap = apply_to_proj_chain_map(f, mu)
-    fcm = fmap.to_chain_map()
-    sm = ShiftedMap(fcm.source, fcm.target, 0, dict(fcm.maps), check=False)
     cone_of_img = _proj_cone(
-        apply_to_projective_complex(f, x), apply_to_projective_complex(f, y), 0, sm
+        apply_to_projective_complex(f, x), apply_to_projective_complex(f, y), 0, fmap.to_chain_map()
     )
     cone_of_img, _, _ = minimize(cone_of_img)
     assert img_of_cone.signature() == cone_of_img.signature()
@@ -171,9 +168,7 @@ def test_apply_to_map_radical_inclusion(C1):
     r, incl = radical(P)
     t, _ = top(P)
     lam = apply_to_map(f, incl, -4)
-    cm = lam.to_chain_map()
-    sm = ShiftedMap(cm.source, cm.target, 0, dict(cm.maps), check=False)
-    cn = _proj_cone(lam.source, lam.target, 0, sm)
+    cn = _proj_cone(lam.source, lam.target, 0, lam.to_chain_map())
     img_top = apply_to_module(f, t, -4)
     ch, ct = cn.to_complex(), img_top.to_complex()
     for i in range(-2, f.width + 1):
@@ -317,3 +312,19 @@ def test_split_proj_complex(A1):
     pieces = _split_proj_complex(direct_sum_proj([x, y]), seed=3)
     sigs = sorted(p.signature() for p in pieces)
     assert sigs == [((0, ("0",)),), ((0, ("1",)),), ((1, ("3",)),)]
+
+
+def test_strict_chain_automorphism_raises_when_every_draw_is_singular(C1, monkeypatch):
+    """Twenty singular draws raise instead of returning the identity, which
+    would leave `perturb_functor_data` unperturbed and its tests vacuous."""
+    import quivhom.functors as functors
+
+    img = C1.F.images[C1.Gam.quiver.vertices[0]]
+    psi, psi_inv = functors.strict_chain_automorphism(img, np.random.default_rng(0))
+    ident = identity_proj_chain_map(img).comps
+    assert psi.compose(psi_inv).comps == ident and psi.comps != ident
+    monkeypatch.setattr(functors, "inverse", lambda m: None)
+    with pytest.raises(ValueError, match="20 draws"):
+        functors.strict_chain_automorphism(img, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="20 draws"):
+        functors.perturb_functor_data(C1.F, seed=0)

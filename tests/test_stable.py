@@ -350,7 +350,8 @@ def test_iterated_stable_functors_give_syzygy_power(C1):
 
 
 def test_exact_image_with_wide_functor(C1):
-    # a width-two composite exercises the cone contraction loop
+    # a width-two composite gives a total cone reaching degree 3, whose
+    # top V = ker d^2 is a kernel rather than the whole degree-2 term
     from quivhom.modules import is_projective
 
     f2 = compose(C1.F, omega_functor(C1.Lam, 1))
@@ -544,3 +545,75 @@ def test_stable_images_build_no_cone(monkeypatch, n):
     monkeypatch.setattr(stable, "cone", _raise)
     monkeypatch.setattr(complexes, "cone", _raise)
     assert _image_answers(fresh) == want
+
+
+def _edge_cases():
+    """(functor, incl, proj) for every corpus sequence at n <= 2 under F,
+    and every corpus-1 sequence under the width-two composite F o Omega."""
+    c1, c2 = corpus(1), corpus(2)
+    cases = [(c.F, incl, proj) for c in (c1, c2) for _, (incl, proj) in sorted(c.ses.items())]
+    f2 = compose(c1.F, omega_functor(c1.Lam, 1))
+    return cases + [(f2, incl, proj) for _, (incl, proj) in sorted(c1.ses.items())]
+
+
+def test_exact_image_edge_blocks_are_the_transported_maps():
+    """The M_y block of `left` and the M_y -> M_z block of `right`, read by
+    offsets past P = V (+) dx^1 and Q = dx^2 (+) dy^1, are the transported
+    maps entry for entry, and so are `a_hom` and `u_hom`."""
+    for f, incl, proj in _edge_cases():
+        res = exact_sequence_image(f, incl, proj)
+        mx, my, mz = (stable_image(f, m)[0] for m in (incl.source, incl.target, proj.target))
+        assert res.a_hom.source is mx
+        a, u = stable_image_map(f, incl).rep, stable_image_map(f, proj).rep
+        for v in f.target.quiver.vertices:
+            p0, q0 = res.P.dims[v], res.Q.dims[v]
+            left, right = res.left.mats[v].data, res.right.mats[v].data
+            assert left.shape == (p0 + my.dims[v], mx.dims[v])
+            assert right.shape == (q0 + mz.dims[v], p0 + my.dims[v])
+            assert np.array_equal(left[p0:], a.mats[v].data)
+            assert np.array_equal(right[q0:, p0:], u.mats[v].data)
+            assert np.array_equal(res.a_hom.mats[v].data, a.mats[v].data)
+            assert np.array_equal(res.u_hom.mats[v].data, u.mats[v].data)
+
+
+def _exact_answers(c):
+    """verify_exact and the P and Q dimensions of every transported
+    corpus sequence under F."""
+    out = []
+    for _, (incl, proj) in sorted(c.ses.items()):
+        res = exact_sequence_image(c.F, incl, proj)
+        out.append((res.verify_exact(), res.P.dims, res.Q.dims))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_exact_images_build_no_homotopy_classes(monkeypatch, n):
+    """With `HomKResult.__init__` raising, every corpus sequence is
+    transported as unpatched: the shift-(-1) classes are built only when
+    the first total cone is not acyclic.  Both runs use a fresh corpus."""
+    want = _exact_answers(Corpus(n))
+    assert all(exact for exact, _, _ in want)
+    fresh = Corpus(n)
+
+    def _no_classes(*args, **kwargs):
+        raise AssertionError("the exactness construction built homotopy classes")
+
+    monkeypatch.setattr(complexes.HomKResult, "__init__", _no_classes)
+    assert _exact_answers(fresh) == want
+
+
+def test_exact_image_without_correcting_classes_raises_at_once(C1, monkeypatch):
+    """When the first total cone is not acyclic and Hom_K(dx, dz[-1]) = 0,
+    no correction can change the cone, so the construction raises after
+    one acyclicity test instead of rebuilding the same cone."""
+    calls = []
+
+    def never_acyclic(c):
+        calls.append(c)
+        return False
+
+    monkeypatch.setattr(stable, "is_acyclic", never_acyclic)
+    incl, proj = C1.ses[(1, 2)]
+    with pytest.raises(ValueError, match="no homotopy correction"):
+        exact_sequence_image(C1.F, incl, proj)
+    assert len(calls) == 1
