@@ -3,7 +3,8 @@
 Conventions, fixed once and property-tested:
   * differentials raise degree: d^i : X^i -> X^{i+1}, d d = 0;
   * shift: (X[n])^i = X^{i+n} and the differential picks up (-1)^n;
-  * cone(f)^i = X^{i+1} (+) Y^i with d(x, y) = (-d x, f x + d y);
+  * cone(f)^i = X^{i+1} (+) Y^i with d(x, y) = (-d x, f x + d y); for
+    f : X -> Y[n], Y is read as Y[n];
   * a chain map X -> Y[n] is a family f^i : X^i -> Y^{i+n} with
     f^{i+1} d_X^i = (-1)^n d_Y^{i+n} f^i; it is one `ChainMap` with
     shift n, stored unshifted, and g o f has components g^{i+m} f^i and
@@ -195,9 +196,11 @@ def _block_hom(src_rep, tgt_rep, src_parts, tgt_parts, blocks):
 def cone(f: ChainMap):
     """Mapping cone with its two canonical maps.
 
-    Returns (cone, incl: target -> cone, proj: cone -> source[1]).
+    A map f : X -> Y[n] has the cone of its components read as a shift-0
+    map into Y[n] (Y itself when n = 0).  Returns
+    (cone, incl: Y[n] -> cone, proj: cone -> X[1]).
     """
-    X, Y = f.source, f.target
+    X, Y = f.source, shift(f.target, f.n) if f.n else f.target
     alg = X.algebra
     terms = {}
     parts = {}
@@ -451,14 +454,12 @@ def hom_complex(c: Complex, d: Complex):
 
 
 def _engine(c: Complex, d: Complex) -> HomEngine:
-    # the engine (shared by every shift) is cached by id with identity
-    # verification: the stored reference keeps d alive, so a recycled id
-    # cannot alias
-    ekey = ("homeng", id(d))
-    ehit = c._cache.get(ekey)
-    if ehit is None or ehit[0] is not d:
-        ehit = c._cache[ekey] = (d, HomEngine(c, d))
-    return ehit[1]
+    # the engine (shared by every shift) is cached on c under d itself,
+    # which hashes and compares by identity
+    key = ("homeng", d)
+    if key not in c._cache:
+        c._cache[key] = HomEngine(c, d)
+    return c._cache[key]
 
 
 def hom_k(c: Complex, d: Complex, n: int) -> HomKResult:

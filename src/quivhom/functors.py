@@ -19,11 +19,13 @@ sequences.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Element, Path, Quiver, path_arrows, path_source
-from .complexes import ChainMap, Complex, HomEngine, hom_k, homology_dims, is_quasi_iso
-from .exactlin import Matrix, column_space_basis, inverse, nullspace, rank, solve
+from .complexes import Complex, HomEngine, cone, hom_k, homology_dims, is_quasi_iso
+from .exactlin import Matrix, inverse, nullspace, rank, solve
 from .homological import _end_radical, _split_idempotent, minimal_resolution
 from .modules import (
     ElementMatrix,
@@ -369,11 +371,11 @@ class TiltingReport:
         self.failures = failures
 
 
-def _split_proj_complex(pc: ProjComplex, seed: int = 0, budget: int = 40) -> list[ProjComplex]:
+def _split_proj_complex(pc: ProjComplex, seed: int = 0) -> list[ProjComplex]:
     """Direct summands of a complex of projectives.  A piece splits along
     an idempotent of F_p[f] (`homological._split_idempotent`), f a random
     strict chain endomorphism taken degreewise; a piece whose strict
-    chain endomorphisms are the scalars, or that budget such f leave
+    chain endomorphisms are the scalars, or that 40 such f leave
     unsplit, is kept whole.  Pieces are re-minimized."""
     rng = np.random.default_rng(seed)
     out: list[ProjComplex] = []
@@ -390,7 +392,7 @@ def _split_proj_complex(pc: ProjComplex, seed: int = 0, budget: int = 40) -> lis
             out.append(cur)
             continue
         degrees = sorted(c.terms)
-        for _ in range(budget):
+        for _ in range(40):
             f = eng.map_of(0, cycles.data @ rng.integers(0, p, size=cycles.cols) % p)
             e = _split_idempotent([f.map(i) for i in degrees], rng)
             split = e and _complex_fitting(c, dict(zip(degrees, e)))
@@ -440,7 +442,9 @@ def _complex_fitting(c: Complex, e: dict) -> list[ProjComplex] | None:
 def check_tilting(t: TiltingCandidate, search_depth: int = 4, seed: int = 0) -> TiltingReport:
     """Self-orthogonality is exact; generation is a bounded thick-closure
     search (close under shifts, cones of hom-class maps, and direct
-    summands) that reports "yes" or "unknown"."""
+    summands) that reports "yes" or "unknown".  The cone of a class
+    x -> y[n] is `complexes.cone` of its chain map, presented as a
+    complex of projectives by `recognize`."""
     total = t.total()
     c = total.to_complex()
     failures = {}
@@ -484,43 +488,12 @@ def check_tilting(t: TiltingCandidate, search_depth: int = 4, seed: int = 0) -> 
                 for n in range(-span, span + 1):
                     hk = hom_k(cx, cy, n)
                     for b in hk.basis:
-                        add(_proj_cone(x, y, n, b))
+                        add(recognize(cone(b)[0]))
             if reached():
                 break
         if reached():
             break
     return TiltingReport(selforth, "yes" if reached() else "unknown", rounds, failures)
-
-
-def _proj_cone(x: ProjComplex, y: ProjComplex, n: int, b: ChainMap) -> ProjComplex:
-    """Cone of a chain map x -> y[n], at the element-matrix level."""
-    alg = x.algebra
-    ysh = y.shift(n)
-    sign = 1 if n % 2 == 0 else -1
-    # element matrices of b, reinterpreted into the shifted target
-    comps = {}
-    for i in range(x.lo, x.hi + 1):
-        src_ps = x.summands(i)
-        tgt_ps = ysh.summands(i)
-        if not len(src_ps.vertices) or not len(tgt_ps.vertices):
-            continue
-        comps[i] = hom_to_element_matrix(alg, b.map(i), src_ps, tgt_ps)
-    terms = {}
-    dmats = {}
-    for i in range(min(x.lo - 1, ysh.lo), max(x.hi, ysh.hi) + 1):
-        verts = list(x.summands(i + 1).vertices) + list(ysh.summands(i).vertices)
-        if verts:
-            terms[i] = ProjSummands(alg, verts)
-    for i in terms:
-        if i + 1 not in terms:
-            continue
-        nx, ny = len(x.summands(i + 1).vertices), len(ysh.summands(i).vertices)
-        mx, my = len(x.summands(i + 2).vertices), len(ysh.summands(i + 1).vertices)
-        shape = (mx + my, nx + ny)
-        _add_block(alg, dmats, i, shape, (0, 0), x.dmats.get(i + 1, ()), -1)
-        _add_block(alg, dmats, i, shape, (mx, 0), comps.get(i + 1, ()), sign)
-        _add_block(alg, dmats, i, shape, (mx, nx), ysh.dmats.get(i, ()))
-    return ProjComplex(alg, terms, dmats)
 
 
 class EndoPresentation:
@@ -540,16 +513,19 @@ class EndoPresentation:
         self.relation_count = relation_count
 
 
-def endomorphism_presentation(t: TiltingCandidate, seed: int = 0, relation_cap: int = 8) -> EndoPresentation:
+def endomorphism_presentation(t: TiltingCandidate, seed: int = 0) -> EndoPresentation:
     """Gabriel quiver of E = End_K(T) and a relation count.
 
     Summands are grouped into homotopy-isomorphism classes (the vertices);
     E is built from hom_k bases with its structure constants, rad E is the
-    trace-form radical of `homological._end_radical`, and the arrows u -> v
-    are a basis of rad E / rad^2 E in the block between the classes.  The
-    trace form finds the radical only in characteristic p > dim E, so a
-    candidate with dim E >= p raises DecompositionError instead of
-    returning a wrong quiver.
+    trace-form radical of `homological._end_radical`, and rad^2 E is
+    spanned by the products of pairs of radical vectors.  Both are
+    two-sided ideals, so each is the sum of its blocks e_u(-)e_v, and
+    the arrows v -> u number the rank of rad on the coordinates of the
+    block (u, v) (the maps S_u -> S_v) minus that of rad^2.  The trace form
+    finds the radical only in characteristic p > dim E, so a candidate
+    with dim E >= p raises DecompositionError instead of returning a
+    wrong quiver.
     """
     alg = t.algebra
     p = alg.p
@@ -569,90 +545,45 @@ def endomorphism_presentation(t: TiltingCandidate, seed: int = 0, relation_cap: 
             mult.append(1)
     r = len(reps)
     cxs = [x.to_complex() for x in reps]
-    hk = {}
-    basis_index = []  # (u, v, k)
-    for u in range(r):
-        for v in range(r):
-            hk[(u, v)] = hom_k(cxs[u], cxs[v], 0)
-            for k in range(hk[(u, v)].dim):
-                basis_index.append((u, v, k))
-    dim = len(basis_index)
-    pos = {t3: i for i, t3 in enumerate(basis_index)}
-
-    def as_vector(u, v, coords):
-        vec = np.zeros(dim, dtype=np.int64)
-        for k, cval in enumerate(coords):
-            vec[pos[(u, v, k)]] = cval
-        return vec
-
+    blocks = [(u, v) for u in range(r) for v in range(r)]
+    hk = {(u, v): hom_k(cxs[u], cxs[v], 0) for u, v in blocks}
+    # E coordinates: the class bases of the blocks, in order
+    offs = np.cumsum([0] + [hk[b].dim for b in blocks]).tolist()
+    span = {b: slice(offs[k], offs[k + 1]) for k, b in enumerate(blocks)}
+    dim = offs[-1]
     # structure constants, left-to-right: (u->v) * (v->w) = composite u->w
     sc = np.zeros((dim, dim, dim), dtype=np.int64)
-    for i1, (u, v, k1) in enumerate(basis_index):
-        for i2, (v2, w, k2) in enumerate(basis_index):
-            if v2 != v:
-                continue
-            coords = hk[(u, w)].coordinates(hk[(v, w)].basis[k2].compose(hk[(u, v)].basis[k1]))
-            sc[i1, i2] = as_vector(u, w, coords)
-    radbasis = _end_radical(p, sc)
-    # arrows u -> v of the presentation live in the block Hom(S_v, S_u)
-    # (maps between projectives run against the quiver arrows)
-    rad_block: dict[tuple[int, int], Matrix] = {}
-    for u in range(r):
-        for v in range(r):
-            cols = []
-            for k in range(radbasis.cols):
-                vec = radbasis.data[:, k]
-                blockvec = np.zeros(hk[(u, v)].dim, dtype=np.int64)
-                nz = False
-                for k2 in range(hk[(u, v)].dim):
-                    blockvec[k2] = vec[pos[(u, v, k2)]]
-                    nz = nz or blockvec[k2]
-                if nz:
-                    cols.append(blockvec)
-            if cols:
-                rad_block[(u, v)] = column_space_basis(Matrix(p, np.stack(cols, axis=1)))
-    # rad^2 blocks
+    for u, v, w in itertools.product(range(r), repeat=3):
+        for k1, b1 in enumerate(hk[(u, v)].basis):
+            for k2, b2 in enumerate(hk[(v, w)].basis):
+                coords = hk[(u, w)].coordinates(b2.compose(b1))
+                sc[span[(u, v)].start + k1, span[(v, w)].start + k2, span[(u, w)]] = coords
+    # radical vectors as rows; sc[a, b] holds the coordinates of
+    # basis_a * basis_b, so the products x * y of radical vectors are two
+    # contractions
+    rad = _end_radical(p, sc).data.T
+    left = np.tensordot(rad, sc, axes=(1, 0)) % p
+    rad2 = np.tensordot(left, rad, axes=(1, 1)) % p
+    rad2 = rad2.transpose(0, 2, 1).reshape(len(rad) ** 2, dim)
+    # the block (u, v) holds maps S_u -> S_v, which give arrows v -> u
+    # (maps between projectives run against the quiver arrows); a block
+    # has few coordinates, so each rank is an rref of few columns
     arrows = []
-    for (u, v), bu in rad_block.items():
-        sq_cols = []
-        for w in range(r):
-            if (u, w) in rad_block and (w, v) in rad_block:
-                b1, b2 = rad_block[(u, w)], rad_block[(w, v)]
-                for k1 in range(b1.cols):
-                    for k2 in range(b2.cols):
-                        x1 = as_vector(u, w, b1.data[:, k1])
-                        x2 = as_vector(w, v, b2.data[:, k2])
-                        prod = np.zeros(dim, dtype=np.int64)
-                        for a in range(dim):
-                            if x1[a]:
-                                # sc[a][b] holds the coordinates of
-                                # basis_a * basis_b
-                                prod = (prod + x1[a] * (x2 @ sc[a] % p)) % p
-                        blockvec = np.array(
-                            [prod[pos[(u, v, k)]] for k in range(hk[(u, v)].dim)],
-                            dtype=np.int64,
-                        )
-                        sq_cols.append(blockvec)
-        if sq_cols:
-            sq = Matrix(p, np.stack(sq_cols, axis=1))
-            count = bu.cols - rank(sq)
-        else:
-            count = bu.cols
-        # presentation arrow v -> u for each rad/rad^2 basis element in
-        # the block of maps S_u <- S_v ... i.e. Hom(S_u, S_v) gives v -> u
-        for k in range(count):
-            arrows.append((f"x{len(arrows)}", str(v), str(u)))
+    for b in blocks:
+        count = rank(Matrix(p, rad[:, span[b]])) - rank(Matrix(p, rad2[:, span[b]]))
+        for _ in range(count):
+            arrows.append((f"x{len(arrows)}", str(b[1]), str(b[0])))
     quiver = Quiver([str(i) for i in range(r)], arrows)
     # relation count: dimension defect of the path algebra against E
-    path_count = _count_paths(quiver, relation_cap)
-    relation_count = max(0, path_count - dim)
+    relation_count = max(0, _count_paths(quiver) - dim)
     return EndoPresentation(dim, mult, quiver, relation_count)
 
 
-def _count_paths(q: Quiver, cap: int) -> int:
+def _count_paths(q: Quiver) -> int:
+    """The number of paths of q of length at most 8."""
     total = len(q.vertices)
     frontier = {v: 1 for v in q.vertices}
-    for _ in range(cap):
+    for _ in range(8):
         nxt = {v: 0 for v in q.vertices}
         moved = 0
         for v, cnt in frontier.items():

@@ -7,7 +7,6 @@ reproductions also enforce their stated wall-clock budgets.
 import time
 
 import numpy as np
-import pytest
 
 from quivhom.algebra import dual_numbers
 from quivhom.complexes import Complex, localization_compare, module_complex, hom_d_dim
@@ -24,10 +23,8 @@ from quivhom.homological import decompose, ext, projdim, syzygy
 from quivhom.modules import (
     ProjSummands,
     cokernel,
-    direct_sum,
     hom_space,
     is_projective,
-    projective,
     zero_hom,
 )
 from quivhom.projcplx import ProjComplex, direct_sum_proj

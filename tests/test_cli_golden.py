@@ -20,7 +20,10 @@ of complexes and the exactness construction: `exact-image` on every
 corpus-1 and corpus-2 sequence, in both formats, and `hom-k`, `hom-d`
 and `compare-kd` between the first three M_i_l of corpus 1 at shifts -1,
 0 and 1.  It was captured before `ShiftedMap` was folded into `ChainMap`
-and `exact_sequence_image` stopped contracting its total cone.
+and `exact_sequence_image` stopped contracting its total cone, and
+recaptured when `exact-image` dropped its `edge_classes_match` key (a
+comparison of each edge map with a recomputation of itself); no other
+byte of it changed.
 
 To recapture (only when an output is meant to change):
     PYTHONPATH=src python tests/test_cli_golden.py

@@ -22,6 +22,7 @@ from quivhom.complexes import (
     projective_resolution,
     shift,
 )
+from quivhom.corpus import corpus
 from quivhom.homological import ext, is_isomorphic
 from quivhom.modules import (
     ProjSummands,
@@ -377,3 +378,43 @@ def test_chain_maps_check_and_compose_with_their_shift(A1):
                         ChainMap(x, x, h.maps, n=n + m)
                         composed += 1
     assert composed
+
+
+def same_complex(a, b):
+    return (
+        {i: t.dims for i, t in a.terms.items()} == {i: t.dims for i, t in b.terms.items()}
+        and {i: d.mats for i, d in a.diffs.items()} == {i: d.mats for i, d in b.diffs.items()}
+    )
+
+
+def same_map(f, g):
+    return same_complex(f.source, g.source) and same_complex(f.target, g.target) and (
+        {i: h.mats for i, h in f.maps.items()} == {i: h.mats for i, h in g.maps.items()}
+    )
+
+
+def test_cone_of_a_shifted_map_is_the_cone_into_the_shifted_target(A1):
+    """A map x -> y[n] has the cone of its components read as a shift-0
+    map into y[n].  Over corpus-1 B, the class S_0 -> (S_0 in degree 1)[1]
+    is an isomorphism, so a quasi-isomorphism; and for Hom_K classes at
+    n = +-1, +-2 the cone and both its maps equal, entry for entry, those
+    of the rewrapped map."""
+    s0 = simple(corpus(1).B, "0")
+    x, y = module_complex(s0, 0), module_complex(s0, 1)
+    (f,) = hom_k(x, y, 1).basis
+    assert is_quasi_iso(f)
+    cn, incl, proj = cone(f)
+    assert is_acyclic(cn) and cn.total_dim() == 2 and same_complex(incl.source, shift(y, 1))
+    rng = np.random.default_rng(22)
+    compared = 0
+    for _ in range(6):
+        x = random_two_term_complex(A1, rng)
+        y = random_three_term_complex(A1, rng)
+        for n in (-2, -1, 1, 2):
+            for f in hom_k(x, y, n).basis:
+                got = cone(f)
+                want = cone(ChainMap(x, shift(y, n), f.maps))
+                assert same_complex(got[0], want[0])
+                assert same_map(got[1], want[1]) and same_map(got[2], want[2])
+                compared += 1
+    assert compared

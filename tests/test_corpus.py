@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 
 from quivhom.corpus import corpus
 from quivhom.functors import is_non_negative
-from quivhom.homological import decompose, is_isomorphic
+from quivhom.homological import decompose
 from quivhom.modules import is_projective, is_ses, projective
 from quivhom.projcplx import minimize
 

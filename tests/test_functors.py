@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
+from quivhom.algebra import Quiver
 from quivhom.complexes import (
+    cone,
     homology,
     homology_dims,
     hom_k,
-    is_quasi_iso,
-    module_complex,
 )
-from quivhom.corpus import corpus
+from quivhom.corpus import Corpus, corpus
 from quivhom.functors import (
     FunctorData,
     TiltingCandidate,
-    _proj_cone,
+    _count_paths,
     _proj_complexes_homotopy_iso,
     apply_to_map,
     apply_to_module,
@@ -25,10 +25,10 @@ from quivhom.functors import (
     lift_to_resolutions,
     shift_functor,
 )
-from quivhom.homological import is_isomorphic
-from quivhom.exactlin import Matrix
-from quivhom.modules import ProjSummands, RepHom, projective, radical, simple, top
-from quivhom.projcplx import ProjChainMap, ProjComplex, identity_proj_chain_map, minimize
+from quivhom.homological import _end_radical, is_isomorphic, minimal_resolution
+from quivhom.exactlin import Matrix, column_space_basis, rank
+from quivhom.modules import ProjSummands, RepHom, hom_to_element_matrix, projective, radical, simple, top
+from quivhom.projcplx import ProjChainMap, ProjComplex, _add_block, identity_proj_chain_map, minimize, recognize
 from quivhom.stable import stable_iso
 from tests.conftest import random_module
 
@@ -143,18 +143,15 @@ def test_functor_sends_cones_to_cones(C1):
     hk = hom_k(x.to_complex(), y.to_complex(), 0)
     assert hk.basis, "maps between these projectives must exist"
     b = hk.basis[0]
-    cn = _proj_cone(x, y, 0, b)
+    cn = recognize(cone(b)[0])
     img_of_cone, _, _ = minimize(apply_to_projective_complex(f, cn))
     # cone of the applied map
     from quivhom.functors import apply_to_proj_chain_map
-    from quivhom.modules import hom_to_element_matrix
 
     emat = hom_to_element_matrix(C1.B, b.map(0), x.summands(0), y.summands(0))
     mu = ProjChainMap(x, y, {0: emat})
     fmap = apply_to_proj_chain_map(f, mu)
-    cone_of_img = _proj_cone(
-        apply_to_projective_complex(f, x), apply_to_projective_complex(f, y), 0, fmap.to_chain_map()
-    )
+    cone_of_img = recognize(cone(fmap.to_chain_map())[0])
     cone_of_img, _, _ = minimize(cone_of_img)
     assert img_of_cone.signature() == cone_of_img.signature()
     assert _proj_complexes_homotopy_iso(img_of_cone, cone_of_img)
@@ -168,7 +165,7 @@ def test_apply_to_map_radical_inclusion(C1):
     r, incl = radical(P)
     t, _ = top(P)
     lam = apply_to_map(f, incl, -4)
-    cn = _proj_cone(lam.source, lam.target, 0, lam.to_chain_map())
+    cn = recognize(cone(lam.to_chain_map())[0])
     img_top = apply_to_module(f, t, -4)
     ch, ct = cn.to_complex(), img_top.to_complex()
     for i in range(-2, f.width + 1):
@@ -328,3 +325,153 @@ def test_strict_chain_automorphism_raises_when_every_draw_is_singular(C1, monkey
         functors.strict_chain_automorphism(img, np.random.default_rng(0))
     with pytest.raises(ValueError, match="20 draws"):
         functors.perturb_functor_data(C1.F, seed=0)
+
+
+# -- the old tilting constructions, kept as references -------------------
+
+
+def old_proj_cone(x, y, n, b):
+    """Cone of a chain map x -> y[n], at the element-matrix level."""
+    alg = x.algebra
+    ysh = y.shift(n)
+    sign = 1 if n % 2 == 0 else -1
+    comps = {}
+    for i in range(x.lo, x.hi + 1):
+        src_ps = x.summands(i)
+        tgt_ps = ysh.summands(i)
+        if not len(src_ps.vertices) or not len(tgt_ps.vertices):
+            continue
+        comps[i] = hom_to_element_matrix(alg, b.map(i), src_ps, tgt_ps)
+    terms = {}
+    dmats = {}
+    for i in range(min(x.lo - 1, ysh.lo), max(x.hi, ysh.hi) + 1):
+        verts = list(x.summands(i + 1).vertices) + list(ysh.summands(i).vertices)
+        if verts:
+            terms[i] = ProjSummands(alg, verts)
+    for i in terms:
+        if i + 1 not in terms:
+            continue
+        nx, ny = len(x.summands(i + 1).vertices), len(ysh.summands(i).vertices)
+        mx, my = len(x.summands(i + 2).vertices), len(ysh.summands(i + 1).vertices)
+        shape = (mx + my, nx + ny)
+        _add_block(alg, dmats, i, shape, (0, 0), x.dmats.get(i + 1, ()), -1)
+        _add_block(alg, dmats, i, shape, (mx, 0), comps.get(i + 1, ()), sign)
+        _add_block(alg, dmats, i, shape, (mx, nx), ysh.dmats.get(i, ()))
+    return ProjComplex(alg, terms, dmats)
+
+
+def old_endomorphism_presentation(t, seed=0):
+    """Arrows as a basis of rad / rad^2 in each block, rad^2 from a loop
+    over the products of block bases of the radical."""
+    p = t.algebra.p
+    reps, mult = [], []
+    for s in t.summands:
+        mn, _, _ = minimize(s)
+        for idx, r in enumerate(reps):
+            if r.signature() == mn.signature() and _proj_complexes_homotopy_iso(r, mn, seed):
+                mult[idx] += 1
+                break
+        else:
+            reps.append(mn)
+            mult.append(1)
+    r = len(reps)
+    cxs = [x.to_complex() for x in reps]
+    hk = {}
+    basis_index = []
+    for u in range(r):
+        for v in range(r):
+            hk[(u, v)] = hom_k(cxs[u], cxs[v], 0)
+            basis_index += [(u, v, k) for k in range(hk[(u, v)].dim)]
+    dim = len(basis_index)
+    pos = {t3: i for i, t3 in enumerate(basis_index)}
+
+    def as_vector(u, v, coords):
+        vec = np.zeros(dim, dtype=np.int64)
+        for k, cval in enumerate(coords):
+            vec[pos[(u, v, k)]] = cval
+        return vec
+
+    sc = np.zeros((dim, dim, dim), dtype=np.int64)
+    for i1, (u, v, k1) in enumerate(basis_index):
+        for i2, (v2, w, k2) in enumerate(basis_index):
+            if v2 == v:
+                coords = hk[(u, w)].coordinates(hk[(v, w)].basis[k2].compose(hk[(u, v)].basis[k1]))
+                sc[i1, i2] = as_vector(u, w, coords)
+    radbasis = _end_radical(p, sc)
+    rad_block = {}
+    for u in range(r):
+        for v in range(r):
+            cols = []
+            for k in range(radbasis.cols):
+                blockvec = np.array([radbasis.data[pos[(u, v, k2)], k] for k2 in range(hk[(u, v)].dim)], dtype=np.int64)
+                if blockvec.any():
+                    cols.append(blockvec)
+            if cols:
+                rad_block[(u, v)] = column_space_basis(Matrix(p, np.stack(cols, axis=1)))
+    arrows = []
+    for (u, v), bu in rad_block.items():
+        sq_cols = []
+        for w in range(r):
+            if (u, w) in rad_block and (w, v) in rad_block:
+                b1, b2 = rad_block[(u, w)], rad_block[(w, v)]
+                for k1 in range(b1.cols):
+                    for k2 in range(b2.cols):
+                        x1 = as_vector(u, w, b1.data[:, k1])
+                        x2 = as_vector(w, v, b2.data[:, k2])
+                        prod = np.zeros(dim, dtype=np.int64)
+                        for a in range(dim):
+                            if x1[a]:
+                                prod = (prod + x1[a] * (x2 @ sc[a] % p)) % p
+                        sq_cols.append(np.array([prod[pos[(u, v, k)]] for k in range(hk[(u, v)].dim)], dtype=np.int64))
+        count = bu.cols - rank(Matrix(p, np.stack(sq_cols, axis=1))) if sq_cols else bu.cols
+        for _ in range(count):
+            arrows.append((f"x{len(arrows)}", str(v), str(u)))
+    quiver = Quiver([str(i) for i in range(r)], arrows)
+    return dim, mult, quiver.arrows, max(0, _count_paths(quiver) - dim)
+
+
+def regular_candidate(alg):
+    return TiltingCandidate(alg, [proj_stalk(alg, v) for v in alg.quiver.vertices])
+
+
+@pytest.mark.parametrize("p", [101, 103])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_endo_presentation_arrows_are_the_old_block_product_loop(n, p):
+    """Arrows read off the ranks of the rad and rad^2 blocks match the old
+    basis of rad / rad^2, block by block and in the same order, on the
+    corpus tilting candidate and the regular candidates of A, B, Lam and
+    Gam."""
+    c = Corpus(n, p)
+    cands = [c.tilting] + [regular_candidate(alg) for alg in (c.A, c.B, c.Lam, c.Gam)]
+    for cand in cands:
+        pres = endomorphism_presentation(cand)
+        got = (pres.dim, pres.multiplicities, pres.quiver.arrows, pres.relation_count)
+        assert got == old_endomorphism_presentation(cand)
+
+
+def tilting_cone_inputs(C1, A1):
+    """The corpus-1 tilting summands, the projective stalks of A1 and the
+    minimal projective resolutions of its simples."""
+    window = -4
+    out = list(C1.tilting.summands) + [proj_stalk(A1, v) for v in A1.quiver.vertices]
+    for v in A1.quiver.vertices:
+        out.append(minimal_resolution(simple(A1, v), -window).proj_complex(window))
+    return out
+
+
+def test_tilting_cones_are_the_old_element_matrix_cones(C1):
+    """`recognize(cone(b)[0])` and the old element-matrix cone have the
+    same minimal model for every Hom_K class b : x -> y[n], |n| <= 2."""
+    A1 = C1.A
+    pcs = tilting_cone_inputs(C1, A1)
+    seen = {}
+    for x in pcs:
+        for y in pcs:
+            for n in range(-2, 3):
+                for b in hom_k(x.to_complex(), y.to_complex(), n).basis:
+                    new = minimize(recognize(cone(b)[0]))[0]
+                    old = minimize(old_proj_cone(x, y, n, b))[0]
+                    assert new.signature() == old.signature()
+                    seen[n] = seen.get(n, 0) + 1
+    # every class of these complexes sits at n >= 0
+    assert set(seen) == {0, 1, 2}, seen

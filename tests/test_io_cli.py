@@ -1,14 +1,10 @@
 import json
-import subprocess
-import sys
 
 import pytest
 
 from quivhom.cli import main
-from quivhom.corpus import corpus
 from quivhom.io import (
     DefinitionError,
-    Definitions,
     module_dot,
     parse_definitions,
     serialize_definitions,
@@ -191,7 +187,7 @@ def test_cli_exact_image_corpus_pair():
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["exact"] and payload["edge_classes_match"]
+    assert payload["exact"] and payload["P_projective"] and payload["Q_projective"]
 
 
 def test_cli_corpus_emission(tmp_path):

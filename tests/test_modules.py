@@ -15,7 +15,6 @@ from quivhom.homological import (
 )
 from quivhom.modules import (
     ProjSummands,
-    RepHom,
     Representation,
     direct_sum,
     element_matrix_to_hom,
@@ -30,7 +29,6 @@ from quivhom.modules import (
     radical,
     simple,
     top,
-    zero_rep,
 )
 from quivhom.corpus import gentle_tree_algebra
 from tests.conftest import random_module

@@ -38,9 +38,14 @@ def _top_level_imports(tree: ast.Module) -> dict[str, int]:
     return bound
 
 
-@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__.py"])
+# the package modules but __init__ (which re-exports), named by file, and
+# the test files, named tests/<file>
+IMPORTERS = {m: SRC / m for m in MODULES if m != "__init__.py"} | {f"tests/{t.name}": t for t in sorted(TESTS.glob("*.py"))}
+
+
+@pytest.mark.parametrize("module", IMPORTERS)
 def test_every_top_level_import_is_used(module):
-    tree = ast.parse((SRC / module).read_text(), filename=module)
+    tree = ast.parse(IMPORTERS[module].read_text(), filename=module)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _top_level_imports(tree).items() if name not in used}
     assert not unused, f"unused imports in {module}: {unused}"

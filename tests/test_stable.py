@@ -10,10 +10,9 @@ from quivhom.functors import (
     conjugation_comparison,
     identity_functor,
     perturb_functor_data,
-    shift_functor,
 )
 from quivhom.gorenstein import is_gorenstein_projective
-from quivhom.homological import is_isomorphic, strip_projectives, syzygy
+from quivhom.homological import strip_projectives, syzygy
 from quivhom.modules import (
     cokernel,
     direct_sum,
@@ -21,13 +20,11 @@ from quivhom.modules import (
     hom_space,
     identity_hom,
     is_projective,
-    is_ses,
     projective,
     projective_cover,
     radical,
     simple,
     top,
-    zero_hom,
 )
 from quivhom.stable import (
     StableHom,
