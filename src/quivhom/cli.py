@@ -229,7 +229,7 @@ def cmd_stable_image(ctx, args):
     payload = {
         "dims": dict(M.dims),
         "total_dim": M.total_dim(),
-        "U_terms": {str(i): list(t.vertices) for i, t in tri.U.terms.items()},
+        "U_terms": {str(i): list(t.vertices) for i, t in recognize(tri.U).terms.items()},
         "dot": module_dot(M, "stable_image"),
     }
     emit(

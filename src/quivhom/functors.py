@@ -24,7 +24,7 @@ import itertools
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Element, Path, Quiver, path_arrows, path_source
-from .complexes import Complex, HomEngine, cone, hom_k, homology_dims, is_quasi_iso
+from .complexes import Complex, HomEngine, cone, hom_k, homology_dims, is_quasi_iso, shift
 from .exactlin import Matrix, inverse, nullspace, rank, solve
 from .homological import _end_radical, _split_idempotent, minimal_resolution
 from .modules import (
@@ -118,14 +118,7 @@ class FunctorData:
 
 
 def identity_functor(alg: BoundQuiverAlgebra) -> FunctorData:
-    images = {
-        v: ProjComplex(alg, {0: ProjSummands(alg, [v])}, {}, check=False)
-        for v in alg.quiver.vertices
-    }
-    arrow_maps = {}
-    for n, s, t in alg.quiver.arrows:
-        arrow_maps[n] = ProjChainMap(images[t], images[s], {0: [[alg.arrow(n)]]})
-    return FunctorData(alg, alg, images, arrow_maps)
+    return shift_functor(alg, 0)
 
 
 def shift_functor(alg: BoundQuiverAlgebra, k: int) -> FunctorData:
@@ -465,7 +458,7 @@ def check_tilting(t: TiltingCandidate, search_depth: int = 4, seed: int = 0) -> 
         if not mn.terms:
             return
         # normalize the degree window to start at 0
-        mn = mn.shift(mn.lo)
+        mn = recognize(shift(mn.to_complex(), mn.lo))
         sig = mn.signature()
         if sig not in pool:
             pool[sig] = mn

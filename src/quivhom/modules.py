@@ -284,10 +284,14 @@ def _proj_sum(alg: BoundQuiverAlgebra, vertices: tuple) -> _ProjSum:
 
 def direct_sum_module(reps: list[Representation]) -> Representation:
     """The direct sum alone, without inclusions and projections: its
-    arrow matrices are block diagonal, in the order of reps."""
+    arrow matrices are block diagonal, in the order of reps.  A sum of shared projective
+    sums is the shared sum of their joined vertex tuples (`_proj_sum`), that block diagonal."""
     if not reps:
         raise ValueError("empty direct sum; use zero_rep")
     alg = reps[0].algebra
+    tags = [r._cache.get("proj_sum") for r in reps]
+    if all(t is not None for t in tags):
+        return _proj_sum(alg, sum(tags, ())).rep
     dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
     mats = {n: Matrix.block_diag(alg.p, [r.mats[n] for r in reps]) for n, _, _ in alg.quiver.arrows}
     return Representation(alg, dims, mats, check=False)

@@ -11,6 +11,11 @@ cancellation in d^i only deletes a row of d^(i-1) and a column of
 d^(i+1), so it never creates a unit outside d^i.  It tracks the
 degreewise projection/inclusion homotopy equivalence back to the
 original complex, correcting only the two degrees of each cancelled pair.
+
+A ProjComplex and the `complexes.Complex` of its shared sums are two
+views of one complex, each found from the other by lookup: `to_complex`
+keeps the view on the complex it makes, and `recognize` reads it there
+or off the shared-sum tags of the terms.
 """
 
 from __future__ import annotations
@@ -104,18 +109,8 @@ class ProjComplex:
     def summands(self, i: int) -> ProjSummands:
         return self.terms.get(i, ProjSummands(self.algebra, ()))
 
-    def degrees(self):
-        return range(self.lo, self.hi + 1)
-
-    def shift(self, n: int) -> "ProjComplex":
-        sign = 1 if n % 2 == 0 else -1
-        terms = {i - n: t for i, t in self.terms.items()}
-        dmats = {}
-        for i, d in self.dmats.items():
-            dmats[i - n] = [[self.algebra.smul(sign, e) for e in row] for row in d]
-        return ProjComplex(self.algebra, terms, dmats, check=False)
-
     def to_complex(self):
+        """The Complex of the shared sums, made once; it keeps this view for `recognize`."""
         if self._complex is None:
             from .complexes import Complex
 
@@ -126,6 +121,7 @@ class ProjComplex:
                     self.algebra, self.dmats[i], self.terms[i], self.terms[i + 1]
                 )
             self._complex = Complex(self.algebra, terms, diffs, check=False)
+            self._complex._cache["proj"] = self
         return self._complex
 
     def signature(self) -> tuple:
@@ -172,15 +168,7 @@ class ProjChainMap:
     def compose(self, other: "ProjChainMap") -> "ProjChainMap":
         """self after other."""
         alg = self.source.algebra
-        comps = {}
-        for i in set(self.comps) | set(other.comps):
-            a = self.comp(i)
-            b = other.comp(i)
-            if a and b and a[0] is not None:
-                rows = len(self.target.summands(i).vertices)
-                cols = len(other.source.summands(i).vertices)
-                if rows and cols:
-                    comps[i] = emat_compose(alg, a, b)
+        comps = {i: emat_compose(alg, self.comps[i], b) for i, b in other.comps.items() if i in self.comps}
         return ProjChainMap(other.source, self.target, comps)
 
 
@@ -290,21 +278,31 @@ def direct_sum_proj(pcs: list[ProjComplex]) -> ProjComplex:
 
 
 def recognize(c) -> ProjComplex:
-    """Present a complex of projective representations as an explicit
-    ProjComplex: each term is identified with its own cover (an
-    isomorphism when the term is projective) and the differentials are
-    transported to element matrices."""
+    """The ProjComplex view of a complex of projective representations,
+    kept on c (key "proj"), where `ProjComplex.to_complex` also puts it.
+    When every term is a shared sum (`modules._proj_sum`), as in a cone or
+    a shift of such complexes, the summands are read off the tags and the
+    element matrices off the generator columns, and c is the view's
+    complex; other terms are identified with their covers (isomorphisms
+    when the terms are projective), through which the differentials pass.
+    """
+    if "proj" in c._cache:
+        return c._cache["proj"]
     alg = c.algebra
-    terms = {}
-    isos = {}
-    for i, t in c.terms.items():
-        ps, cov = projective_cover(t)
-        if ps.rep().total_dim() != t.total_dim():
-            raise ValueError(f"term in degree {i} is not projective")
-        terms[i] = ps
-        isos[i] = cov
-    dmats = {}
-    for i, d in c.diffs.items():
-        dh = lift(isos[i + 1], d.compose(isos[i]))
-        dmats[i] = hom_to_element_matrix(alg, dh, terms[i], terms[i + 1])
-    return ProjComplex(alg, terms, dmats)
+    tags = {i: t._cache.get("proj_sum") for i, t in c.terms.items()}
+    tagged = all(v is not None for v in tags.values())
+    if tagged:
+        terms = {i: ProjSummands(alg, v) for i, v in tags.items()}
+        diffs = c.diffs
+    else:
+        terms, isos = {}, {}
+        for i, t in c.terms.items():
+            terms[i], isos[i] = projective_cover(t)
+            if terms[i].rep().total_dim() != t.total_dim():
+                raise ValueError(f"term in degree {i} is not projective")
+        diffs = {i: lift(isos[i + 1], d.compose(isos[i])) for i, d in c.diffs.items()}
+    dmats = {i: hom_to_element_matrix(alg, d, terms[i], terms[i + 1]) for i, d in diffs.items()}
+    pc = c._cache["proj"] = ProjComplex(alg, terms, dmats)
+    if tagged:
+        pc._complex = c
+    return pc

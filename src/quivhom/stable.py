@@ -29,6 +29,7 @@ from .complexes import (
     HomKResult,
     _block_hom,
     _good_truncate_unchecked,
+    brutal_truncate_geq,
     cone,
     is_acyclic,
     module_complex,
@@ -58,7 +59,7 @@ from .functors import (
     lift_to_resolutions,
     shift_functor,
 )
-from .projcplx import ProjComplex, minimize
+from .projcplx import minimize
 
 
 # -- stable hom spaces ---------------------------------------------------
@@ -154,11 +155,12 @@ class TruncationTriangle:
     the cokernel of d^{-1} and pi0 the projection onto it.  Morphism
     transport reuses these canonical choices.
 
-    The rest of the triangle is built on first read: U is the bounded
-    complex of projectives in degrees >= 1; pi is a quasi-isomorphism
-    exactly when U is acyclic; mu is the cone identification
-    cone(i) -> M[0] (a quasi-isomorphism witnessing the connecting map
-    of the triangle).
+    The rest of the triangle is built on first read: U is the brutal
+    truncation of the model in degrees >= 1, a bounded complex of the
+    shared projective sums of cmin (`projcplx.recognize` reads its
+    summands); pi is a quasi-isomorphism exactly when U is acyclic; mu
+    is the cone identification cone(i) -> M[0] (a quasi-isomorphism
+    witnessing the connecting map of the triangle).
     """
 
     def __init__(self, f: FunctorData, x: Representation):
@@ -168,15 +170,12 @@ class TruncationTriangle:
         self.M, self.pi0 = self.model.term(0), wit.map(0)
 
     @cached_property
-    def U(self) -> ProjComplex:
-        uterms = {i: t for i, t in self.cmin.terms.items() if i >= 1}
-        udmats = {i: d for i, d in self.cmin.dmats.items() if i >= 1}
-        return ProjComplex(self.cmin.algebra, uterms, udmats, check=False)
+    def U(self) -> Complex:
+        return brutal_truncate_geq(self.model, 1)
 
     @cached_property
     def i(self) -> ChainMap:
-        uc = self.U.to_complex()
-        return ChainMap(uc, self.model, {i: identity_hom(uc.terms[i]) for i in uc.terms}, check=False)
+        return ChainMap(self.U, self.model, {i: identity_hom(t) for i, t in self.U.terms.items()}, check=False)
 
     @cached_property
     def pi(self) -> ChainMap:

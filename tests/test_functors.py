@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quivhom import projcplx
 from quivhom.algebra import Quiver
 from quivhom.complexes import (
     cone,
@@ -333,8 +334,10 @@ def test_strict_chain_automorphism_raises_when_every_draw_is_singular(C1, monkey
 def old_proj_cone(x, y, n, b):
     """Cone of a chain map x -> y[n], at the element-matrix level."""
     alg = x.algebra
-    ysh = y.shift(n)
     sign = 1 if n % 2 == 0 else -1
+    # y[n] at the element level: degrees move down by n, differentials pick up the sign
+    ysh_dmats = {i - n: [[alg.smul(sign, e) for e in row] for row in d] for i, d in y.dmats.items()}
+    ysh = ProjComplex(alg, {i - n: t for i, t in y.terms.items()}, ysh_dmats, check=False)
     comps = {}
     for i in range(x.lo, x.hi + 1):
         src_ps = x.summands(i)
@@ -475,3 +478,41 @@ def test_tilting_cones_are_the_old_element_matrix_cones(C1):
                     seen[n] = seen.get(n, 0) + 1
     # every class of these complexes sits at n >= 0
     assert set(seen) == {0, 1, 2}, seen
+
+
+def _tilting_answers(c):
+    rep = check_tilting(c.tilting)
+    pres = endomorphism_presentation(c.tilting)
+    return (
+        (rep.self_orthogonal, rep.generates, rep.rounds, rep.failures),
+        (pres.dim, pres.multiplicities, pres.quiver.arrows, pres.relation_count),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tilting_reads_its_cones_without_covers_or_lifts(n, monkeypatch):
+    """Every cone of the tilting check has shared sums for terms, so
+    `recognize` reads its summands off their tags: with the cover and the
+    lift of `projcplx` raising, a fresh corpus gives the same tilting
+    report and endomorphism presentation as another fresh one."""
+    expected = _tilting_answers(Corpus(n))
+    c = Corpus(n)
+
+    def refuse(*args):
+        raise AssertionError("recognize took a cover or a lift")
+
+    monkeypatch.setattr(projcplx, "projective_cover", refuse)
+    monkeypatch.setattr(projcplx, "lift", refuse)
+    assert _tilting_answers(c) == expected
+
+
+def test_a_cone_and_its_proj_complex_are_one_object(C1):
+    """`to_complex` and `recognize` find each other's view by lookup."""
+    x, y = C1.tilting.summands[0], C1.tilting.summands[2]  # P_1 -> (P_0 -> P_1)
+    (b,) = hom_k(x.to_complex(), y.to_complex(), 0).basis
+    c = cone(b)[0]
+    pc = recognize(c)
+    assert recognize(c) is pc and pc.to_complex() is c
+    assert recognize(pc.to_complex()) is pc
+    mn = minimize(pc)[0]
+    assert recognize(mn.to_complex()) is mn

@@ -13,7 +13,16 @@ from quivhom.algebra import dual_numbers, path_arrows
 from quivhom.corpus import corpus
 from quivhom.exactlin import Matrix
 from quivhom.gorenstein import is_gorenstein_projective
-from quivhom.modules import ProjSummands, Representation, projective, regular_module, simple, zero_rep
+from quivhom.modules import (
+    ProjSummands,
+    Representation,
+    direct_sum_module,
+    hom_frame,
+    projective,
+    regular_module,
+    simple,
+    zero_rep,
+)
 from quivhom.stable import stable_image
 
 
@@ -168,3 +177,63 @@ def test_every_dual_the_corpus_builds_passes_the_relation_check():
                         Representation(d.algebra, d.dims, d.mats)
                         seen += 1
     assert seen > 20
+
+
+def reference_direct_sum_module(reps):
+    """The block-diagonal sum, as `direct_sum_module` builds it for any parts."""
+    alg = reps[0].algebra
+    dims = {v: sum(r.dims[v] for r in reps) for v in alg.quiver.vertices}
+    mats = {n: Matrix.block_diag(alg.p, [r.mats[n] for r in reps]) for n, _, _ in alg.quiver.arrows}
+    return Representation(alg, dims, mats, check=False)
+
+
+def tagged_part_lists(alg, seed=1, draws=4):
+    """Lists of shared sums: the empty sum alone, every test tuple at once
+    (repeated vertices and the empty sum among them), and random draws."""
+    tuples = vertex_tuples(alg, seed)
+    rng = np.random.default_rng(seed)
+    out = [[zero_rep(alg)], [ProjSummands(alg, vs).rep() for vs in tuples]]
+    for _ in range(draws):
+        picks = rng.integers(0, len(tuples), int(rng.integers(1, 4)))
+        out.append([ProjSummands(alg, tuples[int(i)]).rep() for i in picks])
+    return out
+
+
+def untagged_copy(m):
+    return Representation(m.algebra, dict(m.dims), dict(m.mats), check=False)
+
+
+@pytest.mark.parametrize("alg", algebras())
+def test_a_sum_of_shared_sums_is_the_shared_entry(alg):
+    """It is the entry of the concatenated vertex tuple, with the block
+    diagonal's dims and arrow matrices; one untagged part gives a fresh,
+    untagged block diagonal."""
+    for parts in tagged_part_lists(alg):
+        got = direct_sum_module(parts)
+        assert got is ProjSummands(alg, sum((r._cache["proj_sum"] for r in parts), ())).rep()
+        ref = reference_direct_sum_module(parts)
+        assert got.dims == ref.dims
+        assert all(got.mats[n] == ref.mats[n] for n in ref.mats)
+        mixed = parts + [untagged_copy(parts[-1])]
+        got = direct_sum_module(mixed)
+        assert "proj_sum" not in got._cache and got is not direct_sum_module(mixed)
+        ref = reference_direct_sum_module(mixed)
+        assert got.dims == ref.dims
+        assert all(got.mats[n] == ref.mats[n] for n in ref.mats)
+
+
+def test_hom_out_of_a_shared_sum_does_not_depend_on_the_path():
+    """Hom out of a sum of shared sums is read off its generators
+    (Yoneda); out of an untagged copy it is a nullspace.  Both give the
+    same normal form, flat for flat, so cones whose terms became shared
+    sums keep their Hom bases."""
+    c = corpus(1)
+    gam = c.Gam
+    verts = tuple(gam.quiver.vertices)
+    targets = [c.M[key] for key in sorted(c.M)] + [simple(gam, verts[0]), projective(gam, verts[-1])]
+    for parts in tagged_part_lists(gam, draws=3)[1:]:
+        shared = direct_sum_module(parts)
+        for n in targets:
+            yoneda, null = hom_frame(shared, n), hom_frame(untagged_copy(shared), n)
+            assert yoneda.flats.shape == null.flats.shape
+            assert np.array_equal(yoneda.flats, null.flats)

@@ -314,3 +314,14 @@ def test_derived_hom_reads_the_unminimized_construction(entry):
     bad = sorted({name for name in reached for node in defs[name] if forbidden & set(_name_counts(node))})
     assert not bad, f"{entry} reaches {bad}, which minimize or convert a resolution"
     assert "truncation" in reached
+
+
+def test_one_shift():
+    """A complex is shifted by `complexes.shift` alone; a complex of
+    projectives is shifted as its `Complex` and read back by `recognize`,
+    so no second shift (such as a `ProjComplex.shift` method) comes back."""
+    found = []
+    for module in MODULES:
+        tree = ast.parse((SRC / module).read_text(), filename=module)
+        found += [(module, node in tree.body) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "shift"]
+    assert found == [("complexes.py", True)], found
