@@ -31,7 +31,6 @@ from functools import cached_property
 import numpy as np
 
 from .exactlin import Matrix, extending_columns, nullspace, rank, solve
-from .homological import ext
 from .modules import (
     HomFrame,
     ProjSummands,
@@ -329,9 +328,9 @@ def _good_truncate_unchecked(c: Complex):
 class HomEngine:
     """Total Hom complex of a pair of bounded complexes, with coordinates.
 
-    Hom(c^i, d^j) is one `HomFrame` per degree pair, built once per
-    engine; coordinates are read off it, not solved for, and each layout
-    and each D_m is built once.
+    Hom(c^i, d^j) is one `HomFrame` per degree pair of nonzero terms,
+    built once per engine; coordinates are read off it, not solved for,
+    and each layout and each D_m is built once.
     """
 
     def __init__(self, c: Complex, d: Complex):
@@ -349,9 +348,10 @@ class HomEngine:
         return self._frames[key]
 
     def layout(self, m: int) -> list[tuple[int, int, int]]:
-        """[(i, offset, size)] for Hom^m, over source degrees i, made once."""
+        """[(i, offset, size)] for Hom^m, over source degrees i, made once;
+        a degree whose source or target term is zero has no frame built."""
         if m not in self._layouts:
-            sizes = [(i, self.frame(i, i + m).dim) for i in range(self.c.lo, self.c.hi + 1)]
+            sizes = [(i, self.frame(i, i + m).dim) for i in sorted(self.c.terms) if i + m in self.d.terms]
             offs = np.cumsum([0] + [size for _, size in sizes]).tolist()
             self._layouts[m] = [(i, off, size) for (i, size), off in zip(sizes, offs) if size]
         return self._layouts[m]
@@ -617,6 +617,8 @@ class LocalizationReport:
 
 def perpendicularity_hypothesis(x: Complex, y: Complex, depth: int = 6) -> bool:
     """Ext^{>0}(x^i, y^j) = 0 for all j < i, checked to the given depth."""
+    from .homological import ext
+
     for i in range(x.lo, x.hi + 1):
         xi = x.term(i)
         if xi.is_zero() or is_projective(xi):

@@ -24,9 +24,9 @@ import itertools
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Element, Path, Quiver, path_arrows, path_source
-from .complexes import Complex, HomEngine, cone, hom_k, homology_dims, is_quasi_iso, shift
-from .exactlin import Matrix, inverse, nullspace, rank, solve
-from .homological import _end_radical, _split_idempotent, minimal_resolution
+from .complexes import cone, hom_k, homology_dims, shift
+from .exactlin import Matrix, inverse, rank, solve
+from .homological import _end_radical, _strict_maps, find_strict_iso, minimal_resolution, split_complex
 from .modules import (
     ElementMatrix,
     ProjSummands,
@@ -35,9 +35,6 @@ from .modules import (
     emat_is_zero,
     hom_to_element_matrix,
     identity_hom,
-    image,
-    kernel,
-    lift,
     simple,
 )
 from .projcplx import (
@@ -365,71 +362,10 @@ class TiltingReport:
 
 
 def _split_proj_complex(pc: ProjComplex, seed: int = 0) -> list[ProjComplex]:
-    """Direct summands of a complex of projectives.  A piece splits along
-    an idempotent of F_p[f] (`homological._split_idempotent`), f a random
-    strict chain endomorphism taken degreewise; a piece whose strict
-    chain endomorphisms are the scalars, or that 40 such f leave
-    unsplit, is kept whole.  Pieces are re-minimized."""
-    rng = np.random.default_rng(seed)
-    out: list[ProjComplex] = []
-    stack = [pc]
-    while stack:
-        cur = stack.pop()
-        if not cur.terms:
-            continue
-        c = cur.to_complex()
-        p = c.algebra.p
-        eng = HomEngine(c, c)
-        cycles = nullspace(eng.boundary(0))
-        if cycles.cols <= 1:
-            out.append(cur)
-            continue
-        degrees = sorted(c.terms)
-        for _ in range(40):
-            f = eng.map_of(0, cycles.data @ rng.integers(0, p, size=cycles.cols) % p)
-            e = _split_idempotent([f.map(i) for i in degrees], rng)
-            split = e and _complex_fitting(c, dict(zip(degrees, e)))
-            if split:
-                stack.extend(split)
-                break
-        else:
-            out.append(cur)
-    return out
-
-
-def _complex_fitting(c: Complex, e: dict) -> list[ProjComplex] | None:
-    """Split a projective complex along ker e (+) im e, for e an
-    idempotent of F_p[f] from `homological._split_idempotent`, given
-    degreewise: f is a chain endomorphism, so the kernels and the images
-    of e form complementary subcomplexes.  Each piece is the complex of
-    kernels (images) with the induced differential, presented by
-    `recognize`; None when a piece is zero or not projective termwise,
-    so the caller rerolls."""
-    alg = c.algebra
-    n = c.total_dim()
-    pieces = []
-    dim = 0
-    for which in (kernel, image):
-        carriers = {}
-        for i in c.terms:
-            sub, incl = which(e[i])
-            if sub.total_dim():
-                carriers[i] = (sub, incl)
-        if not carriers:
-            return None
-        dim += sum(sub.total_dim() for sub, _ in carriers.values())
-        diffs = {
-            i: lift(carriers[i + 1][1], c.diff(i).compose(incl))
-            for i, (_, incl) in carriers.items()
-            if i + 1 in carriers
-        }
-        try:
-            pieces.append(recognize(Complex(alg, {i: sub for i, (sub, _) in carriers.items()}, diffs, check=False)))
-        except ValueError:
-            return None
-    if dim != n:
-        return None
-    return [minimize(x)[0] for x in pieces]
+    """Direct summands of a complex of projectives: the pieces of
+    `homological.split_complex`, each presented by `recognize` and
+    minimized."""
+    return [minimize(recognize(piece))[0] for piece in split_complex(pc.to_complex(), seed)]
 
 
 def check_tilting(t: TiltingCandidate, search_depth: int = 4, seed: int = 0) -> TiltingReport:
@@ -437,7 +373,9 @@ def check_tilting(t: TiltingCandidate, search_depth: int = 4, seed: int = 0) -> 
     search (close under shifts, cones of hom-class maps, and direct
     summands) that reports "yes" or "unknown".  The cone of a class
     x -> y[n] is `complexes.cone` of its chain map, presented as a
-    complex of projectives by `recognize`."""
+    complex of projectives by `recognize`; the direct summands are the
+    pieces of `homological.split_complex`, which certifies each piece
+    by a local Z^0 and raises DecompositionError when it cannot."""
     total = t.total()
     c = total.to_complex()
     failures = {}
@@ -509,9 +447,12 @@ class EndoPresentation:
 def endomorphism_presentation(t: TiltingCandidate, seed: int = 0) -> EndoPresentation:
     """Gabriel quiver of E = End_K(T) and a relation count.
 
-    Summands are grouped into homotopy-isomorphism classes (the vertices);
-    E is built from hom_k bases with its structure constants, rad E is the
-    trace-form radical of `homological._end_radical`, and rad^2 E is
+    The minimized summands are grouped into homotopy-isomorphism classes
+    (the vertices) by `homological.find_strict_iso`: minimal complexes of
+    projectives are homotopy equivalent exactly when they are strictly
+    isomorphic.  E is built from hom_k bases with its structure
+    constants, rad E is the trace-form radical of
+    `homological._end_radical`, and rad^2 E is
     spanned by the products of pairs of radical vectors.  Both are
     two-sided ideals, so each is the sum of its blocks e_u(-)e_v, and
     the arrows v -> u number the rank of rad on the coordinates of the
@@ -522,18 +463,15 @@ def endomorphism_presentation(t: TiltingCandidate, seed: int = 0) -> EndoPresent
     """
     alg = t.algebra
     p = alg.p
-    # group summands into iso classes (minimal models are compared)
     reps: list[ProjComplex] = []
     mult: list[int] = []
     for s in t.summands:
         mn, _, _ = minimize(s)
-        placed = False
         for idx, r in enumerate(reps):
-            if r.signature() == mn.signature() and _proj_complexes_homotopy_iso(r, mn, seed):
+            if r.signature() == mn.signature() and find_strict_iso(r.to_complex(), mn.to_complex(), seed) is not None:
                 mult[idx] += 1
-                placed = True
                 break
-        if not placed:
+        else:
             reps.append(mn)
             mult.append(1)
     r = len(reps)
@@ -590,31 +528,15 @@ def _count_paths(q: Quiver) -> int:
     return total
 
 
-def _proj_complexes_homotopy_iso(x: ProjComplex, y: ProjComplex, seed: int = 0) -> bool:
-    """Whether one of 20 random combinations of the hom_k(x, y, 0) class
-    basis is a quasi-isomorphism (so x and y are homotopy equivalent)."""
-    hk = hom_k(x.to_complex(), y.to_complex(), 0)
-    if not hk.dim:
-        return False
-    p = x.algebra.p
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        f = hk.engine.map_of(0, hk.vectors @ rng.integers(0, p, size=hk.dim) % p)
-        if is_quasi_iso(f):
-            return True
-    return False
-
-
 def strict_chain_automorphism(img: ProjComplex, rng) -> tuple[ProjChainMap, ProjChainMap]:
     """A random strict chain automorphism of a projective complex and its
     inverse, as element-level maps (identity plus a random strict endo,
     retried until invertible); ValueError when 20 draws are all singular."""
     alg = img.algebra
     c = img.to_complex()
-    eng = HomEngine(c, c)
-    cycles = nullspace(eng.boundary(0))
+    eng, cycles = _strict_maps(c, c)
     for _ in range(20):
-        f = eng.map_of(0, cycles.data @ rng.integers(0, alg.p, size=cycles.cols) % alg.p)
+        f = eng.map_of(0, cycles @ rng.integers(0, alg.p, size=cycles.shape[1]) % alg.p)
         hs = {i: identity_hom(ps.rep()) + f.map(i) for i, ps in img.terms.items()}
         invs = {i: {v: inverse(m) for v, m in h.mats.items()} for i, h in hs.items()}
         if any(m is None for inv in invs.values() for m in inv.values()):

@@ -7,26 +7,37 @@ is read off it through the Yoneda identification Hom(P_v, N) = N(v) as
 the rank count dim Hom(P_i, N) - rk d_(i+1)* - rk d_i*, each d_i* a small
 dense matrix assembled from the resolution's element-matrix
 differentials, and is checked by balance, Ext^i_A(M, N) =
-Ext^i_(A^op)(DN, DM).  Decomposition is a Las Vegas
-algorithm (seeded): split along idempotents of F_p[f] for random
-endomorphisms f until every piece has certified local endomorphism ring.
-The idempotents come from the Berlekamp subalgebra of F_p[f] by linear
-algebra on f itself, with no polynomial formed (`_split_idempotent`,
-shared with the splitting of complexes of projectives in `functors`).
+Ext^i_(A^op)(DN, DM).
+
+Decomposition and isomorphism testing are one Krull-Schmidt layer over
+complexes: a module is split and compared as its stalk complex, whose
+strict chain endomorphisms Z^0 are End(m), so modules and complexes of
+projectives share one splitter (`split_complex`), one locality test
+(`_is_local`, the trace-form radical of Z^0's structure constants) and
+one isomorphism search (`find_strict_iso`).  Splitting is a Las Vegas
+algorithm (seeded): split along idempotents of F_p[f] for random f in
+Z^0 until every piece has a certified local Z^0.  The idempotents come
+from the Berlekamp subalgebra of F_p[f] by linear algebra on f itself,
+with no polynomial formed (`_split_idempotent`).  Both random searches
+read one budget, DRAWS.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Element, path_arrows
+from .complexes import ChainMap, Complex, HomEngine, _Resolution, identity_chain_map, module_complex
 from .exactlin import Matrix, extending_columns, inverse, nullspace, rank, rref, solve
 from .modules import (
     ElementMatrix,
-    HomFrame,
     ProjSummands,
     RepHom,
     Representation,
+    _free_rows,
+    _read_off,
     cokernel,
     direct_sum_module,
     element_matrix_to_hom,
@@ -35,6 +46,7 @@ from .modules import (
     identity_hom,
     image,
     kernel,
+    lift,
     projective,
     projective_cover,
     regular_module,
@@ -58,8 +70,6 @@ class MinimalResolution:
     """
 
     def __init__(self, m: Representation):
-        from .complexes import _Resolution, module_complex
-
         self._res = _Resolution.of(module_complex(m))
         p0, epi = projective_cover(m)  # the construction's P_0 and eps_0
         self.terms: list[ProjSummands] = [p0]
@@ -264,7 +274,11 @@ def transpose(m: Representation) -> Representation:
     return coker
 
 
-# -- decomposition ---------------------------------------------------------
+# -- decomposition and isomorphism ------------------------------------------
+
+# random strict endomorphisms `split_complex` tries per piece, and random
+# strict maps `find_strict_iso` tries before the basis
+DRAWS = 60
 
 
 def _power(x, e: int, mul, one):
@@ -333,35 +347,41 @@ def _split_idempotent(maps: list[RepHom], rng) -> list[RepHom] | None:
     return None
 
 
-def _fitting_split(m: Representation, e: RepHom):
-    """m = ker e (+) im e for an idempotent e of `_split_idempotent`;
-    returns the pair of (rep, incl), or None if the split is trivial."""
-    n = m.total_dim()
-    k, kincl = kernel(e)
-    if k.total_dim() == 0 or k.total_dim() == n:
-        return None
-    i, iincl = image(e)
-    if k.total_dim() + i.total_dim() != n:
-        return None
-    return (k, kincl), (i, iincl)
-
-
 class DecompositionError(RuntimeError):
     """Raised when indecomposability cannot be certified within budget."""
 
-    def __init__(self, msg, partial=None):
-        super().__init__(msg)
-        self.partial = partial
+
+def _strict_maps(x: Complex, y: Complex) -> tuple[HomEngine, np.ndarray]:
+    """The total Hom engine of (x, y) and Z^0, the strict chain maps
+    x -> y: the cycles of D_0, as columns in Hom^0 coordinates in
+    reduced-echelon normal form.  For modules, stalk complexes in degree
+    0, Hom^1 = 0, so Z^0 is Hom(x^0, y^0) with the identity for cycles."""
+    eng = HomEngine(x, y)
+    return eng, nullspace(eng.boundary(0)).data
 
 
-def _end_structure(frame: HomFrame):
-    """Structure constants of End(m) in the basis of frame (Hom(m, m)):
-    b_i o b_j = sum_k sc[i, j, k] b_k.  All n^2 composites are formed at
-    once and read off the frame in one call."""
-    n = frame.dim
-    comp = {v: (b[:, None] @ b[None, :]).reshape(n * n, *b.shape[1:]) for v, b in frame.blocks().items()}
-    coords = frame.coordinates(flatten_blocks(frame.source.algebra, comp))
-    return coords.T.reshape(n, n, n)
+def _cycle_coordinates(cycles: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
+    """Coordinates in the basis cycles of the columns of vecs (Hom^0
+    coordinates): vecs itself when the cycles are all of Hom^0."""
+    if cycles.shape[0] == cycles.shape[1]:
+        return vecs % p
+    return _read_off(cycles, _free_rows(cycles), vecs, p, "composite escaped the strict endomorphisms")
+
+
+def _end_structure(eng: HomEngine, cycles: np.ndarray) -> np.ndarray:
+    """Structure constants of the algebra Z^0 spanned by cycles, strict
+    chain endomorphisms of eng.c: z_i o z_j = sum_k sc[i, j, k] z_k.  In
+    each degree all n^2 composites are formed at once and read off the
+    frame in one call."""
+    n, p = cycles.shape[1], eng.p
+    coords = []
+    for i, off, size in eng.layout(0):
+        frame = eng.frame(i, i)
+        # degree i of the cycles, as the basis of a frame with the same layout
+        zs = frame._replace(flats=frame.flats @ cycles[off : off + size] % p).blocks()
+        comp = {v: (z[:, None] @ z[None, :]).reshape(n * n, *z.shape[1:]) for v, z in zs.items()}
+        coords.append(frame.coordinates(flatten_blocks(eng.c.algebra, comp)))
+    return _cycle_coordinates(cycles, np.concatenate(coords), p).T.reshape(n, n, n)
 
 
 def _end_radical(p: int, sc) -> Matrix:
@@ -387,16 +407,16 @@ def _end_radical(p: int, sc) -> Matrix:
     return nullspace(Matrix(p, T))
 
 
-def _is_local_end(m: Representation, frame: HomFrame | None = None) -> bool:
-    """Certify that End(m) is local (m indecomposable); frame is
-    hom_frame(m, m) when the caller already has it."""
-    if frame is None:
-        frame = hom_frame(m, m)
-    n = frame.dim
-    if n == 1:
-        return True
-    p = m.p
-    sc = _end_structure(frame)
+def _is_local(eng: HomEngine, cycles: np.ndarray) -> bool:
+    """Certify that the algebra Z^0 of strict chain endomorphisms of
+    eng.c, spanned by cycles, is local (so eng.c is indecomposable): the
+    trace-form radical of its structure constants, then E/rad.  The zero
+    complex, with Z^0 = 0, is not indecomposable."""
+    n = cycles.shape[1]
+    if n <= 1:
+        return n == 1
+    p = eng.p
+    sc = _end_structure(eng, cycles)
     radbasis = _end_radical(p, sc)
     r = radbasis.cols
     if n - r == 1:
@@ -420,94 +440,132 @@ def _is_local_end(m: Representation, frame: HomFrame | None = None) -> bool:
         t = (a @ qsc.reshape(q, q * q) % p).reshape(-1, q, q)
         return (b[:, None, :] @ t)[:, 0, :] % p
 
-    one = to_comp @ frame.coordinates(identity_hom(m).flat()[:, None]) % p
+    one = to_comp @ _cycle_coordinates(cycles, eng.vector_of(identity_chain_map(eng.c))[:, None], p) % p
     eye = np.eye(q, dtype=np.int64)
     frob = _power(eye, p, qmul, np.repeat(one.T, q, axis=0))
     return nullspace(Matrix(p, (frob - eye).T)).cols == 1
 
 
-def decompose(m: Representation, seed: int = 0, budget: int = 60):
+def _is_local_end(m: Representation) -> bool:
+    """Certify that End(m) is local (m indecomposable): `_is_local` on
+    the stalk complex of m."""
+    c = module_complex(m)
+    return _is_local(*_strict_maps(c, c))
+
+
+def _summand(c: Complex, e: dict[int, RepHom]) -> Complex:
+    """im e, for e an idempotent chain endomorphism of c given
+    degreewise: a direct summand of c, with the differential lifted
+    through the inclusions of the images."""
+    parts = {i: image(x) for i, x in e.items()}
+    diffs = {i: lift(parts[i + 1][1], c.diff(i).compose(incl)) for i, (_, incl) in parts.items() if i + 1 in parts}
+    return Complex(c.algebra, {i: sub for i, (sub, _) in parts.items()}, diffs, check=False)
+
+
+def split_complex(c: Complex, seed: int = 0) -> list[Complex]:
+    """Indecomposable direct summands of c, as subcomplexes, certified by
+    a local algebra of strict chain endomorphisms (`_is_local`).
+
+    A piece that is not certified splits into im(1 - e) (+) im e along an
+    idempotent e of F_p[f] (`_split_idempotent`), f a random element of
+    its Z^0 taken degreewise; a piece that DRAWS such f leave unsplit
+    raises DecompositionError naming the budget and the piece.  A module
+    is split as its stalk complex (`decompose`), a complex of projectives
+    as itself (`functors.check_tilting`).
+    """
+    rng = np.random.default_rng(seed)
+    pieces: list[Complex] = []
+    stack = [c]
+    while stack:
+        cur = stack.pop()
+        if cur.is_zero():
+            continue
+        eng, cycles = _strict_maps(cur, cur)
+        if _is_local(eng, cycles):
+            pieces.append(cur)
+            continue
+        degrees = sorted(cur.terms)
+        for _ in range(DRAWS):
+            f = eng.map_of(0, cycles @ rng.integers(0, eng.p, size=cycles.shape[1]) % eng.p)
+            e = _split_idempotent([f.map(i) for i in degrees], rng)
+            if e:
+                break
+        else:
+            vectors = ", ".join(f"{list(t.dims.values())} in degree {i}" for i, t in sorted(cur.terms.items()))
+            raise DecompositionError(
+                f"could not certify a split within budget = {DRAWS} random endomorphisms "
+                f"of the piece with dimension vector {vectors}"
+            )
+        stack.append(_summand(cur, {i: identity_hom(x.source) - x for i, x in zip(degrees, e)}))
+        stack.append(_summand(cur, dict(zip(degrees, e))))
+    return pieces
+
+
+def decompose(m: Representation, seed: int = 0):
     """Indecomposable direct summands with multiplicity.
 
     Returns a list of (representation, multiplicity), sorted by total
     dimension and then by dimension vector (in quiver vertex order); the
     parts are certified indecomposable (local End) and their dimensions
-    add up.  Each split comes from `_split_idempotent` of a random
-    endomorphism; budget bounds the endomorphisms tried per piece, and
-    DecompositionError names it and the piece that would not split.
+    add up.  They are the degree-0 terms of `split_complex` of the stalk
+    complex of m, whose Z^0 is End(m), grouped by `is_isomorphic`.
     """
-    key = ("decompose", seed, budget)
+    key = ("decompose", seed)
     if key in m._cache:
         return m._cache[key]
-    rng = np.random.default_rng(seed)
-    pieces: list[Representation] = []
-    stack = [m]
-    while stack:
-        cur = stack.pop()
-        if cur.total_dim() == 0:
-            continue
-        frame = hom_frame(cur, cur)
-        if _is_local_end(cur, frame):
-            pieces.append(cur)
-            continue
-        for _ in range(budget):
-            e = _split_idempotent([frame.combination(rng.integers(0, cur.p, size=frame.dim))], rng)
-            split = e and _fitting_split(cur, e[0])
-            if split:
-                break
-        else:
-            raise DecompositionError(
-                f"could not certify a split within budget = {budget} random endomorphisms "
-                f"of the piece with dimension vector {list(cur.dims.values())}",
-                partial=pieces + [cur] + stack,
-            )
-        (k, _), (i, _) = split
-        stack.append(k)
-        stack.append(i)
+    pieces = [piece.terms[0] for piece in split_complex(module_complex(m), seed)]
     # group by isomorphism, in order of (total dim, dimension vector)
     grouped: list[tuple[Representation, int]] = []
     for piece in sorted(pieces, key=lambda r: (r.total_dim(), list(r.dims.values()))):
-        placed = False
         for idx, (rep, mult) in enumerate(grouped):
             if rep.total_dim() == piece.total_dim() and is_isomorphic(rep, piece, seed=seed):
                 grouped[idx] = (rep, mult + 1)
-                placed = True
                 break
-        if not placed:
+        else:
             grouped.append((piece, 1))
     m._cache[key] = grouped
     return grouped
 
 
-def find_iso(a: Representation, b: Representation, rng, budget: int = 60) -> RepHom | None:
-    """An explicit isomorphism a -> b, or None when none was found.
+def find_strict_iso(x: Complex, y: Complex, rng) -> ChainMap | None:
+    """A strict isomorphism x -> y, a chain map invertible in every
+    degree, or None when none was found.
 
-    Tries budget random combinations of the basis of hom_frame(a, b)
-    (one `HomFrame.combination` each), then the basis maps themselves.  Las
-    Vegas: a returned map is an isomorphism, but None from equal
-    dimension vectors and a nonzero Hom space is only a failed search.
-    rng is a numpy Generator, or a seed for one, which is then made only
-    when the dimension vectors leave a search to do.
+    Tries DRAWS random elements of Z^0(Hom(x, y)), then its basis.  Las
+    Vegas: a returned map is an isomorphism, but None from a nonzero Z^0
+    is only a failed search.  On stalk complexes this compares modules
+    (`find_iso`); two minimal complexes of projectives are strictly
+    isomorphic exactly when they are homotopy equivalent.  rng is a numpy
+    Generator, or a seed for one, made only when Z^0 is nonzero.
     """
+    eng, cycles = _strict_maps(x, y)
+    if not cycles.shape[1]:
+        return None
+    rng = np.random.default_rng(rng)
+    p, degrees = eng.p, sorted(set(x.terms) | set(y.terms))
+    draws = (cycles @ rng.integers(0, p, size=cycles.shape[1]) % p for _ in range(DRAWS))
+    for vec in itertools.chain(draws, cycles.T):
+        f = eng.map_of(0, vec)
+        if all(f.map(i).is_iso() for i in degrees):
+            return f
+    return None
+
+
+def find_iso(a: Representation, b: Representation, rng) -> RepHom | None:
+    """An explicit isomorphism a -> b, or None when none was found:
+    `find_strict_iso` of the stalk complexes, after the exits for unequal
+    dimension vectors and the zero module."""
     if a.algebra is not b.algebra:
         raise ValueError("different algebras")
     if a.dims != b.dims:
         return None
     if a.is_zero():
         return zero_hom(a, b)
-    frame = hom_frame(a, b)
-    if not frame.dim:
-        return None
-    rng = np.random.default_rng(rng)
-    for _ in range(budget):
-        f = frame.combination(rng.integers(0, a.p, size=frame.dim))
-        if f.is_iso():
-            return f
-    return next((f for f in frame.basis() if f.is_iso()), None)
+    f = find_strict_iso(module_complex(a), module_complex(b), rng)
+    return None if f is None else f.map(0)
 
 
-def is_isomorphic(m: Representation, n: Representation, seed: int = 0, budget: int = 60) -> bool:
-    """Whether find_iso, seeded, finds an isomorphism m -> n: budget
-    random combinations of a Hom basis, then the basis maps.  False is a
+def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
+    """Whether find_iso, seeded, finds an isomorphism m -> n.  False is a
     failed search, not a proof."""
-    return find_iso(m, n, seed, budget) is not None
+    return find_iso(m, n, seed) is not None

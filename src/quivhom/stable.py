@@ -26,11 +26,12 @@ from .complexes import (
     ChainMap,
     Complex,
     HomEngine,
-    HomKResult,
     _block_hom,
     _good_truncate_unchecked,
     brutal_truncate_geq,
     cone,
+    hom_k_dim,
+    homology_dims,
     is_acyclic,
     module_complex,
 )
@@ -259,7 +260,14 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
     maps by chain maps p, q on the canonical models, identify the model of
     the source with the shifted cone of q (the comparison is a
     quasi-isomorphism, built from an explicit null-homotopy h of q p), and
-    read the sequence off the acyclic total cone.  Its degrees >= 2 are
+    read the sequence off the total cone.  No choice of h is searched
+    for: another h changes the comparison by a class in
+    Hom_D(Fx, Fz[-1]) = Hom_D(x, z[-1]) = 0 when F is fully faithful on
+    D^- (the derived equivalences, the shifts Omega and the corner
+    inductions), so every h gives the same comparison in D.  For other
+    non-negative F no such argument is known, and a cone that is not
+    acyclic raises ValueError naming its cohomology and
+    dim Hom_K(dx, dz[-1]).  The acyclic cone's degrees >= 2 are
     projective, so V = ker d^2 = im d^1 is projective and
     0 -> M_x -> M_y (+) V (+) dx^1 -> M_z (+) dx^2 (+) dy^1 -> 0 is exact.
     The edge maps M_x -> M_y and M_y -> M_z are the transported maps
@@ -273,54 +281,42 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
     pcm = _model_chain_map(f, fmap)
     qcm = _model_chain_map(f, gmap)
     dx, dy, dz = pcm.source, pcm.target, qcm.target
-    eng = HomEngine(dx, dz)
-    h0 = eng.solve_nullhomotopy(qcm.compose(pcm))
+    h0 = HomEngine(dx, dz).solve_nullhomotopy(qcm.compose(pcm))
     if h0 is None:
         raise ValueError("composite image is not null-homotopic")
-
-    def build_cone(h):
-        # total cone: degree i carries (dx^{i+1}, dy^i, dz^{i-1})
-        lo = min(dx.lo - 1, dy.lo, dz.lo + 1)
-        hi = max(dx.hi - 1, dy.hi, dz.hi + 1)
-        terms = {}
-        parts = {}
-        for i in range(lo, hi + 1):
-            trip = [dx.term(i + 1), dy.term(i), dz.term(i - 1)]
-            tot = direct_sum_module(trip)
-            if tot.is_zero():
-                continue
-            terms[i] = tot
-            parts[i] = trip
-        diffs = {}
-        for i in terms:
-            if i + 1 not in terms:
-                continue
-            blocks = {
-                (0, 0): dx.diff(i + 1).scale(-1),
-                (1, 0): pcm.map(i + 1),
-                (1, 1): dy.diff(i),
-                (2, 0): h.map(i + 1).scale(-1),
-                (2, 1): qcm.map(i).scale(-1),
-                (2, 2): dz.diff(i - 1).scale(-1),
-            }
-            diffs[i] = _block_hom(terms[i], terms[i + 1], parts[i], parts[i + 1], blocks)
-        return Complex(alg, terms, diffs)
-
-    # (image of f, minus the homotopy) always lifts the projection square,
-    # but only some homotopy choices make the comparison a
-    # quasi-isomorphism: correct h by shift-(-1) homotopy classes until
-    # the total cone is acyclic; with no such class there is nothing to try
-    cn = build_cone(h0)
+    # total cone: degree i carries (dx^{i+1}, dy^i, dz^{i-1})
+    lo = min(dx.lo - 1, dy.lo, dz.lo + 1)
+    hi = max(dx.hi - 1, dy.hi, dz.hi + 1)
+    terms = {}
+    parts = {}
+    for i in range(lo, hi + 1):
+        trip = [dx.term(i + 1), dy.term(i), dz.term(i - 1)]
+        tot = direct_sum_module(trip)
+        if tot.is_zero():
+            continue
+        terms[i] = tot
+        parts[i] = trip
+    diffs = {}
+    for i in terms:
+        if i + 1 not in terms:
+            continue
+        blocks = {
+            (0, 0): dx.diff(i + 1).scale(-1),
+            (1, 0): pcm.map(i + 1),
+            (1, 1): dy.diff(i),
+            (2, 0): h0.map(i + 1).scale(-1),
+            (2, 1): qcm.map(i).scale(-1),
+            (2, 2): dz.diff(i - 1).scale(-1),
+        }
+        diffs[i] = _block_hom(terms[i], terms[i + 1], parts[i], parts[i + 1], blocks)
+    # (image of f, minus the homotopy) always lifts the projection square
+    cn = Complex(alg, terms, diffs)
     if not is_acyclic(cn):
-        cls = HomKResult(eng, -1)
-        rng = np.random.default_rng(0)
-        v0 = eng.vector_of(h0)
-        for _ in range(60 if cls.dim else 0):
-            cn = build_cone(eng.map_of(-1, (v0 + cls.vectors @ rng.integers(0, alg.p, size=cls.dim)) % alg.p))
-            if is_acyclic(cn):
-                break
-        else:
-            raise ValueError("no homotopy correction makes the total cone acyclic")
+        raise ValueError(
+            f"the total cone is not acyclic: nonzero cohomology {homology_dims(cn)} by degree, "
+            f"dim Hom_K(dx, dz[-1]) = {hom_k_dim(dx, dz, -1)}; no argument is known that another "
+            "homotopy makes it acyclic when F is not fully faithful on D^-"
+        )
 
     # cn is acyclic and projective above degree 1, so im d^1 = ker d^2 is
     # projective; it is all of cn^2 when cn stops there

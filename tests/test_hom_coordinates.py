@@ -11,17 +11,15 @@ import numpy as np
 import pytest
 
 from quivhom.algebra import dual_numbers, linear_algebra_An
-from quivhom.complexes import HomEngine, HomKResult, hom_k_dim
+from quivhom.complexes import HomEngine, HomKResult, hom_k_dim, module_complex
 from quivhom.corpus import corpus, interval_module
 from quivhom.exactlin import MAX_PRIME, Matrix, extending_columns, nullspace, rank, solve
-from quivhom.homological import _end_radical, _end_structure, decompose
+from quivhom.homological import _end_radical, _end_structure, _strict_maps, decompose
 from quivhom.modules import (
-    HomFrame,
     ProjSummands,
     RepHom,
     Representation,
     _flat_offsets,
-    _free_rows,
     _hom_system,
     direct_sum,
     emat_compose,
@@ -274,6 +272,12 @@ def interval_sum(n, p):
     return m
 
 
+def end_structure(m):
+    """Structure constants of End(m), as Z^0 of the stalk complex of m."""
+    c = module_complex(m)
+    return _end_structure(*_strict_maps(c, c))
+
+
 @pytest.mark.parametrize("which", ["A1", "Lam1", "keps", "A3"])
 def test_end_structure_matches_per_pair_solves(which, A1, Lam1, keps):
     if which == "A3":
@@ -284,7 +288,7 @@ def test_end_structure_matches_per_pair_solves(which, A1, Lam1, keps):
         mods = [random_module(alg, rng, summands=3) for _ in range(4)] + [projective(alg, v) for v in alg.quiver.vertices]
     for m in (m for m in mods if not m.is_zero()):
         basis = hom_space(m, m)
-        sc = _end_structure(hom_frame(m, m))
+        sc = end_structure(m)
         assert np.array_equal(sc, reference_end_structure(basis))
 
 
@@ -308,7 +312,7 @@ def test_trace_form_radical_is_the_pairwise_product_loop(p):
     for m in mods:
         basis = hom_space(m, m)
         if len(basis) < p:
-            sc = _end_structure(hom_frame(m, m))
+            sc = end_structure(m)
             assert _end_radical(p, sc) == reference_trace_form_radical(p, sc)
             checked.add(len(basis))
     rng = np.random.default_rng(p % 1000)
@@ -322,9 +326,11 @@ def test_end_structure_of_a_set_not_closed_under_composition_raises():
     alg = linear_algebra_An(1, 101)
     m = Representation(alg, {"0": 2}, {})
     swap = RepHom(m, m, {"0": Matrix(101, [[0, 1], [1, 0]])})  # swap o swap = 1 is not a multiple of swap
-    flats = swap.flat()[:, None]  # span(swap) is a frame, but no Hom basis
-    with pytest.raises(ValueError, match="composite escaped the hom space"):
-        _end_structure(HomFrame(m, m, flats, _free_rows(flats)))
+    c = module_complex(m)
+    eng = HomEngine(c, c)
+    cycles = eng.frame(0, 0).coordinates(swap.flat()[:, None])  # span(swap) holds strict maps, but no algebra
+    with pytest.raises(ValueError, match="composite escaped the strict endomorphisms"):
+        _end_structure(eng, cycles)
 
 
 def test_decompose_interval_sum():

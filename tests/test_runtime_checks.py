@@ -254,14 +254,26 @@ def _call_scopes(module: str, name: str) -> list[str]:
 
 def test_cosyzygies_and_stable_inverses_are_not_searched_for():
     """A cosyzygy is the cokernel of the minimal left approximation, a
-    stable inverse comes from two solves, and Ext is read off boundary
-    ranks: gorenstein draws nothing at random, stable only in the
-    homotopy correction of `exact_sequence_image`, and homological only
-    in `decompose` and `find_iso`."""
-    found = [f"gorenstein.py {name}" for name in _call_scopes("gorenstein.py", "default_rng")]
-    found += [f"stable.py {name}" for name in _call_scopes("stable.py", "default_rng") if name != "exact_sequence_image"]
-    found += [f"homological.py {name}" for name in _call_scopes("homological.py", "default_rng") if name not in ("decompose", "find_iso")]
-    assert not found, f"random draws where an exact construction is expected: {found}"
+    stable inverse comes from two solves, Ext is read off boundary ranks
+    and a transported sequence off one total cone: gorenstein and stable
+    draw nothing at random, homological only in its one splitter and its
+    one isomorphism search (and in `_split_idempotent`, which draws from
+    the splitter's generator), and functors only to perturb functor data."""
+    draws = ("default_rng", "integers", "random", "choice", "permutation", "shuffle")
+    found = {module: sorted({scope for name in draws for scope in _call_scopes(module, name)}) for module in ("gorenstein.py", "stable.py", "homological.py", "functors.py")}
+    assert found == {
+        "gorenstein.py": [],
+        "stable.py": [],
+        "homological.py": ["_split_idempotent", "find_strict_iso", "split_complex"],
+        "functors.py": ["perturb_functor_data", "strict_chain_automorphism"],
+    }, found
+
+
+def test_one_splitter():
+    """Modules and complexes of projectives are split by one loop:
+    `_split_idempotent` is called from `homological.split_complex` alone."""
+    found = [f"{module} {scope}" for module in MODULES for scope in _call_scopes(module, "_split_idempotent")]
+    assert found == ["homological.py split_complex"], found
 
 
 def test_one_resolution_engine():

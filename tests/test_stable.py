@@ -585,8 +585,8 @@ def _exact_answers(c):
 @pytest.mark.parametrize("n", [1, 2])
 def test_exact_images_build_no_homotopy_classes(monkeypatch, n):
     """With `HomKResult.__init__` raising, every corpus sequence is
-    transported as unpatched: the shift-(-1) classes are built only when
-    the first total cone is not acyclic.  Both runs use a fresh corpus."""
+    transported as unpatched: the construction builds no homotopy
+    classes.  Both runs use a fresh corpus."""
     want = _exact_answers(Corpus(n))
     assert all(exact for exact, _, _ in want)
     fresh = Corpus(n)
@@ -599,9 +599,9 @@ def test_exact_images_build_no_homotopy_classes(monkeypatch, n):
 
 
 def test_exact_image_without_correcting_classes_raises_at_once(C1, monkeypatch):
-    """When the first total cone is not acyclic and Hom_K(dx, dz[-1]) = 0,
-    no correction can change the cone, so the construction raises after
-    one acyclicity test instead of rebuilding the same cone."""
+    """When the total cone is not acyclic, the construction raises after
+    one acyclicity test, naming the cohomology of the cone and
+    dim Hom_K(dx, dz[-1]), instead of searching for another homotopy."""
     calls = []
 
     def never_acyclic(c):
@@ -610,6 +610,6 @@ def test_exact_image_without_correcting_classes_raises_at_once(C1, monkeypatch):
 
     monkeypatch.setattr(stable, "is_acyclic", never_acyclic)
     incl, proj = C1.ses[(1, 2)]
-    with pytest.raises(ValueError, match="no homotopy correction"):
+    with pytest.raises(ValueError, match=r"total cone is not acyclic: nonzero cohomology \{\} by degree, dim Hom_K\(dx, dz\[-1\]\) = 0"):
         exact_sequence_image(C1.F, incl, proj)
     assert len(calls) == 1
