@@ -52,6 +52,18 @@ class OperationError(RuntimeError):
     pass
 
 
+def _corpus_tables(c) -> tuple[dict, dict, dict]:
+    """The algebras, modules and functors of a corpus under their CLI names,
+    as `--corpus N` loads them and the `corpus` verb writes them."""
+    algebras = {"A": c.A, "B": c.B, "Lambda": c.Lam, "Gamma": c.Gam}
+    modules = {
+        **{f"M_{i}_{l}": m for (i, l), m in c.M.items()},
+        **{f"SQ_{i}": m for i, m in c.S_Q.items()},
+        **{f"SP_{i}": m for i, m in c.S_P.items()},
+    }
+    return algebras, modules, {"F": c.F, "G": c.G, "F_BA": c.F_BA, "G_AB": c.G_AB}
+
+
 class Context:
     def __init__(self, args):
         try:
@@ -78,19 +90,12 @@ class Context:
             self.modules.update(defs.modules)
             self.complexes.update(defs.complexes)
             self.functors.update(defs.functors)
-        if getattr(args, "corpus", None):
-            c = build_corpus(args.corpus, self.p)
-            self.corpus = c
-            self.algebras.update({"A": c.A, "B": c.B, "Lambda": c.Lam, "Gamma": c.Gam})
-            for (i, l), m in c.M.items():
-                self.modules[f"M_{i}_{l}"] = m
-            for i, m in c.S_Q.items():
-                self.modules[f"SQ_{i}"] = m
-            for i, m in c.S_P.items():
-                self.modules[f"SP_{i}"] = m
-            self.functors.update(
-                {"F": c.F, "G": c.G, "F_BA": c.F_BA, "G_AB": c.G_AB}
-            )
+        if args.corpus is not None:
+            self.corpus = build_corpus(args.corpus, self.p)
+            algebras, modules, functors = _corpus_tables(self.corpus)
+            self.algebras.update(algebras)
+            self.modules.update(modules)
+            self.functors.update(functors)
 
     def module(self, name: str):
         if name in self.modules:
@@ -130,9 +135,16 @@ def emit(ctx: Context, payload: dict, table_lines):
             print(line)
 
 
+def _window(args) -> int:
+    """--window, the lowest degree of a module's resolution: above 0 it is empty."""
+    if args.window > 0:
+        raise OperationError("window must be <= 0")
+    return args.window
+
+
 def cmd_resolve(ctx, args):
     m = ctx.module(args.module)
-    res, _ = projective_resolution(module_complex(m), args.window)
+    res, _ = projective_resolution(module_complex(m), _window(args))
     terms = {str(i): list(res.terms[i].vertices) for i in sorted(res.terms)}
     emit(
         ctx,
@@ -209,7 +221,7 @@ def cmd_endo(ctx, args):
 
 def cmd_apply(ctx, args):
     f = ctx.functor(args.functor)
-    img = apply_to_module(f, ctx.module(args.module), args.window)
+    img = apply_to_module(f, ctx.module(args.module), _window(args))
     c = img.to_complex()
     payload = {
         "terms": {str(i): list(img.terms[i].vertices) for i in sorted(img.terms)},
@@ -376,17 +388,8 @@ def cmd_decompose(ctx, args):
 
 def cmd_corpus(ctx, args):
     c = build_corpus(args.n, ctx.p)
-    defs = Definitions(
-        ctx.p,
-        {"A": c.A, "B": c.B, "Lambda": c.Lam, "Gamma": c.Gam},
-        {
-            **{f"M_{i}_{l}": m for (i, l), m in c.M.items()},
-            **{f"SQ_{i}": m for i, m in c.S_Q.items()},
-            **{f"SP_{i}": m for i, m in c.S_P.items()},
-        },
-        {},
-        {"F": c.F, "G": c.G, "F_BA": c.F_BA, "G_AB": c.G_AB},
-    )
+    algebras, modules, functors = _corpus_tables(c)
+    defs = Definitions(ctx.p, algebras, modules, {}, functors)
     payload = {"definitions": json.loads(serialize_definitions(defs)), "manifest": c.manifest}
     if args.out:
         with open(args.out, "w") as fh:

@@ -192,6 +192,20 @@ def _block_hom(src_rep, tgt_rep, src_parts, tgt_parts, blocks):
     return RepHom(src_rep, tgt_rep, mats, check=False)
 
 
+def _block_complex(alg, degrees, parts, blocks, check: bool = True):
+    """The one block assembly of complexes: term i is the direct sum of the
+    modules parts(i), and d^i is assembled by `_block_hom` from
+    blocks(i)[(r, s)] : parts(i)[s] -> parts(i + 1)[r].  Degrees whose parts
+    are all zero are left out.  Returns (complex, {degree: parts})."""
+    terms, pieces = {}, {}
+    for i in degrees:
+        ps = parts(i)
+        if not all(t.is_zero() for t in ps):
+            terms[i], pieces[i] = direct_sum_module(ps), ps
+    diffs = {i: _block_hom(terms[i], terms[i + 1], pieces[i], pieces[i + 1], blocks(i)) for i in terms if i + 1 in terms}
+    return Complex(alg, terms, diffs, check=check), pieces
+
+
 def cone(f: ChainMap):
     """Mapping cone with its two canonical maps.
 
@@ -200,36 +214,50 @@ def cone(f: ChainMap):
     (cone, incl: Y[n] -> cone, proj: cone -> X[1]).
     """
     X, Y = f.source, shift(f.target, f.n) if f.n else f.target
-    alg = X.algebra
-    terms = {}
-    parts = {}
-    for i in range(min(X.lo - 1, Y.lo), max(X.hi, Y.hi) + 1):
-        xs, ys = X.term(i + 1), Y.term(i)
-        if xs.is_zero() and ys.is_zero():
-            continue
-        terms[i] = direct_sum_module([xs, ys])
-        parts[i] = (xs, ys)
-    diffs = {}
-    for i in terms:
-        if i + 1 not in terms:
-            continue
-        blocks = {
+    c, parts = _block_complex(
+        X.algebra,
+        range(min(X.lo - 1, Y.lo), max(X.hi, Y.hi) + 1),
+        lambda i: [X.term(i + 1), Y.term(i)],
+        lambda i: {(0, 0): X.diff(i + 1).scale(-1), (1, 0): f.map(i + 1), (1, 1): Y.diff(i)},
+        check=False,
+    )
+    incl = {i: _block_hom(ys, c.terms[i], [ys], [xs, ys], {(1, 0): identity_hom(ys)}) for i, (xs, ys) in parts.items()}
+    proj = {i: _block_hom(c.terms[i], xs, [xs, ys], [xs], {(0, 0): identity_hom(xs)}) for i, (xs, ys) in parts.items()}
+    return c, ChainMap(Y, c, incl, check=False), ChainMap(c, shift(X, 1), proj, check=False)
+
+
+def total_cone(p: ChainMap, q: ChainMap, h: ChainMap) -> Complex:
+    """The total cone of X -p-> Y -q-> Z and a null-homotopy h : X -> Z[-1] of
+    q p: degree i is X^(i+1) (+) Y^i (+) Z^(i-1), d = [[-d_X, 0, 0], [p, d_Y, 0],
+    [-h, -q, -d_Z]], which is shift(cone((h, q) : cone(p) -> Z), -1) entry for
+    entry; d^2 = 0 is checked."""
+    X, Y, Z = p.source, p.target, q.target
+    return _block_complex(
+        X.algebra,
+        range(min(X.lo - 1, Y.lo, Z.lo + 1), max(X.hi - 1, Y.hi, Z.hi + 1) + 1),
+        lambda i: [X.term(i + 1), Y.term(i), Z.term(i - 1)],
+        lambda i: {
             (0, 0): X.diff(i + 1).scale(-1),
-            (1, 0): f.map(i + 1),
+            (1, 0): p.map(i + 1),
             (1, 1): Y.diff(i),
-        }
-        diffs[i] = _block_hom(terms[i], terms[i + 1], parts[i], parts[i + 1], blocks)
-    c = Complex(alg, terms, diffs, check=False)
-    incl_maps = {}
-    proj_maps = {}
-    sx = shift(X, 1)
-    for i in terms:
-        xs, ys = parts[i]
-        incl_maps[i] = _block_hom(Y.term(i), c.term(i), [Y.term(i)], [xs, ys], {(1, 0): identity_hom(ys)} if not ys.is_zero() else {})
-        proj_maps[i] = _block_hom(c.term(i), sx.term(i), [xs, ys], [sx.term(i)], {(0, 0): identity_hom(xs)} if not xs.is_zero() else {})
-    incl = ChainMap(Y, c, incl_maps, check=False)
-    proj = ChainMap(c, sx, proj_maps, check=False)
-    return c, incl, proj
+            (2, 0): h.map(i + 1).scale(-1),
+            (2, 1): q.map(i).scale(-1),
+            (2, 2): Z.diff(i - 1).scale(-1),
+        },
+    )[0]
+
+
+def direct_sum_complex(cs: list[Complex]) -> Complex:
+    """The direct sum of complexes, in the order of cs.  A sum of complexes of
+    shared projective sums has shared sums for terms (`direct_sum_module`),
+    so `projcplx.recognize` reads it by lookup."""
+    return _block_complex(
+        cs[0].algebra,
+        range(min(c.lo for c in cs), max(c.hi for c in cs) + 1),
+        lambda i: [c.term(i) for c in cs],
+        lambda i: {(k, k): c.diffs[i] for k, c in enumerate(cs) if i in c.diffs},
+        check=False,
+    )[0]
 
 
 def brutal_truncate_geq(c: Complex, m: int) -> Complex:

@@ -24,7 +24,7 @@ import itertools
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Element, Path, Quiver, path_arrows, path_source
-from .complexes import cone, hom_k, homology_dims, shift
+from .complexes import Complex, cone, direct_sum_complex, hom_k, homology_dims, shift
 from .exactlin import Matrix, inverse, rank, solve
 from .homological import _end_radical, _strict_maps, find_strict_iso, minimal_resolution, split_complex
 from .modules import (
@@ -32,6 +32,7 @@ from .modules import (
     ProjSummands,
     RepHom,
     element_matrix_to_hom,
+    emat_compose,
     emat_is_zero,
     hom_to_element_matrix,
     identity_hom,
@@ -41,7 +42,7 @@ from .projcplx import (
     ProjChainMap,
     ProjComplex,
     _add_block,
-    direct_sum_proj,
+    _zero_emat,
     identity_proj_chain_map,
     minimize,
     recognize,
@@ -70,6 +71,9 @@ class FunctorData:
                 am = self.arrow_maps[n]
                 if am.source is not self.images[t] or am.target is not self.images[s]:
                     raise ValueError(f"arrow map {n} has wrong endpoints")
+                for i in am.source.terms:
+                    if not _commutes_at(target, am, i):
+                        raise ValueError(f"arrow map {n} is not a chain map at degree {i}")
             for r in source.relations:
                 if not self._element_map_is_zero(r):
                     raise ValueError(f"relation {r} not satisfied strictly")
@@ -112,6 +116,14 @@ class FunctorData:
 
     def __repr__(self):
         return f"FunctorData(width={self.width})"
+
+
+def _commutes_at(alg: BoundQuiverAlgebra, f: ProjChainMap, i: int) -> bool:
+    """f^(i+1) d_X^i = d_Y^i f^i for f : X -> Y, as element matrices."""
+    zero = _zero_emat(len(f.target.summands(i + 1).vertices), len(f.source.summands(i).vertices))
+    lhs = emat_compose(alg, f.comp(i + 1), f.source.dmats[i]) if i in f.source.dmats else zero
+    rhs = emat_compose(alg, f.target.dmats[i], f.comp(i)) if i in f.target.dmats else zero
+    return lhs == rhs
 
 
 def identity_functor(alg: BoundQuiverAlgebra) -> FunctorData:
@@ -345,12 +357,15 @@ class TiltingCandidate:
     def __init__(self, algebra: BoundQuiverAlgebra, summands: list[ProjComplex]):
         self.algebra = algebra
         self.summands = list(summands)
+        if not self.summands:
+            raise ValueError("a tilting candidate needs at least one summand")
         for s in self.summands:
             if s.algebra is not algebra:
                 raise ValueError("summand over the wrong algebra")
 
-    def total(self) -> ProjComplex:
-        return direct_sum_proj(self.summands)
+    def total(self) -> Complex:
+        """The direct sum of the summands' complexes."""
+        return direct_sum_complex([s.to_complex() for s in self.summands])
 
 
 class TiltingReport:
@@ -376,11 +391,12 @@ def check_tilting(t: TiltingCandidate, search_depth: int = 4, seed: int = 0) -> 
     complex of projectives by `recognize`; the direct summands are the
     pieces of `homological.split_complex`, which certifies each piece
     by a local Z^0 and raises DecompositionError when it cannot."""
-    total = t.total()
-    c = total.to_complex()
+    if search_depth < 0:
+        raise ValueError("search depth must be >= 0")
+    c = t.total()
     failures = {}
     selforth = True
-    span = total.hi - total.lo
+    span = c.hi - c.lo
     for n in range(-span, span + 1):
         if n == 0:
             continue

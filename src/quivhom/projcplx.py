@@ -253,30 +253,6 @@ def minimize(pc: ProjComplex) -> tuple[ProjComplex, ProjChainMap, ProjChainMap]:
     return minimal, ProjChainMap(pc, minimal, proj), ProjChainMap(minimal, pc, inc)
 
 
-def direct_sum_proj(pcs: list[ProjComplex]) -> ProjComplex:
-    alg = pcs[0].algebra
-    degs = set()
-    for pc in pcs:
-        degs |= set(pc.terms)
-    terms = {}
-    dmats = {}
-    for i in degs:
-        verts = []
-        for pc in pcs:
-            verts.extend(pc.summands(i).vertices)
-        terms[i] = ProjSummands(alg, verts)
-    for i in degs:
-        if i + 1 not in degs:
-            continue
-        shape = (len(terms[i + 1].vertices), len(terms[i].vertices))
-        roff = coff = 0
-        for pc in pcs:
-            _add_block(alg, dmats, i, shape, (roff, coff), pc.dmats.get(i, ()))
-            roff += len(pc.summands(i + 1).vertices)
-            coff += len(pc.summands(i).vertices)
-    return ProjComplex(alg, terms, dmats, check=False)
-
-
 def recognize(c) -> ProjComplex:
     """The ProjComplex view of a complex of projective representations,
     kept on c (key "proj"), where `ProjComplex.to_complex` also puts it.

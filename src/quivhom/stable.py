@@ -34,6 +34,7 @@ from .complexes import (
     homology_dims,
     is_acyclic,
     module_complex,
+    total_cone,
 )
 from .exactlin import Matrix, rank, solve
 from .homological import is_isomorphic, strip_projectives
@@ -284,33 +285,7 @@ def exact_sequence_image(f: FunctorData, fmap: RepHom, gmap: RepHom) -> ExactSeq
     h0 = HomEngine(dx, dz).solve_nullhomotopy(qcm.compose(pcm))
     if h0 is None:
         raise ValueError("composite image is not null-homotopic")
-    # total cone: degree i carries (dx^{i+1}, dy^i, dz^{i-1})
-    lo = min(dx.lo - 1, dy.lo, dz.lo + 1)
-    hi = max(dx.hi - 1, dy.hi, dz.hi + 1)
-    terms = {}
-    parts = {}
-    for i in range(lo, hi + 1):
-        trip = [dx.term(i + 1), dy.term(i), dz.term(i - 1)]
-        tot = direct_sum_module(trip)
-        if tot.is_zero():
-            continue
-        terms[i] = tot
-        parts[i] = trip
-    diffs = {}
-    for i in terms:
-        if i + 1 not in terms:
-            continue
-        blocks = {
-            (0, 0): dx.diff(i + 1).scale(-1),
-            (1, 0): pcm.map(i + 1),
-            (1, 1): dy.diff(i),
-            (2, 0): h0.map(i + 1).scale(-1),
-            (2, 1): qcm.map(i).scale(-1),
-            (2, 2): dz.diff(i - 1).scale(-1),
-        }
-        diffs[i] = _block_hom(terms[i], terms[i + 1], parts[i], parts[i + 1], blocks)
-    # (image of f, minus the homotopy) always lifts the projection square
-    cn = Complex(alg, terms, diffs)
+    cn = total_cone(pcm, qcm, h0)
     if not is_acyclic(cn):
         raise ValueError(
             f"the total cone is not acyclic: nonzero cohomology {homology_dims(cn)} by degree, "

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from quivhom.algebra import BoundQuiverAlgebra, Quiver, dual_numbers, linear_algebra_An
+from quivhom.complexes import direct_sum_complex
 from quivhom.corpus import gentle_tree_algebra
 from quivhom.modules import ProjSummands, Representation, cokernel, element_matrix_to_hom
+from quivhom.projcplx import recognize
 
 
 @pytest.fixture(scope="session")
@@ -109,3 +111,9 @@ def random_three_term_complex(alg, rng, lo: int = 0):
             for c, b in zip(coeffs % alg.p, basis12):
                 d1 = d1 + b.scale(int(c))
     return Complex(alg, {lo: m0, lo + 1: m1, lo + 2: m2}, {lo: d0, lo + 1: d1})
+
+
+def proj_direct_sum(pcs):
+    """The direct sum of complexes of projectives, in order, presented by
+    `recognize`: a lookup, since a sum of shared sums is a shared sum."""
+    return recognize(direct_sum_complex([pc.to_complex() for pc in pcs]))

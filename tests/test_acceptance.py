@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from quivhom.algebra import dual_numbers
-from quivhom.complexes import Complex, localization_compare, module_complex, hom_d_dim
+from quivhom.complexes import Complex, direct_sum_complex, localization_compare, module_complex, hom_d_dim
 from quivhom.corpus import corpus
 from quivhom.functors import (
     check_tilting,
@@ -27,7 +27,7 @@ from quivhom.modules import (
     is_projective,
     zero_hom,
 )
-from quivhom.projcplx import ProjComplex, direct_sum_proj
+from quivhom.projcplx import ProjComplex
 from quivhom.stable import (
     _pipeline,
     exact_sequence_image,
@@ -173,8 +173,8 @@ def test_criterion_4_uniqueness():
     )
     for key, x in sorted(c.M.items()):
         pl = _pipeline(c.F, x)
-        padded = direct_sum_proj([pl.cmin, pad])
-        M2, _ = cokernel(padded.to_complex().diff(-1))
+        padded = direct_sum_complex([pl.cmin.to_complex(), pad.to_complex()])
+        M2, _ = cokernel(padded.diff(-1))
         if not stable_iso(M2, pl.M):
             ok = False
             notes.append(f"padded strategy differs at {key}")

@@ -25,8 +25,8 @@ from quivhom.exactlin import MAX_PRIME, Matrix, inverse, nullspace, solve
 from quivhom.functors import _split_proj_complex
 from quivhom.homological import DecompositionError, _is_local_end, decompose, find_iso, is_isomorphic, syzygy
 from quivhom.modules import RepHom, Representation, direct_sum, hom_frame, hom_space, identity_hom, image, kernel, zero_hom
-from quivhom.projcplx import direct_sum_proj, minimize, recognize
-from tests.conftest import random_module
+from quivhom.projcplx import minimize, recognize
+from tests.conftest import proj_direct_sum, random_module
 
 # -- the old loops ---------------------------------------------------------
 
@@ -538,7 +538,7 @@ def signatures(pieces):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_split_proj_complex_is_the_old_loop(n, seed):
     summands = corpus(n).tilting.summands
-    candidates = list(summands) + [direct_sum_proj(summands), direct_sum_proj(summands[:2] + summands[:2])]
+    candidates = list(summands) + [proj_direct_sum(summands), proj_direct_sum(summands[:2] + summands[:2])]
     pieces = 0
     for pc in candidates:
         got = _split_proj_complex(pc, seed=seed)

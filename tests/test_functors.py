@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quivhom import projcplx
-from quivhom.algebra import Quiver
+from quivhom.algebra import Quiver, linear_algebra_An
 from quivhom.complexes import (
     cone,
     homology,
@@ -24,6 +24,7 @@ from quivhom.functors import (
     identity_functor,
     is_non_negative,
     lift_to_resolutions,
+    perturb_functor_data,
     shift_functor,
 )
 from quivhom.homological import _end_radical, find_strict_iso, is_isomorphic, minimal_resolution
@@ -31,7 +32,7 @@ from quivhom.exactlin import Matrix, column_space_basis, rank
 from quivhom.modules import ProjSummands, RepHom, hom_to_element_matrix, projective, radical, simple, top
 from quivhom.projcplx import ProjChainMap, ProjComplex, _add_block, identity_proj_chain_map, minimize, recognize
 from quivhom.stable import stable_iso
-from tests.conftest import random_module
+from tests.conftest import proj_direct_sum, random_module
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,50 @@ def test_strict_relation_enforced(Lam1):
     bad["eps_0"] = ProjChainMap(images["0"], images["0"], {0: [[Lam1.e("0")]]})
     with pytest.raises(ValueError):
         FunctorData(Lam1, Lam1, images, bad)
+
+
+def zero_eps_data(c):
+    """Corpus F with every eps_v arrow map set to zero: strict, and made of
+    chain maps, so it loads, but it is not non-negative."""
+    f = c.F
+    arrow_maps = {n: ProjChainMap(m.source, m.target, {}) if n.startswith("eps_") else m for n, m in f.arrow_maps.items()}
+    return FunctorData(f.source, f.target, f.images, arrow_maps)
+
+
+def planted_non_chain_map(check=True):
+    """Linear A_3 with image(0) = (P_1 --b0--> P_0) and b0 sent to the
+    identity of P_1 in degree 0, which does not commute with that d."""
+    alg = linear_algebra_An(3)
+    images = {
+        "0": ProjComplex(alg, {0: ProjSummands(alg, ["1"]), 1: ProjSummands(alg, ["0"])}, {0: [[alg.arrow("b0")]]}),
+        "1": proj_stalk(alg, "1"),
+        "2": proj_stalk(alg, "2"),
+    }
+    arrow_maps = {
+        "b0": ProjChainMap(images["1"], images["0"], {0: [[alg.e("1")]]}),
+        "b1": ProjChainMap(images["2"], images["1"], {0: [[alg.arrow("b1")]]}),
+    }
+    return FunctorData(alg, alg, images, arrow_maps, check=check)
+
+
+def test_an_arrow_map_that_is_not_a_chain_map_is_rejected():
+    """The planted data has the right endpoints and no relations to break;
+    unchecked, it gives stable images of five of the six projectives and
+    simples and fails late on S_0, and `is_non_negative` raises on it."""
+    unchecked = planted_non_chain_map(check=False)
+    with pytest.raises(ValueError, match=r"d\^2 != 0 at degree -1"):
+        is_non_negative(unchecked)
+    with pytest.raises(ValueError, match=r"^arrow map b0 is not a chain map at degree 0$"):
+        planted_non_chain_map()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_package_functor_data_passes_the_chain_map_check(n):
+    c = corpus(n)
+    data = [c.F, c.G, c.F_BA, c.G_AB, shift_functor(c.Lam, 2), compose(c.F, c.G), compose(c.G_AB, c.F_BA)]
+    data += [compose(c.F, shift_functor(c.Lam, 1)), perturb_functor_data(c.F, seed=2)[0], zero_eps_data(c)]
+    for f in data:
+        FunctorData(f.source, f.target, f.images, f.arrow_maps)
 
 
 def test_corpus_images_match_expected_shapes(C1):
@@ -221,6 +266,12 @@ def test_check_tilting_regular(A1):
     assert rep.rounds == 0
 
 
+def test_a_tilting_candidate_needs_a_summand(A1):
+    # the empty candidate used to die with an IndexError in its direct sum
+    with pytest.raises(ValueError, match="at least one summand"):
+        TiltingCandidate(A1, [])
+
+
 def test_check_tilting_single_summand_unknown(A1):
     cand = TiltingCandidate(A1, [proj_stalk(A1, "1")])
     rep = check_tilting(cand, search_depth=2)
@@ -297,7 +348,6 @@ def test_hom_classes_match_base_algebra(C1):
 
 def test_split_proj_complex(A1):
     from quivhom.functors import _split_proj_complex
-    from quivhom.projcplx import direct_sum_proj
 
     x = proj_stalk(A1, "1")
     y = ProjComplex(
@@ -306,7 +356,7 @@ def test_split_proj_complex(A1):
         {0: [[{}]]},
         check=False,
     )
-    pieces = _split_proj_complex(direct_sum_proj([x, y]), seed=3)
+    pieces = _split_proj_complex(proj_direct_sum([x, y]), seed=3)
     sigs = sorted(p.signature() for p in pieces)
     assert sigs == [((0, ("0",)),), ((0, ("1",)),), ((1, ("3",)),)]
 

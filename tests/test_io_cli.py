@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quivhom.cli import main
+from quivhom.cli import Context, build_parser, main
 from quivhom.io import (
     DefinitionError,
     module_dot,
@@ -335,6 +335,43 @@ def test_cli_negative_bound_is_an_error_line(verb, capsys):
     assert captured.err == "error: bound must be >= 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--corpus", "0", "ext", "--from", "proj_A_1", "--to", "proj_A_1", "--degree", "0"], "n must be >= 1"),
+        (["--corpus", "1", "resolve", "--module", "M_0_1", "--window", "3"], "window must be <= 0"),
+        (["--corpus", "1", "apply", "--functor", "F", "--module", "M_0_1", "--window", "2"], "window must be <= 0"),
+        (["--corpus", "1", "tilting-check", "--search-depth", "-1"], "search depth must be >= 0"),
+    ],
+    ids=["corpus", "resolve-window", "apply-window", "search-depth"],
+)
+def test_cli_out_of_range_flag_is_an_error_line(argv, message, capsys):
+    # each of these used to be ignored or to give an empty answer with exit 0
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cli_corpus_names_are_one_table():
+    """Every name that `corpus --n 1` writes resolves through `--corpus 1`,
+    and every name `--corpus 1` loads is written."""
+    code, out = run_cli(["corpus", "--n", "1"])
+    assert code == 0
+    written = json.loads(out)["definitions"]
+    ctx = Context(build_parser().parse_args(["--corpus", "1", "corpus"]))
+    assert set(written["algebras"]) == set(ctx.algebras)
+    assert set(written["modules"]) == set(ctx.modules)
+    assert set(written["functors"]) == set(ctx.functors)
+    for name, entry in written["modules"].items():
+        m = ctx.module(name)
+        assert m.algebra is ctx.algebras[entry["algebra"]]
+        assert {v: d for v, d in m.dims.items() if d} == {v: d for v, d in entry["dims"].items() if d}
+    for name, entry in written["functors"].items():
+        f = ctx.functor(name)
+        assert (f.source, f.target) == (ctx.algebras[entry["source"]], ctx.algebras[entry["target"]])
+
+
 ENDO_CORPUS_1 = {
     "arrows": [["x0", "2", "0"], ["x1", "3", "1"], ["x2", "0", "3"]],
     "dim": 10,
@@ -410,6 +447,11 @@ BAD_DEFINITIONS = {
         ',\n    "3": {"terms": {"0": ["3"]}, "diffs": {}}',
         "",
         "functors.Id.images: missing image of vertex 3",
+    ),
+    "arrow_map_not_a_chain_map": (
+        '"1": {"terms": {"0": ["1"]}, "diffs": {}}',
+        '"1": {"terms": {"0": ["1"], "1": ["1"]}, "diffs": {"0": [[[[1, "1", []]]]]}}',
+        "functors.Id: arrow map a1 is not a chain map at degree 0",
     ),
     "missing_arrow_map": (
         ',\n    "a3": {"0": [[[[1, "3", ["a3"]]]]]}',

@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
-from quivhom import functors, homological
+from quivhom import functors, homological, projcplx
 from quivhom.algebra import Quiver, dual_numbers, linear_algebra_An
 from quivhom.complexes import Complex, HomEngine, hom_k, is_quasi_iso
 from quivhom.corpus import Corpus, corpus, interval_module
@@ -25,9 +25,9 @@ from quivhom.exactlin import Matrix, extending_columns, inverse, nullspace, rank
 from quivhom.functors import TiltingCandidate, _count_paths, _split_proj_complex, endomorphism_presentation
 from quivhom.homological import DecompositionError, _end_radical, _is_local_end, _power, _split_idempotent, decompose
 from quivhom.modules import ProjSummands, Representation, direct_sum, flatten_blocks, hom_frame, identity_hom, image, kernel, lift, zero_hom, zero_rep
-from quivhom.projcplx import ProjComplex, direct_sum_proj, minimize, recognize
+from quivhom.projcplx import ProjComplex, _add_block, minimize, recognize
 from quivhom.stable import stable_image
-from tests.conftest import random_module
+from tests.conftest import proj_direct_sum, random_module
 from tests.test_functors import proj_stalk
 
 # -- the replaced module loop ------------------------------------------------------
@@ -225,6 +225,27 @@ def old_endomorphism_presentation(t, seed=0):
     return dim, mult, quiver.arrows, max(0, _count_paths(quiver) - dim)
 
 
+def old_direct_sum_proj(pcs):
+    """The element-matrix direct sum that `complexes.direct_sum_complex`
+    replaced."""
+    alg = pcs[0].algebra
+    degs = set()
+    for pc in pcs:
+        degs |= set(pc.terms)
+    terms = {i: ProjSummands(alg, [v for pc in pcs for v in pc.summands(i).vertices]) for i in degs}
+    dmats = {}
+    for i in degs:
+        if i + 1 not in degs:
+            continue
+        shape = (len(terms[i + 1].vertices), len(terms[i].vertices))
+        roff = coff = 0
+        for pc in pcs:
+            _add_block(alg, dmats, i, shape, (roff, coff), pc.dmats.get(i, ()))
+            roff += len(pc.summands(i + 1).vertices)
+            coff += len(pc.summands(i).vertices)
+    return ProjComplex(alg, terms, dmats, check=False)
+
+
 # -- inputs ----------------------------------------------------------------------
 
 
@@ -254,7 +275,7 @@ def decompose_inputs():
 
 def split_candidates(n):
     summands = corpus(n).tilting.summands
-    return list(summands) + [direct_sum_proj(summands), direct_sum_proj(summands[:2] + summands[:2])]
+    return list(summands) + [proj_direct_sum(summands), proj_direct_sum(summands[:2] + summands[:2])]
 
 
 # -- the differential tests --------------------------------------------------------------
@@ -301,6 +322,44 @@ def test_endomorphism_presentation_is_the_old_one(p):
     assert repeated >= 9
 
 
+def sum_inputs():
+    """The summand lists that the split candidates and the endomorphism
+    presentation candidates sum, repeated summands included."""
+    lists = []
+    for n in (1, 2, 3):
+        c = corpus(n)
+        summands = c.tilting.summands
+        lists += [summands, summands[:2] + summands[:2], summands + summands[:2]]
+        for alg in (c.A, c.Lam):
+            verts = list(alg.quiver.vertices)
+            lists.append([proj_stalk(alg, v) for v in verts + verts[:2] + verts[:1]])
+    return lists
+
+
+def test_direct_sum_complex_is_the_old_element_matrix_sum(monkeypatch):
+    """`recognize(direct_sum_complex(...))` has the summands and element
+    matrices of the old `direct_sum_proj` (an absent matrix of the old sum
+    is zero), is read with no cover, and `TiltingCandidate.total()` has the
+    old sum's differentials entry for entry."""
+
+    def no_cover(*args):
+        raise AssertionError("recognize ran a cover")
+
+    monkeypatch.setattr(projcplx, "projective_cover", no_cover)
+    for pcs in sum_inputs():
+        old = old_direct_sum_proj(pcs)
+        got = proj_direct_sum(pcs)
+        assert got.signature() == old.signature()
+        assert [got.terms[i].vertices for i in sorted(got.terms)] == [old.terms[i].vertices for i in sorted(old.terms)]
+        for i, d in got.dmats.items():
+            assert d == old.dmats.get(i, [[{}] * len(row) for row in d])
+        assert set(old.dmats) <= set(got.dmats)
+        total, want = TiltingCandidate(pcs[0].algebra, pcs).total(), old.to_complex()
+        assert sorted(total.diffs) == sorted(want.diffs)
+        for i, d in total.diffs.items():
+            assert all(np.array_equal(m.data, want.diffs[i].mats[v].data) for v, m in d.mats.items())
+
+
 # -- behaviour that changed -----------------------------------------------------------
 
 
@@ -335,4 +394,4 @@ def test_a_complex_with_dim_z0_at_least_p_raises_naming_p():
     y = ProjComplex(alg, {0: ProjSummands(alg, [t]), 1: ProjSummands(alg, [s])}, {0: [[alg.arrow(a)]]})
     assert len(_split_proj_complex(y)) == 1
     with pytest.raises(DecompositionError, match=r"dim End = 4 >= p = 3"):
-        _split_proj_complex(direct_sum_proj([y, y]))
+        _split_proj_complex(proj_direct_sum([y, y]))

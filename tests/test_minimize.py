@@ -22,12 +22,11 @@ from quivhom.projcplx import (
     ProjComplex,
     _identity_emat,
     _zero_emat,
-    direct_sum_proj,
     element_unit_inverse,
     identity_proj_chain_map,
     minimize,
 )
-from tests.conftest import random_module
+from tests.conftest import proj_direct_sum, random_module
 from tests.test_complex_resolution import WINDOWS, complexes
 from tests.test_projcplx import contractible_pair
 
@@ -166,7 +165,7 @@ def test_padded_contractible_sums(A1, Lam1):
             if m.is_zero():
                 continue
             res, _ = projective_resolution(module_complex(m), -3)
-            padded = direct_sum_proj([contractible_pair(alg, "1", lo=-1), res, contractible_pair(alg, "0", lo=0)])
+            padded = proj_direct_sum([contractible_pair(alg, "1", lo=-1), res, contractible_pair(alg, "0", lo=0)])
             assert check_against_reference(padded) >= 4
     mixed = ProjComplex(
         A1, {0: ProjSummands(A1, ["0", "1"]), 1: ProjSummands(A1, ["1"])}, {0: [[A1.arrow("a1"), A1.e("1")]]}

@@ -6,13 +6,12 @@ from quivhom.homological import is_isomorphic
 from quivhom.modules import ProjSummands
 from quivhom.projcplx import (
     ProjComplex,
-    direct_sum_proj,
     element_unit_inverse,
     identity_proj_chain_map,
     minimize,
     recognize,
 )
-from tests.conftest import random_module
+from tests.conftest import proj_direct_sum, random_module
 
 
 def contractible_pair(alg, v, lo=0):
@@ -62,7 +61,7 @@ def test_minimize_keeps_homotopy_type(A1, Lam1):
         if m.is_zero():
             continue
         res, _ = projective_resolution(module_complex(m), -3)
-        padded = direct_sum_proj([res, contractible_pair(alg, "1", lo=-1), contractible_pair(alg, "0", lo=0)])
+        padded = proj_direct_sum([res, contractible_pair(alg, "1", lo=-1), contractible_pair(alg, "0", lo=0)])
         mn, proj, inc = minimize(padded)
         assert mn.signature() == res.signature()
         inc_cm = inc.to_chain_map()

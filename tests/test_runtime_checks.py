@@ -337,3 +337,34 @@ def test_one_shift():
         tree = ast.parse((SRC / module).read_text(), filename=module)
         found += [(module, node in tree.body) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "shift"]
     assert found == [("complexes.py", True)], found
+
+
+def _callers(tree: ast.AST, name: str) -> list[str]:
+    """The dotted scope (class and function names) of each call of name."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                out.append(".".join(scope))
+            visit(child, scope + [child.name] if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope)
+
+    visit(tree, [])
+    return out
+
+
+def test_one_block_assembly():
+    """Complexes are assembled from blocks in `complexes` alone: `cone`,
+    `total_cone` and `direct_sum_complex` share `_block_complex`, and
+    outside `complexes` only the cone identification
+    `stable.TruncationTriangle.mu` calls `_block_hom`.  No element-matrix
+    direct sum of complexes (`direct_sum_proj`) comes back."""
+    calls, sums = [], []
+    for module in MODULES:
+        tree = ast.parse((SRC / module).read_text(), filename=module)
+        calls += [(module, scope) for scope in _callers(tree, "_block_hom") if module != "complexes.py"]
+        sums += [module for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "direct_sum_proj"]
+    assert calls == [("stable.py", "TruncationTriangle.mu")], calls
+    assert not sums, sums
+    tree = ast.parse((SRC / "complexes.py").read_text(), filename="complexes.py")
+    assert sorted(_callers(tree, "_block_complex")) == ["cone", "direct_sum_complex", "total_cone"]

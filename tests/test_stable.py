@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from quivhom import complexes, stable
-from quivhom.complexes import is_acyclic, is_quasi_iso
+from quivhom.complexes import ChainMap, HomEngine, _block_hom, cone, direct_sum_complex, is_acyclic, is_quasi_iso, shift, total_cone
 from quivhom.corpus import Corpus, corpus
 from quivhom.exactlin import Matrix, solve
 from quivhom.functors import (
     compose,
     conjugation_comparison,
     identity_functor,
+    is_non_negative,
     perturb_functor_data,
 )
 from quivhom.gorenstein import is_gorenstein_projective
@@ -36,9 +37,10 @@ from quivhom.stable import (
     stable_image_map,
     stable_iso,
 )
-from quivhom.projcplx import ProjComplex, direct_sum_proj
+from quivhom.projcplx import ProjComplex
 from quivhom.modules import ProjSummands
 from tests.conftest import random_module
+from tests.test_functors import zero_eps_data
 
 
 @pytest.fixture(scope="module")
@@ -274,8 +276,8 @@ def test_padded_strategy_gives_stably_equal_images(C1):
         {0: ProjSummands(lam, ["2"]), 1: ProjSummands(lam, ["2"])},
         {0: [[lam.e("2")]]},
     )
-    padded = direct_sum_proj([pl.cmin, pad])
-    M2, _ = cokernel(padded.to_complex().diff(-1))
+    padded = direct_sum_complex([pl.cmin.to_complex(), pad.to_complex()])
+    M2, _ = cokernel(padded.diff(-1))
     assert M2.total_dim() == pl.M.total_dim() + projective(lam, "2").total_dim()
     assert stable_iso(M2, pl.M)
 
@@ -550,6 +552,49 @@ def _edge_cases():
     cases = [(c.F, incl, proj) for c in (c1, c2) for _, (incl, proj) in sorted(c.ses.items())]
     f2 = compose(c1.F, omega_functor(c1.Lam, 1))
     return cases + [(f2, incl, proj) for _, (incl, proj) in sorted(c1.ses.items())]
+
+
+def _same_complex(a, b):
+    """The same terms (dimensions and arrow matrices) and differentials."""
+    assert sorted(a.terms) == sorted(b.terms) and sorted(a.diffs) == sorted(b.diffs)
+    for i, t in a.terms.items():
+        assert t.dims == b.terms[i].dims
+        assert all(np.array_equal(m.data, b.terms[i].mats[n].data) for n, m in t.mats.items())
+    for i, d in a.diffs.items():
+        assert all(np.array_equal(m.data, b.diffs[i].mats[v].data) for v, m in d.mats.items())
+
+
+def test_total_cone_is_the_nested_cone():
+    """total_cone(p, q, h) is shift(cone((h, q) : cone(p) -> dz), -1) entry
+    for entry on every edge case; the ChainMap check on (h, q) confirms that
+    h is a null-homotopy of q p in the sign convention of the blocks."""
+    for f, incl, proj in _edge_cases():
+        p, q = stable._model_chain_map(f, incl), stable._model_chain_map(f, proj)
+        dx, dy, dz = p.source, p.target, q.target
+        h = HomEngine(dx, dz).solve_nullhomotopy(q.compose(p))
+        cp = cone(p)[0]
+        hq = {
+            i: _block_hom(t, dz.term(i), [dx.term(i + 1), dy.term(i)], [dz.term(i)], {(0, 0): h.map(i + 1), (0, 1): q.map(i)})
+            for i, t in cp.terms.items()
+        }
+        _same_complex(total_cone(p, q, h), shift(cone(ChainMap(cp, dz, hq))[0], -1))
+
+
+def test_zero_eps_data_raises_naming_the_cohomology():
+    """Corpus F with every eps_v arrow map set to zero is not non-negative,
+    and on each of the 21 corpus sequences at n <= 2 its total cone is not
+    acyclic: the error names cohomology in degree -1 only and
+    dim Hom_K(dx, dz[-1]) = 0."""
+    msg = r"^the total cone is not acyclic: nonzero cohomology \{-1: [246]\} by degree, dim Hom_K\(dx, dz\[-1\]\) = 0; "
+    count = 0
+    for c in (corpus(1), corpus(2)):
+        f0 = zero_eps_data(c)
+        assert not is_non_negative(f0, 2)
+        for _, (incl, proj) in sorted(c.ses.items()):
+            with pytest.raises(ValueError, match=msg):
+                exact_sequence_image(f0, incl, proj)
+            count += 1
+    assert count == 21
 
 
 def test_exact_image_edge_blocks_are_the_transported_maps():
