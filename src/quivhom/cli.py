@@ -72,6 +72,8 @@ class Context:
             raise DefinitionError("--prime", str(e))
         if args.depth < 1:
             raise OperationError("depth must be >= 1")
+        if args.seed < 0:
+            raise OperationError("--seed must be >= 0")
         self.seed = args.seed
         self.depth = args.depth
         self.fmt = args.format

@@ -2,10 +2,25 @@
 
 Everything downstream (Hom spaces, Ext groups, resolutions) reduces to
 rank / nullspace / solve over F_p.  Matrices are stored dense, row-major,
-as int64 numpy arrays with entries reduced to [0, p).  All arithmetic is
-exact; p defaults to 101 and must be an odd prime at most MAX_PRIME, so
-that a product of two matrices with inner dimension up to MAX_DIM, whose
-entries each sum up to MAX_DIM * (p-1)^2, stays inside int64.
+as read-only int64 numpy arrays with entries reduced to [0, p).  All
+arithmetic is exact; p defaults to 101 and must be an odd prime at most
+MAX_PRIME, so that a product of two matrices with inner dimension up to
+MAX_DIM, whose entries each sum up to MAX_DIM * (p-1)^2, stays inside
+int64.
+
+`Matrix(p, data)` is the checked entry for data from outside: it
+requires a 2-d array and reduces it mod p.  The matrices this module
+builds itself (sums, products, transposes, blocks and the results of
+`rref`, `nullspace`, `solve`, `column_space_basis`) are reduced exactly
+once, by the arithmetic that made them, and skip that check.
+
+Most eliminations downstream are tiny (per-vertex blocks of a few rows),
+so `rref` splits by size: a matrix with no rows or no columns is already
+reduced and is returned as it is, one of at most _SMALL_RREF_CELLS cells
+is eliminated on Python ints, where numpy's per-call overhead would
+dominate, and a larger one by vectorized numpy row operations.  The
+reduced echelon form is unique, so both loops give the same R and the
+same pivots.
 
 0 x n and n x 0 matrices are legal and behave as zero maps.
 """
@@ -17,6 +32,12 @@ import numpy as np
 DEFAULT_PRIME = 101
 MAX_DIM = 2**20  # largest inner dimension of a product kept exact
 MAX_PRIME = 2965819  # the largest prime p with MAX_DIM * (p-1)^2 < 2^63
+# `rref` eliminates a matrix of at most this many cells on Python ints.
+# There numpy's per-call overhead costs more than the arithmetic: on
+# dense random matrices the two loops break even near 8 x 8, but the
+# sparse ones the package eliminates are faster on Python ints at every
+# size up to this cutoff and beyond it
+_SMALL_RREF_CELLS = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -59,11 +80,11 @@ class Matrix:
 
     @staticmethod
     def zeros(p: int, rows: int, cols: int) -> "Matrix":
-        return Matrix(p, np.zeros((rows, cols), dtype=np.int64))
+        return _wrap(p, np.zeros((rows, cols), dtype=np.int64))
 
     @staticmethod
     def identity(p: int, n: int) -> "Matrix":
-        return Matrix(p, np.eye(n, dtype=np.int64))
+        return _wrap(p, np.eye(n, dtype=np.int64))
 
     @staticmethod
     def random(p: int, rows: int, cols: int, rng: np.random.Generator) -> "Matrix":
@@ -85,24 +106,24 @@ class Matrix:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.p, self.data + other.data)
+        return _wrap(self.p, (self.data + other.data) % self.p)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.p, self.data - other.data)
+        return _wrap(self.p, (self.data - other.data) % self.p)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.p, -self.data)
+        return _wrap(self.p, -self.data % self.p)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape()} @ {other.shape()}")
-        return Matrix(self.p, self.data @ other.data)
+        return _wrap(self.p, (self.data @ other.data) % self.p)
 
     def scale(self, c: int) -> "Matrix":
-        return Matrix(self.p, self.data * (c % self.p))
+        return _wrap(self.p, self.data * (c % self.p) % self.p)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.p, self.data.T)
+        return _wrap(self.p, self.data.T)
 
     def shape(self) -> tuple[int, int]:
         return self.data.shape
@@ -127,8 +148,7 @@ class Matrix:
     def hstack(mats: list["Matrix"]) -> "Matrix":
         if not mats:
             raise ValueError("hstack of empty list")
-        p = mats[0].p
-        return Matrix(p, np.hstack([m.data for m in mats]))
+        return _wrap(mats[0].p, np.hstack([m.data for m in mats]))
 
     @staticmethod
     def block_diag(p: int, mats: list["Matrix"]) -> "Matrix":
@@ -140,10 +160,21 @@ class Matrix:
             out[r : r + m.rows, c : c + m.cols] = m.data
             r += m.rows
             c += m.cols
-        return Matrix(p, out)
+        return _wrap(p, out)
 
     def column(self, j: int) -> "Matrix":
-        return Matrix(self.p, self.data[:, j : j + 1])
+        return _wrap(self.p, self.data[:, j : j + 1])
+
+
+def _wrap(p: int, arr: np.ndarray) -> Matrix:
+    """A Matrix over `arr` with no conversion, copy or reduction.  `arr`
+    must be a 2-d int64 array with entries in [0, p) that nothing else
+    writes: a fresh array, or a view of a read-only one."""
+    m = Matrix.__new__(Matrix)
+    m.p = p
+    m.data = arr
+    arr.setflags(write=False)
+    return m
 
 
 def _inv_mod(x: int, p: int) -> int:
@@ -157,10 +188,35 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     the only nonzero entries in their columns; rank = len(pivot_cols).
     """
     p = m.p
-    a = m.data.copy()
-    nrows, ncols = a.shape
+    nrows, ncols = m.data.shape
+    if nrows == 0 or ncols == 0:
+        return m, []
     pivots: list[int] = []
     r = 0
+    if nrows * ncols <= _SMALL_RREF_CELLS:
+        rows = m.data.tolist()
+        for c in range(ncols):
+            for i in range(r, nrows):
+                if rows[i][c]:
+                    break
+            else:
+                continue
+            rows[r], rows[i] = rows[i], rows[r]
+            # the rows from r on are 0 left of column c, so is the pivot
+            # row, and each row changes only from column c on
+            inv = pow(rows[r][c], p - 2, p)
+            tail = [x * inv % p for x in rows[r][c:]]
+            rows[r][c:] = tail
+            for k, row in enumerate(rows):
+                f = row[c]
+                if f and k != r:
+                    row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        return _wrap(p, np.array(rows, dtype=np.int64)), pivots
+    a = m.data.copy()
     for c in range(ncols):
         if r == nrows:
             break
@@ -177,7 +233,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         a = (a - np.outer(col, a[r])) % p
         pivots.append(c)
         r += 1
-    return Matrix(p, a), pivots
+    return _wrap(p, a), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -193,13 +249,15 @@ def nullspace(m: Matrix) -> Matrix:
     """
     p = m.p
     r, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    if not pivots:
+        return Matrix.identity(p, m.cols)
+    is_pivot = set(pivots)
+    free = [c for c in range(m.cols) if c not in is_pivot]
     basis = np.zeros((m.cols, len(free)), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[f, k] = 1
-        for row, pc in enumerate(pivots):
-            basis[pc, k] = (-int(r.data[row, f])) % p
-    return Matrix(p, basis)
+    if free:
+        basis[free, np.arange(len(free))] = 1
+        basis[pivots] = -r.data[: len(pivots), free] % p
+    return _wrap(p, basis)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -217,9 +275,8 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     if any(c >= a.cols for c in pivots):
         return None
     x = np.zeros((a.cols, b.cols), dtype=np.int64)
-    for row, pc in enumerate(pivots):
-        x[pc] = r.data[row, a.cols :]
-    return Matrix(p, x)
+    x[pivots] = r.data[: len(pivots), a.cols :]
+    return _wrap(p, x)
 
 
 def inverse(m: Matrix) -> Matrix | None:
@@ -246,8 +303,8 @@ def column_space_basis(m: Matrix) -> Matrix:
     depends only on the span.  One rref of the transpose with the
     coordinates reversed (the last nonzero entries turn into the pivots),
     read back in reverse."""
-    r, pivots = rref(Matrix(m.p, m.data.T[:, ::-1]))
-    return Matrix(m.p, r.data[: len(pivots)][::-1, ::-1].T)
+    r, pivots = rref(_wrap(m.p, m.data.T[:, ::-1]))
+    return _wrap(m.p, r.data[: len(pivots)][::-1, ::-1].T)
 
 
 def left_nullspace(m: Matrix) -> Matrix:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from quivhom import exactlin
 from quivhom.exactlin import (
+    MAX_PRIME,
     Matrix,
     column_space_basis,
     in_column_span,
@@ -187,3 +189,170 @@ def test_matmul_exact_at_the_largest_prime():
     a = Matrix(p, np.full((1, n), p - 1))
     b = Matrix(p, np.full((n, 1), p - 1))
     assert (a @ b).data[0, 0] == n * (p - 1) ** 2 % p
+
+
+# -- the two elimination loops of rref, against a Gauss-Jordan reference ------
+
+PYTHON_LOOP, NUMPY_LOOP = 10**9, 0  # values of the cell cutoff that force each loop
+
+
+def ref_rref(p, a):
+    """Textbook Gauss-Jordan on lists of Python ints: (R as lists, pivots)."""
+    a = [[x % p for x in row] for row in a]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        rows = [i for i in range(r, len(a)) if a[i][c]]
+        if not rows:
+            continue
+        a[r], a[rows[0]] = a[rows[0]], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r:
+                a[i] = [(x - a[i][c] * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def ref_nullspace(p, a, ncols):
+    r, pivots = ref_rref(p, a)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for row, pc in enumerate(pivots):
+            v[pc] = -r[row][f] % p
+        basis.append(v)
+    return [list(col) for col in zip(*basis)] if basis else [[] for _ in range(ncols)]
+
+
+def ref_solve(p, a, b):
+    """The solution whose free coordinates are 0, or None."""
+    n = len(a[0])
+    r, pivots = ref_rref(p, [ra + rb for ra, rb in zip(a, b)])
+    if any(c >= n for c in pivots):
+        return None
+    x = [[0] * len(b[0]) for _ in range(n)]
+    for row, pc in enumerate(pivots):
+        x[pc] = r[row][n:]
+    return x
+
+
+def diff_matrices(p):
+    """Matrices on both sides of the cell cutoff: empty, zero, dense,
+    sparse, rank-deficient, all p-1, wide and tall."""
+    rng = np.random.default_rng(p % 1000)
+    mats = [np.zeros((0, 4)), np.zeros((4, 0)), np.zeros((0, 0))]
+    for rows, cols in [(1, 1), (2, 3), (3, 2), (4, 4), (8, 8), (16, 16), (16, 17), (3, 40), (40, 3), (20, 20)]:
+        k = max(1, min(rows, cols) // 2)
+        mats += [
+            np.zeros((rows, cols)),
+            rng.integers(0, p, size=(rows, cols)),
+            rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < 0.15),
+            rng.integers(0, p, size=(rows, k)) @ rng.integers(0, 2, size=(k, cols)),
+            np.full((rows, cols), p - 1),
+        ]
+    return [Matrix(p, a) for a in mats]
+
+
+@pytest.mark.parametrize("p", [3, MAX_PRIME])
+def test_rref_loops_agree(monkeypatch, p):
+    cells = {m.rows * m.cols for m in diff_matrices(p)}
+    assert min(cells) == 0 and max(cells) > exactlin._SMALL_RREF_CELLS
+    assert any(0 < c <= exactlin._SMALL_RREF_CELLS for c in cells)
+    for m in diff_matrices(p):
+        results = []
+        for cutoff in (PYTHON_LOOP, NUMPY_LOOP):
+            monkeypatch.setattr(exactlin, "_SMALL_RREF_CELLS", cutoff)
+            results.append(rref(m))
+        (r_py, piv_py), (r_np, piv_np) = results
+        assert r_py == r_np and piv_py == piv_np, m
+        r_ref, piv_ref = ref_rref(p, m.data.tolist())
+        assert r_py.data.tolist() == r_ref and piv_py == piv_ref, m
+
+
+@pytest.mark.parametrize("cutoff", [PYTHON_LOOP, NUMPY_LOOP], ids=["python", "numpy"])
+@pytest.mark.parametrize("p", [3, MAX_PRIME])
+def test_exactlin_matches_gauss_jordan(monkeypatch, p, cutoff):
+    monkeypatch.setattr(exactlin, "_SMALL_RREF_CELLS", cutoff)
+    rng = np.random.default_rng(p % 1000 + 1)
+    for m in diff_matrices(p):
+        assert nullspace(m).data.tolist() == ref_nullspace(p, m.data.tolist(), m.cols), m
+        if m.cols == 0:
+            continue
+        for b in (m @ Matrix.random(p, m.cols, 2, rng), Matrix.random(p, m.rows, 2, rng)):
+            x = solve(m, b)
+            if m.rows == 0:
+                assert x == Matrix.zeros(p, m.cols, 2)
+                continue
+            expected = ref_solve(p, m.data.tolist(), b.data.tolist())
+            assert (x is None and expected is None) or x.data.tolist() == expected, m
+        if m.rows == m.cols:
+            n = m.rows
+            inv = ref_solve(p, m.data.tolist(), np.eye(n, dtype=np.int64).tolist())
+            got = inverse(m)
+            assert (got is None and inv is None) or got.data.tolist() == inv, m
+    # an invertible matrix on each side of the cutoff
+    for n in (3, 20):
+        m = Matrix(p, np.triu(rng.integers(1, p, size=(n, n))))
+        m = m @ Matrix(p, np.tril(rng.integers(1, p, size=(n, n))))
+        got = inverse(m)
+        assert got is not None
+        assert got.data.tolist() == ref_solve(p, m.data.tolist(), np.eye(n, dtype=np.int64).tolist())
+
+
+# -- every result of the module is a reduced, read-only 2-d int64 matrix -----
+
+
+def assert_reduced(m, p):
+    assert isinstance(m, Matrix) and m.p == p
+    assert m.data.dtype == np.int64 and m.data.ndim == 2
+    assert not m.data.flags.writeable
+    assert ((m.data >= 0) & (m.data < p)).all()
+
+
+@pytest.mark.parametrize("cutoff", [PYTHON_LOOP, NUMPY_LOOP], ids=["python", "numpy"])
+def test_every_result_is_reduced_and_read_only(monkeypatch, cutoff):
+    # entries p - 1 at the largest prime: differences, negations and
+    # products pass through negative and large intermediates
+    monkeypatch.setattr(exactlin, "_SMALL_RREF_CELLS", cutoff)
+    p = MAX_PRIME
+    rng = np.random.default_rng(12)
+    a = Matrix(p, np.full((3, 4), p - 1))
+    b = Matrix(p, np.full((4, 2), p - 1))
+    z = Matrix.zeros(p, 3, 4)
+    sq = Matrix(p, np.full((3, 3), p - 1) - np.eye(3, dtype=np.int64))  # invertible
+    results = [
+        a,
+        Matrix(p, [[-1, 2 * p + 1]]),
+        z,
+        Matrix.identity(p, 3),
+        Matrix.random(p, 3, 4, rng),
+        a + a,
+        z - a,
+        a - a.scale(2),
+        -a,
+        a @ b,
+        a.scale(-1),
+        a.scale(p + 1),
+        a.transpose(),
+        a.column(2),
+        Matrix.hstack([a, z]),
+        Matrix.block_diag(p, [a, b]),
+        rref(a)[0],
+        rref(Matrix.zeros(p, 0, 3))[0],
+        nullspace(a),
+        nullspace(Matrix.zeros(p, 0, 3)),
+        solve(a, a @ b.scale(-1)),
+        solve(Matrix.zeros(p, 3, 0), Matrix.zeros(p, 3, 2)),
+        inverse(sq),
+        inverse(sq.scale(-1)),
+        column_space_basis(a),
+        column_space_basis(Matrix.zeros(p, 3, 0)),
+        left_nullspace(a),
+    ]
+    for m in results:
+        assert_reduced(m, p)
+    assert (a @ b).data[0, 0] == 4 * (p - 1) ** 2 % p
+    assert inverse(sq) @ sq == Matrix.identity(p, 3)

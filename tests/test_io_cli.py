@@ -342,11 +342,14 @@ def test_cli_negative_bound_is_an_error_line(verb, capsys):
         (["--corpus", "1", "resolve", "--module", "M_0_1", "--window", "3"], "window must be <= 0"),
         (["--corpus", "1", "apply", "--functor", "F", "--module", "M_0_1", "--window", "2"], "window must be <= 0"),
         (["--corpus", "1", "tilting-check", "--search-depth", "-1"], "search depth must be >= 0"),
+        (["--corpus", "1", "--seed", "-1", "decompose", "--module", "M_0_1"], "--seed must be >= 0"),
+        (["--corpus", "1", "--seed", "-1", "tilting-check"], "--seed must be >= 0"),
     ],
-    ids=["corpus", "resolve-window", "apply-window", "search-depth"],
+    ids=["corpus", "resolve-window", "apply-window", "search-depth", "seed-decompose", "seed-tilting-check"],
 )
 def test_cli_out_of_range_flag_is_an_error_line(argv, message, capsys):
-    # each of these used to be ignored or to give an empty answer with exit 0
+    # each of these used to be ignored, to give an empty answer with exit 0
+    # or, for --seed, to fail with a numpy message that names no flag
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
