@@ -1,7 +1,8 @@
 """The dual-numbers corpus: a tilted gentle tree algebra, its linear
 partner, their tensor products with k[eps]/(eps^2), the derived
-equivalence data between them, and the family of Gorenstein projective
-modules that the stable functor transports.
+equivalence data between them (built by hand between B and A, and
+between Gamma and Lambda as its `functors.eps_extension`), and the family
+of Gorenstein projective modules that the stable functor transports.
 
 Scale parameter n >= 1:
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Quiver, linear_algebra_An
 from .exactlin import DEFAULT_PRIME, Matrix
-from .functors import FunctorData, TiltingCandidate
+from .functors import FunctorData, TiltingCandidate, eps_extension
 from .modules import (
     ProjSummands,
     RepHom,
@@ -99,25 +100,6 @@ def interval_module(balg: BoundQuiverAlgebra, i: int, l: int) -> Representation:
     return Representation(balg, dims, mats)
 
 
-def _eps_maps(
-    src: BoundQuiverAlgebra, tgt: BoundQuiverAlgebra, images: dict[str, ProjComplex]
-) -> dict[str, ProjChainMap]:
-    """The chain endomorphisms eps_v of images[v], one per vertex v of src:
-    in each degree the diagonal element matrix whose entry at a summand
-    P_w is tgt's loop eps_w."""
-    out = {}
-    for v in src.quiver.vertices:
-        comps = {}
-        for t in images[v].terms:
-            verts = images[v].terms[t].vertices
-            comps[t] = [
-                [tgt.arrow(f"eps_{verts[c]}") if r == c else {} for c in range(len(verts))]
-                for r in range(len(verts))
-            ]
-        out[f"eps_{v}"] = ProjChainMap(images[v], images[v], comps)
-    return out
-
-
 class Corpus:
     """All the data of the worked family at scale n."""
 
@@ -145,9 +127,9 @@ class Corpus:
                 else:
                     self.M[(i, l)], self.ses[(i, l)] = self._gp_module(i, l)
         self.F_BA = self._functor_data(self.B, self.A)
-        self.F = self._functor_data(self.Gam, self.Lam, with_eps=True)
+        self.F = eps_extension(self.F_BA, self.Gam, self.Lam)
         self.G_AB = self._inverse_data(self.A, self.B)
-        self.G = self._inverse_data(self.Lam, self.Gam, with_eps=True)
+        self.G = eps_extension(self.G_AB, self.Lam, self.Gam)
         self.tilting = self._tilting_candidate()
         self.manifest = self._manifest()
 
@@ -207,7 +189,7 @@ class Corpus:
 
     # -- functor data -----------------------------------------------------
 
-    def _functor_data(self, src: BoundQuiverAlgebra, tgt: BoundQuiverAlgebra, with_eps: bool = False) -> FunctorData:
+    def _functor_data(self, src: BoundQuiverAlgebra, tgt: BoundQuiverAlgebra) -> FunctorData:
         n = self.n
         images: dict[str, ProjComplex] = {}
         for i in range(n + 1):
@@ -222,27 +204,13 @@ class Corpus:
             )
         arrow_maps: dict[str, ProjChainMap] = {}
         for j in range(2 * n + 1):
-            name = f"b{j}"
-            if j % 2 == 0:
-                # even arrow j -> j+1: identity in degree 1
-                i = j // 2
-                am = ProjChainMap(
-                    images[str(j + 1)], images[str(j)], {1: [[tgt.e(str(2 * i + 1))]]}
-                )
-            else:
-                # odd arrow j -> j+1: the b-path of the target algebra
-                i = (j - 1) // 2
-                am = ProjChainMap(
-                    images[str(j + 1)],
-                    images[str(j)],
-                    {1: [[tgt.arrow(f"b{2 * i + 1}")]]},
-                )
-            arrow_maps[name] = am
-        if with_eps:
-            arrow_maps.update(_eps_maps(src, tgt, images))
+            # arrow j -> j+1 in degree 1: the identity of P_(j+1) for even j,
+            # the arrow b_j of the target algebra for odd j
+            entry = tgt.e(str(j + 1)) if j % 2 == 0 else tgt.arrow(f"b{j}")
+            arrow_maps[f"b{j}"] = ProjChainMap(images[str(j + 1)], images[str(j)], {1: [[entry]]})
         return FunctorData(src, tgt, images, arrow_maps)
 
-    def _inverse_data(self, src: BoundQuiverAlgebra, tgt: BoundQuiverAlgebra, with_eps: bool = False) -> FunctorData:
+    def _inverse_data(self, src: BoundQuiverAlgebra, tgt: BoundQuiverAlgebra) -> FunctorData:
         """Strict data for the shifted quasi-inverse: images of the
         projectives of the (tree-side) algebra inside complexes over the
         (linear-side) algebra, padded with contractible summands so that
@@ -295,8 +263,6 @@ class Corpus:
                     1: [[{}]],
                 }
             arrow_maps[f"b{2 * i + 1}"] = ProjChainMap(images[srcv], images[tgtv], comps)
-        if with_eps:
-            arrow_maps.update(_eps_maps(src, tgt, images))
         return FunctorData(src, tgt, images, arrow_maps)
 
     def _tilting_candidate(self) -> TiltingCandidate:

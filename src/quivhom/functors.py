@@ -14,7 +14,9 @@ Applying the data to the minimal projective resolution of a module,
 truncated at an explicit window, computes the functor on modules up to
 that window; non-negativity is certified on simple modules to a finite
 depth, which propagates to all finite-length modules along short exact
-sequences.
+sequences.  `eps_extension` lifts data to the dual-numbers extensions of
+both algebras (Rickard: T (x) k[eps] is tilting over A[eps]).  The
+tilting search runs on `complexes.Complex`es of shared projective sums.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import itertools
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Element, Path, Quiver, path_arrows, path_source
-from .complexes import Complex, cone, direct_sum_complex, hom_k, homology_dims, shift
+from .complexes import Complex, cone, direct_sum_complex, hom_k, hom_k_dim, homology_dims, shift
 from .exactlin import Matrix, inverse, rank, solve
-from .homological import _end_radical, _strict_maps, find_strict_iso, minimal_resolution, split_complex
+from .homological import _end_radical, find_strict_iso, minimal_resolution, split_complex
 from .modules import (
     ElementMatrix,
     ProjSummands,
@@ -35,7 +37,6 @@ from .modules import (
     emat_compose,
     emat_is_zero,
     hom_to_element_matrix,
-    identity_hom,
     simple,
 )
 from .projcplx import (
@@ -59,13 +60,15 @@ class FunctorData:
         self.arrow_maps = dict(arrow_maps)
         self._path_cache: dict[Path, ProjChainMap] = {}
         self._apply_cache: dict = {}
+        missing = [f"image of vertex {v}" for v in source.quiver.vertices if v not in self.images]
+        missing += [f"map of arrow {n}" for n in source.quiver.arrow_by_name if n not in self.arrow_maps]
+        if missing:
+            raise ValueError(f"missing {missing[0]}")
         # negative-degree images are legal data but fail is_non_negative
-        width = 0
-        for v in source.quiver.vertices:
-            img = self.images[v]
-            if img.terms:
-                width = max(width, img.hi)
-        self.width = width
+        self.width = max([0] + [self.images[v].hi for v in source.quiver.vertices if self.images[v].terms])
+        # the resolution window of the stable pipeline: substituting a
+        # resolution truncated here is exact in all degrees >= -1
+        self.stable_window = -self.width - 2
         if check:
             for n, s, t in source.quiver.arrows:
                 am = self.arrow_maps[n]
@@ -143,6 +146,27 @@ def shift_functor(alg: BoundQuiverAlgebra, k: int) -> FunctorData:
     for n, s, t in alg.quiver.arrows:
         arrow_maps[n] = ProjChainMap(images[t], images[s], {k: [[alg.arrow(n)]]})
     return FunctorData(alg, alg, images, arrow_maps)
+
+
+def eps_extension(f: FunctorData, source: BoundQuiverAlgebra, target: BoundQuiverAlgebra) -> FunctorData:
+    """The data of f tensored with k[eps]/(eps^2), between the extensions
+    `source` and `target` of f's algebras (Rickard's derived equivalence
+    of the extensions): the images and arrow maps of f, the same vertex
+    tuples and element matrices over the extensions, and eps_v acting on
+    image(v) by the loop eps_w on each summand P_w.  The load checks of
+    FunctorData reject algebras that are not the extensions of f's."""
+    images = {
+        v: ProjComplex(target, {i: ProjSummands(target, ps.vertices) for i, ps in img.terms.items()}, img.dmats)
+        for v, img in f.images.items()
+    }
+    arrow_maps = {n: ProjChainMap(images[t], images[s], f.arrow_maps[n].comps) for n, s, t in f.source.quiver.arrows}
+    for v, img in images.items():
+        eps = {
+            i: [[target.arrow(f"eps_{w}") if j == k else {} for j in range(len(ps.vertices))] for k, w in enumerate(ps.vertices)]
+            for i, ps in img.terms.items()
+        }
+        arrow_maps[f"eps_{v}"] = ProjChainMap(img, img, eps)
+    return FunctorData(source, target, images, arrow_maps)
 
 
 # -- application --------------------------------------------------------
@@ -244,6 +268,8 @@ def apply_to_module(f: FunctorData, x, window_lo: int) -> ProjComplex:
     """Image of a module: substitute into its minimal resolution down to
     window_lo.  Quasi-isomorphic to the true image in all degrees
     >= window_lo + width + 1."""
+    if window_lo > 0:
+        raise ValueError("window_lo must be <= 0")
     if x.is_zero():
         return ProjComplex(f.target, {}, {}, check=False)
     return apply_to_projective_complex(f, minimal_resolution(x, -window_lo).proj_complex(window_lo))
@@ -258,6 +284,8 @@ def lift_to_resolutions(phi: RepHom, window_lo: int) -> ProjChainMap:
     matrix.  A map that is not a module map lifts generator by generator
     too, so post o lambda_k is checked against the map at every vertex.
     """
+    if window_lo > 0:
+        raise ValueError("window_lo must be <= 0")
     x, y = phi.source, phi.target
     alg = x.algebra
     resx = minimal_resolution(x, -window_lo)
@@ -328,6 +356,8 @@ def is_non_negative(f: FunctorData, depth: int = 8) -> NonNegativityReport:
     with strict relations (exact), and vanishing negative homology of the
     image of every simple, checked down to -depth (a depth certificate:
     finite-length induction extends the simple case to all modules)."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     details: dict = {}
     ok = True
     for v in f.source.quiver.vertices:
@@ -376,71 +406,60 @@ class TiltingReport:
         self.failures = failures
 
 
-def _split_proj_complex(pc: ProjComplex, seed: int = 0) -> list[ProjComplex]:
-    """Direct summands of a complex of projectives: the pieces of
-    `homological.split_complex`, each presented by `recognize` and
-    minimized."""
-    return [minimize(recognize(piece))[0] for piece in split_complex(pc.to_complex(), seed)]
+def _minimal(c: Complex) -> tuple[Complex, tuple]:
+    """The minimal complex of a complex of projectives c, as the Complex of
+    its shared sums, and its signature: `minimize` of the `recognize` view."""
+    mn, _, _ = minimize(recognize(c))
+    return mn.to_complex(), mn.signature()
 
 
 def check_tilting(t: TiltingCandidate, search_depth: int = 4, seed: int = 0) -> TiltingReport:
     """Self-orthogonality is exact; generation is a bounded thick-closure
     search (close under shifts, cones of hom-class maps, and direct
-    summands) that reports "yes" or "unknown".  The cone of a class
-    x -> y[n] is `complexes.cone` of its chain map, presented as a
-    complex of projectives by `recognize`; the direct summands are the
-    pieces of `homological.split_complex`, which certifies each piece
-    by a local Z^0 and raises DecompositionError when it cannot."""
+    summands) that reports "yes" or "unknown".  The pool holds minimal
+    complexes of shared sums (`_minimal`) shifted to start in degree 0,
+    keyed by signature; the cones of classes x -> y[n] and the pieces of
+    `homological.split_complex`, which certifies each piece by a local
+    Z^0 and raises DecompositionError when it cannot, enter as complexes."""
     if search_depth < 0:
         raise ValueError("search depth must be >= 0")
     c = t.total()
-    failures = {}
-    selforth = True
     span = c.hi - c.lo
-    for n in range(-span, span + 1):
-        if n == 0:
-            continue
-        d = hom_k(c, c, n).dim
-        if d:
-            failures[n] = d
-            selforth = False
+    dims = {n: hom_k_dim(c, c, n) for n in range(-span, span + 1) if n}
+    failures = {n: d for n, d in dims.items() if d}
     goal = {((0, (v,)),) for v in t.algebra.quiver.vertices}
-    pool: dict[tuple, ProjComplex] = {}
+    pool: dict[tuple, Complex] = {}
 
-    def add(pc: ProjComplex):
-        mn, _, _ = minimize(pc)
-        if not mn.terms:
+    def add(x: Complex):
+        mc, sig = _minimal(x)
+        if not sig:
             return
         # normalize the degree window to start at 0
-        mn = recognize(shift(mn.to_complex(), mn.lo))
-        sig = mn.signature()
+        lo = sig[0][0]
+        sig = tuple((i - lo, vs) for i, vs in sig)
         if sig not in pool:
-            pool[sig] = mn
+            pool[sig] = shift(mc, lo)
 
     for s in t.summands:
-        add(s)
+        add(s.to_complex())
     reached = lambda: all(g in pool for g in goal)
     rounds = 0
     while not reached() and rounds < search_depth:
         rounds += 1
         items = list(pool.values())
         for x in items:
-            for piece in _split_proj_complex(x, seed=seed):
+            for piece in split_complex(x, seed):
                 add(piece)
         items = list(pool.values())
         for x in items:
             for y in items:
-                cx, cy = x.to_complex(), y.to_complex()
                 span = max(1, x.hi - x.lo + y.hi - y.lo)
                 for n in range(-span, span + 1):
-                    hk = hom_k(cx, cy, n)
-                    for b in hk.basis:
-                        add(recognize(cone(b)[0]))
+                    for b in hom_k(x, y, n).basis:
+                        add(cone(b)[0])
             if reached():
                 break
-        if reached():
-            break
-    return TiltingReport(selforth, "yes" if reached() else "unknown", rounds, failures)
+    return TiltingReport(not failures, "yes" if reached() else "unknown", rounds, failures)
 
 
 class EndoPresentation:
@@ -479,19 +498,21 @@ def endomorphism_presentation(t: TiltingCandidate, seed: int = 0) -> EndoPresent
     """
     alg = t.algebra
     p = alg.p
-    reps: list[ProjComplex] = []
+    # not shifted: End_K(T) depends on the relative degrees of the summands
+    cxs: list[Complex] = []
+    sigs: list[tuple] = []
     mult: list[int] = []
     for s in t.summands:
-        mn, _, _ = minimize(s)
-        for idx, r in enumerate(reps):
-            if r.signature() == mn.signature() and find_strict_iso(r.to_complex(), mn.to_complex(), seed) is not None:
+        mc, sig = _minimal(s.to_complex())
+        for idx, rc in enumerate(cxs):
+            if sigs[idx] == sig and find_strict_iso(rc, mc, seed) is not None:
                 mult[idx] += 1
                 break
         else:
-            reps.append(mn)
+            cxs.append(mc)
+            sigs.append(sig)
             mult.append(1)
-    r = len(reps)
-    cxs = [x.to_complex() for x in reps]
+    r = len(cxs)
     blocks = [(u, v) for u in range(r) for v in range(r)]
     hk = {(u, v): hom_k(cxs[u], cxs[v], 0) for u, v in blocks}
     # E coordinates: the class bases of the blocks, in order
@@ -546,22 +567,21 @@ def _count_paths(q: Quiver) -> int:
 
 def strict_chain_automorphism(img: ProjComplex, rng) -> tuple[ProjChainMap, ProjChainMap]:
     """A random strict chain automorphism of a projective complex and its
-    inverse, as element-level maps (identity plus a random strict endo,
-    retried until invertible); ValueError when 20 draws are all singular."""
+    inverse, as element-level maps: `homological.find_strict_iso` of the
+    complex with itself, inverted degreewise; ValueError when the search
+    finds none."""
     alg = img.algebra
     c = img.to_complex()
-    eng, cycles = _strict_maps(c, c)
-    for _ in range(20):
-        f = eng.map_of(0, cycles @ rng.integers(0, alg.p, size=cycles.shape[1]) % alg.p)
-        hs = {i: identity_hom(ps.rep()) + f.map(i) for i, ps in img.terms.items()}
-        invs = {i: {v: inverse(m) for v, m in h.mats.items()} for i, h in hs.items()}
-        if any(m is None for inv in invs.values() for m in inv.values()):
-            continue
-        comps = {i: hom_to_element_matrix(alg, h, img.terms[i], img.terms[i]) for i, h in hs.items()}
-        for i, ps in img.terms.items():
-            invs[i] = hom_to_element_matrix(alg, RepHom(ps.rep(), ps.rep(), invs[i], check=False), ps, ps)
-        return ProjChainMap(img, img, comps), ProjChainMap(img, img, invs)
-    raise ValueError("no invertible strict chain endomorphism in 20 draws")
+    f = find_strict_iso(c, c, rng)
+    if f is None:
+        raise ValueError("no strict chain automorphism found")
+    comps, invs = {}, {}
+    for i, ps in img.terms.items():
+        h = f.map(i)
+        h_inv = RepHom(h.target, h.source, {v: inverse(m) for v, m in h.mats.items()}, check=False)
+        comps[i] = hom_to_element_matrix(alg, h, ps, ps)
+        invs[i] = hom_to_element_matrix(alg, h_inv, ps, ps)
+    return ProjChainMap(img, img, comps), ProjChainMap(img, img, invs)
 
 
 def perturb_functor_data(f: FunctorData, seed: int = 0) -> tuple[FunctorData, dict]:
@@ -585,7 +605,7 @@ def perturb_functor_data(f: FunctorData, seed: int = 0) -> tuple[FunctorData, di
 def conjugation_comparison(f1: FunctorData, f2: FunctorData, psis: dict, x) -> ProjChainMap:
     """Chain map apply(f2, res_x) -> apply(f1, res_x) assembled from the
     conjugating automorphisms (both data share their images)."""
-    window = -f1.width - 2
+    window = f1.stable_window
     res = minimal_resolution(x, -window).proj_complex(window)
     c2, off2 = _layout(f2, res)
     c1, off1 = _layout(f1, res)

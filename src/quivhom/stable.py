@@ -2,14 +2,14 @@
 
 The stable image of a module x under functor data f is computed from the
 canonical pipeline: substitute the minimal resolution of x (truncated at
-window_lo = -width - 2, which makes the result exact in all degrees
->= -1), cancel contractible summands, and truncate at degree zero.  The
-degree-0 cokernel M is the stable image; the part in degrees >= 1 is a
-bounded complex of projectives U, and the degreewise-split sequence
-U -> model -> M[0] is the defining truncation triangle.  One
-`TruncationTriangle` per (f, x) holds M, the model and the choices that
-morphism transport reuses; U and the maps i, pi and mu of the triangle
-are built on first read.
+`FunctorData.stable_window` = -width - 2, which makes the result exact
+in all degrees >= -1), cancel contractible summands, and truncate at
+degree zero.  The degree-0 cokernel M is the stable image; the part in
+degrees >= 1 is a bounded complex of projectives U, and the
+degreewise-split sequence U -> model -> M[0] is the defining truncation
+triangle.  One `TruncationTriangle` per (f, x) holds M, the model and
+the choices that morphism transport reuses; U and the maps i, pi and mu
+of the triangle are built on first read.
 
 Morphisms are transported by lifting to resolutions, substituting, and
 inducing on the degree-0 cokernels.  Two different lifts differ by a map
@@ -166,8 +166,7 @@ class TruncationTriangle:
     """
 
     def __init__(self, f: FunctorData, x: Representation):
-        self.window = -f.width - 2
-        self.cmin, self.mproj, self.minc = minimize(apply_to_module(f, x, self.window))
+        self.cmin, self.mproj, self.minc = minimize(apply_to_module(f, x, f.stable_window))
         self.model, wit = _good_truncate_unchecked(self.cmin.to_complex())
         self.M, self.pi0 = self.model.term(0), wit.map(0)
 
@@ -212,7 +211,7 @@ def _model_chain_map(f: FunctorData, phi: RepHom) -> ChainMap:
     a module map; its degree-0 component is the induced map M_x -> M_y."""
     px = _pipeline(f, phi.source)
     py = _pipeline(f, phi.target)
-    lam = lift_to_resolutions(phi, px.window)
+    lam = lift_to_resolutions(phi, f.stable_window)
     flam = apply_to_proj_chain_map(f, lam)
     psi = py.mproj.compose(flam).compose(px.minc)
     psi_cm = psi.to_chain_map()

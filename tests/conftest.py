@@ -7,8 +7,9 @@ import pytest
 from quivhom.algebra import BoundQuiverAlgebra, Quiver, dual_numbers, linear_algebra_An
 from quivhom.complexes import direct_sum_complex
 from quivhom.corpus import gentle_tree_algebra
+from quivhom.homological import split_complex
 from quivhom.modules import ProjSummands, Representation, cokernel, element_matrix_to_hom
-from quivhom.projcplx import recognize
+from quivhom.projcplx import minimize, recognize
 
 
 @pytest.fixture(scope="session")
@@ -117,3 +118,9 @@ def proj_direct_sum(pcs):
     """The direct sum of complexes of projectives, in order, presented by
     `recognize`: a lookup, since a sum of shared sums is a shared sum."""
     return recognize(direct_sum_complex([pc.to_complex() for pc in pcs]))
+
+
+def split_proj_complex(pc, seed=0):
+    """The direct summands of a complex of projectives: the pieces of
+    `homological.split_complex`, each presented by `recognize` and minimized."""
+    return [minimize(recognize(piece))[0] for piece in split_complex(pc.to_complex(), seed)]

@@ -6,7 +6,7 @@ write for itself, and `find_iso` replaces the two isomorphism searches.
 The old loops and searches are kept here as references: with the same
 seeds, every search must see the same maps and reach the same answers.
 
-`decompose` and `_split_proj_complex` once split along a factor of the
+`decompose` and the complex splitter once split along a factor of the
 minimal polynomial (Cantor-Zassenhaus on dense coefficient lists); that
 loop and its polynomial helpers are kept here too.  They now split along
 an idempotent of F_p[f] instead, which draws a different random stream
@@ -22,11 +22,10 @@ import pytest
 from quivhom.complexes import Complex, HomEngine, module_complex, projective_resolution
 from quivhom.corpus import corpus
 from quivhom.exactlin import MAX_PRIME, Matrix, inverse, nullspace, solve
-from quivhom.functors import _split_proj_complex
 from quivhom.homological import DecompositionError, _is_local_end, decompose, find_iso, is_isomorphic, syzygy
 from quivhom.modules import RepHom, Representation, direct_sum, hom_frame, hom_space, identity_hom, image, kernel, zero_hom
 from quivhom.projcplx import minimize, recognize
-from tests.conftest import proj_direct_sum, random_module
+from tests.conftest import proj_direct_sum, random_module, split_proj_complex
 
 # -- the old loops ---------------------------------------------------------
 
@@ -541,7 +540,7 @@ def test_split_proj_complex_is_the_old_loop(n, seed):
     candidates = list(summands) + [proj_direct_sum(summands), proj_direct_sum(summands[:2] + summands[:2])]
     pieces = 0
     for pc in candidates:
-        got = _split_proj_complex(pc, seed=seed)
+        got = split_proj_complex(pc, seed=seed)
         assert signatures(got) == signatures(old_split_proj_complex(pc, seed=seed))
         pieces = max(pieces, len(got))
     assert pieces > 1

@@ -1,10 +1,10 @@
 import pytest
 
 from quivhom.corpus import corpus
-from quivhom.functors import is_non_negative
+from quivhom.functors import FunctorData, eps_extension, is_non_negative
 from quivhom.homological import decompose
-from quivhom.modules import is_projective, is_ses, projective
-from quivhom.projcplx import minimize
+from quivhom.modules import ProjSummands, is_projective, is_ses, projective
+from quivhom.projcplx import ProjChainMap, ProjComplex, minimize
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +110,110 @@ def test_pipeline_over_small_prime():
     fg = compose(c.F, c.G)
     M, _ = stable_image(fg, c.M[(0, 2)])
     assert stable_iso(M, syzygy(c.M[(0, 2)], 1))
+
+
+# -- the hand-built eps-data, kept as the reference of eps_extension ---------
+
+
+def old_eps_maps(src, tgt, images):
+    """The chain endomorphisms eps_v of images[v], one per vertex v of src:
+    in each degree the diagonal element matrix whose entry at a summand
+    P_w is tgt's loop eps_w."""
+    out = {}
+    for v in src.quiver.vertices:
+        comps = {}
+        for t in images[v].terms:
+            verts = images[v].terms[t].vertices
+            comps[t] = [
+                [tgt.arrow(f"eps_{verts[c]}") if r == c else {} for c in range(len(verts))]
+                for r in range(len(verts))
+            ]
+        out[f"eps_{v}"] = ProjChainMap(images[v], images[v], comps)
+    return out
+
+
+def old_functor_data(n, src, tgt):
+    """The data Gamma -> Lambda as the corpus built it with `with_eps`."""
+    images = {}
+    for i in range(n + 1):
+        v = str(2 * i + 1)
+        images[v] = ProjComplex(tgt, {1: ProjSummands(tgt, [v])}, {}, check=False)
+    for i in range(n + 1):
+        v, w = str(2 * i), str(2 * i + 1)
+        images[v] = ProjComplex(
+            tgt,
+            {0: ProjSummands(tgt, [v]), 1: ProjSummands(tgt, [w])},
+            {0: [[tgt.arrow(f"a{2 * i + 1}")]]},
+        )
+    arrow_maps = {}
+    for j in range(2 * n + 1):
+        if j % 2 == 0:
+            i = j // 2
+            am = ProjChainMap(images[str(j + 1)], images[str(j)], {1: [[tgt.e(str(2 * i + 1))]]})
+        else:
+            i = (j - 1) // 2
+            am = ProjChainMap(images[str(j + 1)], images[str(j)], {1: [[tgt.arrow(f"b{2 * i + 1}")]]})
+        arrow_maps[f"b{j}"] = am
+    arrow_maps.update(old_eps_maps(src, tgt, images))
+    return FunctorData(src, tgt, images, arrow_maps)
+
+
+def old_inverse_data(n, src, tgt):
+    """The data Lambda -> Gamma as the corpus built it with `with_eps`."""
+    images = {}
+    for i in range(n + 1):
+        v = str(2 * i)
+        images[v] = ProjComplex(
+            tgt,
+            {0: ProjSummands(tgt, [str(2 * i + 1)]), 1: ProjSummands(tgt, [str(2 * i)])},
+            {0: [[tgt.arrow(f"b{2 * i}")]]},
+        )
+    images["1"] = ProjComplex(tgt, {0: ProjSummands(tgt, ["1"])}, {}, check=False)
+    for j in range(1, n + 1):
+        v = str(2 * j + 1)
+        images[v] = ProjComplex(
+            tgt,
+            {0: ProjSummands(tgt, [str(2 * j + 1), str(2 * j)]), 1: ProjSummands(tgt, [str(2 * j)])},
+            {0: [[{}, tgt.e(str(2 * j))]]},
+        )
+    arrow_maps = {"a1": ProjChainMap(images["0"], images["1"], {0: [[tgt.e("1")]]})}
+    for j in range(1, n + 1):
+        v21, v20 = str(2 * j + 1), str(2 * j)
+        arrow_maps[f"a{2 * j + 1}"] = ProjChainMap(
+            images[v20], images[v21], {0: [[tgt.e(v21)], [tgt.arrow(f"b{2 * j}")]], 1: [[tgt.e(v20)]]}
+        )
+    for i in range(n):
+        srcv, tgtv = str(2 * i + 3), str(2 * i + 1)
+        bb = {(tgtv, (f"b{2 * i + 1}", f"b{2 * i + 2}")): 1}
+        bshort = tgt.arrow(f"b{2 * i + 1}")
+        if i == 0:
+            comps = {0: [[bb, tgt.smul(-1, bshort)]]}
+        else:
+            comps = {0: [[bb, tgt.smul(-1, bshort)], [{}, {}]], 1: [[{}]]}
+        arrow_maps[f"b{2 * i + 1}"] = ProjChainMap(images[srcv], images[tgtv], comps)
+    arrow_maps.update(old_eps_maps(src, tgt, images))
+    return FunctorData(src, tgt, images, arrow_maps)
+
+
+def assert_same_data(new, old):
+    """Same algebras, same image terms and differentials, and the same
+    arrow maps, element for element."""
+    assert new.source is old.source and new.target is old.target
+    assert new.images.keys() == old.images.keys() and new.arrow_maps.keys() == old.arrow_maps.keys()
+    for v, img in new.images.items():
+        assert img.algebra is new.target
+        assert {i: ps.vertices for i, ps in img.terms.items()} == {i: ps.vertices for i, ps in old.images[v].terms.items()}
+        assert img.dmats == old.images[v].dmats
+    for a, m in new.arrow_maps.items():
+        assert m.comps == old.arrow_maps[a].comps
+    assert new.width == old.width and new.stable_window == old.stable_window == -new.width - 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eps_extension_is_the_hand_built_eps_data(n):
+    """F and G are the eps-extensions of the A/B data, equal element for
+    element to the Gamma/Lambda data the corpus used to build by hand."""
+    c = corpus(n)
+    assert_same_data(c.F, old_functor_data(n, c.Gam, c.Lam))
+    assert_same_data(c.G, old_inverse_data(n, c.Lam, c.Gam))
+    assert_same_data(eps_extension(c.F_BA, c.Gam, c.Lam), c.F)

@@ -21,6 +21,7 @@ from quivhom.functors import (
     check_tilting,
     compose,
     endomorphism_presentation,
+    eps_extension,
     identity_functor,
     is_non_negative,
     lift_to_resolutions,
@@ -29,10 +30,10 @@ from quivhom.functors import (
 )
 from quivhom.homological import _end_radical, find_strict_iso, is_isomorphic, minimal_resolution
 from quivhom.exactlin import Matrix, column_space_basis, rank
-from quivhom.modules import ProjSummands, RepHom, hom_to_element_matrix, projective, radical, simple, top
+from quivhom.modules import ProjSummands, RepHom, hom_to_element_matrix, identity_hom, projective, radical, simple, top
 from quivhom.projcplx import ProjChainMap, ProjComplex, _add_block, identity_proj_chain_map, minimize, recognize
 from quivhom.stable import stable_iso
-from tests.conftest import proj_direct_sum, random_module
+from tests.conftest import proj_direct_sum, random_module, split_proj_complex
 
 
 @pytest.fixture(scope="module")
@@ -347,8 +348,6 @@ def test_hom_classes_match_base_algebra(C1):
 
 
 def test_split_proj_complex(A1):
-    from quivhom.functors import _split_proj_complex
-
     x = proj_stalk(A1, "1")
     y = ProjComplex(
         A1,
@@ -356,25 +355,64 @@ def test_split_proj_complex(A1):
         {0: [[{}]]},
         check=False,
     )
-    pieces = _split_proj_complex(proj_direct_sum([x, y]), seed=3)
+    pieces = split_proj_complex(proj_direct_sum([x, y]), seed=3)
     sigs = sorted(p.signature() for p in pieces)
     assert sigs == [((0, ("0",)),), ((0, ("1",)),), ((1, ("3",)),)]
 
 
 def test_strict_chain_automorphism_raises_when_every_draw_is_singular(C1, monkeypatch):
-    """Twenty singular draws raise instead of returning the identity, which
-    would leave `perturb_functor_data` unperturbed and its tests vacuous."""
-    import quivhom.functors as functors
+    """The automorphisms come from `find_strict_iso` of each image with
+    itself: none is the identity and psi o psi^-1 = psi^-1 o psi = id, and
+    the perturbed arrow maps differ from the old ones.  With every
+    candidate singular the search finds none, and `perturb_functor_data`
+    raises instead of returning unperturbed data."""
+    from quivhom import modules
+    from quivhom.functors import strict_chain_automorphism
 
-    img = C1.F.images[C1.Gam.quiver.vertices[0]]
-    psi, psi_inv = functors.strict_chain_automorphism(img, np.random.default_rng(0))
-    ident = identity_proj_chain_map(img).comps
-    assert psi.compose(psi_inv).comps == ident and psi.comps != ident
-    monkeypatch.setattr(functors, "inverse", lambda m: None)
-    with pytest.raises(ValueError, match="20 draws"):
-        functors.strict_chain_automorphism(img, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="20 draws"):
-        functors.perturb_functor_data(C1.F, seed=0)
+    rng = np.random.default_rng(0)
+    for img in C1.F.images.values():
+        psi, psi_inv = strict_chain_automorphism(img, rng)
+        ident = identity_proj_chain_map(img).comps
+        assert psi.compose(psi_inv).comps == ident and psi_inv.compose(psi).comps == ident
+        assert psi.comps != ident
+    f2, _ = perturb_functor_data(C1.F, seed=0)
+    assert any(f2.arrow_maps[n].comps != m.comps for n, m in C1.F.arrow_maps.items())
+    monkeypatch.setattr(modules.RepHom, "is_iso", lambda self: False)
+    with pytest.raises(ValueError, match=r"^no strict chain automorphism found$"):
+        perturb_functor_data(C1.F, seed=0)
+
+
+def test_non_negativity_needs_a_degree_to_check(C1):
+    """The zero-eps data is refuted at depths 1 and 8; a depth below 1
+    checks no degree, so it raises instead of certifying."""
+    f0 = zero_eps_data(C1)
+    assert not is_non_negative(f0, 1) and not is_non_negative(f0, 8)
+    for depth in (0, -3):
+        with pytest.raises(ValueError, match=r"^depth must be >= 1$"):
+            is_non_negative(f0, depth)
+
+
+def test_a_window_above_zero_is_rejected(A1):
+    """A resolution window above degree 0 holds nothing: applying or
+    lifting there raises instead of returning an empty complex or map."""
+    f, x = identity_functor(A1), simple(A1, "0")
+    assert apply_to_module(f, x, 0).terms
+    for call in (lambda: apply_to_module(f, x, 1), lambda: lift_to_resolutions(identity_hom(x), 1)):
+        with pytest.raises(ValueError, match=r"^window_lo must be <= 0$"):
+            call()
+
+
+def test_functor_data_names_a_missing_image_or_arrow_map(C1):
+    """In the words of `io`; an ε-extension over the wrong algebras is
+    missing the maps of the source's arrows."""
+    with pytest.raises(ValueError, match=r"^missing image of vertex 0$"):
+        FunctorData(C1.B, C1.A, {}, {})
+    f = C1.F_BA
+    without_b0 = {n: m for n, m in f.arrow_maps.items() if n != "b0"}
+    with pytest.raises(ValueError, match=r"^missing map of arrow b0$"):
+        FunctorData(f.source, f.target, f.images, without_b0)
+    with pytest.raises(ValueError, match=r"^missing map of arrow a1$"):
+        eps_extension(f, C1.Lam, C1.Gam)
 
 
 # -- the old tilting constructions, kept as references -------------------

@@ -22,12 +22,12 @@ from quivhom.algebra import Quiver, dual_numbers, linear_algebra_An
 from quivhom.complexes import Complex, HomEngine, hom_k, is_quasi_iso
 from quivhom.corpus import Corpus, corpus, interval_module
 from quivhom.exactlin import Matrix, extending_columns, inverse, nullspace, rank
-from quivhom.functors import TiltingCandidate, _count_paths, _split_proj_complex, endomorphism_presentation
+from quivhom.functors import TiltingCandidate, _count_paths, endomorphism_presentation
 from quivhom.homological import DecompositionError, _end_radical, _is_local_end, _power, _split_idempotent, decompose
 from quivhom.modules import ProjSummands, Representation, direct_sum, flatten_blocks, hom_frame, identity_hom, image, kernel, lift, zero_hom, zero_rep
 from quivhom.projcplx import ProjComplex, _add_block, minimize, recognize
 from quivhom.stable import stable_image
-from tests.conftest import proj_direct_sum, random_module
+from tests.conftest import proj_direct_sum, random_module, split_proj_complex
 from tests.test_functors import proj_stalk
 
 # -- the replaced module loop ------------------------------------------------------
@@ -298,7 +298,7 @@ def test_decompose_is_the_old_loop_entry_for_entry(seed):
 def test_complex_splitter_gives_the_old_signatures(n, seed):
     pieces = 0
     for pc in split_candidates(n):
-        got = sorted(x.signature() for x in _split_proj_complex(pc, seed))
+        got = sorted(x.signature() for x in split_proj_complex(pc, seed))
         assert got == sorted(x.signature() for x in old_split_proj_complex(pc, seed))
         pieces = max(pieces, len(got))
     assert pieces > 1
@@ -375,7 +375,7 @@ def test_a_local_projective_stalk_is_kept_with_no_draws(monkeypatch):
     monkeypatch.setattr(homological, "_split_idempotent", counting)
     monkeypatch.setattr(functors, "_split_idempotent", counting, raising=False)
     keps = dual_numbers()
-    pieces = _split_proj_complex(proj_stalk(keps, keps.quiver.vertices[0]))
+    pieces = split_proj_complex(proj_stalk(keps, keps.quiver.vertices[0]))
     assert [x.signature() for x in pieces] == [((0, (keps.quiver.vertices[0],)),)]
     assert not calls
 
@@ -392,6 +392,6 @@ def test_a_complex_with_dim_z0_at_least_p_raises_naming_p():
     alg = linear_algebra_An(2, 3)
     (a, s, t), = alg.quiver.arrows
     y = ProjComplex(alg, {0: ProjSummands(alg, [t]), 1: ProjSummands(alg, [s])}, {0: [[alg.arrow(a)]]})
-    assert len(_split_proj_complex(y)) == 1
+    assert len(split_proj_complex(y)) == 1
     with pytest.raises(DecompositionError, match=r"dim End = 4 >= p = 3"):
-        _split_proj_complex(proj_direct_sum([y, y]))
+        split_proj_complex(proj_direct_sum([y, y]))

@@ -137,7 +137,7 @@ def test_functor_images_of_corpus_modules(n):
     c = corpus(n)
     cancelled = 0
     for key in sorted(c.M):
-        cancelled += check_against_reference(apply_to_module(c.F, c.M[key], -c.F.width - 2))
+        cancelled += check_against_reference(apply_to_module(c.F, c.M[key], c.F.stable_window))
     assert cancelled > 0
 
 

@@ -258,15 +258,24 @@ def test_cosyzygies_and_stable_inverses_are_not_searched_for():
     and a transported sequence off one total cone: gorenstein and stable
     draw nothing at random, homological only in its one splitter and its
     one isomorphism search (and in `_split_idempotent`, which draws from
-    the splitter's generator), and functors only to perturb functor data."""
+    the splitter's generator), and functors only to seed the perturbation
+    of functor data, whose automorphisms `find_strict_iso` draws."""
     draws = ("default_rng", "integers", "random", "choice", "permutation", "shuffle")
     found = {module: sorted({scope for name in draws for scope in _call_scopes(module, name)}) for module in ("gorenstein.py", "stable.py", "homological.py", "functors.py")}
     assert found == {
         "gorenstein.py": [],
         "stable.py": [],
         "homological.py": ["_split_idempotent", "find_strict_iso", "split_complex"],
-        "functors.py": ["perturb_functor_data", "strict_chain_automorphism"],
+        "functors.py": ["perturb_functor_data"],
     }, found
+
+
+def test_strict_maps_are_read_in_homological_alone():
+    """Z^0, the strict chain maps, is read by the one splitter, the one
+    locality test and the one isomorphism search: `functors` takes its
+    automorphisms from `find_strict_iso`, not from `_strict_maps`."""
+    found = [m for m in MODULES if _name_counts(ast.parse((SRC / m).read_text(), filename=m)).get("_strict_maps")]
+    assert found == ["homological.py"], found
 
 
 def test_one_splitter():
