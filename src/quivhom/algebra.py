@@ -121,6 +121,11 @@ class BoundQuiverAlgebra:
         self._mul_cache: dict[tuple[Path, Path], Element] = {}
         self._proj_cache: dict = {}  # vertex tuple -> its shared projective sum (modules._proj_sum)
         self._op: "BoundQuiverAlgebra | None" = None
+        self._eps: "BoundQuiverAlgebra | None" = None
+        # set on a dual-numbers extension: the algebra it extends, and the
+        # square-zero loop of each vertex
+        self.base: "BoundQuiverAlgebra | None" = None
+        self.loops: dict[str, str] = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -382,8 +387,11 @@ class BoundQuiverAlgebra:
 
     def dual_numbers_extension(self) -> "BoundQuiverAlgebra":
         """Tensor with k[eps]/(eps^2): one square-zero loop per vertex that
-        commutes with every arrow.  The dimension doubles.
+        commutes with every arrow.  The dimension doubles.  Built once per
+        algebra; the extension records its `base` and the `loops` by vertex.
         """
+        if self._eps is not None:
+            return self._eps
         eps = {v: f"eps_{v}" for v in self.quiver.vertices}
         taken = {n for n, _, _ in self.quiver.arrows}
         for v, name in eps.items():
@@ -396,7 +404,9 @@ class BoundQuiverAlgebra:
             rels.append({(v, (eps[v], eps[v])): 1})
         for n, s, t in self.quiver.arrows:
             rels.append({(s, (n, eps[t])): 1, (s, (eps[s], n)): self.p - 1})
-        return BoundQuiverAlgebra(q2, rels, p=self.p)
+        ext = self._eps = BoundQuiverAlgebra(q2, rels, p=self.p)
+        ext.base, ext.loops = self, eps
+        return ext
 
     def __repr__(self):
         return (

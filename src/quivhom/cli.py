@@ -41,7 +41,7 @@ from .gorenstein import (
     gorenstein_dimension,
     is_gorenstein_projective,
 )
-from .homological import DecompositionError, decompose, ext, is_isomorphic, projdim
+from .homological import DRAWS, DecompositionError, decompose, ext, is_isomorphic, projdim
 from .io import Definitions, DefinitionError, module_dot, parse_definitions, serialize_definitions
 from .modules import cokernel, hom_frame, hom_space, is_mono, is_projective, projective, simple
 from .projcplx import recognize
@@ -67,7 +67,7 @@ def _corpus_tables(c) -> tuple[dict, dict, dict]:
 class Context:
     def __init__(self, args):
         try:
-            self.p = check_prime(args.prime)
+            self.p = DEFAULT_PRIME if args.prime is None else check_prime(args.prime)
         except ValueError as e:
             raise DefinitionError("--prime", str(e))
         if args.depth < 1:
@@ -85,7 +85,7 @@ class Context:
         if getattr(args, "defs", None):
             with open(args.defs) as fh:
                 defs = parse_definitions(fh.read())
-            if defs.p != self.p and args.prime != DEFAULT_PRIME:
+            if args.prime is not None and defs.p != self.p:
                 raise OperationError("definitions file uses a different prime")
             self.p = defs.p
             self.algebras.update(defs.algebras)
@@ -274,14 +274,14 @@ def cmd_stable_map(ctx, args):
 def _find_ses(ctx, sub, mid, quot, seed):
     frame = hom_frame(sub, mid)
     rng = np.random.default_rng(seed)
-    for _ in range(80 if frame.dim else 0):
+    for _ in range(DRAWS if frame.dim else 0):
         f = frame.combination(rng.integers(0, sub.p, size=frame.dim))
         if not is_mono(f):
             continue
         q, qmap = cokernel(f)
         if is_isomorphic(q, quot, seed=seed):
             return f, qmap
-    raise OperationError("no short exact sequence found with the given ends")
+    raise OperationError(f"no short exact sequence found with the given ends within budget = {DRAWS} random maps")
 
 
 def cmd_exact_image(ctx, args):
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--corpus", type=int, help="load the built-in corpus at scale n")
     ap.add_argument("--format", choices=["table", "json", "dot"], default="table")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    ap.add_argument("--prime", type=int, help=f"field order (default {DEFAULT_PRIME}, or the definitions file's)")
     ap.add_argument("--depth", type=int, default=8)
     sub = ap.add_subparsers(dest="verb", required=True)
 

@@ -1,8 +1,13 @@
 """The dual-numbers corpus: a tilted gentle tree algebra, its linear
 partner, their tensor products with k[eps]/(eps^2), the derived
-equivalence data between them (built by hand between B and A, and
-between Gamma and Lambda as its `functors.eps_extension`), and the family
-of Gorenstein projective modules that the stable functor transports.
+equivalence data between them, and the family of Gorenstein projective
+modules that the stable functor transports.
+
+The data between B and A is built by hand; everything over the
+extensions is derived from it.  Lambda and Gamma are the algebras'
+`dual_numbers_extension`s, which record their base and loops; F and G are
+`functors.eps_extension` of the B/A data; the tilting complex T is the
+images of F_BA shifted by one.
 
 Scale parameter n >= 1:
 
@@ -20,8 +25,8 @@ sequence
 
     0 -> S (x) Q_i -> M(i, l) -> S (x) Q_{i+l} -> 0
 
-which the corpus constructs explicitly and the generator uses (rather
-than hand-typed tables) to derive expected values.
+(the inclusion and projection of the sum), which the generator uses
+(rather than hand-typed tables) to derive expected values.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Quiver, linear_algebra_An
+from .complexes import shift
 from .exactlin import DEFAULT_PRIME, Matrix
 from .functors import FunctorData, TiltingCandidate, eps_extension
 from .modules import (
@@ -41,7 +47,7 @@ from .modules import (
     kernel,
     projective,
 )
-from .projcplx import ProjChainMap, ProjComplex
+from .projcplx import ProjChainMap, ProjComplex, recognize
 from .strings import enumerate_string_modules
 
 
@@ -59,32 +65,28 @@ def gentle_tree_algebra(n: int = 1, p: int = DEFAULT_PRIME) -> BoundQuiverAlgebr
     return BoundQuiverAlgebra(Quiver(verts, arrows), rels, p=p)
 
 
-def s_tensor_projective(ext_alg: BoundQuiverAlgebra, base_alg: BoundQuiverAlgebra, v: str) -> Representation:
+def s_tensor_projective(ext_alg: BoundQuiverAlgebra, v: str) -> Representation:
     """The base projective P_v viewed over the dual-numbers extension,
     with eps acting by zero."""
-    q = projective(base_alg, v)
-    mats = {}
-    for n, _, _ in base_alg.quiver.arrows:
-        mats[n] = q.mats[n]
-    return Representation(ext_alg, dict(q.dims), mats)
+    q = projective(ext_alg.base, v)
+    return Representation(ext_alg, q.dims, q.mats)
 
 
-def quotient_by_eps(ext_alg: BoundQuiverAlgebra, base_alg: BoundQuiverAlgebra, v: str) -> RepHom:
+def quotient_by_eps(ext_alg: BoundQuiverAlgebra, v: str) -> RepHom:
     """Projection from the extension projective at v onto the eps-trivial
     base projective (kill every basis path containing an eps loop)."""
     P = projective(ext_alg, v)
-    S = s_tensor_projective(ext_alg, base_alg, v)
+    S = s_tensor_projective(ext_alg, v)
     lay_ext = _proj_sum(ext_alg, (v,)).layout
-    base_index = _proj_sum(base_alg, (v,)).index
-    p = ext_alg.p
+    base_index = _proj_sum(ext_alg.base, (v,)).index
+    loops = set(ext_alg.loops.values())
     mats = {}
     for w in ext_alg.quiver.vertices:
         m = np.zeros((S.dims[w], P.dims[w]), dtype=np.int64)
         for col, (j, pth) in enumerate(lay_ext[w]):
-            if any(a.startswith("eps_") for a in pth[1]):
-                continue
-            m[base_index[(j, pth)], col] = 1
-        mats[w] = Matrix(p, m)
+            if loops.isdisjoint(pth[1]):
+                m[base_index[(j, pth)], col] = 1
+        mats[w] = Matrix(ext_alg.p, m)
     return RepHom(P, S, mats)
 
 
@@ -112,12 +114,8 @@ class Corpus:
         self.B = linear_algebra_An(2 * n + 2, p)
         self.Lam = self.A.dual_numbers_extension()
         self.Gam = self.B.dual_numbers_extension()
-        self.S_Q = {
-            i: s_tensor_projective(self.Gam, self.B, str(i)) for i in range(2 * n + 2)
-        }
-        self.S_P = {
-            i: s_tensor_projective(self.Lam, self.A, str(i)) for i in range(2 * n + 2)
-        }
+        self.S_Q = {i: s_tensor_projective(self.Gam, str(i)) for i in range(2 * n + 2)}
+        self.S_P = {i: s_tensor_projective(self.Lam, str(i)) for i in range(2 * n + 2)}
         self.M: dict[tuple[int, int], Representation] = {}
         self.ses: dict[tuple[int, int], tuple[RepHom, RepHom]] = {}
         for i in range(2 * n + 2):
@@ -127,52 +125,32 @@ class Corpus:
                 else:
                     self.M[(i, l)], self.ses[(i, l)] = self._gp_module(i, l)
         self.F_BA = self._functor_data(self.B, self.A)
-        self.F = eps_extension(self.F_BA, self.Gam, self.Lam)
+        self.F = eps_extension(self.F_BA)
         self.G_AB = self._inverse_data(self.A, self.B)
-        self.G = eps_extension(self.G_AB, self.Lam, self.Gam)
-        self.tilting = self._tilting_candidate()
+        self.G = eps_extension(self.G_AB)
+        # T = F_BA's images, shifted into degrees [-1, 0]
+        self.tilting = TiltingCandidate(self.A, [recognize(shift(img.to_complex(), 1)) for img in self.F_BA.images.values()])
         self.manifest = self._manifest()
 
     # -- modules -------------------------------------------------------
 
     def _gp_module(self, i: int, l: int):
+        """M(i, l): Q_i (+) Q_{i+l} with eps = incl o iota o proj for the
+        inclusion iota: Q_{i+l} -> Q_i, and its sequence, the sum's inclusion
+        and projection read over Gamma."""
         balg, gam = self.B, self.Gam
-        qi = projective(balg, str(i))
-        qil = projective(balg, str(i + l))
         pth = (str(i), tuple(f"b{j}" for j in range(i, i + l)))
-        incl = element_matrix_to_hom(
-            balg, [[{pth: 1}]], ProjSummands(balg, [str(i + l)]), ProjSummands(balg, [str(i)])
-        )
-        dims = {v: qi.dims[v] + qil.dims[v] for v in balg.quiver.vertices}
-        p = self.p
-        mats = {}
-        for nm, s, t in balg.quiver.arrows:
-            mats[nm] = Matrix.block_diag(p, [qi.mats[nm], qil.mats[nm]])
-        for v in balg.quiver.vertices:
-            m = np.zeros((dims[v], dims[v]), dtype=np.int64)
-            m[: qi.dims[v], qi.dims[v] :] = incl.mats[v].data
-            mats[f"eps_{v}"] = Matrix(p, m)
-        M = Representation(gam, dims, mats)
-        # sub = S (x) Q_i in the first block, quotient = S (x) Q_{i+l}
-        sub = self.S_Q[i]
-        quot = self.S_Q[i + l]
-        imats, qmats = {}, {}
-        for v in gam.quiver.vertices:
-            inc = np.zeros((dims[v], sub.dims[v]), dtype=np.int64)
-            for k in range(sub.dims[v]):
-                inc[k, k] = 1
-            imats[v] = Matrix(p, inc)
-            pr = np.zeros((quot.dims[v], dims[v]), dtype=np.int64)
-            for k in range(quot.dims[v]):
-                pr[k, qi.dims[v] + k] = 1
-            qmats[v] = Matrix(p, pr)
-        return M, (RepHom(sub, M, imats), RepHom(M, quot, qmats))
+        iota = element_matrix_to_hom(balg, [[{pth: 1}]], ProjSummands(balg, [str(i + l)]), ProjSummands(balg, [str(i)]))
+        tot, incls, projs = direct_sum([iota.target, iota.source])
+        eps = incls[0].compose(iota).compose(projs[1])
+        M = Representation(gam, tot.dims, {**tot.mats, **{gam.loops[v]: eps.mats[v] for v in balg.quiver.vertices}})
+        return M, (RepHom(self.S_Q[i], M, incls[0].mats), RepHom(M, self.S_Q[i + l], projs[1].mats))
 
     def pullback_module(self, i: int) -> Representation:
         """The stable image of S (x) Q_{2i} predicted by the pullback of
         the extension projective at 2i+1 against S (x) P_{2i}."""
-        lam, alg = self.Lam, self.A
-        pi = quotient_by_eps(lam, alg, str(2 * i + 1))
+        alg = self.A
+        pi = quotient_by_eps(self.Lam, str(2 * i + 1))
         g = element_matrix_to_hom(
             alg,
             [[alg.arrow(f"a{2 * i + 1}")]],
@@ -264,22 +242,6 @@ class Corpus:
                 }
             arrow_maps[f"b{2 * i + 1}"] = ProjChainMap(images[srcv], images[tgtv], comps)
         return FunctorData(src, tgt, images, arrow_maps)
-
-    def _tilting_candidate(self) -> TiltingCandidate:
-        n, alg = self.n, self.A
-        summands = []
-        for i in range(n + 1):
-            v = str(2 * i + 1)
-            summands.append(ProjComplex(alg, {0: ProjSummands(alg, [v])}, {}, check=False))
-        for i in range(n + 1):
-            summands.append(
-                ProjComplex(
-                    alg,
-                    {-1: ProjSummands(alg, [str(2 * i)]), 0: ProjSummands(alg, [str(2 * i + 1)])},
-                    {-1: [[alg.arrow(f"a{2 * i + 1}")]]},
-                )
-            )
-        return TiltingCandidate(alg, summands)
 
     # -- manifest -----------------------------------------------------------
 

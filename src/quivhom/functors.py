@@ -14,8 +14,9 @@ Applying the data to the minimal projective resolution of a module,
 truncated at an explicit window, computes the functor on modules up to
 that window; non-negativity is certified on simple modules to a finite
 depth, which propagates to all finite-length modules along short exact
-sequences.  `eps_extension` lifts data to the dual-numbers extensions of
-both algebras (Rickard: T (x) k[eps] is tilting over A[eps]).  The
+sequences.  `eps_extension(f)` lifts data to the dual-numbers extensions
+of f's algebras, which each algebra builds once and which record their
+loops (Rickard: T (x) k[eps] is tilting over A[eps]).  The
 tilting search runs on `complexes.Complex`es of shared projective sums.
 """
 
@@ -148,13 +149,13 @@ def shift_functor(alg: BoundQuiverAlgebra, k: int) -> FunctorData:
     return FunctorData(alg, alg, images, arrow_maps)
 
 
-def eps_extension(f: FunctorData, source: BoundQuiverAlgebra, target: BoundQuiverAlgebra) -> FunctorData:
-    """The data of f tensored with k[eps]/(eps^2), between the extensions
-    `source` and `target` of f's algebras (Rickard's derived equivalence
-    of the extensions): the images and arrow maps of f, the same vertex
-    tuples and element matrices over the extensions, and eps_v acting on
-    image(v) by the loop eps_w on each summand P_w.  The load checks of
-    FunctorData reject algebras that are not the extensions of f's."""
+def eps_extension(f: FunctorData) -> FunctorData:
+    """The data of f tensored with k[eps]/(eps^2), between the dual-numbers
+    extensions of f's algebras (Rickard's derived equivalence of the
+    extensions): the images and arrow maps of f, the same vertex tuples and
+    element matrices over the extensions, and each source loop at v acting
+    on image(v) by the target loop at w on each summand P_w."""
+    source, target = f.source.dual_numbers_extension(), f.target.dual_numbers_extension()
     images = {
         v: ProjComplex(target, {i: ProjSummands(target, ps.vertices) for i, ps in img.terms.items()}, img.dmats)
         for v, img in f.images.items()
@@ -162,10 +163,10 @@ def eps_extension(f: FunctorData, source: BoundQuiverAlgebra, target: BoundQuive
     arrow_maps = {n: ProjChainMap(images[t], images[s], f.arrow_maps[n].comps) for n, s, t in f.source.quiver.arrows}
     for v, img in images.items():
         eps = {
-            i: [[target.arrow(f"eps_{w}") if j == k else {} for j in range(len(ps.vertices))] for k, w in enumerate(ps.vertices)]
+            i: [[target.arrow(target.loops[w]) if j == k else {} for j in range(len(ps.vertices))] for k, w in enumerate(ps.vertices)]
             for i, ps in img.terms.items()
         }
-        arrow_maps[f"eps_{v}"] = ProjChainMap(img, img, eps)
+        arrow_maps[source.loops[v]] = ProjChainMap(img, img, eps)
     return FunctorData(source, target, images, arrow_maps)
 
 

@@ -14,7 +14,7 @@ import json
 
 from .algebra import BoundQuiverAlgebra, Element, Quiver
 from .complexes import Complex
-from .exactlin import DEFAULT_PRIME, Matrix
+from .exactlin import DEFAULT_PRIME, Matrix, check_prime
 from .functors import FunctorData
 from .modules import ProjSummands, RepHom, Representation
 from .projcplx import ProjChainMap, ProjComplex
@@ -82,6 +82,10 @@ def parse_definitions(text: str) -> Definitions:
     except json.JSONDecodeError as e:
         raise DefinitionError("document", f"invalid JSON: {e}")
     p = _int(doc.get("field", {}).get("p", DEFAULT_PRIME), "field.p")
+    try:
+        check_prime(p)
+    except ValueError as e:
+        raise DefinitionError("field.p", str(e))
     algebras: dict[str, BoundQuiverAlgebra] = {}
     for name, entry in doc.get("algebras", {}).items():
         loc = f"algebras.{name}"

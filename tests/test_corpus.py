@@ -1,9 +1,20 @@
+import numpy as np
 import pytest
 
-from quivhom.corpus import corpus
-from quivhom.functors import FunctorData, eps_extension, is_non_negative
-from quivhom.homological import decompose
-from quivhom.modules import ProjSummands, is_projective, is_ses, projective
+from quivhom.algebra import linear_algebra_An
+from quivhom.corpus import corpus, gentle_tree_algebra
+from quivhom.exactlin import Matrix
+from quivhom.functors import FunctorData, TiltingCandidate, eps_extension, is_non_negative
+from quivhom.homological import decompose, find_strict_iso
+from quivhom.modules import (
+    ProjSummands,
+    RepHom,
+    Representation,
+    element_matrix_to_hom,
+    is_projective,
+    is_ses,
+    projective,
+)
 from quivhom.projcplx import ProjChainMap, ProjComplex, minimize
 
 
@@ -216,4 +227,113 @@ def test_eps_extension_is_the_hand_built_eps_data(n):
     c = corpus(n)
     assert_same_data(c.F, old_functor_data(n, c.Gam, c.Lam))
     assert_same_data(c.G, old_inverse_data(n, c.Lam, c.Gam))
-    assert_same_data(eps_extension(c.F_BA, c.Gam, c.Lam), c.F)
+    assert_same_data(eps_extension(c.F_BA), c.F)
+
+
+def test_the_dual_numbers_extension_is_built_once_and_knows_its_base():
+    """One extension per algebra, as with `opposite`; it records the
+    algebra it extends and the loop of each vertex, and only the base's
+    arrows and those loops are its arrows."""
+    for base in (gentle_tree_algebra(1), linear_algebra_An(3)):
+        ext = base.dual_numbers_extension()
+        assert base.dual_numbers_extension() is ext
+        assert ext.base is base and base.base is None
+        assert ext.loops == {v: f"eps_{v}" for v in base.quiver.vertices} and base.loops == {}
+        assert set(ext.quiver.arrows) == set(base.quiver.arrows) | {(n, v, v) for v, n in ext.loops.items()}
+    c = corpus(1)
+    assert (c.Lam.base, c.Gam.base) == (c.A, c.B)
+    assert (c.F.source, c.F.target, c.G.source, c.G.target) == (c.Gam, c.Lam, c.Lam, c.Gam)
+
+
+# -- the hand-built eps-modules and tilting complex, kept as references -------
+
+
+def old_s_tensor_projective(ext_alg, base_alg, v):
+    q = projective(base_alg, v)
+    return Representation(ext_alg, dict(q.dims), {n: q.mats[n] for n, _, _ in base_alg.quiver.arrows})
+
+
+def old_gp_module(c, i, l):
+    """M(i, l) and its sequence as the corpus built them by hand: block
+    matrices for the arrows and eps, and the inclusion and projection."""
+    balg, gam = c.B, c.Gam
+    qi = projective(balg, str(i))
+    qil = projective(balg, str(i + l))
+    pth = (str(i), tuple(f"b{j}" for j in range(i, i + l)))
+    incl = element_matrix_to_hom(balg, [[{pth: 1}]], ProjSummands(balg, [str(i + l)]), ProjSummands(balg, [str(i)]))
+    dims = {v: qi.dims[v] + qil.dims[v] for v in balg.quiver.vertices}
+    p = c.p
+    mats = {}
+    for nm, _, _ in balg.quiver.arrows:
+        mats[nm] = Matrix.block_diag(p, [qi.mats[nm], qil.mats[nm]])
+    for v in balg.quiver.vertices:
+        m = np.zeros((dims[v], dims[v]), dtype=np.int64)
+        m[: qi.dims[v], qi.dims[v] :] = incl.mats[v].data
+        mats[f"eps_{v}"] = Matrix(p, m)
+    M = Representation(gam, dims, mats)
+    sub = old_s_tensor_projective(gam, balg, str(i))
+    quot = old_s_tensor_projective(gam, balg, str(i + l))
+    imats, qmats = {}, {}
+    for v in gam.quiver.vertices:
+        inc = np.zeros((dims[v], sub.dims[v]), dtype=np.int64)
+        for k in range(sub.dims[v]):
+            inc[k, k] = 1
+        imats[v] = Matrix(p, inc)
+        pr = np.zeros((quot.dims[v], dims[v]), dtype=np.int64)
+        for k in range(quot.dims[v]):
+            pr[k, qi.dims[v] + k] = 1
+        qmats[v] = Matrix(p, pr)
+    return M, (RepHom(sub, M, imats), RepHom(M, quot, qmats))
+
+
+def old_tilting_candidate(c):
+    """T as the corpus wrote it by hand: the stalks P_(2i+1) in degree 0
+    and the complexes P_(2i) -> P_(2i+1) (by a_(2i+1)) in degrees -1, 0."""
+    alg = c.A
+    summands = [ProjComplex(alg, {0: ProjSummands(alg, [str(2 * i + 1)])}, {}, check=False) for i in range(c.n + 1)]
+    for i in range(c.n + 1):
+        summands.append(
+            ProjComplex(
+                alg,
+                {-1: ProjSummands(alg, [str(2 * i)]), 0: ProjSummands(alg, [str(2 * i + 1)])},
+                {-1: [[alg.arrow(f"a{2 * i + 1}")]]},
+            )
+        )
+    return TiltingCandidate(alg, summands)
+
+
+def same_rep(x, y):
+    return x.algebra is y.algebra and x.dims == y.dims and all(np.array_equal(x.mats[a].data, y.mats[a].data) for a in x.mats)
+
+
+def same_hom(f, g):
+    return same_rep(f.source, g.source) and same_rep(f.target, g.target) and all(np.array_equal(f.mats[v].data, g.mats[v].data) for v in f.mats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eps_modules_are_the_hand_built_ones(n):
+    """S (x) Q_v, S (x) P_v, M(i, l) and its sequence, read off the
+    extension's base and loops and off one direct sum, equal the
+    hand-built block matrices, matrix for matrix."""
+    c = corpus(n)
+    for v in range(2 * n + 2):
+        assert same_rep(c.S_Q[v], old_s_tensor_projective(c.Gam, c.B, str(v)))
+        assert same_rep(c.S_P[v], old_s_tensor_projective(c.Lam, c.A, str(v)))
+    assert c.ses
+    for (i, l), (incl, proj) in c.ses.items():
+        M, (old_incl, old_proj) = old_gp_module(c, i, l)
+        assert same_rep(c.M[(i, l)], M)
+        assert same_hom(incl, old_incl) and same_hom(proj, old_proj)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tilting_candidate_is_the_hand_built_one(n):
+    """T read off F_BA's images is the hand-written T: summand by summand
+    the same vertex tuples, and strictly isomorphic (the shift negates
+    the differentials)."""
+    c = corpus(n)
+    old = old_tilting_candidate(c).summands
+    assert c.tilting.algebra is c.A and len(c.tilting.summands) == len(old)
+    for new, ref in zip(c.tilting.summands, old):
+        assert {i: t.vertices for i, t in new.terms.items()} == {i: t.vertices for i, t in ref.terms.items()}
+        assert find_strict_iso(new.to_complex(), ref.to_complex(), 0) is not None

@@ -21,7 +21,6 @@ from quivhom.functors import (
     check_tilting,
     compose,
     endomorphism_presentation,
-    eps_extension,
     identity_functor,
     is_non_negative,
     lift_to_resolutions,
@@ -403,16 +402,13 @@ def test_a_window_above_zero_is_rejected(A1):
 
 
 def test_functor_data_names_a_missing_image_or_arrow_map(C1):
-    """In the words of `io`; an ε-extension over the wrong algebras is
-    missing the maps of the source's arrows."""
+    """In the words of `io`."""
     with pytest.raises(ValueError, match=r"^missing image of vertex 0$"):
         FunctorData(C1.B, C1.A, {}, {})
     f = C1.F_BA
     without_b0 = {n: m for n, m in f.arrow_maps.items() if n != "b0"}
     with pytest.raises(ValueError, match=r"^missing map of arrow b0$"):
         FunctorData(f.source, f.target, f.images, without_b0)
-    with pytest.raises(ValueError, match=r"^missing map of arrow a1$"):
-        eps_extension(f, C1.Lam, C1.Gam)
 
 
 # -- the old tilting constructions, kept as references -------------------

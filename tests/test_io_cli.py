@@ -3,6 +3,7 @@ import json
 import pytest
 
 from quivhom.cli import Context, build_parser, main
+from quivhom.homological import DRAWS
 from quivhom.io import (
     DefinitionError,
     module_dot,
@@ -171,6 +172,33 @@ def test_cli_prime_above_bound_exit_2(tmp_path, capsys):
     assert main(["--defs", str(f), "projdim", "--module", "X"]) == 2
 
 
+@pytest.mark.parametrize("algebras", [{}, {"K": {"vertices": ["0"], "arrows": []}}])
+def test_a_bad_field_prime_is_refused_at_load(tmp_path, capsys, algebras):
+    """field.p is checked before anything is built from it, so the error
+    names field.p whether or not the file defines an algebra."""
+    text = json.dumps({"field": {"p": 4}, "algebras": algebras})
+    with pytest.raises(DefinitionError, match=r"^field.p: field order must be an odd prime, got 4$"):
+        parse_definitions(text)
+    f = tmp_path / "defs.json"
+    f.write_text(text)
+    assert main(["--defs", str(f), "--corpus", "1", "projdim", "--module", "proj_A_1"]) == 2
+    assert capsys.readouterr().err == "parse error: field.p: field order must be an odd prime, got 4\n"
+
+
+def test_an_explicit_prime_must_match_the_file(tmp_path, capsys):
+    """Without --prime the file's prime holds; an explicit --prime that
+    differs from it is an error, the default 101 included."""
+    defs = json.loads(SAMPLE)
+    defs["field"]["p"] = 103
+    f = tmp_path / "defs.json"
+    f.write_text(json.dumps(defs))
+    for prime in ([], ["--prime", "103"]):
+        assert Context(build_parser().parse_args([*prime, "--defs", str(f), "projdim", "--module", "X"])).p == 103
+    for prime in ("101", "107"):
+        assert main(["--prime", prime, "--defs", str(f), "projdim", "--module", "X"]) == 1
+        assert capsys.readouterr().err == "error: definitions file uses a different prime\n"
+
+
 def test_cli_defs_file(tmp_path):
     f = tmp_path / "defs.json"
     f.write_text(SAMPLE)
@@ -188,6 +216,25 @@ def test_cli_exact_image_corpus_pair():
     assert code == 0
     payload = json.loads(out)
     assert payload["exact"] and payload["P_projective"] and payload["Q_projective"]
+
+
+def test_cli_exact_image_finds_the_corpus_sequence_from_its_ends():
+    """--sub/--mid/--quot searches the sequence that --pair reads off the
+    corpus, and transports it to the same answer."""
+    base = ["--corpus", "1", "--format", "json", "exact-image", "--functor", "F"]
+    found = run_cli([*base, "--sub", "SQ_0", "--mid", "M_0_1", "--quot", "SQ_1"])
+    assert found == run_cli([*base, "--pair", "0,1"])
+    assert found[0] == 0 and json.loads(found[1])["exact"]
+
+
+def test_cli_exact_image_names_the_draw_budget(capsys):
+    """No sequence S (x) Q_0 -> M(0, 1) -> S (x) Q_2 exists; the search
+    stops at the shared draw budget and says so."""
+    args = ["--corpus", "1", "exact-image", "--functor", "F", "--sub", "SQ_0", "--mid", "M_0_1", "--quot", "SQ_2"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no short exact sequence found with the given ends within budget = {DRAWS} random maps\n"
 
 
 def test_cli_corpus_emission(tmp_path):

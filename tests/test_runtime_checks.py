@@ -377,3 +377,20 @@ def test_one_block_assembly():
     assert not sums, sums
     tree = ast.parse((SRC / "complexes.py").read_text(), filename="complexes.py")
     assert sorted(_callers(tree, "_block_complex")) == ["cone", "direct_sum_complex", "total_cone"]
+
+
+def test_eps_loops_are_named_in_algebra_alone():
+    """The loops of a dual-numbers extension are named once, by
+    `BoundQuiverAlgebra.dual_numbers_extension`; every other module reads
+    them off the extension's `loops`.  So no string constant or f-string
+    outside algebra.py starts with "eps_"."""
+    found = []
+    for module in MODULES:
+        if module != "algebra.py":
+            tree = ast.parse((SRC / module).read_text(), filename=module)
+            found += [
+                (module, node.lineno)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("eps_")
+            ]
+    assert not found, f"eps loop names spelled at {found}"
