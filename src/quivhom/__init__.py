@@ -52,6 +52,7 @@ from .gorenstein import (
     gp_preservation_check,
     is_gorenstein_projective,
     perp_check,
+    restriction_is_projective,
 )
 from .homological import (
     DecompositionError,

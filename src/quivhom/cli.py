@@ -273,6 +273,8 @@ def cmd_stable_map(ctx, args):
 
 def _find_ses(ctx, sub, mid, quot, seed):
     frame = hom_frame(sub, mid)
+    if not frame.dim and not sub.is_zero():
+        raise OperationError("no short exact sequence with the given ends: Hom(sub, mid) = 0, so no monomorphism sub -> mid exists")
     rng = np.random.default_rng(seed)
     for _ in range(DRAWS if frame.dim else 0):
         f = frame.combination(rng.integers(0, sub.p, size=frame.dim))

@@ -15,6 +15,18 @@ within that bound.  Whichever decides first gives the verdict:
   A projective x is `gp` at once, with no g asked for, because
   projectives are GP over any algebra.
 
+Over a dual-numbers extension kQ[eps] of a path algebra with no
+relations (Q acyclic, as kQ is finite-dimensional), the detector needs no
+Ext row for a "yes".  Ringel and Zhang ("Representations of quivers over
+the algebra of dual numbers", J. Algebra 475, 2017) prove that a
+kQ[eps]-module is GP iff its restriction to kQ is projective, and that
+kQ[eps] is 1-Gorenstein, or self-injective when Q has no arrows.  So
+`restriction_is_projective`, one projective cover over kQ, certifies x
+`gp` with g = 1 (0 without arrows) and the row [0] * g, naming the rule.
+A restriction that is not projective falls through to the Ext row, so
+every refutation still carries its balance-checked witness.  Over an
+extension of a bound algebra with relations the rule is not applied.
+
 Only if neither settles by the depth d (g > d, or the algebra is not
 Gorenstein) does the detector fall back to the totally-reflexive
 criterion truncated at d: the Ext rows of x and of Tr x against the
@@ -66,22 +78,36 @@ def gorenstein_dimension(alg, bound: int) -> int | None:
     1 <= i <= g (Enochs-Jenda, Relative Homological Algebra, 2000,
     ch. 10-11).  g = 0 means alg is self-injective: every module is GP.
 
-    Cached per bound on the regular module of alg; the injectives keep
-    their resolutions, so a larger bound extends them.
+    One module per side is resolved: the injective cogenerator
+    dual(regular_module(side.opposite())), the sum of the indecomposable
+    injectives, whose projdim is the largest of theirs.  Cached per bound
+    on the regular module of alg; the cogenerators keep their
+    resolutions, so a larger bound extends them.
     """
     cache = regular_module(alg)._cache
     key = ("gorenstein_dimension", bound)
     if key not in cache:
         g = 0
         for side in (alg, alg.opposite()):
-            for v in side.quiver.vertices:
-                pd = projdim(dual(projective(side.opposite(), v)), bound)
-                if pd is None:
-                    cache[key] = None
-                    return None
-                g = max(g, pd)
+            pd = projdim(dual(regular_module(side.opposite())), bound)
+            if pd is None:
+                cache[key] = None
+                return None
+            g = max(g, pd)
         cache[key] = g
     return cache[key]
+
+
+def restriction_is_projective(m: Representation) -> bool:
+    """Whether m, a module over a dual-numbers extension, is projective
+    over the extension's `base`: m's dimensions and its matrices on the
+    base arrows, the loops dropped.  Over kQ[eps] with Q acyclic this
+    holds iff m is GP (Ringel-Zhang, J. Algebra 475, 2017)."""
+    base = m.algebra.base
+    if base is None:
+        raise ValueError("module is not over a dual-numbers extension")
+    mats = {n: m.mats[n] for n, _, _ in base.quiver.arrows}
+    return is_projective(Representation(base, m.dims, mats, check=False))
 
 
 def _left_row(x: Representation, m: int, d: int) -> tuple[list[int], int | None]:
@@ -124,8 +150,11 @@ class GPCrossCheckError(RuntimeError):
     confirm: Ext^i_(A^op)(D P_v, D y) differs from it."""
 
 
+RESTRICTION_RULE = "projective restriction to the base (Ringel-Zhang)"
+
+
 class GPReport:
-    def __init__(self, module, depth, ext_left, ext_right, verdict, witness=None, certificate=None):
+    def __init__(self, module, depth, ext_left, ext_right, verdict, witness=None, certificate=None, rule=None):
         self.module = module
         self.depth = depth
         self.ext_left = ext_left
@@ -135,6 +164,7 @@ class GPReport:
         # "gp": the Gorenstein dimension g whose Ext row (ext_left) is
         # zero, or None when the module is projective
         self.certificate = certificate
+        self.rule = rule  # RESTRICTION_RULE when that rule certified "gp"
 
     @property
     def is_gp(self) -> bool:
@@ -143,6 +173,8 @@ class GPReport:
     def __repr__(self):
         if self.verdict == "gp":
             why = "projective" if self.certificate is None else f"Gorenstein dimension {self.certificate}"
+            if self.rule:
+                why += f", {self.rule}"
             return f"GPReport(gp, {why})"
         if self.is_gp:
             return f"GPReport(gp-up-to-depth {self.depth})"
@@ -173,7 +205,10 @@ def is_gorenstein_projective(x: Representation, d: int = 8) -> GPReport:
     """GP test of x with the depth d as its only bound.
 
     A projective x is `gp` with no certificate: its row is zero in every
-    degree, so no g is asked for.  Otherwise the Ext row of x against the
+    degree, so no g is asked for.  Over kQ[eps], kQ a path algebra with no
+    relations, a projective restriction to kQ makes x `gp` with g read off
+    Q and no resolution built (the Ringel-Zhang rule, in the module
+    docstring).  Otherwise the Ext row of x against the
     regular module is read by `_left_row` (m = 0): a nonzero entry
     refutes x, and g = `gorenstein_dimension(alg, k)`, once known with
     the row zero up to k, makes x `gp` with certificate g.  If neither
@@ -189,6 +224,17 @@ def is_gorenstein_projective(x: Representation, d: int = 8) -> GPReport:
         raise ValueError("depth must be >= 1")
     if is_projective(x):
         return GPReport(x, d, [], [], "gp")
+    base = x.algebra.base
+    if base is not None and not base.relations and restriction_is_projective(x):
+        g = 1 if base.quiver.arrows else 0
+        return GPReport(x, d, [0] * g, [], "gp", certificate=g, rule=RESTRICTION_RULE)
+    return _ext_row_verdict(x, d)
+
+
+def _ext_row_verdict(x: Representation, d: int) -> GPReport:
+    """The verdict of `is_gorenstein_projective` on a non-projective x
+    from Ext rows alone: the row of x against the regular module, then
+    the row of Tr x when g is not known within d."""
     row, g = _left_row(x, 0, d)
     if g is not None:
         return GPReport(x, d, row, [], "gp", certificate=g)

@@ -52,7 +52,10 @@ def _scaled_reproduction(n, time_budget):
     pairs = sorted(c.M)
     expected = (2 * n + 2) * (2 * n + 3) // 2
     ok = len(pairs) == expected
-    detail = [f"{len(pairs)} interval modules"]
+    detail = [
+        f"{len(pairs)} interval modules",
+        f"Ringel-Zhang count (2n+2)(2n+3)/2 = {expected} indecomposable non-projective GP Gamma-modules",
+    ]
     for key in pairs:
         m = c.M[key]
         pieces = decompose(m)

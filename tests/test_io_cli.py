@@ -237,6 +237,16 @@ def test_cli_exact_image_names_the_draw_budget(capsys):
     assert captured.err == f"error: no short exact sequence found with the given ends within budget = {DRAWS} random maps\n"
 
 
+def test_cli_exact_image_says_when_no_monomorphism_exists(capsys):
+    """Hom(S (x) Q_0, S (x) Q_3) = 0, so no draw is made: the answer is
+    that no monomorphism exists, not that the budget ran out."""
+    args = ["--corpus", "1", "exact-image", "--functor", "F", "--sub", "SQ_0", "--mid", "SQ_3", "--quot", "SQ_1"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no short exact sequence with the given ends: Hom(sub, mid) = 0, so no monomorphism sub -> mid exists\n"
+
+
 def test_cli_corpus_emission(tmp_path):
     out_file = tmp_path / "corpus.json"
     code, _ = run_cli(["corpus", "--n", "1", "--out", str(out_file)])
