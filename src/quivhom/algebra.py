@@ -385,28 +385,48 @@ class BoundQuiverAlgebra:
         op._op = self
         return op
 
-    def dual_numbers_extension(self) -> "BoundQuiverAlgebra":
-        """Tensor with k[eps]/(eps^2): one square-zero loop per vertex that
-        commutes with every arrow.  The dimension doubles.  Built once per
-        algebra; the extension records its `base` and the `loops` by vertex.
-        """
-        if self._eps is not None:
-            return self._eps
+    def _eps_presentation(self):
+        """The loop of each vertex, and the quiver and relations of the
+        dual-numbers extension: the base's arrows, then the loops; the
+        base's relations, then eps^2 = 0 at each vertex and a eps = eps a
+        for each arrow."""
         eps = {v: f"eps_{v}" for v in self.quiver.vertices}
         taken = {n for n, _, _ in self.quiver.arrows}
         for v, name in eps.items():
             if name in taken:
                 raise ValueError(f"arrow name {name} already used; rename arrows")
         arrows = list(self.quiver.arrows) + [(eps[v], v, v) for v in self.quiver.vertices]
-        q2 = Quiver(self.quiver.vertices, arrows)
         rels: list[Element] = [dict(r) for r in self.relations]
         for v in self.quiver.vertices:
             rels.append({(v, (eps[v], eps[v])): 1})
         for n, s, t in self.quiver.arrows:
             rels.append({(s, (n, eps[t])): 1, (s, (eps[s], n)): self.p - 1})
-        ext = self._eps = BoundQuiverAlgebra(q2, rels, p=self.p)
-        ext.base, ext.loops = self, eps
-        return ext
+        return eps, Quiver(self.quiver.vertices, arrows), rels
+
+    def dual_numbers_extension(self) -> "BoundQuiverAlgebra":
+        """Tensor with k[eps]/(eps^2): one square-zero loop per vertex that
+        commutes with every arrow.  The dimension doubles.  Built once per
+        algebra; the extension records its `base` and the `loops` by vertex.
+        """
+        if self._eps is None:
+            eps, q2, rels = self._eps_presentation()
+            ext = self._eps = BoundQuiverAlgebra(q2, rels, p=self.p)
+            ext.base, ext.loops = self, eps
+        return self._eps
+
+    def spells_extension_of(self, base: "BoundQuiverAlgebra") -> bool:
+        """Whether self is presented as `base.dual_numbers_extension()`:
+        the same field and vertices, the same arrows in order (the loops
+        named as that method names them) and the same relations as a set."""
+        if self is base or self.p != base.p or self.dim != 2 * base.dim:
+            return False
+        try:
+            _, q2, rels = base._eps_presentation()
+        except ValueError:
+            return False
+        return self.quiver == q2 and {frozenset(r.items()) for r in self.relations} == {
+            frozenset(r.items()) for r in rels
+        }
 
     def __repr__(self):
         return (

@@ -276,13 +276,16 @@ def _find_ses(ctx, sub, mid, quot, seed):
     if not frame.dim and not sub.is_zero():
         raise OperationError("no short exact sequence with the given ends: Hom(sub, mid) = 0, so no monomorphism sub -> mid exists")
     rng = np.random.default_rng(seed)
-    for _ in range(DRAWS if frame.dim else 0):
+    # a zero sub has one map to mid, the zero map, and it is a monomorphism
+    for _ in range(DRAWS if frame.dim else 1):
         f = frame.combination(rng.integers(0, sub.p, size=frame.dim))
         if not is_mono(f):
             continue
         q, qmap = cokernel(f)
         if is_isomorphic(q, quot, seed=seed):
             return f, qmap
+    if not frame.dim:
+        raise OperationError("no short exact sequence with the given ends: sub = 0, and no isomorphism mid -> quot was found")
     raise OperationError(f"no short exact sequence found with the given ends within budget = {DRAWS} random maps")
 
 

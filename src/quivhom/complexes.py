@@ -140,18 +140,6 @@ class ChainMap:
         maps = {i: self.maps[i + other.n].compose(f) for i, f in other.maps.items() if i + other.n in self.maps}
         return ChainMap(other.source, self.target, maps, check=False, n=self.n + other.n)
 
-    def __add__(self, other):
-        maps = {}
-        for i in set(self.maps) | set(other.maps):
-            maps[i] = self.map(i) + other.map(i)
-        return ChainMap(self.source, self.target, maps, check=False, n=self.n)
-
-    def __sub__(self, other):
-        maps = {}
-        for i in set(self.maps) | set(other.maps):
-            maps[i] = self.map(i) - other.map(i)
-        return ChainMap(self.source, self.target, maps, check=False, n=self.n)
-
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.maps.values())
 

@@ -31,8 +31,6 @@ sequence
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import BoundQuiverAlgebra, Quiver, linear_algebra_An
 from .complexes import shift
 from .exactlin import DEFAULT_PRIME, Matrix
@@ -41,11 +39,11 @@ from .modules import (
     ProjSummands,
     RepHom,
     Representation,
-    _proj_sum,
     direct_sum,
     element_matrix_to_hom,
     kernel,
     projective,
+    projective_cover,
 )
 from .projcplx import ProjChainMap, ProjComplex, recognize
 from .strings import enumerate_string_modules
@@ -70,24 +68,6 @@ def s_tensor_projective(ext_alg: BoundQuiverAlgebra, v: str) -> Representation:
     with eps acting by zero."""
     q = projective(ext_alg.base, v)
     return Representation(ext_alg, q.dims, q.mats)
-
-
-def quotient_by_eps(ext_alg: BoundQuiverAlgebra, v: str) -> RepHom:
-    """Projection from the extension projective at v onto the eps-trivial
-    base projective (kill every basis path containing an eps loop)."""
-    P = projective(ext_alg, v)
-    S = s_tensor_projective(ext_alg, v)
-    lay_ext = _proj_sum(ext_alg, (v,)).layout
-    base_index = _proj_sum(ext_alg.base, (v,)).index
-    loops = set(ext_alg.loops.values())
-    mats = {}
-    for w in ext_alg.quiver.vertices:
-        m = np.zeros((S.dims[w], P.dims[w]), dtype=np.int64)
-        for col, (j, pth) in enumerate(lay_ext[w]):
-            if loops.isdisjoint(pth[1]):
-                m[base_index[(j, pth)], col] = 1
-        mats[w] = Matrix(ext_alg.p, m)
-    return RepHom(P, S, mats)
 
 
 def interval_module(balg: BoundQuiverAlgebra, i: int, l: int) -> Representation:
@@ -148,17 +128,19 @@ class Corpus:
 
     def pullback_module(self, i: int) -> Representation:
         """The stable image of S (x) Q_{2i} predicted by the pullback of
-        the extension projective at 2i+1 against S (x) P_{2i}."""
+        the extension projective at 2i+1 against S (x) P_{2i}: the
+        projective cover of S (x) P_{2i+1}, which kills eps, against the
+        arrow a_{2i+1}."""
         alg = self.A
-        pi = quotient_by_eps(self.Lam, str(2 * i + 1))
+        sp0 = self.S_P[2 * i]
+        sp1 = self.S_P[2 * i + 1]
+        _, pi = projective_cover(sp1)
         g = element_matrix_to_hom(
             alg,
             [[alg.arrow(f"a{2 * i + 1}")]],
             ProjSummands(alg, [str(2 * i)]),
             ProjSummands(alg, [str(2 * i + 1)]),
         )
-        sp0 = self.S_P[2 * i]
-        sp1 = self.S_P[2 * i + 1]
         gl = RepHom(sp0, sp1, dict(g.mats))
         tot, _, projs = direct_sum([pi.source, sp0])
         diff = pi.compose(projs[0]) - gl.compose(projs[1])

@@ -100,6 +100,13 @@ def parse_definitions(text: str) -> Definitions:
             algebras[name] = BoundQuiverAlgebra(q, rels, p=p)
         except ValueError as e:
             raise DefinitionError(loc, str(e))
+    # an algebra that spells out the dual-numbers extension of another in the
+    # file is that extension, which records its base and loops
+    for name, alg in algebras.items():
+        for base in algebras.values():
+            if alg.spells_extension_of(base):
+                algebras[name] = base.dual_numbers_extension()
+                break
     modules: dict[str, Representation] = {}
     for name, entry in doc.get("modules", {}).items():
         loc = f"modules.{name}"

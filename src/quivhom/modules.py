@@ -136,9 +136,6 @@ class RepHom:
                 if lhs != rhs:
                     raise ValueError(f"square at arrow {n} does not commute")
 
-    def __call__(self, v: str) -> Matrix:
-        return self.mats[v]
-
     def compose(self, other: "RepHom") -> "RepHom":
         """self after other (right-to-left)."""
         if other.target is not self.source and other.target.dims != self.source.dims:
@@ -165,9 +162,6 @@ class RepHom:
             {v: self.mats[v] - other.mats[v] for v in self.mats},
             check=False,
         )
-
-    def __neg__(self) -> "RepHom":
-        return RepHom(self.source, self.target, {v: -m for v, m in self.mats.items()}, check=False)
 
     def scale(self, c: int) -> "RepHom":
         return RepHom(self.source, self.target, {v: m.scale(c) for v, m in self.mats.items()}, check=False)

@@ -202,8 +202,8 @@ def _algebras():
 ALGEBRAS = _algebras()
 
 
-def test_the_differential_corpus_has_59_algebras():
-    assert len(ALGEBRAS) == 59
+def test_the_differential_corpus_has_61_algebras():
+    assert len(ALGEBRAS) == 61
     assert [ALGEBRAS[f"nil-Coxeter A_{n}"].dim for n in (2, 3, 4)] == [6, 24, 120]
     assert ALGEBRAS["doubled chain"].dim == 120
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quivhom.algebra import linear_algebra_An
-from quivhom.corpus import corpus, gentle_tree_algebra
+from quivhom.corpus import corpus, gentle_tree_algebra, s_tensor_projective
 from quivhom.exactlin import Matrix
 from quivhom.functors import FunctorData, TiltingCandidate, eps_extension, is_non_negative
 from quivhom.homological import decompose, find_strict_iso
@@ -10,10 +10,14 @@ from quivhom.modules import (
     ProjSummands,
     RepHom,
     Representation,
+    _proj_sum,
+    direct_sum,
     element_matrix_to_hom,
     is_projective,
     is_ses,
+    kernel,
     projective,
+    projective_cover,
 )
 from quivhom.projcplx import ProjChainMap, ProjComplex, minimize
 
@@ -337,3 +341,48 @@ def test_tilting_candidate_is_the_hand_built_one(n):
     for new, ref in zip(c.tilting.summands, old):
         assert {i: t.vertices for i, t in new.terms.items()} == {i: t.vertices for i, t in ref.terms.items()}
         assert find_strict_iso(new.to_complex(), ref.to_complex(), 0) is not None
+
+
+def old_quotient_by_eps(ext_alg, v):
+    """The projection of the extension projective at v onto S (x) P_v as
+    the corpus wrote it: kill every basis path that contains a loop."""
+    P = projective(ext_alg, v)
+    S = s_tensor_projective(ext_alg, v)
+    lay_ext = _proj_sum(ext_alg, (v,)).layout
+    base_index = _proj_sum(ext_alg.base, (v,)).index
+    loops = set(ext_alg.loops.values())
+    mats = {}
+    for w in ext_alg.quiver.vertices:
+        m = np.zeros((S.dims[w], P.dims[w]), dtype=np.int64)
+        for col, (j, pth) in enumerate(lay_ext[w]):
+            if loops.isdisjoint(pth[1]):
+                m[base_index[(j, pth)], col] = 1
+        mats[w] = Matrix(ext_alg.p, m)
+    return RepHom(P, S, mats)
+
+
+def old_pullback_module(c, i):
+    alg = c.A
+    pi = old_quotient_by_eps(c.Lam, str(2 * i + 1))
+    g = element_matrix_to_hom(alg, [[alg.arrow(f"a{2 * i + 1}")]], ProjSummands(alg, [str(2 * i)]), ProjSummands(alg, [str(2 * i + 1)]))
+    sp0 = c.S_P[2 * i]
+    gl = RepHom(sp0, c.S_P[2 * i + 1], dict(g.mats))
+    _, _, projs = direct_sum([pi.source, sp0])
+    pb, _ = kernel(pi.compose(projs[0]) - gl.compose(projs[1]))
+    return pb
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_cover_of_s_tensor_p_is_the_hand_built_eps_quotient(n):
+    """The projective cover of S (x) P_v is the hand-built quotient by eps,
+    matrix for matrix, over Lambda and Gamma; so the pullback modules read
+    off the cover are the hand-built ones."""
+    c = corpus(n)
+    for ext in (c.Lam, c.Gam):
+        for v in ext.quiver.vertices:
+            _, cover = projective_cover(s_tensor_projective(ext, v))
+            old = old_quotient_by_eps(ext, v)
+            assert cover.source is old.source and same_rep(cover.target, old.target)
+            assert all(np.array_equal(cover.mats[w].data, old.mats[w].data) for w in ext.quiver.vertices)
+    for i in range(n + 1):
+        assert same_rep(c.pullback_module(i), old_pullback_module(c, i))

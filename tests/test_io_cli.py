@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from quivhom.cli import Context, build_parser, main
+from quivhom.cli import Context, OperationError, _find_ses, build_parser, main
+from quivhom.corpus import corpus
 from quivhom.homological import DRAWS
 from quivhom.io import (
     DefinitionError,
@@ -10,6 +11,8 @@ from quivhom.io import (
     parse_definitions,
     serialize_definitions,
 )
+from quivhom.modules import zero_rep
+from quivhom.stable import exact_sequence_image
 
 SAMPLE = """
 {
@@ -247,6 +250,34 @@ def test_cli_exact_image_says_when_no_monomorphism_exists(capsys):
     assert captured.err == "error: no short exact sequence with the given ends: Hom(sub, mid) = 0, so no monomorphism sub -> mid exists\n"
 
 
+def test_exact_image_search_takes_the_zero_map_from_a_zero_sub():
+    """Hom(0, mid) = 0, yet the zero map is a monomorphism: 0 -> mid -> quot
+    -> 0 is found when quot is mid, and transports to an exact sequence."""
+    c = corpus(1)
+    zero = zero_rep(c.Gam)
+    incl, proj = _find_ses(None, zero, c.S_Q[1], c.S_Q[1], 0)
+    assert incl.source is zero and incl.target is c.S_Q[1] and proj.target.total_dim() == c.S_Q[1].total_dim()
+    assert exact_sequence_image(c.F, incl, proj).verify_exact()
+    with pytest.raises(OperationError, match="sub = 0, and no isomorphism mid -> quot was found"):
+        _find_ses(None, zero, c.S_Q[1], c.S_Q[2], 0)
+    with pytest.raises(OperationError, match=r"Hom\(sub, mid\) = 0, so no monomorphism"):
+        _find_ses(None, c.S_Q[0], c.S_Q[3], c.S_Q[1], 0)
+
+
+def test_cli_gp_check_reads_the_same_from_the_corpus_verb_output(tmp_path):
+    """The definitions that `corpus --n 1` writes, loaded with --defs, give
+    every M(i, l) the gp-check answer of --corpus 1, byte for byte."""
+    code, out = run_cli(["corpus", "--n", "1"])
+    assert code == 0
+    f = tmp_path / "corpus1.json"
+    f.write_text(json.dumps(json.loads(out)["definitions"]))
+    names = [name for name in json.loads(out)["definitions"]["modules"] if name.startswith("M_")]
+    assert len(names) == 10
+    for name in names:
+        verb = ["--format", "json", "gp-check", "--module", name]
+        assert run_cli(["--defs", str(f), *verb]) == run_cli(["--corpus", "1", *verb])
+
+
 def test_cli_corpus_emission(tmp_path):
     out_file = tmp_path / "corpus.json"
     code, _ = run_cli(["corpus", "--n", "1", "--out", str(out_file)])
@@ -320,7 +351,7 @@ def test_cli_projdim_of_repeated_simple_small_prime(tmp_path):
 
 @pytest.mark.parametrize(
     "fname",
-    ["tree_algebra.json", "dual_numbers.json", "identity_functor.json"],
+    ["tree_algebra.json", "dual_numbers.json", "identity_functor.json", "eps_extension.json"],
 )
 def test_worked_files_parse_and_roundtrip(fname):
     import pathlib
