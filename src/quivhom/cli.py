@@ -124,7 +124,8 @@ class Context:
             raise OperationError(f"unknown complex {name}")
 
 
-def emit(ctx: Context, payload: dict, table_lines):
+def emit(ctx: Context, payload: dict, table_lines=None):
+    """Print payload as JSON, its "dot" entry, or table_lines (default: sorted `key: value` lines)."""
     if ctx.fmt == "json":
         print(json.dumps(payload, sort_keys=True))
     elif ctx.fmt == "dot":
@@ -133,6 +134,8 @@ def emit(ctx: Context, payload: dict, table_lines):
             raise OperationError("dot output not available for this verb")
         print(dot)
     else:
+        if table_lines is None:
+            table_lines = [f"{k}: {v}" for k, v in sorted(payload.items())]
         for line in table_lines:
             print(line)
 
@@ -183,7 +186,7 @@ def cmd_compare_kd(ctx, args):
         "isomorphism": rep.isomorphism(),
         "surjective": rep.surjective_at_n,
     }
-    emit(ctx, payload, [f"{k}: {v}" for k, v in sorted(payload.items())])
+    emit(ctx, payload)
 
 
 def _candidate(ctx, args) -> TiltingCandidate:
@@ -204,7 +207,7 @@ def cmd_tilting_check(ctx, args):
         "rounds": rep.rounds,
         "failures": {str(k): v for k, v in rep.failures.items()},
     }
-    emit(ctx, payload, [f"{k}: {v}" for k, v in sorted(payload.items())])
+    emit(ctx, payload)
     if not rep.self_orthogonal:
         raise OperationError("candidate has self-extensions")
 
@@ -218,7 +221,7 @@ def cmd_endo(ctx, args):
         "arrows": [list(a) for a in pres.quiver.arrows],
         "relation_count": pres.relation_count,
     }
-    emit(ctx, payload, [f"{k}: {v}" for k, v in sorted(payload.items())])
+    emit(ctx, payload)
 
 
 def cmd_apply(ctx, args):
@@ -268,7 +271,7 @@ def cmd_stable_map(ctx, args):
         "class_is_zero": sh.is_zero(),
         "target_stable_hom_dim": sh.space.dim,
     }
-    emit(ctx, payload, [f"{k}: {v}" for k, v in sorted(payload.items())])
+    emit(ctx, payload)
 
 
 def _find_ses(ctx, sub, mid, quot, seed):
@@ -315,34 +318,29 @@ def cmd_exact_image(ctx, args):
         "P_projective": is_projective(res.P),
         "Q_projective": is_projective(res.Q),
     }
-    emit(ctx, payload, [f"{k}: {v}" for k, v in sorted(payload.items())])
+    emit(ctx, payload)
     if not payload["exact"]:
         raise OperationError("transported sequence is not exact")
 
 
-def _verb_depth(ctx, args) -> int:
-    """The verb's own --depth when given, else the global one."""
-    return ctx.depth if args.depth_local is None else args.depth_local
-
-
 def cmd_gp_check(ctx, args):
-    rep = is_gorenstein_projective(ctx.module(args.module), _verb_depth(ctx, args))
+    rep = is_gorenstein_projective(ctx.module(args.module), ctx.depth)
     payload = {
         "verdict": rep.verdict,
         "depth": rep.depth,
         "witness": list(rep.witness) if rep.witness else None,
         "gorenstein_dimension": rep.certificate,
     }
-    emit(ctx, payload, [f"{k}: {v}" for k, v in sorted(payload.items())])
+    emit(ctx, payload)
 
 
 def cmd_cosyzygy(ctx, args):
-    seq = cosyzygy_sequence(ctx.module(args.module), _verb_depth(ctx, args))
+    seq = cosyzygy_sequence(ctx.module(args.module), ctx.depth)
     payload = {
         "module_dims": [m.total_dim() for m in seq.modules],
         "verified": seq.verify(),
     }
-    emit(ctx, payload, [f"{k}: {v}" for k, v in sorted(payload.items())])
+    emit(ctx, payload)
 
 
 def cmd_projdim(ctx, args):
@@ -372,7 +370,7 @@ def cmd_findim_check(ctx, args):
         "bounds_ok": rep.bounds_ok,
         "gap_ok": rep.findim_gap_ok,
     }
-    emit(ctx, payload, [f"{k}: {v}" for k, v in sorted(payload.items())])
+    emit(ctx, payload)
     if not rep.bounds_ok:
         raise OperationError("projective dimension bounds violated")
 
@@ -471,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("gp-check")
     s.add_argument("--module", required=True)
-    s.add_argument("--depth", type=int, dest="depth_local")
+    s.add_argument("--depth", type=int, default=argparse.SUPPRESS)
     s.set_defaults(fn=cmd_gp_check)
 
     s = sub.add_parser("cosyzygy")
     s.add_argument("--module", required=True)
-    s.add_argument("--depth", type=int, dest="depth_local")
+    s.add_argument("--depth", type=int, default=argparse.SUPPRESS)
     s.set_defaults(fn=cmd_cosyzygy)
 
     s = sub.add_parser("projdim")

@@ -29,7 +29,7 @@ import numpy as np
 from .algebra import BoundQuiverAlgebra, Element, Path, Quiver, path_arrows, path_source
 from .complexes import Complex, cone, direct_sum_complex, hom_k, hom_k_dim, homology_dims, shift
 from .exactlin import Matrix, inverse, rank, solve
-from .homological import _end_radical, find_strict_iso, minimal_resolution, split_complex
+from .homological import _end_radical, find_strict_iso, group_isomorphic, minimal_resolution, split_complex
 from .modules import (
     ElementMatrix,
     ProjSummands,
@@ -54,7 +54,7 @@ from .projcplx import (
 class FunctorData:
     """Combinatorial presentation of a non-negative triangle functor."""
 
-    def __init__(self, source: BoundQuiverAlgebra, target: BoundQuiverAlgebra, images: dict[str, ProjComplex], arrow_maps: dict[str, ProjChainMap], check: bool = True):
+    def __init__(self, source: BoundQuiverAlgebra, target: BoundQuiverAlgebra, images: dict[str, ProjComplex], arrow_maps: dict[str, ProjChainMap]):
         self.source = source
         self.target = target
         self.images = dict(images)
@@ -70,17 +70,16 @@ class FunctorData:
         # the resolution window of the stable pipeline: substituting a
         # resolution truncated here is exact in all degrees >= -1
         self.stable_window = -self.width - 2
-        if check:
-            for n, s, t in source.quiver.arrows:
-                am = self.arrow_maps[n]
-                if am.source is not self.images[t] or am.target is not self.images[s]:
-                    raise ValueError(f"arrow map {n} has wrong endpoints")
-                for i in am.source.terms:
-                    if not _commutes_at(target, am, i):
-                        raise ValueError(f"arrow map {n} is not a chain map at degree {i}")
-            for r in source.relations:
-                if not self._element_map_is_zero(r):
-                    raise ValueError(f"relation {r} not satisfied strictly")
+        for n, s, t in source.quiver.arrows:
+            am = self.arrow_maps[n]
+            if am.source is not self.images[t] or am.target is not self.images[s]:
+                raise ValueError(f"arrow map {n} has wrong endpoints")
+            for i in am.source.terms:
+                if not _commutes_at(target, am, i):
+                    raise ValueError(f"arrow map {n} is not a chain map at degree {i}")
+        for r in source.relations:
+            if not all(emat_is_zero(m) for m in self.element_map_emats(r).values()):
+                raise ValueError(f"relation {r} not satisfied strictly")
 
     # -- morphism images ----------------------------------------------
 
@@ -113,10 +112,6 @@ class FunctorData:
                 shape = (len(tgt_img.summands(i).vertices), len(src_img.summands(i).vertices))
                 _add_block(self.target, comps, i, shape, (0, 0), mat, c)
         return comps
-
-    def _element_map_is_zero(self, e: Element) -> bool:
-        comps = self.element_map_emats(e)
-        return all(emat_is_zero(m) for m in comps.values())
 
     def __repr__(self):
         return f"FunctorData(width={self.width})"
@@ -354,9 +349,9 @@ class NonNegativityReport:
 
 def is_non_negative(f: FunctorData, depth: int = 8) -> NonNegativityReport:
     """Certify non-negativity: projective images in degrees [0, width]
-    with strict relations (exact), and vanishing negative homology of the
-    image of every simple, checked down to -depth (a depth certificate:
-    finite-length induction extends the simple case to all modules)."""
+    (strict relations are checked by `FunctorData`), and vanishing negative
+    homology of the image of every simple, checked down to -depth (a depth
+    certificate: finite-length induction extends it to all modules)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     details: dict = {}
@@ -365,10 +360,6 @@ def is_non_negative(f: FunctorData, depth: int = 8) -> NonNegativityReport:
         img = f.images[v]
         if img.terms and img.lo < 0:
             details[("degrees", v)] = img.lo
-            ok = False
-    for r in f.source.relations:
-        if not f._element_map_is_zero(r):
-            details[("relation", str(r))] = False
             ok = False
     if ok:
         for v in f.source.quiver.vertices:
@@ -407,11 +398,11 @@ class TiltingReport:
         self.failures = failures
 
 
-def _minimal(c: Complex) -> tuple[Complex, tuple]:
+def _minimal(c: Complex) -> Complex:
     """The minimal complex of a complex of projectives c, as the Complex of
-    its shared sums, and its signature: `minimize` of the `recognize` view."""
-    mn, _, _ = minimize(recognize(c))
-    return mn.to_complex(), mn.signature()
+    its shared sums, which keeps its view: `minimize` of the `recognize`
+    view, so `recognize` of the result is a lookup."""
+    return minimize(recognize(c))[0].to_complex()
 
 
 def check_tilting(t: TiltingCandidate, search_depth: int = 4, seed: int = 0) -> TiltingReport:
@@ -432,7 +423,8 @@ def check_tilting(t: TiltingCandidate, search_depth: int = 4, seed: int = 0) -> 
     pool: dict[tuple, Complex] = {}
 
     def add(x: Complex):
-        mc, sig = _minimal(x)
+        mc = _minimal(x)
+        sig = recognize(mc).signature()
         if not sig:
             return
         # normalize the degree window to start at 0
@@ -484,9 +476,9 @@ def endomorphism_presentation(t: TiltingCandidate, seed: int = 0) -> EndoPresent
     """Gabriel quiver of E = End_K(T) and a relation count.
 
     The minimized summands are grouped into homotopy-isomorphism classes
-    (the vertices) by `homological.find_strict_iso`: minimal complexes of
-    projectives are homotopy equivalent exactly when they are strictly
-    isomorphic.  E is built from hom_k bases with its structure
+    (the vertices) by `homological.group_isomorphic`, keyed by signature:
+    minimal complexes of projectives are homotopy equivalent exactly when
+    they are strictly isomorphic.  E is built from hom_k bases with its structure
     constants, rad E is the trace-form radical of
     `homological._end_radical`, and rad^2 E is
     spanned by the products of pairs of radical vectors.  Both are
@@ -500,19 +492,9 @@ def endomorphism_presentation(t: TiltingCandidate, seed: int = 0) -> EndoPresent
     alg = t.algebra
     p = alg.p
     # not shifted: End_K(T) depends on the relative degrees of the summands
-    cxs: list[Complex] = []
-    sigs: list[tuple] = []
-    mult: list[int] = []
-    for s in t.summands:
-        mc, sig = _minimal(s.to_complex())
-        for idx, rc in enumerate(cxs):
-            if sigs[idx] == sig and find_strict_iso(rc, mc, seed) is not None:
-                mult[idx] += 1
-                break
-        else:
-            cxs.append(mc)
-            sigs.append(sig)
-            mult.append(1)
+    minimal = [_minimal(s.to_complex()) for s in t.summands]
+    classes = group_isomorphic(minimal, lambda c: recognize(c).signature(), seed)
+    cxs, mult = [c for c, _ in classes], [k for _, k in classes]
     r = len(cxs)
     blocks = [(u, v) for u in range(r) for v in range(r)]
     hk = {(u, v): hom_k(cxs[u], cxs[v], 0) for u, v in blocks}

@@ -14,12 +14,13 @@ complexes: a module is split and compared as its stalk complex, whose
 strict chain endomorphisms Z^0 are End(m), so modules and complexes of
 projectives share one splitter (`split_complex`), one locality test
 (`_is_local`, the trace-form radical of Z^0's structure constants) and
-one isomorphism search (`find_strict_iso`).  Splitting is a Las Vegas
-algorithm (seeded): split along idempotents of F_p[f] for random f in
-Z^0 until every piece has a certified local Z^0.  The idempotents come
-from the Berlekamp subalgebra of F_p[f] by linear algebra on f itself,
-with no polynomial formed (`_split_idempotent`).  Both random searches
-read one budget, DRAWS.
+one isomorphism search (`find_strict_iso`), which decides every class
+multiplicity (`group_isomorphic`).  Splitting is a Las Vegas algorithm
+(seeded): split along idempotents of F_p[f] for random f in Z^0 until
+every piece has a certified local Z^0.  Each f gives one draw in the
+Berlekamp subalgebra of F_p[f], by linear algebra on f itself, with no
+polynomial formed (`_split_idempotent`).  Both random searches read one
+budget, DRAWS.
 """
 
 from __future__ import annotations
@@ -295,7 +296,8 @@ def _power(x, e: int, mul, one):
 def _split_idempotent(maps: list[RepHom], rng) -> list[RepHom] | None:
     """A nontrivial idempotent e of A = F_p[f], f the endomorphism given
     degreewise by maps (one map for a module), as one RepHom per map; None
-    when A is local (f splits nothing) or no draw of twelve gave one.
+    when A is local (f splits nothing) or the one draw from rng gave a
+    trivial e, so that `split_complex` draws a new f under its budget.
 
     A is spanned by f^0, ..., f^(d-1), up to the first dependent power.
     Its Berlekamp subalgebra B = ker(x -> x^p - x) (F_p-linear, as A is
@@ -336,15 +338,14 @@ def _split_idempotent(maps: list[RepHom], rng) -> list[RepHom] | None:
         return None
     B = span.data @ fixed.data % p
     cuts = np.cumsum([x.size for x in blocks])[:-1]
-    for _ in range(12):
-        flat = B @ rng.integers(0, p, size=fixed.cols) % p
-        b = [part.reshape(x.shape) for part, x in zip(np.split(flat, cuts), blocks)]
-        s = _power(b, (p - 1) // 2, mul, one)
-        e = [(x @ x % p + x) * ((p + 1) // 2) % p for x in s]
-        if any(x.any() for x in e) and any((x != i).any() for x, i in zip(e, one)):
-            it = iter(e)
-            return [RepHom(f.source, f.source, {v: Matrix(p, next(it)) for v in verts}, check=False) for f in maps]
-    return None
+    flat = B @ rng.integers(0, p, size=fixed.cols) % p
+    b = [part.reshape(x.shape) for part, x in zip(np.split(flat, cuts), blocks)]
+    s = _power(b, (p - 1) // 2, mul, one)
+    e = [(x @ x % p + x) * ((p + 1) // 2) % p for x in s]
+    if not any(x.any() for x in e) or all(np.array_equal(x, i) for x, i in zip(e, one)):
+        return None
+    it = iter(e)
+    return [RepHom(f.source, f.source, {v: Matrix(p, next(it)) for v in verts}, check=False) for f in maps]
 
 
 class DecompositionError(RuntimeError):
@@ -467,8 +468,8 @@ def split_complex(c: Complex, seed: int = 0) -> list[Complex]:
     a local algebra of strict chain endomorphisms (`_is_local`).
 
     A piece that is not certified splits into im(1 - e) (+) im e along an
-    idempotent e of F_p[f] (`_split_idempotent`), f a random element of
-    its Z^0 taken degreewise; a piece that DRAWS such f leave unsplit
+    idempotent e of F_p[f] (`_split_idempotent`, one draw), f a random
+    element of its Z^0 taken degreewise; a piece that DRAWS such f leave unsplit
     raises DecompositionError naming the budget and the piece.  A module
     is split as its stalk complex (`decompose`), a complex of projectives
     as itself (`functors.check_tilting`).
@@ -508,23 +509,32 @@ def decompose(m: Representation, seed: int = 0):
     dimension and then by dimension vector (in quiver vertex order); the
     parts are certified indecomposable (local End) and their dimensions
     add up.  They are the degree-0 terms of `split_complex` of the stalk
-    complex of m, whose Z^0 is End(m), grouped by `is_isomorphic`.
+    complex of m, whose Z^0 is End(m), grouped by `group_isomorphic`.
     """
     key = ("decompose", seed)
-    if key in m._cache:
-        return m._cache[key]
-    pieces = [piece.terms[0] for piece in split_complex(module_complex(m), seed)]
-    # group by isomorphism, in order of (total dim, dimension vector)
-    grouped: list[tuple[Representation, int]] = []
-    for piece in sorted(pieces, key=lambda r: (r.total_dim(), list(r.dims.values()))):
-        for idx, (rep, mult) in enumerate(grouped):
-            if rep.total_dim() == piece.total_dim() and is_isomorphic(rep, piece, seed=seed):
-                grouped[idx] = (rep, mult + 1)
+    if key not in m._cache:
+        pieces = split_complex(module_complex(m), seed)
+        pieces.sort(key=lambda c: (c.terms[0].total_dim(), list(c.terms[0].dims.values())))
+        m._cache[key] = [(c.terms[0], k) for c, k in group_isomorphic(pieces, lambda c: c.terms[0].dims, seed)]
+    return m._cache[key]
+
+
+def group_isomorphic(cxs: list[Complex], key, seed: int = 0) -> list[tuple[Complex, int]]:
+    """[(representative, multiplicity)] of the complexes cxs up to strict
+    isomorphism, in first-seen order: a complex joins the first class with
+    an equal key(.) whose representative `find_strict_iso` (seeded) maps
+    onto it.  key must agree on isomorphic complexes (a dimension vector, a
+    signature), so two classes are isomorphic only where a search failed."""
+    classes: list[list] = []  # [representative, key, multiplicity]
+    for c in cxs:
+        k = key(c)
+        for cls in classes:
+            if cls[1] == k and find_strict_iso(cls[0], c, seed) is not None:
+                cls[2] += 1
                 break
         else:
-            grouped.append((piece, 1))
-    m._cache[key] = grouped
-    return grouped
+            classes.append([c, k, 1])
+    return [(rep, mult) for rep, _, mult in classes]
 
 
 def find_strict_iso(x: Complex, y: Complex, rng) -> ChainMap | None:

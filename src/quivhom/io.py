@@ -37,6 +37,22 @@ class Definitions:
         self.functors: dict[str, FunctorData] = functors
 
 
+SECTIONS = ("field", "algebras", "modules", "complexes", "functors")
+
+
+def _object(x, loc: str) -> dict:
+    if not isinstance(x, dict):
+        raise DefinitionError(loc, f"expected an object, got {type(x).__name__}")
+    return x
+
+
+def _entries(x, loc: str):
+    """(name, location, entry) for each entry of the object x at loc, each
+    entry an object."""
+    for name, entry in _object(x, loc).items():
+        yield name, f"{loc}.{name}", _object(entry, f"{loc}.{name}")
+
+
 def _int(x, loc: str) -> int:
     try:
         return int(x)
@@ -81,17 +97,19 @@ def parse_definitions(text: str) -> Definitions:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DefinitionError("document", f"invalid JSON: {e}")
-    p = _int(doc.get("field", {}).get("p", DEFAULT_PRIME), "field.p")
+    unknown = sorted(set(_object(doc, "document")) - set(SECTIONS))
+    if unknown:
+        raise DefinitionError("document", f"unknown top-level key {unknown[0]!r}; the keys are {', '.join(SECTIONS)}")
+    p = _int(_object(doc.get("field", {}), "field").get("p", DEFAULT_PRIME), "field.p")
     try:
         check_prime(p)
     except ValueError as e:
         raise DefinitionError("field.p", str(e))
     algebras: dict[str, BoundQuiverAlgebra] = {}
-    for name, entry in doc.get("algebras", {}).items():
-        loc = f"algebras.{name}"
+    for name, loc, entry in _entries(doc.get("algebras", {}), "algebras"):
         try:
             q = Quiver(entry["vertices"], [tuple(a) for a in entry["arrows"]])
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise DefinitionError(loc, str(e))
         rels = []
         for idx, rel in enumerate(entry.get("relations", [])):
@@ -108,16 +126,15 @@ def parse_definitions(text: str) -> Definitions:
                 algebras[name] = base.dual_numbers_extension()
                 break
     modules: dict[str, Representation] = {}
-    for name, entry in doc.get("modules", {}).items():
-        loc = f"modules.{name}"
+    for name, loc, entry in _entries(doc.get("modules", {}), "modules"):
         alg = _lookup(algebras, entry.get("algebra"), loc)
         dims = {}
-        for v, d in entry.get("dims", {}).items():
+        for v, d in _object(entry.get("dims", {}), f"{loc}.dims").items():
             if str(v) not in alg.quiver.vertices:
                 raise DefinitionError(loc, f"unknown vertex {v}")
             dims[str(v)] = _int(d, f"{loc}.dims.{v}")
         mats = {}
-        for aname, rows in entry.get("mats", {}).items():
+        for aname, rows in _object(entry.get("mats", {}), f"{loc}.mats").items():
             if aname not in alg.quiver.arrow_by_name:
                 raise DefinitionError(loc, f"unknown arrow {aname}")
             s, t = alg.quiver.arrow_by_name[aname]
@@ -127,16 +144,15 @@ def parse_definitions(text: str) -> Definitions:
         except ValueError as e:
             raise DefinitionError(loc, str(e))
     complexes: dict[str, Complex] = {}
-    for name, entry in doc.get("complexes", {}).items():
-        loc = f"complexes.{name}"
+    for name, loc, entry in _entries(doc.get("complexes", {}), "complexes"):
         alg = _lookup(algebras, entry.get("algebra"), loc)
         terms = {}
-        for deg, mname in entry.get("terms", {}).items():
+        for deg, mname in _object(entry.get("terms", {}), f"{loc}.terms").items():
             if mname not in modules:
                 raise DefinitionError(loc, f"unknown module {mname}")
             terms[_int(deg, loc)] = modules[mname]
         diffs = {}
-        for deg, matentry in entry.get("diffs", {}).items():
+        for deg, dloc, matentry in _entries(entry.get("diffs", {}), f"{loc}.diffs"):
             i = _int(deg, loc)
             if i not in terms or i + 1 not in terms:
                 raise DefinitionError(loc, f"differential at {i} without both terms")
@@ -144,36 +160,32 @@ def parse_definitions(text: str) -> Definitions:
             mats = {}
             for v, rows in matentry.items():
                 if str(v) not in alg.quiver.vertices:
-                    raise DefinitionError(f"{loc}.diffs.{deg}", f"unknown vertex {v}")
-                mats[str(v)] = _parse_matrix(
-                    p, rows, tgt.dims[str(v)], src.dims[str(v)], f"{loc}.diffs.{deg}.{v}"
-                )
+                    raise DefinitionError(dloc, f"unknown vertex {v}")
+                mats[str(v)] = _parse_matrix(p, rows, tgt.dims[str(v)], src.dims[str(v)], f"{dloc}.{v}")
             try:
                 diffs[i] = RepHom(src, tgt, mats)
             except ValueError as e:
-                raise DefinitionError(f"{loc}.diffs.{deg}", str(e))
+                raise DefinitionError(dloc, str(e))
         try:
             complexes[name] = Complex(alg, terms, diffs)
         except ValueError as e:
             raise DefinitionError(loc, str(e))
     functors: dict[str, FunctorData] = {}
-    for name, entry in doc.get("functors", {}).items():
-        loc = f"functors.{name}"
+    for name, loc, entry in _entries(doc.get("functors", {}), "functors"):
         src = _lookup(algebras, entry.get("source"), loc)
         tgt = _lookup(algebras, entry.get("target"), loc)
         images = {}
-        for v, ientry in entry.get("images", {}).items():
-            iloc = f"{loc}.images.{v}"
+        for v, iloc, ientry in _entries(entry.get("images", {}), f"{loc}.images"):
             if str(v) not in src.quiver.vertices:
                 raise DefinitionError(iloc, "unknown source vertex")
             terms = {}
-            for deg, verts in ientry.get("terms", {}).items():
+            for deg, verts in _object(ientry.get("terms", {}), f"{iloc}.terms").items():
                 for w in verts:
                     if str(w) not in tgt.quiver.vertices:
                         raise DefinitionError(iloc, f"unknown target vertex {w}")
                 terms[_int(deg, iloc)] = ProjSummands(tgt, [str(w) for w in verts])
             dmats = {}
-            for deg, block in ientry.get("diffs", {}).items():
+            for deg, block in _object(ientry.get("diffs", {}), f"{iloc}.diffs").items():
                 i = _int(deg, iloc)
                 rows = len(terms.get(i + 1, ProjSummands(tgt, ())).vertices)
                 cols = len(terms.get(i, ProjSummands(tgt, ())).vertices)
@@ -186,8 +198,7 @@ def parse_definitions(text: str) -> Definitions:
             if v not in images:
                 raise DefinitionError(f"{loc}.images", f"missing image of vertex {v}")
         arrow_maps = {}
-        for aname, mentry in entry.get("arrow_maps", {}).items():
-            aloc = f"{loc}.arrow_maps.{aname}"
+        for aname, aloc, mentry in _entries(entry.get("arrow_maps", {}), f"{loc}.arrow_maps"):
             if aname not in src.quiver.arrow_by_name:
                 raise DefinitionError(aloc, "unknown source arrow")
             s, t = src.quiver.arrow_by_name[aname]

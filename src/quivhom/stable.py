@@ -136,12 +136,12 @@ def stable_hom(x: Representation, y: Representation) -> StableHomSpace:
     return StableHomSpace(x, y)
 
 
-def stable_iso(x: Representation, y: Representation, seed: int = 0) -> bool:
+def stable_iso(x: Representation, y: Representation) -> bool:
     """Isomorphism in the stable category: strip projective summands,
-    then search for an honest isomorphism."""
+    then search for an honest isomorphism (`is_isomorphic`, seed 0)."""
     sx, _ = strip_projectives(x)
     sy, _ = strip_projectives(y)
-    return is_isomorphic(sx, sy, seed=seed)
+    return is_isomorphic(sx, sy)
 
 
 # -- the truncation triangle and stable images ----------------------------

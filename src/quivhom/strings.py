@@ -5,10 +5,10 @@ walk through the quiver using arrows forwards or backwards, avoiding
 immediate backtracking and the forbidden length-two compositions.  The
 enumeration below is deliberately permissive (it may emit walks that
 fail the sharper string-algebra sign conditions); each candidate is
-built as a representation, rejected if a relation fails, de-duplicated
-up to isomorphism and filtered down to modules with local endomorphism
-rings.  For tree quivers this recovers the full list of
-indecomposables.
+built as a representation, rejected if a relation fails, filtered down
+to modules with local endomorphism rings and grouped up to isomorphism
+by `homological.group_isomorphic`.  Walks have at most 2|arrows| + 1
+letters.  For tree quivers this recovers the full list of indecomposables.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, path_arrows
+from .complexes import module_complex
 from .exactlin import Matrix
-from .homological import _is_local_end, is_isomorphic
+from .homological import _is_local_end, group_isomorphic
 from .modules import Representation
 
 
@@ -34,8 +35,9 @@ def _monomial_quadratic_relations(alg: BoundQuiverAlgebra) -> set[tuple[str, str
     return forbidden
 
 
-def _walks(alg: BoundQuiverAlgebra, forbidden, max_len: int):
+def _walks(alg: BoundQuiverAlgebra, forbidden):
     q = alg.quiver
+    max_len = 2 * len(q.arrows) + 1
     letters = [(a, +1) for a, _, _ in q.arrows] + [(a, -1) for a, _, _ in q.arrows]
 
     def endpoint(letter, at):
@@ -93,26 +95,17 @@ def string_module(alg: BoundQuiverAlgebra, verts, word) -> Representation | None
         return None
 
 
-def enumerate_string_modules(alg: BoundQuiverAlgebra, max_len: int | None = None, seed: int = 0) -> list[Representation]:
-    """All indecomposable string modules up to isomorphism."""
+def enumerate_string_modules(alg: BoundQuiverAlgebra) -> list[Representation]:
+    """All indecomposable string modules up to isomorphism, each the first
+    of its class in walk order."""
     forbidden = _monomial_quadratic_relations(alg)
-    if max_len is None:
-        max_len = 2 * len(alg.quiver.arrows) + 1
-    found: list[Representation] = []
-    for verts, word in _walks(alg, forbidden, max_len):
+    local = []
+    for verts, word in _walks(alg, forbidden):
         # a walk and its reverse give the same module: keep one
         rev = (tuple(reversed(verts)), tuple((a, -d) for a, d in reversed(word)))
         if rev < (verts, word):
             continue
         m = string_module(alg, verts, word)
-        if m is None:
-            continue
-        if not _is_local_end(m):
-            continue
-        if any(
-            m.total_dim() == g.total_dim() and m.dims == g.dims and is_isomorphic(m, g, seed=seed)
-            for g in found
-        ):
-            continue
-        found.append(m)
-    return found
+        if m is not None and _is_local_end(m):
+            local.append(module_complex(m))
+    return [c.terms[0] for c, _ in group_isomorphic(local, lambda c: c.terms[0].dims)]

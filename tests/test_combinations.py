@@ -22,10 +22,11 @@ import pytest
 from quivhom.complexes import Complex, HomEngine, module_complex, projective_resolution
 from quivhom.corpus import corpus
 from quivhom.exactlin import MAX_PRIME, Matrix, inverse, nullspace, solve
-from quivhom.homological import DecompositionError, _is_local_end, decompose, find_iso, is_isomorphic, syzygy
+from quivhom.homological import DecompositionError, _is_local_end, find_iso, is_isomorphic, syzygy
 from quivhom.modules import RepHom, Representation, direct_sum, hom_frame, hom_space, identity_hom, image, kernel, zero_hom
 from quivhom.projcplx import minimize, recognize
 from tests.conftest import proj_direct_sum, random_module, split_proj_complex
+from tests.test_krull_schmidt import decompose_checked
 
 # -- the old loops ---------------------------------------------------------
 
@@ -514,10 +515,10 @@ def dims_and_multiplicities(pieces):
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_decompose_is_the_old_loop(n, seed):
+def test_decompose_is_the_old_loop(n, seed, monkeypatch):
     split = 0
     for m in corpus_sums(n, seed=10 * n + seed):
-        got = outcome(lambda: decompose(m, seed=seed))
+        got = outcome(lambda: decompose_checked(m, seed, monkeypatch))
         want = outcome(lambda: old_decompose(m, seed=seed))
         if "DecompositionError" in (got, want):
             assert got == want

@@ -59,10 +59,10 @@ def test_negative_degree_image_rejected(A1):
         # only endpoints matter for this test; maps to/from the shifted
         # image cannot exist in matching degrees, so use empty data
         arrow_maps[n] = ProjChainMap(images[t], images[s], {})
-    f = FunctorData(A1, A1, images, arrow_maps, check=False)
+    f = FunctorData(A1, A1, images, arrow_maps)
     rep = is_non_negative(f, depth=2)
     assert not rep.ok
-    assert any(k[0] == "degrees" for k in rep.details)
+    assert rep.details == {("degrees", "1"): -1}
 
 
 def test_strict_relation_enforced(Lam1):
@@ -87,7 +87,7 @@ def zero_eps_data(c):
     return FunctorData(f.source, f.target, f.images, arrow_maps)
 
 
-def planted_non_chain_map(check=True):
+def planted_non_chain_map():
     """Linear A_3 with image(0) = (P_1 --b0--> P_0) and b0 sent to the
     identity of P_1 in degree 0, which does not commute with that d."""
     alg = linear_algebra_An(3)
@@ -100,16 +100,12 @@ def planted_non_chain_map(check=True):
         "b0": ProjChainMap(images["1"], images["0"], {0: [[alg.e("1")]]}),
         "b1": ProjChainMap(images["2"], images["1"], {0: [[alg.arrow("b1")]]}),
     }
-    return FunctorData(alg, alg, images, arrow_maps, check=check)
+    return FunctorData(alg, alg, images, arrow_maps)
 
 
 def test_an_arrow_map_that_is_not_a_chain_map_is_rejected():
-    """The planted data has the right endpoints and no relations to break;
-    unchecked, it gives stable images of five of the six projectives and
-    simples and fails late on S_0, and `is_non_negative` raises on it."""
-    unchecked = planted_non_chain_map(check=False)
-    with pytest.raises(ValueError, match=r"d\^2 != 0 at degree -1"):
-        is_non_negative(unchecked)
+    """The planted data has the right endpoints and no relations to break,
+    and is rejected at construction."""
     with pytest.raises(ValueError, match=r"^arrow map b0 is not a chain map at degree 0$"):
         planted_non_chain_map()
 

@@ -278,7 +278,7 @@ def test_cli_gp_check_reads_the_same_from_the_corpus_verb_output(tmp_path):
         assert run_cli(["--defs", str(f), *verb]) == run_cli(["--corpus", "1", *verb])
 
 
-def test_cli_corpus_emission(tmp_path):
+def test_cli_corpus_emission(tmp_path, capsys):
     out_file = tmp_path / "corpus.json"
     code, _ = run_cli(["corpus", "--n", "1", "--out", str(out_file)])
     assert code == 0
@@ -288,6 +288,10 @@ def test_cli_corpus_emission(tmp_path):
     defs = parse_definitions(json.dumps(payload["definitions"]))
     assert defs.algebras["Gamma"].dim == 20
     assert "F" in defs.functors
+    # the file itself wraps them, so as --defs it is refused, not loaded empty
+    capsys.readouterr()
+    assert main(["--defs", str(out_file), "gp-check", "--module", "M_0_1"]) == 2
+    assert capsys.readouterr().err.startswith("parse error: document: unknown top-level key 'definitions'")
 
 
 def test_cli_decompose():
@@ -518,7 +522,31 @@ def test_cli_global_depth_below_one_is_an_error(capsys, verb):
     assert capsys.readouterr().err == "error: depth must be >= 1\n"
 
 
+@pytest.mark.parametrize("verb", ["gp-check", "cosyzygy"])
+def test_cli_depth_is_one_value_in_either_position(verb):
+    """The verb's --depth and the global one set one value, the verb's
+    winning when both are given."""
+    outs = [
+        run_cli(["--corpus", "1", "--format", "json", "--depth", "3", verb, "--module", "M_0_1"]),
+        run_cli(["--corpus", "1", "--format", "json", verb, "--module", "M_0_1", "--depth", "3"]),
+        run_cli(["--corpus", "1", "--format", "json", "--depth", "0", verb, "--module", "M_0_1", "--depth", "3"]),
+    ]
+    assert outs[0][0] == 0 and outs.count(outs[0]) == 3
+    assert verb == "cosyzygy" or json.loads(outs[0][1])["depth"] == 3
+
+
 BAD_DEFINITIONS = {
+    "document_not_an_object": (SAMPLE, "[1, 2]", "document: expected an object, got list"),
+    "unknown_top_level_key": ('"algebras": {', '"algebra": {', "document: unknown top-level key 'algebra'"),
+    "field_not_an_object": ('"field": {"p": 101}', '"field": 5', "field: expected an object, got int"),
+    "section_not_an_object": (
+        '"complexes": {\n  "C": {"algebra": "T", "terms": {"0": "X", "1": "Y"}, "diffs": {}}\n }',
+        '"complexes": [1, 2]',
+        "complexes: expected an object, got list",
+    ),
+    "entry_not_an_object": ('"Y": {"algebra": "T", "dims": {"3": 1}, "mats": {}}', '"Y": 3', "modules.Y: expected an object, got int"),
+    "dims_not_an_object": ('"dims": {"3": 1}', '"dims": [3]', "modules.Y.dims: expected an object, got list"),
+    "image_not_an_object": ('"0": {"terms": {"0": ["0"]}, "diffs": {}}', '"0": [0]', "functors.Id.images.0: expected an object, got list"),
     "unknown_module_vertex": (
         '"Y": {"algebra": "T", "dims": {"3": 1}, "mats": {}}',
         '"Y": {"algebra": "T", "dims": {"3": 1, "9": 2}, "mats": {}}',

@@ -9,7 +9,10 @@ same isomorphism search.  The replaced code is kept here as the
 reference: the module loop with its Fitting split, locality test and
 isomorphism search, the complex loop with its Fitting split, and the
 endomorphism presentation that grouped summands by quasi-isomorphism
-draws.
+draws.  Grouping up to isomorphism is `homological.group_isomorphic`
+alone; the three loops it replaced (in `decompose`, in the presentation
+and in the string enumeration) are kept here too, and must give the same
+classes, representative for representative.
 """
 
 import itertools
@@ -17,13 +20,13 @@ import itertools
 import numpy as np
 import pytest
 
-from quivhom import functors, homological, projcplx
+from quivhom import functors, homological, projcplx, strings
 from quivhom.algebra import Quiver, dual_numbers, linear_algebra_An
-from quivhom.complexes import Complex, HomEngine, hom_k, is_quasi_iso
+from quivhom.complexes import Complex, HomEngine, hom_k, is_quasi_iso, module_complex
 from quivhom.corpus import Corpus, corpus, interval_module
 from quivhom.exactlin import Matrix, extending_columns, inverse, nullspace, rank
 from quivhom.functors import TiltingCandidate, _count_paths, endomorphism_presentation
-from quivhom.homological import DecompositionError, _end_radical, _is_local_end, _power, _split_idempotent, decompose
+from quivhom.homological import DecompositionError, _end_radical, _is_local_end, _power, _split_idempotent, decompose, find_strict_iso, group_isomorphic
 from quivhom.modules import ProjSummands, Representation, direct_sum, flatten_blocks, hom_frame, identity_hom, image, kernel, lift, zero_hom, zero_rep
 from quivhom.projcplx import ProjComplex, _add_block, minimize, recognize
 from quivhom.stable import stable_image
@@ -116,6 +119,14 @@ def old_decompose(m, seed=0, budget=60):
         (k, _), (i, _) = split
         stack.append(k)
         stack.append(i)
+    return old_grouping(pieces, seed)
+
+
+# -- the replaced grouping loops ---------------------------------------------------
+
+
+def old_grouping(pieces, seed):
+    """The loop `decompose` grouped its pieces with."""
     grouped = []
     for piece in sorted(pieces, key=lambda r: (r.total_dim(), list(r.dims.values()))):
         for idx, (rep, mult) in enumerate(grouped):
@@ -125,6 +136,49 @@ def old_decompose(m, seed=0, budget=60):
         else:
             grouped.append((piece, 1))
     return grouped
+
+
+def decompose_checked(m, seed, monkeypatch):
+    """decompose(m, seed), after checking that it groups the pieces of its
+    split as `old_grouping` does, representative for representative."""
+    pieces = homological.split_complex(module_complex(m), seed)
+    with monkeypatch.context() as mp:
+        mp.setattr(homological, "split_complex", lambda c, s: list(pieces))
+        got = decompose(m, seed)
+    want = old_grouping([c.terms[0] for c in pieces], seed)
+    assert [(id(r), k) for r, k in got] == [(id(r), k) for r, k in want]
+    return got
+
+
+def old_presentation_classes(minimal, seed=0):
+    """The loop `endomorphism_presentation` grouped the minimal summands with."""
+    cxs, sigs, mult = [], [], []
+    for mc in minimal:
+        sig = recognize(mc).signature()
+        for idx, rc in enumerate(cxs):
+            if sigs[idx] == sig and find_strict_iso(rc, mc, seed) is not None:
+                mult[idx] += 1
+                break
+        else:
+            cxs.append(mc)
+            sigs.append(sig)
+            mult.append(1)
+    return list(zip(cxs, mult))
+
+
+def old_string_modules(alg, seed=0):
+    """The loop `enumerate_string_modules` kept one module per class with."""
+    found = []
+    for verts, word in strings._walks(alg, strings._monomial_quadratic_relations(alg)):
+        rev = (tuple(reversed(verts)), tuple((a, -d) for a, d in reversed(word)))
+        if rev < (verts, word):
+            continue
+        m = strings.string_module(alg, verts, word)
+        if m is None or not _is_local_end(m):
+            continue
+        if not any(m.total_dim() == g.total_dim() and m.dims == g.dims and old_find_iso(m, g, seed) is not None for g in found):
+            found.append(m)
+    return found
 
 
 # -- the replaced complex loop and grouping -----------------------------------------
@@ -319,7 +373,20 @@ def test_endomorphism_presentation_is_the_old_one(p):
         pres = endomorphism_presentation(cand)
         assert (pres.dim, pres.multiplicities, pres.quiver.arrows, pres.relation_count) == old_endomorphism_presentation(cand)
         repeated += max(pres.multiplicities) > 1
+        minimal = [functors._minimal(s.to_complex()) for s in cand.summands]
+        got = group_isomorphic(minimal, lambda c: recognize(c).signature())
+        assert [(id(c), k) for c, k in got] == [(id(c), k) for c, k in old_presentation_classes(minimal)]
     assert repeated >= 9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_string_modules_are_the_old_loop_matrix_for_matrix(n):
+    """The string modules of A and of B, in the old order; those of B are
+    its interval modules."""
+    c = corpus(n)
+    for mods, alg in ((c.indecomposables_A(), c.A), (strings.enumerate_string_modules(c.B), c.B)):
+        assert entries([(m, 1) for m in mods]) == entries([(m, 1) for m in old_string_modules(alg)])
+    assert len(strings.enumerate_string_modules(c.B)) == len(c.indecomposables_B())
 
 
 def sum_inputs():

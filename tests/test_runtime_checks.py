@@ -285,6 +285,15 @@ def test_one_splitter():
     assert found == ["homological.py split_complex"], found
 
 
+def test_one_grouping_up_to_isomorphism():
+    """Objects are grouped up to isomorphism by `homological.group_isomorphic`
+    alone: besides it, `find_strict_iso` is called only by `find_iso` (one
+    pair of modules) and `functors.strict_chain_automorphism` (one complex
+    with itself)."""
+    found = sorted(f"{module} {scope}" for module in MODULES for scope in _call_scopes(module, "find_strict_iso"))
+    assert found == ["functors.py strict_chain_automorphism", "homological.py find_iso", "homological.py group_isomorphic"], found
+
+
 def test_one_resolution_engine():
     """Every projective resolution in the package is built by one class,
     `complexes._Resolution`: `kernel_cover` is called from its `extend_to`

@@ -22,12 +22,14 @@ from quivhom.homological import (
     DecompositionError,
     _end_radical,
     _is_local_end,
+    _split_idempotent,
     decompose,
     find_iso,
 )
-from quivhom.modules import Representation, direct_sum, flatten_blocks, hom_frame, identity_hom
+from quivhom.modules import RepHom, Representation, direct_sum, flatten_blocks, hom_frame, identity_hom, simple
 from tests.conftest import random_module
 from tests.test_combinations import corpus_modules, corpus_sums
+from tests.test_krull_schmidt import decompose_checked
 
 # -- inputs --------------------------------------------------------------------
 
@@ -86,19 +88,47 @@ def assert_pieces(got, expected, seed):
 
 @pytest.mark.parametrize("p", [11, 101])
 @pytest.mark.parametrize("seed", range(5))
-def test_kronecker_band_sums_split_into_their_bands(p, seed):
+def test_kronecker_band_sums_split_into_their_bands(p, seed, monkeypatch):
     for m, expected in kronecker_sums(p):
-        assert_pieces(decompose(m, seed=seed), expected, seed)
+        assert_pieces(decompose_checked(m, seed, monkeypatch), expected, seed)
 
 
-def test_a6_interval_sum_splits_at_p_127():
+def test_a6_interval_sum_splits_at_p_127(monkeypatch):
     # dim End = 126 < 127: the trace-form radical applies, and the split
     # reads no polynomial of degree up to 56
     alg = linear_algebra_An(6, 127)
     intervals = [interval_module(alg, i, l) for i in range(6) for l in range(1, 7 - i)]
-    pieces = decompose(direct_sum(intervals)[0], seed=0)
+    pieces = decompose_checked(direct_sum(intervals)[0], 0, monkeypatch)
     assert_pieces(pieces, [(iv, 1) for iv in intervals], seed=0)
     assert len(pieces) == 21
+
+
+class CountingRng:
+    """A numpy Generator that counts its `integers` draws."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), 0
+
+    def integers(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_split_idempotent_makes_one_draw():
+    """f = diag(1, 2) on S_0 (+) S_1 over A_2 generates F_p x F_p, so a
+    draw gives e = 0 or 1 (trivial) or a projection, each with probability
+    1/2.  Either way `_split_idempotent` makes exactly one draw, so the
+    DRAWS loop of `split_complex` is the one draw budget."""
+    alg = linear_algebra_An(2, 11)
+    m = direct_sum([simple(alg, v) for v in alg.quiver.vertices])[0]
+    f = RepHom(m, m, {v: Matrix(alg.p, [[k + 1]]) for k, v in enumerate(alg.quiver.vertices)})
+    split = set()
+    for seed in range(20):
+        rng = CountingRng(seed)
+        e = _split_idempotent([f], rng)
+        assert rng.draws == 1
+        split.add(e is not None)
+    assert split == {True, False}
 
 
 def test_decomposition_error_names_its_budget_and_piece(monkeypatch):
