@@ -91,4 +91,3 @@ from .stable import (
     stable_image_map,
     stable_iso,
 )
-from .strings import enumerate_string_modules

@@ -99,13 +99,12 @@ class Complex:
         return f"Complex({parts})"
 
 
-def module_complex(m: Representation, degree: int = 0) -> Complex:
-    """m as a stalk complex in the given degree, one cached object per
-    module and degree, so its projective resolution is built once."""
-    key = ("stalk", degree)
-    c = m._cache.get(key)
+def module_complex(m: Representation) -> Complex:
+    """m as a stalk complex in degree 0, one cached object per module, so
+    its projective resolution is built once; `shift` moves it."""
+    c = m._cache.get("stalk")
     if c is None:
-        c = m._cache[key] = Complex(m.algebra, {degree: m}, {}, check=False)
+        c = m._cache["stalk"] = Complex(m.algebra, {0: m}, {}, check=False)
     return c
 
 

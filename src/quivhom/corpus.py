@@ -35,6 +35,7 @@ from .algebra import BoundQuiverAlgebra, Quiver, linear_algebra_An
 from .complexes import shift
 from .exactlin import DEFAULT_PRIME, Matrix
 from .functors import FunctorData, TiltingCandidate, eps_extension
+from .homological import dual, transpose
 from .modules import (
     ProjSummands,
     RepHom,
@@ -46,7 +47,6 @@ from .modules import (
     projective_cover,
 )
 from .projcplx import ProjChainMap, ProjComplex, recognize
-from .strings import enumerate_string_modules
 
 
 def gentle_tree_algebra(n: int = 1, p: int = DEFAULT_PRIME) -> BoundQuiverAlgebra:
@@ -80,6 +80,22 @@ def interval_module(balg: BoundQuiverAlgebra, i: int, l: int) -> Representation:
         if s in dims and t in dims:
             mats[n] = Matrix(balg.p, [[1]])
     return Representation(balg, dims, mats)
+
+
+def _tau_inverse_orbits(alg: BoundQuiverAlgebra) -> list[Representation]:
+    """P_v, tau^-1 P_v, ... (tau^-1 = Tr D) up to the first zero, for each
+    vertex v.  tau^-1 maps the non-injective indecomposables bijectively
+    to the non-projective ones, so these are pairwise non-isomorphic
+    indecomposables; when alg is representation-directed (a
+    representation-finite tree algebra is), they are all of them
+    (Auslander-Reiten-Smalo, Representation Theory of Artin Algebras)."""
+    out = []
+    for v in alg.quiver.vertices:
+        x = projective(alg, v)
+        while not x.is_zero():
+            out.append(x)
+            x = transpose(dual(x))
+    return out
 
 
 class Corpus:
@@ -252,7 +268,7 @@ class Corpus:
         return out
 
     def indecomposables_A(self) -> list[Representation]:
-        return enumerate_string_modules(self.A)
+        return _tau_inverse_orbits(self.A)
 
 
 _corpus_cache: dict[tuple[int, int], Corpus] = {}

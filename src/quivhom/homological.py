@@ -25,8 +25,6 @@ budget, DRAWS.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .algebra import BoundQuiverAlgebra, Element, path_arrows
@@ -278,7 +276,7 @@ def transpose(m: Representation) -> Representation:
 # -- decomposition and isomorphism ------------------------------------------
 
 # random strict endomorphisms `split_complex` tries per piece, and random
-# strict maps `find_strict_iso` tries before the basis
+# strict maps `find_strict_iso` tries
 DRAWS = 60
 
 
@@ -447,13 +445,6 @@ def _is_local(eng: HomEngine, cycles: np.ndarray) -> bool:
     return nullspace(Matrix(p, (frob - eye).T)).cols == 1
 
 
-def _is_local_end(m: Representation) -> bool:
-    """Certify that End(m) is local (m indecomposable): `_is_local` on
-    the stalk complex of m."""
-    c = module_complex(m)
-    return _is_local(*_strict_maps(c, c))
-
-
 def _summand(c: Complex, e: dict[int, RepHom]) -> Complex:
     """im e, for e an idempotent chain endomorphism of c given
     degreewise: a direct summand of c, with the differential lifted
@@ -541,9 +532,9 @@ def find_strict_iso(x: Complex, y: Complex, rng) -> ChainMap | None:
     """A strict isomorphism x -> y, a chain map invertible in every
     degree, or None when none was found.
 
-    Tries DRAWS random elements of Z^0(Hom(x, y)), then its basis.  Las
-    Vegas: a returned map is an isomorphism, but None from a nonzero Z^0
-    is only a failed search.  On stalk complexes this compares modules
+    Tries DRAWS random elements of Z^0(Hom(x, y)).  Las Vegas: a
+    returned map is an isomorphism, but None from a nonzero Z^0 is only
+    a failed search.  On stalk complexes this compares modules
     (`find_iso`); two minimal complexes of projectives are strictly
     isomorphic exactly when they are homotopy equivalent.  rng is a numpy
     Generator, or a seed for one, made only when Z^0 is nonzero.
@@ -553,9 +544,8 @@ def find_strict_iso(x: Complex, y: Complex, rng) -> ChainMap | None:
         return None
     rng = np.random.default_rng(rng)
     p, degrees = eng.p, sorted(set(x.terms) | set(y.terms))
-    draws = (cycles @ rng.integers(0, p, size=cycles.shape[1]) % p for _ in range(DRAWS))
-    for vec in itertools.chain(draws, cycles.T):
-        f = eng.map_of(0, vec)
+    for _ in range(DRAWS):
+        f = eng.map_of(0, cycles @ rng.integers(0, p, size=cycles.shape[1]) % p)
         if all(f.map(i).is_iso() for i in degrees):
             return f
     return None

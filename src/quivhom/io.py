@@ -39,18 +39,57 @@ class Definitions:
 
 SECTIONS = ("field", "algebras", "modules", "complexes", "functors")
 
+# the keys that each kind of object may have
+KEYS = {
+    "top-level": SECTIONS,
+    "field": ("p",),
+    "algebra": ("vertices", "arrows", "relations"),
+    "module": ("algebra", "dims", "mats"),
+    "complex": ("algebra", "terms", "diffs"),
+    "functor": ("source", "target", "images", "arrow_maps"),
+    "image": ("terms", "diffs"),
+}
 
-def _object(x, loc: str) -> dict:
+
+def _object(x, loc: str, kind: str | None = None) -> dict:
+    """x, an object; with a kind, one whose keys are among KEYS[kind]."""
     if not isinstance(x, dict):
         raise DefinitionError(loc, f"expected an object, got {type(x).__name__}")
+    unknown = sorted(set(x) - set(KEYS[kind])) if kind else []
+    if unknown:
+        raise DefinitionError(loc, f"unknown {kind} key {unknown[0]!r}; the keys are {', '.join(KEYS[kind])}")
     return x
 
 
-def _entries(x, loc: str):
+def _list(x, loc: str) -> list:
+    if not isinstance(x, list):
+        raise DefinitionError(loc, f"expected a list, got {type(x).__name__}")
+    return x
+
+
+def _name(x, loc: str) -> str:
+    if not isinstance(x, str):
+        raise DefinitionError(loc, f"expected a name, got {type(x).__name__}")
+    return x
+
+
+def _names(x, loc: str) -> list[str]:
+    return [_name(v, loc) for v in _list(x, loc)]
+
+
+def _entries(x, loc: str, kind: str | None = None):
     """(name, location, entry) for each entry of the object x at loc, each
-    entry an object."""
+    entry an object (of the given kind)."""
     for name, entry in _object(x, loc).items():
-        yield name, f"{loc}.{name}", _object(entry, f"{loc}.{name}")
+        yield name, f"{loc}.{name}", _object(entry, f"{loc}.{name}", kind)
+
+
+def _built(loc: str, make, *args):
+    """make(*args), with a ValueError reported as a DefinitionError at loc."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise DefinitionError(loc, str(e))
 
 
 def _int(x, loc: str) -> int:
@@ -64,11 +103,11 @@ def _parse_element(q: Quiver, p: int, data, loc: str) -> Element:
     """An element or relation: a list of [coeff, source, arrows] terms,
     each a path of q that starts at a vertex and composes."""
     out: Element = {}
-    for item in data:
-        if not (isinstance(item, list) and len(item) == 3):
+    for item in _list(data, loc):
+        if len(_list(item, loc)) != 3:
             raise DefinitionError(loc, "element entry must be [coeff, source, arrows]")
         coeff, src, arrows = item
-        pth = (str(src), tuple(str(a) for a in arrows))
+        pth = (_name(src, loc), tuple(_names(arrows, loc)))
         v = pth[0]
         if v not in q.vertices:
             raise DefinitionError(loc, f"unknown vertex {v}")
@@ -87,7 +126,7 @@ def _element_json(e: Element):
 
 
 def _parse_emat(alg, data, rows, cols, loc):
-    if len(data) != rows or any(len(r) != cols for r in data):
+    if len(_list(data, loc)) != rows or any(len(_list(r, loc)) != cols for r in data):
         raise DefinitionError(loc, f"expected a {rows} x {cols} block matrix")
     return [[_parse_element(alg.quiver, alg.p, data[r][c], f"{loc}[{r}][{c}]") for c in range(cols)] for r in range(rows)]
 
@@ -97,27 +136,17 @@ def parse_definitions(text: str) -> Definitions:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DefinitionError("document", f"invalid JSON: {e}")
-    unknown = sorted(set(_object(doc, "document")) - set(SECTIONS))
-    if unknown:
-        raise DefinitionError("document", f"unknown top-level key {unknown[0]!r}; the keys are {', '.join(SECTIONS)}")
-    p = _int(_object(doc.get("field", {}), "field").get("p", DEFAULT_PRIME), "field.p")
-    try:
-        check_prime(p)
-    except ValueError as e:
-        raise DefinitionError("field.p", str(e))
+    _object(doc, "document", "top-level")
+    p = _int(_object(doc.get("field", {}), "field", "field").get("p", DEFAULT_PRIME), "field.p")
+    _built("field.p", check_prime, p)
     algebras: dict[str, BoundQuiverAlgebra] = {}
-    for name, loc, entry in _entries(doc.get("algebras", {}), "algebras"):
-        try:
-            q = Quiver(entry["vertices"], [tuple(a) for a in entry["arrows"]])
-        except (KeyError, TypeError, ValueError) as e:
-            raise DefinitionError(loc, str(e))
-        rels = []
-        for idx, rel in enumerate(entry.get("relations", [])):
-            rels.append(_parse_element(q, p, rel, f"{loc}.relations[{idx}]"))
-        try:
-            algebras[name] = BoundQuiverAlgebra(q, rels, p=p)
-        except ValueError as e:
-            raise DefinitionError(loc, str(e))
+    for name, loc, entry in _entries(doc.get("algebras", {}), "algebras", "algebra"):
+        aloc = f"{loc}.arrows"
+        arrows = [_names(a, aloc) for a in _list(entry.get("arrows"), aloc)]
+        q = _built(loc, Quiver, _names(entry.get("vertices"), f"{loc}.vertices"), arrows)
+        rloc = f"{loc}.relations"
+        rels = [_parse_element(q, p, rel, f"{rloc}[{idx}]") for idx, rel in enumerate(_list(entry.get("relations", []), rloc))]
+        algebras[name] = _built(loc, BoundQuiverAlgebra, q, rels, p)
     # an algebra that spells out the dual-numbers extension of another in the
     # file is that extension, which records its base and loops
     for name, alg in algebras.items():
@@ -126,8 +155,8 @@ def parse_definitions(text: str) -> Definitions:
                 algebras[name] = base.dual_numbers_extension()
                 break
     modules: dict[str, Representation] = {}
-    for name, loc, entry in _entries(doc.get("modules", {}), "modules"):
-        alg = _lookup(algebras, entry.get("algebra"), loc)
+    for name, loc, entry in _entries(doc.get("modules", {}), "modules", "module"):
+        alg = _lookup(algebras, entry.get("algebra"), loc, "algebra")
         dims = {}
         for v, d in _object(entry.get("dims", {}), f"{loc}.dims").items():
             if str(v) not in alg.quiver.vertices:
@@ -139,18 +168,13 @@ def parse_definitions(text: str) -> Definitions:
                 raise DefinitionError(loc, f"unknown arrow {aname}")
             s, t = alg.quiver.arrow_by_name[aname]
             mats[aname] = _parse_matrix(p, rows, dims.get(t, 0), dims.get(s, 0), f"{loc}.mats.{aname}")
-        try:
-            modules[name] = Representation(alg, dims, mats)
-        except ValueError as e:
-            raise DefinitionError(loc, str(e))
+        modules[name] = _built(loc, Representation, alg, dims, mats)
     complexes: dict[str, Complex] = {}
-    for name, loc, entry in _entries(doc.get("complexes", {}), "complexes"):
-        alg = _lookup(algebras, entry.get("algebra"), loc)
+    for name, loc, entry in _entries(doc.get("complexes", {}), "complexes", "complex"):
+        alg = _lookup(algebras, entry.get("algebra"), loc, "algebra")
         terms = {}
         for deg, mname in _object(entry.get("terms", {}), f"{loc}.terms").items():
-            if mname not in modules:
-                raise DefinitionError(loc, f"unknown module {mname}")
-            terms[_int(deg, loc)] = modules[mname]
+            terms[_int(deg, loc)] = _lookup(modules, mname, loc, "module")
         diffs = {}
         for deg, dloc, matentry in _entries(entry.get("diffs", {}), f"{loc}.diffs"):
             i = _int(deg, loc)
@@ -162,38 +186,30 @@ def parse_definitions(text: str) -> Definitions:
                 if str(v) not in alg.quiver.vertices:
                     raise DefinitionError(dloc, f"unknown vertex {v}")
                 mats[str(v)] = _parse_matrix(p, rows, tgt.dims[str(v)], src.dims[str(v)], f"{dloc}.{v}")
-            try:
-                diffs[i] = RepHom(src, tgt, mats)
-            except ValueError as e:
-                raise DefinitionError(dloc, str(e))
-        try:
-            complexes[name] = Complex(alg, terms, diffs)
-        except ValueError as e:
-            raise DefinitionError(loc, str(e))
+            diffs[i] = _built(dloc, RepHom, src, tgt, mats)
+        complexes[name] = _built(loc, Complex, alg, terms, diffs)
     functors: dict[str, FunctorData] = {}
-    for name, loc, entry in _entries(doc.get("functors", {}), "functors"):
-        src = _lookup(algebras, entry.get("source"), loc)
-        tgt = _lookup(algebras, entry.get("target"), loc)
+    for name, loc, entry in _entries(doc.get("functors", {}), "functors", "functor"):
+        src = _lookup(algebras, entry.get("source"), loc, "algebra")
+        tgt = _lookup(algebras, entry.get("target"), loc, "algebra")
         images = {}
-        for v, iloc, ientry in _entries(entry.get("images", {}), f"{loc}.images"):
+        for v, iloc, ientry in _entries(entry.get("images", {}), f"{loc}.images", "image"):
             if str(v) not in src.quiver.vertices:
                 raise DefinitionError(iloc, "unknown source vertex")
             terms = {}
             for deg, verts in _object(ientry.get("terms", {}), f"{iloc}.terms").items():
-                for w in verts:
-                    if str(w) not in tgt.quiver.vertices:
+                summands = _names(verts, f"{iloc}.terms.{deg}")
+                for w in summands:
+                    if w not in tgt.quiver.vertices:
                         raise DefinitionError(iloc, f"unknown target vertex {w}")
-                terms[_int(deg, iloc)] = ProjSummands(tgt, [str(w) for w in verts])
+                terms[_int(deg, iloc)] = ProjSummands(tgt, summands)
             dmats = {}
             for deg, block in _object(ientry.get("diffs", {}), f"{iloc}.diffs").items():
                 i = _int(deg, iloc)
                 rows = len(terms.get(i + 1, ProjSummands(tgt, ())).vertices)
                 cols = len(terms.get(i, ProjSummands(tgt, ())).vertices)
                 dmats[i] = _parse_emat(tgt, block, rows, cols, f"{iloc}.diffs.{deg}")
-            try:
-                images[str(v)] = ProjComplex(tgt, terms, dmats)
-            except ValueError as e:
-                raise DefinitionError(iloc, str(e))
+            images[str(v)] = _built(iloc, ProjComplex, tgt, terms, dmats)
         for v in src.quiver.vertices:
             if v not in images:
                 raise DefinitionError(f"{loc}.images", f"missing image of vertex {v}")
@@ -212,21 +228,19 @@ def parse_definitions(text: str) -> Definitions:
         for aname in src.quiver.arrow_by_name:
             if aname not in arrow_maps:
                 raise DefinitionError(f"{loc}.arrow_maps", f"missing map of arrow {aname}")
-        try:
-            functors[name] = FunctorData(src, tgt, images, arrow_maps)
-        except ValueError as e:
-            raise DefinitionError(loc, str(e))
+        functors[name] = _built(loc, FunctorData, src, tgt, images, arrow_maps)
     return Definitions(p, algebras, modules, complexes, functors)
 
 
-def _lookup(algebras, name, loc):
-    if name not in algebras:
-        raise DefinitionError(loc, f"unknown algebra {name}")
-    return algebras[name]
+def _lookup(table, name, loc, what):
+    """The entry called name in table (algebras or modules)."""
+    if _name(name, loc) not in table:
+        raise DefinitionError(loc, f"unknown {what} {name}")
+    return table[name]
 
 
 def _parse_matrix(p, rows, nrows, ncols, loc) -> Matrix:
-    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+    if len(_list(rows, loc)) != nrows or any(len(_list(r, loc)) != ncols for r in rows):
         raise DefinitionError(loc, f"expected a {nrows} x {ncols} matrix")
     if nrows == 0 or ncols == 0:
         return Matrix.zeros(p, nrows, ncols)

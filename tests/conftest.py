@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from quivhom.algebra import BoundQuiverAlgebra, Quiver, dual_numbers, linear_algebra_An
-from quivhom.complexes import direct_sum_complex
+from quivhom.complexes import direct_sum_complex, module_complex
 from quivhom.corpus import gentle_tree_algebra
-from quivhom.homological import split_complex
+from quivhom.homological import _is_local, _strict_maps, split_complex
 from quivhom.modules import ProjSummands, Representation, cokernel, element_matrix_to_hom
 from quivhom.projcplx import minimize, recognize
 
@@ -124,3 +124,10 @@ def split_proj_complex(pc, seed=0):
     """The direct summands of a complex of projectives: the pieces of
     `homological.split_complex`, each presented by `recognize` and minimized."""
     return [minimize(recognize(piece))[0] for piece in split_complex(pc.to_complex(), seed)]
+
+
+def local_end(m) -> bool:
+    """Whether End(m) is certified local (m indecomposable): `_is_local`
+    on the stalk complex of m, whose strict endomorphisms are End(m)."""
+    c = module_complex(m)
+    return _is_local(*_strict_maps(c, c))

@@ -24,8 +24,9 @@ def balanced(m, n, i):
 def corpus_groups(n):
     """Modules of the scale-n corpus, one list per algebra: the M(i, l)
     and the simples over Gamma, their stable images and the simples over
-    Lambda, the string modules of A and the interval modules of B (which
-    include the simples of A and B)."""
+    Lambda, the indecomposables of A (the tau^-1-orbits of its
+    projectives) and the interval modules of B (which include the simples
+    of A and B)."""
     c = corpus(n)
     images = [stable_image(c.F, x)[0] for _, x in sorted(c.M.items())]
     return [

@@ -22,10 +22,10 @@ import pytest
 from quivhom.complexes import Complex, HomEngine, module_complex, projective_resolution
 from quivhom.corpus import corpus
 from quivhom.exactlin import MAX_PRIME, Matrix, inverse, nullspace, solve
-from quivhom.homological import DecompositionError, _is_local_end, find_iso, is_isomorphic, syzygy
+from quivhom.homological import DecompositionError, find_iso, is_isomorphic, syzygy
 from quivhom.modules import RepHom, Representation, direct_sum, hom_frame, hom_space, identity_hom, image, kernel, zero_hom
 from quivhom.projcplx import minimize, recognize
-from tests.conftest import proj_direct_sum, random_module, split_proj_complex
+from tests.conftest import local_end, proj_direct_sum, random_module, split_proj_complex
 from tests.test_krull_schmidt import decompose_checked
 
 # -- the old loops ---------------------------------------------------------
@@ -235,7 +235,7 @@ def old_decompose(m, seed=0, budget=60):
         if cur.total_dim() == 0:
             continue
         basis = hom_space(cur, cur)
-        if _is_local_end(cur):
+        if local_end(cur):
             pieces.append(cur)
             continue
         split = None

@@ -400,7 +400,7 @@ def test_cone_of_a_shifted_map_is_the_cone_into_the_shifted_target(A1):
     n = +-1, +-2 the cone and both its maps equal, entry for entry, those
     of the rewrapped map."""
     s0 = simple(corpus(1).B, "0")
-    x, y = module_complex(s0, 0), module_complex(s0, 1)
+    x, y = module_complex(s0), shift(module_complex(s0), -1)
     (f,) = hom_k(x, y, 1).basis
     assert is_quasi_iso(f)
     cn, incl, proj = cone(f)

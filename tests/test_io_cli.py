@@ -547,6 +547,11 @@ BAD_DEFINITIONS = {
     "entry_not_an_object": ('"Y": {"algebra": "T", "dims": {"3": 1}, "mats": {}}', '"Y": 3', "modules.Y: expected an object, got int"),
     "dims_not_an_object": ('"dims": {"3": 1}', '"dims": [3]', "modules.Y.dims: expected an object, got list"),
     "image_not_an_object": ('"0": {"terms": {"0": ["0"]}, "diffs": {}}', '"0": [0]', "functors.Id.images.0: expected an object, got list"),
+    "unknown_field_key": ('"field": {"p": 101}', '"field": {"p": 101, "q": 3}', "field: unknown field key 'q'"),
+    "unknown_module_key": ('"dims": {"3": 1}', '"dim": {"3": 1}', "modules.Y: unknown module key 'dim'"),
+    "relation_not_a_list": ('"relations": [[[1, "1", ["b1", "a3"]]]]', '"relations": [5]', "algebras.T.relations[0]: expected a list, got int"),
+    "algebra_not_a_name": ('"Y": {"algebra": "T"', '"Y": {"algebra": ["T"]', "modules.Y: expected a name, got list"),
+    "matrix_not_a_list": ('"mats": {"a1": [[1]]}', '"mats": {"a1": 3}', "modules.X.mats.a1: expected a list, got int"),
     "unknown_module_vertex": (
         '"Y": {"algebra": "T", "dims": {"3": 1}, "mats": {}}',
         '"Y": {"algebra": "T", "dims": {"3": 1, "9": 2}, "mats": {}}',

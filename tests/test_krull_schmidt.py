@@ -11,7 +11,8 @@ isomorphism search, the complex loop with its Fitting split, and the
 endomorphism presentation that grouped summands by quasi-isomorphism
 draws.  Grouping up to isomorphism is `homological.group_isomorphic`
 alone; the three loops it replaced (in `decompose`, in the presentation
-and in the string enumeration) are kept here too, and must give the same
+and in the string enumeration, now the reference of
+`tests/test_strings.py`) are kept here too, and must give the same
 classes, representative for representative.
 """
 
@@ -20,18 +21,19 @@ import itertools
 import numpy as np
 import pytest
 
-from quivhom import functors, homological, projcplx, strings
+from quivhom import functors, homological, projcplx
 from quivhom.algebra import Quiver, dual_numbers, linear_algebra_An
 from quivhom.complexes import Complex, HomEngine, hom_k, is_quasi_iso, module_complex
 from quivhom.corpus import Corpus, corpus, interval_module
 from quivhom.exactlin import Matrix, extending_columns, inverse, nullspace, rank
 from quivhom.functors import TiltingCandidate, _count_paths, endomorphism_presentation
-from quivhom.homological import DecompositionError, _end_radical, _is_local_end, _power, _split_idempotent, decompose, find_strict_iso, group_isomorphic
+from quivhom.homological import DecompositionError, _end_radical, _power, _split_idempotent, decompose, find_strict_iso, group_isomorphic
 from quivhom.modules import ProjSummands, Representation, direct_sum, flatten_blocks, hom_frame, identity_hom, image, kernel, lift, zero_hom, zero_rep
 from quivhom.projcplx import ProjComplex, _add_block, minimize, recognize
 from quivhom.stable import stable_image
-from tests.conftest import proj_direct_sum, random_module, split_proj_complex
+from tests.conftest import local_end, proj_direct_sum, random_module, split_proj_complex
 from tests.test_functors import proj_stalk
+from tests.test_strings import monomial_quadratic_relations, reversed_walk, string_module, string_modules, walks
 
 # -- the replaced module loop ------------------------------------------------------
 
@@ -167,14 +169,13 @@ def old_presentation_classes(minimal, seed=0):
 
 
 def old_string_modules(alg, seed=0):
-    """The loop `enumerate_string_modules` kept one module per class with."""
+    """The loop the string enumeration kept one module per class with."""
     found = []
-    for verts, word in strings._walks(alg, strings._monomial_quadratic_relations(alg)):
-        rev = (tuple(reversed(verts)), tuple((a, -d) for a, d in reversed(word)))
-        if rev < (verts, word):
+    for verts, word in walks(alg, monomial_quadratic_relations(alg)):
+        if reversed_walk(verts, word) < (verts, word):
             continue
-        m = strings.string_module(alg, verts, word)
-        if m is None or not _is_local_end(m):
+        m = string_module(alg, verts, word)
+        if m is None or not local_end(m):
             continue
         if not any(m.total_dim() == g.total_dim() and m.dims == g.dims and old_find_iso(m, g, seed) is not None for g in found):
             found.append(m)
@@ -381,12 +382,12 @@ def test_endomorphism_presentation_is_the_old_one(p):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_string_modules_are_the_old_loop_matrix_for_matrix(n):
-    """The string modules of A and of B, in the old order; those of B are
-    its interval modules."""
+    """The string modules of A and of B, in the old order; those of B
+    number its interval modules."""
     c = corpus(n)
-    for mods, alg in ((c.indecomposables_A(), c.A), (strings.enumerate_string_modules(c.B), c.B)):
-        assert entries([(m, 1) for m in mods]) == entries([(m, 1) for m in old_string_modules(alg)])
-    assert len(strings.enumerate_string_modules(c.B)) == len(c.indecomposables_B())
+    for alg in (c.A, c.B):
+        assert entries([(m, 1) for m in string_modules(alg)]) == entries([(m, 1) for m in old_string_modules(alg)])
+    assert len(string_modules(c.B)) == len(c.indecomposables_B())
 
 
 def sum_inputs():
@@ -448,7 +449,7 @@ def test_a_local_projective_stalk_is_kept_with_no_draws(monkeypatch):
 
 
 def test_the_zero_module_is_not_local():
-    assert _is_local_end(zero_rep(linear_algebra_An(2))) is False
+    assert local_end(zero_rep(linear_algebra_An(2))) is False
 
 
 def test_a_complex_with_dim_z0_at_least_p_raises_naming_p():

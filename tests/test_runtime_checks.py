@@ -289,9 +289,13 @@ def test_one_grouping_up_to_isomorphism():
     """Objects are grouped up to isomorphism by `homological.group_isomorphic`
     alone: besides it, `find_strict_iso` is called only by `find_iso` (one
     pair of modules) and `functors.strict_chain_automorphism` (one complex
-    with itself)."""
+    with itself).  Only the pieces of `decompose` and the summands of
+    `endomorphism_presentation` are grouped, so no enumeration of
+    indecomposables keeps its classes apart by a failed search."""
     found = sorted(f"{module} {scope}" for module in MODULES for scope in _call_scopes(module, "find_strict_iso"))
     assert found == ["functors.py strict_chain_automorphism", "homological.py find_iso", "homological.py group_isomorphic"], found
+    grouped = sorted(f"{module} {scope}" for module in MODULES for scope in _call_scopes(module, "group_isomorphic"))
+    assert grouped == ["functors.py endomorphism_presentation", "homological.py decompose"], grouped
 
 
 def test_one_resolution_engine():

@@ -5,8 +5,8 @@ generated by a random endomorphism f, read off the Berlekamp subalgebra
 of F_p[f] with no polynomial formed.  Sums of Kronecker band modules
 R_pi, pi an irreducible quadratic, have End/rad with factors F_(p^2):
 their eigenvalues lie outside F_p, so a split by f^((p-1)/2) - 1 alone
-does not separate them.  The quotient arithmetic of `_is_local_end` is
-checked against the loop version it replaced.
+does not separate them.  The quotient arithmetic of `_is_local`, on a
+module's stalk complex, is checked against the loop version it replaced.
 """
 
 import itertools
@@ -21,13 +21,12 @@ from quivhom.exactlin import Matrix, extending_columns, inverse, nullspace
 from quivhom.homological import (
     DecompositionError,
     _end_radical,
-    _is_local_end,
     _split_idempotent,
     decompose,
     find_iso,
 )
 from quivhom.modules import RepHom, Representation, direct_sum, flatten_blocks, hom_frame, identity_hom, simple
-from tests.conftest import random_module
+from tests.conftest import local_end, random_module
 from tests.test_combinations import corpus_modules, corpus_sums
 from tests.test_krull_schmidt import decompose_checked
 
@@ -204,7 +203,7 @@ def verdict(fn, m):
 def assert_same_verdicts(mods):
     verdicts = set()
     for m in mods:
-        got = verdict(_is_local_end, m)
+        got = verdict(local_end, m)
         assert got == verdict(old_is_local_end, m)
         verdicts.add(got)
     return verdicts
