@@ -14,6 +14,7 @@ from .complexes import (
     Complex,
     brutal_truncate_geq,
     brutal_truncate_lt,
+    compress,
     cone,
     good_truncate_geq0,
     hom_complex,

@@ -38,6 +38,7 @@ from .modules import (
     Representation,
     cokernel,
     descend,
+    direct_sum,
     direct_sum_module,
     hom_frame,
     hom_to_element_matrix,
@@ -245,6 +246,19 @@ def direct_sum_complex(cs: list[Complex]) -> Complex:
         lambda i: {(k, k): c.diffs[i] for k, c in enumerate(cs) if i in c.diffs},
         check=False,
     )[0]
+
+
+def compress(c: Complex):
+    """The compression of c (Ringel-Zhang's differential modules): the
+    module over c.algebra's dual-numbers extension that sums the terms of c
+    from c.hi down to c.lo, eps acting by the differential (unchecked:
+    eps^2 = d^2 = 0 and d is linear).  Returns (module, incls, projs) as
+    `modules.direct_sum` does; the zero complex compresses to zero."""
+    parts = [c.term(i) for i in reversed(c.degrees())] or [zero_rep(c.algebra)]
+    tot, incls, projs = direct_sum(parts)
+    eps = _block_hom(tot, tot, parts, parts, {(c.hi - i - 1, c.hi - i): d for i, d in c.diffs.items()})
+    ext = c.algebra.dual_numbers_extension()
+    return Representation(ext, tot.dims, {**tot.mats, **{ext.loops[v]: m for v, m in eps.mats.items()}}, check=False), incls, projs
 
 
 def brutal_truncate_geq(c: Complex, m: int) -> Complex:

@@ -17,22 +17,23 @@ Scale parameter n >= 1:
   * Lambda = k[eps] (x) A,  Gamma = k[eps] (x) B.
 
 Over Gamma, the indecomposable non-projective Gorenstein projective
-modules are indexed by intervals: M(i, l) has underlying B-module
-Q_i (+) Q_{i+l} with eps acting through the inclusion Q_{i+l} -> Q_i
-(and M(i, 2n+2-i) = S (x) Q_i when the interval is the whole support of
-Q_i).  Each non-projective-interval M(i, l) sits in a short exact
-sequence
+modules are compressions (`complexes.compress`), indexed by intervals:
+M(i, l) is that of C(i, l) = (Q_{i+l} -> Q_i), the inclusion, in degrees
+-1 and 0 (`interval_complex`), and it is S (x) Q_i when Q_{i+l} is zero
+and C(i, l) the stalk Q_i (S (x) P_i likewise over Lambda).  Each other
+M(i, l) sits in the compression of the brutal-truncation sequence
+sigma>=0 C -> C -> sigma<0 C,
 
-    0 -> S (x) Q_i -> M(i, l) -> S (x) Q_{i+l} -> 0
+    0 -> S (x) Q_i -> M(i, l) -> S (x) Q_{i+l} -> 0,
 
-(the inclusion and projection of the sum), which the generator uses
-(rather than hand-typed tables) to derive expected values.
+which the generator uses (rather than hand-typed tables) to derive
+expected values.
 """
 
 from __future__ import annotations
 
 from .algebra import BoundQuiverAlgebra, Quiver, linear_algebra_An
-from .complexes import shift
+from .complexes import compress, module_complex, shift
 from .exactlin import DEFAULT_PRIME, Matrix
 from .functors import FunctorData, TiltingCandidate, eps_extension
 from .homological import dual, transpose
@@ -63,13 +64,6 @@ def gentle_tree_algebra(n: int = 1, p: int = DEFAULT_PRIME) -> BoundQuiverAlgebr
     return BoundQuiverAlgebra(Quiver(verts, arrows), rels, p=p)
 
 
-def s_tensor_projective(ext_alg: BoundQuiverAlgebra, v: str) -> Representation:
-    """The base projective P_v viewed over the dual-numbers extension,
-    with eps acting by zero."""
-    q = projective(ext_alg.base, v)
-    return Representation(ext_alg, q.dims, q.mats)
-
-
 def interval_module(balg: BoundQuiverAlgebra, i: int, l: int) -> Representation:
     """The interval B-module supported on [i, i+l-1] with identity arrows."""
     dims = {}
@@ -80,6 +74,15 @@ def interval_module(balg: BoundQuiverAlgebra, i: int, l: int) -> Representation:
         if s in dims and t in dims:
             mats[n] = Matrix(balg.p, [[1]])
     return Representation(balg, dims, mats)
+
+
+def interval_complex(balg: BoundQuiverAlgebra, i: int, l: int) -> ProjComplex:
+    """C(i, l) = (Q_{i+l} -> Q_i) in degrees -1 and 0 by the path from i to
+    i+l, the projective resolution of `interval_module(balg, i, l)`; Q_{i+l}
+    is zero, and C(i, l) the stalk Q_i, when the interval ends at the sink."""
+    tail = [str(i + l)] if i + l < len(balg.quiver.vertices) else []
+    pth = (str(i), tuple(f"b{j}" for j in range(i, i + l)))
+    return ProjComplex(balg, {-1: ProjSummands(balg, tail), 0: ProjSummands(balg, [str(i)])}, {-1: [[{pth: 1}]]}, check=False)
 
 
 def _tau_inverse_orbits(alg: BoundQuiverAlgebra) -> list[Representation]:
@@ -110,16 +113,15 @@ class Corpus:
         self.B = linear_algebra_An(2 * n + 2, p)
         self.Lam = self.A.dual_numbers_extension()
         self.Gam = self.B.dual_numbers_extension()
-        self.S_Q = {i: s_tensor_projective(self.Gam, str(i)) for i in range(2 * n + 2)}
-        self.S_P = {i: s_tensor_projective(self.Lam, str(i)) for i in range(2 * n + 2)}
-        self.M: dict[tuple[int, int], Representation] = {}
-        self.ses: dict[tuple[int, int], tuple[RepHom, RepHom]] = {}
-        for i in range(2 * n + 2):
-            for l in range(1, 2 * n + 2 - i + 1):
-                if i + l == 2 * n + 2:
-                    self.M[(i, l)] = self.S_Q[i]
-                else:
-                    self.M[(i, l)], self.ses[(i, l)] = self._gp_module(i, l)
+        m = 2 * n + 2
+        compressions = {(i, l): compress(interval_complex(self.B, i, l).to_complex()) for i in range(m) for l in range(1, m - i + 1)}
+        self.M: dict[tuple[int, int], Representation] = {key: mod for key, (mod, _, _) in compressions.items()}
+        self.S_Q = {i: self.M[(i, m - i)] for i in range(m)}
+        self.S_P = {i: compress(module_complex(projective(self.A, str(i))))[0] for i in range(m)}
+        self.ses: dict[tuple[int, int], tuple[RepHom, RepHom]] = {
+            (i, l): (RepHom(self.S_Q[i], mod, incls[0].mats), RepHom(mod, self.S_Q[i + l], projs[1].mats))
+            for (i, l), (mod, incls, projs) in compressions.items() if len(incls) == 2
+        }
         self.F_BA = self._functor_data(self.B, self.A)
         self.F = eps_extension(self.F_BA)
         self.G_AB = self._inverse_data(self.A, self.B)
@@ -129,18 +131,6 @@ class Corpus:
         self.manifest = self._manifest()
 
     # -- modules -------------------------------------------------------
-
-    def _gp_module(self, i: int, l: int):
-        """M(i, l): Q_i (+) Q_{i+l} with eps = incl o iota o proj for the
-        inclusion iota: Q_{i+l} -> Q_i, and its sequence, the sum's inclusion
-        and projection read over Gamma."""
-        balg, gam = self.B, self.Gam
-        pth = (str(i), tuple(f"b{j}" for j in range(i, i + l)))
-        iota = element_matrix_to_hom(balg, [[{pth: 1}]], ProjSummands(balg, [str(i + l)]), ProjSummands(balg, [str(i)]))
-        tot, incls, projs = direct_sum([iota.target, iota.source])
-        eps = incls[0].compose(iota).compose(projs[1])
-        M = Representation(gam, tot.dims, {**tot.mats, **{gam.loops[v]: eps.mats[v] for v in balg.quiver.vertices}})
-        return M, (RepHom(self.S_Q[i], M, incls[0].mats), RepHom(M, self.S_Q[i + l], projs[1].mats))
 
     def pullback_module(self, i: int) -> Representation:
         """The stable image of S (x) Q_{2i} predicted by the pullback of
@@ -246,26 +236,18 @@ class Corpus:
     def _manifest(self) -> dict:
         n = self.n
         pairs = sorted(self.M)
-        man = {
+        return {
             "n": n,
             "pair_count": len(pairs),
             "pairs": pairs,
             "module_dims": {f"{i},{l}": self.M[(i, l)].total_dim() for (i, l) in pairs},
             "gp_expected": {f"{i},{l}": True for (i, l) in pairs},
-            "odd_full": {},
-            "even_full": {},
+            "odd_full": {f"{2 * i + 1},{2 * n + 1 - 2 * i}": f"S_P_{2 * i + 1}" for i in range(n + 1)},
+            "even_full": {f"{2 * i},{2 * n + 2 - 2 * i}": f"pullback_{2 * i}" for i in range(n + 1)},
         }
-        for i in range(n + 1):
-            man["odd_full"][f"{2 * i + 1},{2 * n + 1 - 2 * i}"] = f"S_P_{2 * i + 1}"
-            man["even_full"][f"{2 * i},{2 * n + 2 - 2 * i}"] = f"pullback_{2 * i}"
-        return man
 
     def indecomposables_B(self) -> list[Representation]:
-        out = []
-        for i in range(2 * self.n + 2):
-            for l in range(1, 2 * self.n + 2 - i + 1):
-                out.append(interval_module(self.B, i, l))
-        return out
+        return [interval_module(self.B, i, l) for i, l in self.M]
 
     def indecomposables_A(self) -> list[Representation]:
         return _tau_inverse_orbits(self.A)

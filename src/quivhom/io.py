@@ -93,6 +93,9 @@ def _built(loc: str, make, *args):
 
 
 def _int(x, loc: str) -> int:
+    """Decimal strings pass (degrees are object keys); booleans and fractions do not."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise DefinitionError(loc, f"not an integer: {x!r}")
     try:
         return int(x)
     except (TypeError, ValueError):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from quivhom.algebra import BoundQuiverAlgebra, Quiver, dual_numbers, linear_algebra_An
-from quivhom.corpus import corpus, s_tensor_projective
+from quivhom.complexes import compress, module_complex
+from quivhom.corpus import corpus
 from quivhom.gorenstein import (
     RESTRICTION_RULE,
     _ext_row_verdict,
@@ -22,7 +23,7 @@ from quivhom.gorenstein import (
     restriction_is_projective,
 )
 from quivhom.homological import syzygy
-from quivhom.modules import simple
+from quivhom.modules import projective, simple
 from quivhom.stable import stable_image
 from tests.conftest import random_module
 
@@ -87,7 +88,7 @@ def test_the_closed_form_g_is_the_gorenstein_dimension(name):
     g = gorenstein_dimension(alg, 8)
     assert g == (1 if alg.base.quiver.arrows else 0)
     for v in alg.quiver.vertices:
-        rep = is_gorenstein_projective(s_tensor_projective(alg, v), 8)
+        rep = is_gorenstein_projective(compress(module_complex(projective(alg.base, v)))[0], 8)
         assert (rep.verdict, rep.certificate, rep.ext_left, rep.ext_right, rep.rule) == ("gp", g, [0] * g, [], RESTRICTION_RULE)
         assert "Ringel-Zhang" in repr(rep)
 

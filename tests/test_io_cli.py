@@ -567,6 +567,8 @@ BAD_DEFINITIONS = {
         '"mats": {"a1": [["one"]]}',
         "modules.X.mats.a1: not an integer",
     ),
+    "fractional_dimension": ('"dims": {"0": 1, "1": 1}', '"dims": {"0": 1.7, "1": 1}', "modules.X.dims.0: not an integer: 1.7"),
+    "boolean_matrix_entry": ('"mats": {"a1": [[1]]}', '"mats": {"a1": [[true]]}', "modules.X.mats.a1: not an integer: True"),
     "missing_functor_image": (
         ',\n    "3": {"terms": {"0": ["3"]}, "diffs": {}}',
         "",

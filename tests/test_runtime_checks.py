@@ -361,18 +361,23 @@ def test_one_shift():
     assert found == [("complexes.py", True)], found
 
 
-def _callers(tree: ast.AST, name: str) -> list[str]:
-    """The dotted scope (class and function names) of each call of name."""
+def _scopes(tree: ast.AST, hit) -> list[str]:
+    """The dotted scope (class and function names) of each node that hit accepts."""
     out = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+            if hit(child):
                 out.append(".".join(scope))
             visit(child, scope + [child.name] if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope)
 
     visit(tree, [])
     return out
+
+
+def _callers(tree: ast.AST, name: str) -> list[str]:
+    """The dotted scope of each call of name."""
+    return _scopes(tree, lambda n: isinstance(n, ast.Call) and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None)))
 
 
 def test_one_block_assembly():
@@ -407,3 +412,16 @@ def test_eps_loops_are_named_in_algebra_alone():
                 if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("eps_")
             ]
     assert not found, f"eps loop names spelled at {found}"
+
+
+def test_eps_modules_are_compressions():
+    """Outside algebra.py, the loops of a dual-numbers extension are read by
+    `functors.eps_extension` (the loops' images) and `complexes.compress`
+    (eps as the differential) alone, so no eps-module is built by hand: the
+    corpus's modules are compressions of complexes."""
+    found = set()
+    for module in MODULES:
+        if module != "algebra.py":
+            tree = ast.parse((SRC / module).read_text(), filename=module)
+            found |= {f"{module} {scope}" for scope in _scopes(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "loops")}
+    assert found == {"complexes.py compress", "functors.py eps_extension"}, found
