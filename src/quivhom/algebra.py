@@ -18,12 +18,45 @@ irreducible path.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import functools
 
 from .exactlin import DEFAULT_PRIME, check_prime
 
 Path = tuple[str, tuple[str, ...]]
 Element = dict[Path, int]
+
+
+_MISS = object()
+
+
+def cached(fn):
+    """Declares a memo: fn(owner, *args) is kept in owner._cache under
+    (fn.__name__, *args), or under fn.__name__ when fn takes the owner
+    alone, so it is computed once per owner and lives as long as the owner.
+    The args are positional and hashable.  One wrapper per arity keeps a
+    hit to one dict lookup, with no key built for the owner alone."""
+    name = fn.__name__
+    if fn.__code__.co_argcount == 1:
+        def memo(owner):
+            hit = owner._cache.get(name, _MISS)
+            if hit is _MISS:
+                hit = owner._cache[name] = fn(owner)
+            return hit
+    elif fn.__code__.co_argcount == 2:
+        def memo(owner, arg):
+            key = (name, arg)
+            hit = owner._cache.get(key, _MISS)
+            if hit is _MISS:
+                hit = owner._cache[key] = fn(owner, arg)
+            return hit
+    else:
+        def memo(owner, *args):
+            key = (name, *args)
+            hit = owner._cache.get(key, _MISS)
+            if hit is _MISS:
+                hit = owner._cache[key] = fn(owner, *args)
+            return hit
+    return functools.wraps(fn)(memo)
 
 
 class NonAdmissibleError(ValueError):
@@ -119,9 +152,7 @@ class BoundQuiverAlgebra:
         for pth in self.path_basis:
             self.basis_by_source[path_source(pth)].append(pth)
         self._mul_cache: dict[tuple[Path, Path], Element] = {}
-        self._proj_cache: dict = {}  # vertex tuple -> its shared projective sum (modules._proj_sum)
-        self._op: "BoundQuiverAlgebra | None" = None
-        self._eps: "BoundQuiverAlgebra | None" = None
+        self._cache: dict = {}  # the memos of `cached`
         # set on a dual-numbers extension: the algebra it extends, and the
         # square-zero loop of each vertex
         self.base: "BoundQuiverAlgebra | None" = None
@@ -368,10 +399,9 @@ class BoundQuiverAlgebra:
 
     # -- derived algebras --------------------------------------------------
 
+    @cached
     def opposite(self) -> "BoundQuiverAlgebra":
-        """Same arrows with reversed orientation; relation paths reversed."""
-        if self._op is not None:
-            return self._op
+        """Same arrows with reversed orientation; relation paths reversed; its opposite is self."""
         rq = self.quiver.reversed()
         rrels = []
         for r in self.relations:
@@ -381,8 +411,7 @@ class BoundQuiverAlgebra:
                 nr[(self.path_target(pth), arrows)] = c
             rrels.append(nr)
         op = BoundQuiverAlgebra(rq, rrels, p=self.p)
-        self._op = op
-        op._op = self
+        op._cache["opposite"] = self
         return op
 
     def _eps_presentation(self):
@@ -403,16 +432,16 @@ class BoundQuiverAlgebra:
             rels.append({(s, (n, eps[t])): 1, (s, (eps[s], n)): self.p - 1})
         return eps, Quiver(self.quiver.vertices, arrows), rels
 
+    @cached
     def dual_numbers_extension(self) -> "BoundQuiverAlgebra":
         """Tensor with k[eps]/(eps^2): one square-zero loop per vertex that
         commutes with every arrow.  The dimension doubles.  Built once per
         algebra; the extension records its `base` and the `loops` by vertex.
         """
-        if self._eps is None:
-            eps, q2, rels = self._eps_presentation()
-            ext = self._eps = BoundQuiverAlgebra(q2, rels, p=self.p)
-            ext.base, ext.loops = self, eps
-        return self._eps
+        eps, q2, rels = self._eps_presentation()
+        ext = BoundQuiverAlgebra(q2, rels, p=self.p)
+        ext.base, ext.loops = self, eps
+        return ext
 
     def spells_extension_of(self, base: "BoundQuiverAlgebra") -> bool:
         """Whether self is presented as `base.dual_numbers_extension()`:
@@ -435,7 +464,7 @@ class BoundQuiverAlgebra:
         )
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _linear_quiver(m: int) -> Quiver:
     verts = [str(i) for i in range(m)]
     arrows = [(f"b{i}", str(i), str(i + 1)) for i in range(m - 1)]

@@ -83,8 +83,11 @@ class Context:
         self.functors = {}
         self.corpus = None
         if getattr(args, "defs", None):
-            with open(args.defs) as fh:
-                defs = parse_definitions(fh.read())
+            try:
+                with open(args.defs, encoding="utf-8") as fh:
+                    defs = parse_definitions(fh.read())
+            except (OSError, UnicodeDecodeError) as e:
+                raise DefinitionError("--defs", str(e))
             if args.prime is not None and defs.p != self.p:
                 raise OperationError("definitions file uses a different prime")
             self.p = defs.p
@@ -397,8 +400,11 @@ def cmd_corpus(ctx, args):
     defs = Definitions(ctx.p, algebras, modules, {}, functors)
     payload = {"definitions": json.loads(serialize_definitions(defs)), "manifest": c.manifest}
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+        try:
+            with open(args.out, "w") as fh:
+                json.dump(payload, fh, indent=1, sort_keys=True)
+        except OSError as e:
+            raise OperationError(f"--out: {e}")
         print(f"wrote {args.out}")
     else:
         print(json.dumps(payload, sort_keys=True))

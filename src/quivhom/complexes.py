@@ -30,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .algebra import cached
 from .exactlin import Matrix, extending_columns, nullspace, rank, solve
 from .modules import (
     HomFrame,
@@ -69,6 +70,9 @@ class Complex:
         }
         self._cache: dict = {}
         if check:
+            for i, t in terms.items():
+                if t.algebra is not algebra:
+                    raise ValueError(f"term in degree {i} is over another algebra")
             for i, d in self.diffs.items():
                 if d.source.dims != self.terms[i].dims or d.target.dims != self.terms[i + 1].dims:
                     raise ValueError(f"differential at {i} has wrong endpoints")
@@ -100,13 +104,11 @@ class Complex:
         return f"Complex({parts})"
 
 
+@cached
 def module_complex(m: Representation) -> Complex:
     """m as a stalk complex in degree 0, one cached object per module, so
     its projective resolution is built once; `shift` moves it."""
-    c = m._cache.get("stalk")
-    if c is None:
-        c = m._cache["stalk"] = Complex(m.algebra, {0: m}, {}, check=False)
-    return c
+    return Complex(m.algebra, {0: m}, {}, check=False)
 
 
 class ChainMap:
@@ -366,37 +368,31 @@ class HomEngine:
         self.c = c
         self.d = d
         self.p = c.algebra.p
-        self._frames: dict[tuple[int, int], HomFrame] = {}
-        self._layouts: dict[int, list[tuple[int, int, int]]] = {}
-        self._bnd: dict[int, Matrix] = {}
+        self._cache: dict = {}
 
+    @cached
     def frame(self, i: int, j: int) -> HomFrame:
-        key = (i, j)
-        if key not in self._frames:
-            self._frames[key] = hom_frame(self.c.term(i), self.d.term(j))
-        return self._frames[key]
+        return hom_frame(self.c.term(i), self.d.term(j))
 
+    @cached
     def layout(self, m: int) -> list[tuple[int, int, int]]:
         """[(i, offset, size)] for Hom^m, over source degrees i, made once;
         a degree whose source or target term is zero has no frame built."""
-        if m not in self._layouts:
-            sizes = [(i, self.frame(i, i + m).dim) for i in sorted(self.c.terms) if i + m in self.d.terms]
-            offs = np.cumsum([0] + [size for _, size in sizes]).tolist()
-            self._layouts[m] = [(i, off, size) for (i, size), off in zip(sizes, offs) if size]
-        return self._layouts[m]
+        sizes = [(i, self.frame(i, i + m).dim) for i in sorted(self.c.terms) if i + m in self.d.terms]
+        offs = np.cumsum([0] + [size for _, size in sizes]).tolist()
+        return [(i, off, size) for (i, size), off in zip(sizes, offs) if size]
 
     def space_dim(self, m: int) -> int:
         lay = self.layout(m)
         return lay[-1][1] + lay[-1][2] if lay else 0
 
+    @cached
     def boundary(self, m: int) -> Matrix:
         """D_m : Hom^m -> Hom^{m+1}; D(f)_i = d_Y f_i - (-1)^m f_{i+1} d_X.
 
         Each source block's composites are formed for its whole basis at
-        once and read off the target pair's frame in one call.
+        once and read off the target pair's frame in one call; made once.
         """
-        if m in self._bnd:
-            return self._bnd[m]
         tgt_off = {i: off for i, off, _ in self.layout(m + 1)}
         out = np.zeros((self.space_dim(m + 1), self.space_dim(m)), dtype=np.int64)
         sign = 1 if m % 2 == 0 else -1
@@ -410,8 +406,7 @@ class HomEngine:
                 x = self.frame(i - 1, i + m).coordinates(frame.precompose(self.c.diff(i - 1)))
                 o = tgt_off[i - 1]
                 out[o : o + len(x), off : off + size] -= sign * x
-        self._bnd[m] = Matrix(self.p, out)
-        return self._bnd[m]
+        return Matrix(self.p, out)
 
     def vector_of(self, f: ChainMap) -> np.ndarray:
         m = f.n
@@ -482,13 +477,10 @@ def hom_complex(c: Complex, d: Complex):
     return dims, bnds
 
 
+@cached
 def _engine(c: Complex, d: Complex) -> HomEngine:
-    # the engine (shared by every shift) is cached on c under d itself,
-    # which hashes and compares by identity
-    key = ("homeng", d)
-    if key not in c._cache:
-        c._cache[key] = HomEngine(c, d)
-    return c._cache[key]
+    # shared by every shift, and kept on c under d itself, which hashes by identity
+    return HomEngine(c, d)
 
 
 def hom_k(c: Complex, d: Complex, n: int) -> HomKResult:
@@ -523,22 +515,14 @@ class _Resolution:
     minimized view.
     """
 
-    @staticmethod
-    def of(c: Complex) -> "_Resolution":
-        """The construction kept on c, made on first use."""
-        if "resolution" not in c._cache:
-            c._cache["resolution"] = _Resolution(c)
-        return c._cache["resolution"]
-
     def __init__(self, c: Complex):
         self.complex = c
         self.psums: dict[int, ProjSummands] = {}
-        self.dmats: dict[int, list] = {}
         self.eps: dict[int, RepHom] = {}
         self.dP: dict[int, RepHom] = {}
         self.last: RepHom | None = None
         self.lo = c.hi + 1
-        self._proj_complexes: dict[int, ProjComplex] = {}
+        self._cache: dict = {}
 
     def extend_to(self, window_lo: int):
         c, p = self.complex, self.complex.algebra.p
@@ -566,22 +550,20 @@ class _Resolution:
             self.psums[i], self.last = ps, cover
         self.lo = min(self.lo, window_lo)
 
+    @cached
     def dmat(self, i: int) -> list:
         """The element matrix of dP_i, built on first read."""
-        if i not in self.dmats:
-            self.dmats[i] = hom_to_element_matrix(self.complex.algebra, self.dP[i], self.psums[i], self.psums[i + 1])
-        return self.dmats[i]
+        return hom_to_element_matrix(self.complex.algebra, self.dP[i], self.psums[i], self.psums[i + 1])
 
+    @cached
     def proj_complex(self, window_lo: int) -> ProjComplex:
         """The construction in degrees >= window_lo as a ProjComplex, one
         cached object per window: the minimal resolution of a module, and
         what `projective_resolution` minimizes."""
-        if window_lo not in self._proj_complexes:
-            self.extend_to(window_lo)
-            terms = {i: ps for i, ps in self.psums.items() if i >= window_lo and ps}
-            dmats = {i: self.dmat(i) for i in terms if i + 1 in terms}
-            self._proj_complexes[window_lo] = ProjComplex(self.complex.algebra, terms, dmats, check=False)
-        return self._proj_complexes[window_lo]
+        self.extend_to(window_lo)
+        terms = {i: ps for i, ps in self.psums.items() if i >= window_lo and ps}
+        dmats = {i: self.dmat(i) for i in terms if i + 1 in terms}
+        return ProjComplex(self.complex.algebra, terms, dmats, check=False)
 
     def truncation(self, window_lo: int) -> tuple[Complex, ChainMap]:
         """(P, eps): the construction in degrees >= window_lo, extended there
@@ -592,6 +574,12 @@ class _Resolution:
         terms = {i: ps.rep() for i, ps in self.psums.items() if i >= window_lo}
         pc = Complex(self.complex.algebra, terms, self.dP, check=False)  # keeps the dP between its terms
         return pc, ChainMap(pc, self.complex, {i: self.eps[i] for i in terms if i in self.eps}, check=False)
+
+
+@cached
+def _resolution(c: Complex) -> _Resolution:
+    """The construction kept on c, made on first use."""
+    return _Resolution(c)
 
 
 def projective_resolution(c: Complex, window_lo: int):
@@ -605,7 +593,7 @@ def projective_resolution(c: Complex, window_lo: int):
     that want element matrices.  Derived Hom reads the un-minimized
     construction (`_Resolution.truncation`) instead.
     """
-    res = _Resolution.of(c)
+    res = _resolution(c)
     pc_min, _, minc = minimize(res.proj_complex(window_lo))
     minc_cm = minc.to_chain_map()
     comps = {i: res.eps[i].compose(minc_cm.map(i)) for i in pc_min.terms if i in res.eps}
@@ -626,7 +614,7 @@ def hom_d_dim(c: Complex, d: Complex, n: int) -> int:
     with no minimize, element matrix or comparison map built."""
     if c.is_zero() or d.is_zero():
         return 0
-    return hom_k_dim(_Resolution.of(c).truncation(hom_d_window(d, n))[0], d, n)
+    return hom_k_dim(_resolution(c).truncation(hom_d_window(d, n))[0], d, n)
 
 
 class LocalizationReport:
@@ -668,7 +656,7 @@ def localization_compare(x: Complex, y: Complex, n: int, depth: int = 6) -> Loca
     x -> y[n] is pulled back along the comparison eps of the un-minimized
     construction of x (`_Resolution.truncation`), which also gives Hom_D."""
     hk = hom_k(x, y, n)
-    res, epsmap = _Resolution.of(x).truncation(hom_d_window(y, n))
+    res, epsmap = _resolution(x).truncation(hom_d_window(y, n))
     rk = hom_k(res, y, n)
     cols = [rk.coordinates(b.compose(epsmap)) for b in hk.basis]
     r = rank(Matrix(x.algebra.p, np.stack(cols, axis=1))) if cols and rk.dim else 0

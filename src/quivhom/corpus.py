@@ -32,6 +32,8 @@ expected values.
 
 from __future__ import annotations
 
+import functools
+
 from .algebra import BoundQuiverAlgebra, Quiver, linear_algebra_An
 from .complexes import compress, module_complex, shift
 from .exactlin import DEFAULT_PRIME, Matrix
@@ -253,11 +255,6 @@ class Corpus:
         return _tau_inverse_orbits(self.A)
 
 
-_corpus_cache: dict[tuple[int, int], Corpus] = {}
-
-
+@functools.cache
 def corpus(n: int = 1, p: int = DEFAULT_PRIME) -> Corpus:
-    key = (n, p)
-    if key not in _corpus_cache:
-        _corpus_cache[key] = Corpus(n, p)
-    return _corpus_cache[key]
+    return Corpus(n, p)

@@ -26,7 +26,7 @@ import itertools
 
 import numpy as np
 
-from .algebra import BoundQuiverAlgebra, Element, Path, Quiver, path_arrows, path_source
+from .algebra import BoundQuiverAlgebra, Element, Path, Quiver, cached, path_arrows, path_source
 from .complexes import Complex, cone, direct_sum_complex, hom_k, hom_k_dim, homology_dims, shift
 from .exactlin import Matrix, inverse, rank, solve
 from .homological import _end_radical, find_strict_iso, group_isomorphic, minimal_resolution, split_complex
@@ -59,7 +59,7 @@ class FunctorData:
         self.target = target
         self.images = dict(images)
         self.arrow_maps = dict(arrow_maps)
-        self._path_cache: dict[Path, ProjChainMap] = {}
+        self._cache: dict = {}
         self._apply_cache: dict = {}
         missing = [f"image of vertex {v}" for v in source.quiver.vertices if v not in self.images]
         missing += [f"map of arrow {n}" for n in source.quiver.arrow_by_name if n not in self.arrow_maps]
@@ -83,19 +83,15 @@ class FunctorData:
 
     # -- morphism images ----------------------------------------------
 
+    @cached
     def path_map(self, pth: Path) -> ProjChainMap:
-        """Chain map image(target of path) -> image(source of path)."""
-        if pth in self._path_cache:
-            return self._path_cache[pth]
-        v = path_source(pth)
+        """Chain map image(target of path) -> image(source of path), made once."""
         arrows = path_arrows(pth)
         if not arrows:
-            out = identity_proj_chain_map(self.images[v])
-        else:
-            out = self.arrow_maps[arrows[-1]]
-            for a in reversed(arrows[:-1]):
-                out = self.arrow_maps[a].compose(out)
-        self._path_cache[pth] = out
+            return identity_proj_chain_map(self.images[path_source(pth)])
+        out = self.arrow_maps[arrows[-1]]
+        for a in reversed(arrows[:-1]):
+            out = self.arrow_maps[a].compose(out)
         return out
 
     def element_map_emats(self, e: Element) -> dict[int, ElementMatrix]:

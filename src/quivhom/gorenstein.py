@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .algebra import cached
 from .exactlin import Matrix, extending_columns
 from .homological import dual, ext, ext_row, projdim, transpose
 from .modules import (
@@ -63,6 +64,7 @@ from .functors import FunctorData
 from .stable import stable_image
 
 
+@cached
 def gorenstein_dimension(alg, bound: int) -> int | None:
     """The Gorenstein dimension of alg within bound: the largest projdim
     of an indecomposable injective, taken over alg and over alg.opposite(),
@@ -81,21 +83,16 @@ def gorenstein_dimension(alg, bound: int) -> int | None:
     One module per side is resolved: the injective cogenerator
     dual(regular_module(side.opposite())), the sum of the indecomposable
     injectives, whose projdim is the largest of theirs.  Cached per bound
-    on the regular module of alg; the cogenerators keep their
-    resolutions, so a larger bound extends them.
+    on alg; the cogenerators keep their resolutions, so a larger bound
+    extends them.
     """
-    cache = regular_module(alg)._cache
-    key = ("gorenstein_dimension", bound)
-    if key not in cache:
-        g = 0
-        for side in (alg, alg.opposite()):
-            pd = projdim(dual(regular_module(side.opposite())), bound)
-            if pd is None:
-                cache[key] = None
-                return None
-            g = max(g, pd)
-        cache[key] = g
-    return cache[key]
+    g = 0
+    for side in (alg, alg.opposite()):
+        pd = projdim(dual(regular_module(side.opposite())), bound)
+        if pd is None:
+            return None
+        g = max(g, pd)
+    return g
 
 
 def restriction_is_projective(m: Representation) -> bool:

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import BoundQuiverAlgebra, Element, path_arrows
-from .complexes import ChainMap, Complex, HomEngine, _Resolution, identity_chain_map, module_complex
+from .algebra import BoundQuiverAlgebra, Element, cached, path_arrows
+from .complexes import ChainMap, Complex, HomEngine, _resolution, identity_chain_map, module_complex
 from .exactlin import Matrix, extending_columns, inverse, nullspace, rank, rref, solve
 from .modules import (
     ElementMatrix,
@@ -69,11 +69,11 @@ class MinimalResolution:
     """
 
     def __init__(self, m: Representation):
-        self._res = _Resolution.of(module_complex(m))
+        self._res = _resolution(module_complex(m))
         p0, epi = projective_cover(m)  # the construction's P_0 and eps_0
         self.terms: list[ProjSummands] = [p0]
         self.homs: list[RepHom] = [epi]
-        self._syzygies: dict[int, Representation] = {0: m}
+        self._cache: dict = {}
 
     def extend_to(self, depth: int):
         self._res.extend_to(-depth)
@@ -85,12 +85,13 @@ class MinimalResolution:
     def dmats(self) -> list[ElementMatrix | None]:
         return [None] + [self._res.dmat(-k) if self.terms[k - 1] else [] for k in range(1, len(self.terms))]
 
+    @cached
     def syzygy_module(self, k: int) -> Representation:
         """K_k, the kernel of P_(k-1) ->> K_(k-1) (K_0 = m), unstripped:
         kernel(d_(k-1)), or kernel(homs[0]) for k = 1.  Built once."""
-        if k not in self._syzygies:
-            self._syzygies[k] = kernel(self.homs[0] if k == 1 else self.diff_hom(k - 1))[0]
-        return self._syzygies[k]
+        if k == 0:
+            return self.homs[0].target
+        return kernel(self.homs[0] if k == 1 else self.diff_hom(k - 1))[0]
 
     def diff_hom(self, k: int) -> RepHom:
         """d_k : P_k -> P_{k-1} as a RepHom (k >= 1)."""
@@ -105,11 +106,14 @@ class MinimalResolution:
         return self._res.proj_complex(window_lo)
 
 
+@cached
+def _minres(m: Representation) -> MinimalResolution:
+    return MinimalResolution(m)
+
+
 def minimal_resolution(m: Representation, depth: int) -> MinimalResolution:
-    res = m._cache.get("minres")
-    if res is None:
-        res = m._cache["minres"] = MinimalResolution(m)
-    return res.extend_to(depth)
+    """The one minimal resolution of m, kept on m, extended to depth."""
+    return _minres(m).extend_to(depth)
 
 
 def _yoneda_rank(res: MinimalResolution, i: int, n: Representation) -> int:
@@ -152,9 +156,15 @@ def ext_row(y: Representation, k: int) -> list[int]:
         raise ValueError("ext_row length must be >= 0")
     A = regular_module(y.algebra)
     res = minimal_resolution(y, k + 1)
-    ranks = y._cache.setdefault("ext_ranks", [])
+    ranks = _ext_ranks(y)
     ranks += [_yoneda_rank(res, i, A) for i in range(len(ranks), k + 2)]
     return [sum(A.dims[v] for v in res.terms[i].vertices) - ranks[i + 1] - ranks[i] for i in range(1, k + 1)]
+
+
+@cached
+def _ext_ranks(y: Representation) -> list[int]:
+    """[rk d_i* for i = 0..] against the regular module, as far as `ext_row` has appended."""
+    return []
 
 
 # -- syzygies -----------------------------------------------------------
@@ -172,12 +182,11 @@ def strip_projectives(m: Representation):
     radical F o G is block diagonal with invertible blocks), so m is
     im G (+) ker F and ker F has no projective summand.  Cached on m.
     """
-    hit = m._cache.get("strip")
-    if hit is None:
-        hit = m._cache["strip"] = _split_projectives(m)
-    return hit[0], list(hit[1])
+    rest, dropped = _split_projectives(m)
+    return rest, list(dropped)
 
 
+@cached
 def _split_projectives(m: Representation):
     alg = m.algebra
     if m.is_zero():
@@ -226,17 +235,15 @@ def projdim(m: Representation, bound: int):
 # -- duality and transpose ------------------------------------------------
 
 
+@cached
 def dual(m: Representation) -> Representation:
     """The linear dual, a representation of the opposite algebra; cached
     on m, so the dual of a shared projective (an injective) keeps its
     own minimal resolution.  A relation of the opposite algebra is a
     reversed relation of m's, and acts on the transposed matrices as the
     transpose of its action on m, so the dual is built unchecked."""
-    if "dual" not in m._cache:
-        op = m.algebra.opposite()
-        mats = {n: m.mats[n].transpose() for n, _, _ in m.algebra.quiver.arrows}
-        m._cache["dual"] = Representation(op, dict(m.dims), mats, check=False)
-    return m._cache["dual"]
+    mats = {n: m.mats[n].transpose() for n, _, _ in m.algebra.quiver.arrows}
+    return Representation(m.algebra.opposite(), dict(m.dims), mats, check=False)
 
 
 def op_element(alg: BoundQuiverAlgebra, e: Element) -> Element:
@@ -247,6 +254,7 @@ def op_element(alg: BoundQuiverAlgebra, e: Element) -> Element:
     return out
 
 
+@cached
 def transpose(m: Representation) -> Representation:
     """Auslander-Bridger transpose over the opposite algebra.
 
@@ -258,19 +266,12 @@ def transpose(m: Representation) -> Representation:
     op = alg.opposite()
     if m.is_zero():
         return zero_rep(op)
-    if "transpose" in m._cache:
-        return m._cache["transpose"]
     res = minimal_resolution(m, 1)
     p0, p1 = res.terms[0], res.terms[1]
     d = res.dmats[1]  # rows = p0 summands, cols = p1 summands
-    p0_op = ProjSummands(op, p0.vertices)
-    p1_op = ProjSummands(op, p1.vertices)
     # dual map P_0^op -> P_1^op: entry (j, l) = op(d[l][j])
     emat = [[op_element(alg, d[l][j]) for l in range(len(p0.vertices))] for j in range(len(p1.vertices))]
-    dual_hom = element_matrix_to_hom(op, emat, p0_op, p1_op)
-    coker, _ = cokernel(dual_hom)
-    m._cache["transpose"] = coker
-    return coker
+    return cokernel(element_matrix_to_hom(op, emat, ProjSummands(op, p0.vertices), ProjSummands(op, p1.vertices)))[0]
 
 
 # -- decomposition and isomorphism ------------------------------------------
@@ -502,12 +503,14 @@ def decompose(m: Representation, seed: int = 0):
     add up.  They are the degree-0 terms of `split_complex` of the stalk
     complex of m, whose Z^0 is End(m), grouped by `group_isomorphic`.
     """
-    key = ("decompose", seed)
-    if key not in m._cache:
-        pieces = split_complex(module_complex(m), seed)
-        pieces.sort(key=lambda c: (c.terms[0].total_dim(), list(c.terms[0].dims.values())))
-        m._cache[key] = [(c.terms[0], k) for c, k in group_isomorphic(pieces, lambda c: c.terms[0].dims, seed)]
-    return m._cache[key]
+    return _decompose(m, seed)
+
+
+@cached
+def _decompose(m: Representation, seed: int):
+    pieces = split_complex(module_complex(m), seed)
+    pieces.sort(key=lambda c: (c.terms[0].total_dim(), list(c.terms[0].dims.values())))
+    return [(c.terms[0], k) for c, k in group_isomorphic(pieces, lambda c: c.terms[0].dims, seed)]
 
 
 def group_isomorphic(cxs: list[Complex], key, seed: int = 0) -> list[tuple[Complex, int]]:

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .algebra import BoundQuiverAlgebra, Element, Path, path_arrows, path_source
+from .algebra import BoundQuiverAlgebra, Element, Path, cached, path_arrows, path_source
 from .exactlin import (
     Matrix,
     column_space_basis,
@@ -229,9 +229,10 @@ class _ProjSum(NamedTuple):
     gens: tuple[int, ...]  # coordinate of each summand's generator at its vertex
 
 
+@cached
 def _proj_sum(alg: BoundQuiverAlgebra, vertices: tuple) -> _ProjSum:
     """The sum of the P_v, v in vertices (with repetition), built once per
-    vertex tuple and kept in alg._proj_cache; () is the zero module.  At
+    vertex tuple and algebra; () is the zero module.  At
     each vertex w the coordinates are grouped summand by summand, each
     block listing that projective's basis paths into w in algebra order.
     The entry is shared, so its layout and index are read-only.
@@ -241,9 +242,6 @@ def _proj_sum(alg: BoundQuiverAlgebra, vertices: tuple) -> _ProjSum:
     entries' matrices, which is exactly its layout; relations evaluate
     blockwise on it, so it is built unchecked.
     """
-    entry = alg._proj_cache.get(vertices)
-    if entry is not None:
-        return entry
     for v in vertices:
         if v not in alg.quiver.vertices:
             raise ValueError(f"unknown vertex {v}")
@@ -269,11 +267,7 @@ def _proj_sum(alg: BoundQuiverAlgebra, vertices: tuple) -> _ProjSum:
     rep._cache["proj_sum"] = vertices  # hom_space reads Hom out of it off the generators
     # relations have length >= 2, so every trivial path is a basis path
     gens = tuple(index[(j, (v, ()))] for j, v in enumerate(vertices))
-    entry = _ProjSum(
-        rep, MappingProxyType({w: tuple(lay) for w, lay in layout.items()}), MappingProxyType(index), gens
-    )
-    alg._proj_cache[vertices] = entry
-    return entry
+    return _ProjSum(rep, MappingProxyType({w: tuple(lay) for w, lay in layout.items()}), MappingProxyType(index), gens)
 
 
 def direct_sum_module(reps: list[Representation]) -> Representation:
@@ -342,7 +336,7 @@ def hom_frame(m: Representation, n: Representation) -> HomFrame:
     arrow a: s -> t, on the stacked vertex matrices f_v.  Both give the
     normal form of the span, so the basis does not depend on the path.
     Hom(P, n) depends only on P's vertex tuple and n, so that frame is
-    built once, with read-only flats, and kept on n (key "hom_from").
+    built once, with read-only flats, and kept on n (`_hom_from`).
     """
     if m.algebra is not n.algebra:
         raise ValueError("modules over different algebras")
@@ -352,12 +346,16 @@ def hom_frame(m: Representation, n: Representation) -> HomFrame:
         sysmat = _hom_system(m, n, offs, total)
         flats = np.eye(total, dtype=np.int64) if sysmat is None else nullspace(sysmat).data
         return HomFrame(m, n, flats, _free_rows(flats))
-    key = ("hom_from", vertices)
-    if key not in n._cache:
-        flats = _hom_basis_from_generators(vertices, n, *_flat_offsets(m, n))
-        flats.setflags(write=False)
-        n._cache[key] = HomFrame(m, n, flats, _free_rows(flats))
-    return n._cache[key]
+    return _hom_from(n, vertices)
+
+
+@cached
+def _hom_from(n: Representation, vertices: tuple) -> HomFrame:
+    """Hom(P, n) for P the shared sum of the P_v, v in vertices."""
+    m = _proj_sum(n.algebra, vertices).rep
+    flats = _hom_basis_from_generators(vertices, n, *_flat_offsets(m, n))
+    flats.setflags(write=False)
+    return HomFrame(m, n, flats, _free_rows(flats))
 
 
 def _hom_of_flat(m: Representation, n: Representation, offs, flat: np.ndarray) -> RepHom:
@@ -639,30 +637,22 @@ def is_ses(f: RepHom, g: RepHom) -> bool:
 # -- radical, top, covers ------------------------------------------------
 
 
+@cached
 def radical(m: Representation):
     """(rad m, inclusion): the image of the arrow-ideal action."""
-    key = "radical"
-    if key not in m._cache:
-        alg = m.algebra
-        p = alg.p
-        bases = {}
-        for v in alg.quiver.vertices:
-            imgs = [m.mats[n] for n, _, t in alg.quiver.arrows if t == v and m.mats[n].cols]
-            if imgs:
-                bases[v] = column_space_basis(Matrix.hstack(imgs))
-            else:
-                bases[v] = Matrix.zeros(p, m.dims[v], 0)
-        m._cache[key] = sub_from_bases(m, bases)
-    return m._cache[key]
+    alg = m.algebra
+    bases = {}
+    for v in alg.quiver.vertices:
+        imgs = [m.mats[n] for n, _, t in alg.quiver.arrows if t == v and m.mats[n].cols]
+        bases[v] = column_space_basis(Matrix.hstack(imgs)) if imgs else Matrix.zeros(alg.p, m.dims[v], 0)
+    return sub_from_bases(m, bases)
 
 
+@cached
 def top(m: Representation):
     """(top m, projection): the semisimple quotient m / rad m."""
-    key = "top"
-    if key not in m._cache:
-        _, incl = radical(m)
-        m._cache[key] = quotient_by_bases(m, {v: incl.mats[v] for v in incl.mats})
-    return m._cache[key]
+    _, incl = radical(m)
+    return quotient_by_bases(m, {v: incl.mats[v] for v in incl.mats})
 
 
 class ProjSummands:
@@ -805,17 +795,15 @@ def _cover_into(m: Representation, bases: dict[str, np.ndarray], acts: dict[str,
     return ps, RepHom(ps.rep(), m, mats, check=False)
 
 
+@cached
 def projective_cover(m: Representation):
     """Minimal projective cover (P, epi) with P an explicit ProjSummands:
     `_cover_into` with m its own submodule on the identity bases, so the
     epi sends each summand's generator to a standard basis vector of m.
     Cached on m.
     """
-    key = "cover"
-    if key not in m._cache:
-        ident = {v: np.eye(d, dtype=np.int64) for v, d in m.dims.items()}
-        m._cache[key] = _cover_into(m, ident, {n: a.data for n, a in m.mats.items()})
-    return m._cache[key]
+    ident = {v: np.eye(d, dtype=np.int64) for v, d in m.dims.items()}
+    return _cover_into(m, ident, {n: a.data for n, a in m.mats.items()})
 
 
 def is_projective(m: Representation) -> bool:

@@ -20,7 +20,7 @@ or off the shared-sum tags of the terms.
 
 from __future__ import annotations
 
-from .algebra import BoundQuiverAlgebra, Element
+from .algebra import BoundQuiverAlgebra, Element, cached
 from .modules import (
     ElementMatrix,
     ProjSummands,
@@ -98,7 +98,7 @@ class ProjComplex:
         for i, d in dmats.items():
             if i in self.terms and (i + 1) in self.terms:
                 self.dmats[i] = d
-        self._complex = None
+        self._cache: dict = {}
         if check:
             for i in sorted(self.dmats):
                 if i + 1 in self.dmats:
@@ -109,20 +109,16 @@ class ProjComplex:
     def summands(self, i: int) -> ProjSummands:
         return self.terms.get(i, ProjSummands(self.algebra, ()))
 
+    @cached
     def to_complex(self):
         """The Complex of the shared sums, made once; it keeps this view for `recognize`."""
-        if self._complex is None:
-            from .complexes import Complex
+        from .complexes import Complex
 
-            terms = {i: t.rep() for i, t in self.terms.items()}
-            diffs = {}
-            for i in self.dmats:
-                diffs[i] = element_matrix_to_hom(
-                    self.algebra, self.dmats[i], self.terms[i], self.terms[i + 1]
-                )
-            self._complex = Complex(self.algebra, terms, diffs, check=False)
-            self._complex._cache["proj"] = self
-        return self._complex
+        terms = {i: t.rep() for i, t in self.terms.items()}
+        diffs = {i: element_matrix_to_hom(self.algebra, d, self.terms[i], self.terms[i + 1]) for i, d in self.dmats.items()}
+        c = Complex(self.algebra, terms, diffs, check=False)
+        c._cache["recognize"] = self
+        return c
 
     def signature(self) -> tuple:
         """(degree, sorted vertex multiset) profile; equal for isomorphic
@@ -253,17 +249,16 @@ def minimize(pc: ProjComplex) -> tuple[ProjComplex, ProjChainMap, ProjChainMap]:
     return minimal, ProjChainMap(pc, minimal, proj), ProjChainMap(minimal, pc, inc)
 
 
+@cached
 def recognize(c) -> ProjComplex:
     """The ProjComplex view of a complex of projective representations,
-    kept on c (key "proj"), where `ProjComplex.to_complex` also puts it.
+    kept on c, where `ProjComplex.to_complex` also puts it.
     When every term is a shared sum (`modules._proj_sum`), as in a cone or
     a shift of such complexes, the summands are read off the tags and the
     element matrices off the generator columns, and c is the view's
     complex; other terms are identified with their covers (isomorphisms
     when the terms are projective), through which the differentials pass.
     """
-    if "proj" in c._cache:
-        return c._cache["proj"]
     alg = c.algebra
     tags = {i: t._cache.get("proj_sum") for i, t in c.terms.items()}
     tagged = all(v is not None for v in tags.values())
@@ -278,7 +273,7 @@ def recognize(c) -> ProjComplex:
                 raise ValueError(f"term in degree {i} is not projective")
         diffs = {i: lift(isos[i + 1], d.compose(isos[i])) for i, d in c.diffs.items()}
     dmats = {i: hom_to_element_matrix(alg, d, terms[i], terms[i + 1]) for i, d in diffs.items()}
-    pc = c._cache["proj"] = ProjComplex(alg, terms, dmats)
+    pc = ProjComplex(alg, terms, dmats)
     if tagged:
-        pc._complex = c
+        pc._cache["to_complex"] = c
     return pc

@@ -67,7 +67,7 @@ def test_every_window_equals_a_fresh_resolution(name, order, request):
     for c in complexes(alg, seed=len(name)):
         for w in windows:
             assert_same_resolution(projective_resolution(c, int(w)), projective_resolution(fresh_copy(c), int(w)))
-        assert c._cache["resolution"].lo == min(WINDOWS)
+        assert c._cache["_resolution"].lo == min(WINDOWS)
         assert not [k for k in c._cache if isinstance(k, tuple) and k[0] == "res"]
 
 
@@ -78,7 +78,7 @@ def test_stalk_complex_is_cached_on_its_module(keps):
     for i in range(5):
         assert hom_d_dim(module_complex(m), module_complex(m), i) == ext(m, m, i)
     # degrees 0..4 need windows -2..-6: seven steps in all, made once
-    res = c._cache["resolution"]
+    res = c._cache["_resolution"]
     assert res.lo == -6
     assert sorted(res.psums) == list(range(-6, 1))
 
@@ -90,4 +90,4 @@ def test_localization_shifts_extend_one_resolution(keps):
     for n in range(-3, 2):
         rep = localization_compare(x, y, n)
         assert rep.hom_d_dim == hom_d_dim(fresh_copy(x), y, n)
-    assert x._cache["resolution"].lo == y.lo - 1 - 2
+    assert x._cache["_resolution"].lo == y.lo - 1 - 2

@@ -114,7 +114,7 @@ def test_hom_d_at_every_window_matches_the_minimized_resolution(name, request):
                 got = hom_d_dim(c, d, n)
                 assert got == reference_hom_d_dim(c, d, n), (w, n)
                 nonzero += bool(got)
-            built = c._cache["resolution"].psums
+            built = c._cache["_resolution"].psums
             kept = projective_resolution(c, w)[0].terms
             cancelled += sum(len(t.vertices) for i, t in built.items() if i >= w) - sum(len(t.vertices) for t in kept.values())
     assert nonzero
@@ -191,7 +191,7 @@ def test_derived_hom_builds_no_element_matrix(monkeypatch):
     want = [hom_d_dim(x, y, n) for x, y, n in want_stalks], [fields(localization_compare(x, y, n)) for x, y, n in want_locs]
     for x, y, _ in locs:
         perpendicularity_hypothesis(x, y)
-    assert all("resolution" not in x._cache for x, _, _ in locs)
+    assert all("_resolution" not in x._cache for x, _, _ in locs)
     _patch_everywhere(monkeypatch, modules.hom_to_element_matrix)
     got = [hom_d_dim(x, y, n) for x, y, n in stalks], [fields(localization_compare(x, y, n)) for x, y, n in locs]
     assert got == want
@@ -214,7 +214,7 @@ def test_cached_frames_equal_a_fresh_build(n):
     seen = 0
     for y in corpus_targets(n):
         for key, frame in y._cache.items():
-            if not (isinstance(key, tuple) and key[0] == "hom_from"):
+            if not (isinstance(key, tuple) and key[0] == "_hom_from"):
                 continue
             vertices = key[1]
             P = _proj_sum(y.algebra, vertices).rep

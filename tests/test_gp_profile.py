@@ -223,16 +223,16 @@ def test_refuted_profile_stops_at_first_nonzero_degree(A1):
     report = is_gorenstein_projective(s, 8)
     assert (report.verdict, report.ext_left, report.witness) == ("refuted", [], ("left", 1, "0"))
     # Ext^1 is settled by rk d_2*, so the resolution went no further than P_2
-    assert len(s._cache["minres"].terms) == 3
+    assert len(s._cache["_minres"].terms) == 3
     assert ext_row(s, 2) == per_vertex_profile(s, 2) == [2, 1]
 
 
 def test_row_is_cached_and_returned_as_a_copy(C1):
     x = C1.M[sorted(C1.M)[0]]
     row = ext_row(x, 8)
-    ranks = x._cache["ext_ranks"]
+    ranks = x._cache["_ext_ranks"]
     assert len(ranks) == 10
     # a shorter row is read off the cached ranks, with none added
-    assert ext_row(x, 3) == row[:3] and x._cache["ext_ranks"] is ranks and len(ranks) == 10
+    assert ext_row(x, 3) == row[:3] and x._cache["_ext_ranks"] is ranks and len(ranks) == 10
     row.append(99)
     assert ext_row(x, 8) == row[:8]

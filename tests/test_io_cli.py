@@ -294,6 +294,25 @@ def test_cli_corpus_emission(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error: document: unknown top-level key 'definitions'")
 
 
+def test_cli_corpus_out_into_a_missing_directory_is_an_error_line(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "corpus.json"
+    assert main(["corpus", "--n", "1", "--out", str(out_file)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: --out: [Errno 2] No such file or directory: '{out_file}'")
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [("missing", "No such file or directory"), ("directory", "Is a directory"), ("not_utf8", "'utf-8' codec can't decode byte 0xe9")],
+)
+def test_an_unreadable_defs_file_is_a_located_parse_error(kind, message, tmp_path, capsys):
+    f = tmp_path if kind == "directory" else tmp_path / "defs.json"
+    if kind == "not_utf8":
+        f.write_bytes(SAMPLE.replace('"X"', '"X\u00e9"').encode("latin-1"))
+    assert main(["--defs", str(f), "projdim", "--module", "X"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: --defs: ") and message in err, err
+
+
 def test_cli_decompose():
     code, out = run_cli(["--corpus", "1", "--format", "json", "decompose", "--module", "M_0_2"])
     assert code == 0
@@ -569,6 +588,11 @@ BAD_DEFINITIONS = {
     ),
     "fractional_dimension": ('"dims": {"0": 1, "1": 1}', '"dims": {"0": 1.7, "1": 1}', "modules.X.dims.0: not an integer: 1.7"),
     "boolean_matrix_entry": ('"mats": {"a1": [[1]]}', '"mats": {"a1": [[true]]}', "modules.X.mats.a1: not an integer: True"),
+    "complex_term_over_another_algebra": (
+        '  }\n },\n "modules": {\n  "X": {"algebra": "T"',
+        '  },\n  "S": {"vertices": ["0", "1"], "arrows": [["a1", "1", "0"]]}\n },\n "modules": {\n  "X": {"algebra": "S"',
+        "complexes.C: term in degree 0 is over another algebra",
+    ),
     "missing_functor_image": (
         ',\n    "3": {"terms": {"0": ["3"]}, "diffs": {}}',
         "",

@@ -150,9 +150,9 @@ def test_unminimized_resolution_constructions(name, request):
     for c in complexes(alg, seed=len(name)):
         for w in WINDOWS:
             projective_resolution(c, w)
-            res = c._cache["resolution"]
+            res = c._cache["_resolution"]
             terms = {i: ps for i, ps in res.psums.items() if i >= w}
-            dmats = {i: d for i, d in res.dmats.items() if i >= w}
+            dmats = {key[1]: d for key, d in res._cache.items() if key[0] == "dmat" and key[1] >= w}
             cancelled += check_against_reference(ProjComplex(alg, terms, dmats, check=False))
     assert cancelled == {"A1": 0, "Lam1": 12, "keps": 36}[name]
 

@@ -290,12 +290,13 @@ def test_one_grouping_up_to_isomorphism():
     alone: besides it, `find_strict_iso` is called only by `find_iso` (one
     pair of modules) and `functors.strict_chain_automorphism` (one complex
     with itself).  Only the pieces of `decompose` and the summands of
-    `endomorphism_presentation` are grouped, so no enumeration of
+    `endomorphism_presentation` are grouped (the former in `_decompose`,
+    the memo behind `decompose`), so no enumeration of
     indecomposables keeps its classes apart by a failed search."""
     found = sorted(f"{module} {scope}" for module in MODULES for scope in _call_scopes(module, "find_strict_iso"))
     assert found == ["functors.py strict_chain_automorphism", "homological.py find_iso", "homological.py group_isomorphic"], found
     grouped = sorted(f"{module} {scope}" for module in MODULES for scope in _call_scopes(module, "group_isomorphic"))
-    assert grouped == ["functors.py endomorphism_presentation", "homological.py decompose"], grouped
+    assert grouped == ["functors.py endomorphism_presentation", "homological.py _decompose"], grouped
 
 
 def test_one_resolution_engine():
@@ -361,18 +362,20 @@ def test_one_shift():
     assert found == [("complexes.py", True)], found
 
 
-def _scopes(tree: ast.AST, hit) -> list[str]:
-    """The dotted scope (class and function names) of each node that hit accepts."""
-    out = []
+def _scoped(tree: ast.AST):
+    """(dotted scope of class and function names, node) for each node under tree."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if hit(child):
-                out.append(".".join(scope))
-            visit(child, scope + [child.name] if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope)
+            yield ".".join(scope), child
+            yield from visit(child, scope + [child.name] if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope)
 
-    visit(tree, [])
-    return out
+    return visit(tree, [])
+
+
+def _scopes(tree: ast.AST, hit) -> list[str]:
+    """The dotted scope (class and function names) of each node that hit accepts."""
+    return [scope for scope, node in _scoped(tree) if hit(node)]
 
 
 def _callers(tree: ast.AST, name: str) -> list[str]:
@@ -425,3 +428,58 @@ def test_eps_modules_are_compressions():
             tree = ast.parse((SRC / module).read_text(), filename=module)
             found |= {f"{module} {scope}" for scope in _scopes(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "loops")}
     assert found == {"complexes.py compress", "functors.py eps_extension"}, found
+
+
+# the scopes that write into a `_cache` by hand
+CACHE_WRITERS = {
+    "algebra.py cached.memo",  # the one memo decorator
+    "modules.py _proj_sum",  # the "proj_sum" tag of a shared sum of projectives
+    "algebra.py BoundQuiverAlgebra.opposite",  # the opposite's opposite is the algebra
+    "projcplx.py ProjComplex.to_complex",  # a ProjComplex and its Complex find each other
+    "projcplx.py recognize",
+}
+
+
+def _written(node: ast.AST) -> ast.AST | None:
+    """The container that node writes into: X of a store `X[k] = ...` or
+    of a call `X.setdefault(...)`."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+        return node.value
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault":
+        return node.func.value
+    return None
+
+
+def test_one_memo_store():
+    """Every value the package computes once per object lives in that
+    object's `_cache`, declared by `algebra.cached`, and a module-level memo
+    is a `functools.cache`.  So the private attributes and module-level
+    names that are written by key are `_cache` and the two dicts that
+    perfbench/tracing.py reads by name (`_mul_cache`, `_apply_cache`); no
+    private attribute is set after `__init__` (a lazy slot), no container
+    is filled under a test of its own key or of None, and `._cache[...]` is
+    written by hand (or aliased) only in CACHE_WRITERS."""
+    stores, lazy, checked, writers = set(), set(), set(), set()
+    for module in MODULES:
+        tree = ast.parse((SRC / module).read_text(), filename=module)
+        top = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign)) for t in ast.walk(node) if isinstance(t, ast.Name)}
+        for scope, node in _scoped(tree):
+            box = _written(node)
+            if isinstance(box, ast.Attribute) and box.attr.startswith("_") or isinstance(box, ast.Name) and box.id in top:
+                stores.add(getattr(box, "attr", None) or box.id)
+                if getattr(box, "attr", None) == "_cache":
+                    writers.add(f"{module} {scope}")
+            if isinstance(node, ast.Assign) and getattr(node.value, "attr", None) == "_cache":
+                writers.add(f"{module} {scope}")  # an alias of a `_cache`, written through
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and not scope.endswith("__init__"):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                lazy |= {f"{module} {scope} {t.attr}" for target in targets for t in ast.walk(target) if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store) and t.attr.startswith("_")}
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Compare) and isinstance(node.test.ops[0], (ast.NotIn, ast.Is)):
+                tested = node.test.comparators[0] if isinstance(node.test.ops[0], ast.NotIn) else node.test.left
+                filled = [_written(sub) for sub in ast.walk(node)] + [t for sub in ast.walk(node) if isinstance(sub, ast.Assign) for t in sub.targets]
+                if isinstance(tested, ast.Attribute) and any(isinstance(box, ast.Attribute) and ast.dump(box).replace("Store", "Load") == ast.dump(tested) for box in filled):
+                    checked.add(f"{module} {scope}")
+    assert stores == {"_cache", "_mul_cache", "_apply_cache"}, stores
+    assert not lazy, f"private attributes set after __init__: {sorted(lazy)}"
+    assert not checked, f"containers filled under a test of their own key: {sorted(checked)}"
+    assert writers == CACHE_WRITERS, writers
