@@ -15,17 +15,17 @@ within that bound.  Whichever decides first gives the verdict:
   A projective x is `gp` at once, with no g asked for, because
   projectives are GP over any algebra.
 
-Over a dual-numbers extension kQ[eps] of a path algebra with no
-relations (Q acyclic, as kQ is finite-dimensional), the detector needs no
-Ext row for a "yes".  Ringel and Zhang ("Representations of quivers over
-the algebra of dual numbers", J. Algebra 475, 2017) prove that a
-kQ[eps]-module is GP iff its restriction to kQ is projective, and that
-kQ[eps] is 1-Gorenstein, or self-injective when Q has no arrows.  So
-`restriction_is_projective`, one projective cover over kQ, certifies x
-`gp` with g = 1 (0 without arrows) and the row [0] * g, naming the rule.
-A restriction that is not projective falls through to the Ext row, so
-every refutation still carries its balance-checked witness.  Over an
-extension of a bound algebra with relations the rule is not applied.
+Over a dual-numbers extension A[eps] the detector needs no Ext row for a
+"yes".  A[eps] is free over A and A[eps] ~ Hom_A(A[eps], A), as k[eps] is
+Frobenius, so Ext^i_(A[eps])(x, A[eps]) ~ Ext^i_A(x|_A, A) by
+Eckmann-Shapiro, and A[eps] has the Gorenstein dimension g of A.  Over a
+Gorenstein algebra x is GP iff Ext^(>=1)(x, A[eps]) = 0, so a projective
+x|_A (`restriction_is_projective`, one projective cover over A) certifies
+x `gp` once g = `gorenstein_dimension(A, d)` is known, with the row
+[0] * g, naming the rule (Ringel-Zhang's over kQ[eps], Q acyclic, J.
+Algebra 475, 2017, where g = 1, or 0 without arrows).  A restriction that
+is not projective falls through to the Ext row, so every refutation still
+carries its balance-checked witness.
 
 Only if neither settles by the depth d (g > d, or the algebra is not
 Gorenstein) does the detector fall back to the totally-reflexive
@@ -96,10 +96,10 @@ def gorenstein_dimension(alg, bound: int) -> int | None:
 
 
 def restriction_is_projective(m: Representation) -> bool:
-    """Whether m, a module over a dual-numbers extension, is projective
-    over the extension's `base`: m's dimensions and its matrices on the
-    base arrows, the loops dropped.  Over kQ[eps] with Q acyclic this
-    holds iff m is GP (Ringel-Zhang, J. Algebra 475, 2017)."""
+    """Whether m, a module over a dual-numbers extension A[eps], is
+    projective over its `base` A: m's dimensions and its matrices on the
+    base arrows, the loops dropped.  When A is Gorenstein this holds iff
+    m is GP (the restriction rule, in the module docstring)."""
     base = m.algebra.base
     if base is None:
         raise ValueError("module is not over a dual-numbers extension")
@@ -147,7 +147,7 @@ class GPCrossCheckError(RuntimeError):
     confirm: Ext^i_(A^op)(D P_v, D y) differs from it."""
 
 
-RESTRICTION_RULE = "projective restriction to the base (Ringel-Zhang)"
+RESTRICTION_RULE = "projective restriction to the base (Eckmann-Shapiro; Ringel-Zhang over kQ[eps])"
 
 
 class GPReport:
@@ -202,16 +202,15 @@ def is_gorenstein_projective(x: Representation, d: int = 8) -> GPReport:
     """GP test of x with the depth d as its only bound.
 
     A projective x is `gp` with no certificate: its row is zero in every
-    degree, so no g is asked for.  Over kQ[eps], kQ a path algebra with no
-    relations, a projective restriction to kQ makes x `gp` with g read off
-    Q and no resolution built (the Ringel-Zhang rule, in the module
-    docstring).  Otherwise the Ext row of x against the
-    regular module is read by `_left_row` (m = 0): a nonzero entry
-    refutes x, and g = `gorenstein_dimension(alg, k)`, once known with
-    the row zero up to k, makes x `gp` with certificate g.  If neither
-    settles by degree d, the row of Tr x is read degree by degree to d:
-    a nonzero entry refutes x on the right, and none gives
-    `gp-up-to-depth` d.
+    degree, so no g is asked for.  Over A[eps], a projective restriction
+    to A makes x `gp` with g = `gorenstein_dimension(A, d)`, when known,
+    and no resolution of x built (the restriction rule, in the module
+    docstring).  Otherwise the Ext row of x against the regular module
+    is read by `_left_row` (m = 0): a nonzero entry refutes x, and
+    g = `gorenstein_dimension(alg, k)`, once known with the row zero up
+    to k, makes x `gp` with certificate g.  If neither settles by degree
+    d, the row of Tr x is read degree by degree to d: a nonzero entry
+    refutes x on the right, and none gives `gp-up-to-depth` d.
 
     Refutations exhibit a nonzero Ext witness and re-verify it by
     balance, from a resolution of another module over the opposite
@@ -222,9 +221,10 @@ def is_gorenstein_projective(x: Representation, d: int = 8) -> GPReport:
     if is_projective(x):
         return GPReport(x, d, [], [], "gp")
     base = x.algebra.base
-    if base is not None and not base.relations and restriction_is_projective(x):
-        g = 1 if base.quiver.arrows else 0
-        return GPReport(x, d, [0] * g, [], "gp", certificate=g, rule=RESTRICTION_RULE)
+    if base is not None and restriction_is_projective(x):
+        g = gorenstein_dimension(base, d)
+        if g is not None:
+            return GPReport(x, d, [0] * g, [], "gp", certificate=g, rule=RESTRICTION_RULE)
     return _ext_row_verdict(x, d)
 
 

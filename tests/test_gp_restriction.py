@@ -1,12 +1,14 @@
-"""The Ringel-Zhang rule against the Ext-row detector.
+"""The restriction rule against the Ext-row detector.
 
-Over kQ[eps], Q acyclic, a module is GP iff its restriction to kQ is
-projective, and kQ[eps] is 1-Gorenstein (self-injective without arrows).
-`is_gorenstein_projective` certifies `gp` by that rule over Gamma = B[eps];
-here `restriction_is_projective` is checked against the Ext-row verdict
-(`_ext_row_verdict`), which resolves and reads Yoneda ranks, over Gamma
-and over Lambda = A[eps], where A has relations and the rule is evidence,
-not a theorem.
+Over a dual-numbers extension A[eps], A Gorenstein, a module is GP iff its
+restriction to A is projective, and A[eps] has the Gorenstein dimension of
+A (Eckmann-Shapiro, in the `gorenstein` module docstring; over kQ[eps], Q
+acyclic, the Ringel-Zhang rule).  `is_gorenstein_projective` certifies
+`gp` by that rule over Gamma = B[eps] and Lambda = A[eps]; here its
+report is checked against the Ext-row verdict (`_ext_row_verdict`), which
+resolves and reads Yoneda ranks, and the rule's g against
+`gorenstein_dimension` of the extension, over bases with and without
+relations.
 """
 
 import numpy as np
@@ -23,15 +25,25 @@ from quivhom.gorenstein import (
     restriction_is_projective,
 )
 from quivhom.homological import syzygy
-from quivhom.modules import projective, simple
+from quivhom.modules import is_projective, projective, simple
 from quivhom.stable import stable_image
-from tests.conftest import random_module
+from tests.conftest import radical_square_zero, random_module
 
 
 def _agrees(x):
-    """restriction_is_projective(x), asserted equal to the Ext-row answer."""
+    """Whether x is GP: the production report, asserted equal to the
+    Ext-row verdict, with the rule named iff the restriction is projective
+    and x is not (a projective is `gp` with no certificate)."""
+    rep, ref = is_gorenstein_projective(x, 8), _ext_row_verdict(x, 8)
     oracle = restriction_is_projective(x)
-    assert oracle == _ext_row_verdict(x, 8).is_gp, x
+    assert oracle == ref.is_gp, x
+    if is_projective(x):
+        assert (rep.verdict, rep.certificate, rep.rule) == ("gp", None, None), x
+        return True
+    assert (rep.verdict, rep.certificate, rep.ext_left, rep.ext_right, rep.witness) == (
+        ref.verdict, ref.certificate, ref.ext_left, ref.ext_right, ref.witness
+    ), x
+    assert rep.rule == (RESTRICTION_RULE if oracle else None), x
     return oracle
 
 
@@ -54,7 +66,7 @@ def test_the_rule_agrees_on_random_modules_and_syzygies(n):
         rng = np.random.default_rng(seed)
         answers = []
         drawn = 0
-        while drawn < 100:
+        while drawn < 150:
             m = random_module(alg, rng)
             if m.is_zero():
                 continue
@@ -62,12 +74,31 @@ def test_the_rule_agrees_on_random_modules_and_syzygies(n):
             for x in (m, syzygy(m, 1), syzygy(m, 2)):
                 if not x.is_zero():
                     answers.append(_agrees(x))
-        # both answers occur, so a constant oracle would fail
+        # both answers occur on each algebra, so a constant oracle would fail
+        assert len(answers) >= 200
         assert 0 < sum(answers) < len(answers)
 
 
 def _eps(vertices, arrows):
     return BoundQuiverAlgebra(Quiver(vertices, arrows), []).dual_numbers_extension()
+
+
+def _stalks_take_the_rule(alg, g, bound):
+    """S (x) P_v, the compression of the stalk of the base projective P_v
+    (eps acting by zero), restricts to a projective and is not projective:
+    the rule certifies it with g, or, when g is None, the Ext row decides."""
+    for v in alg.quiver.vertices:
+        x = compress(module_complex(projective(alg.base, v)))[0]
+        assert restriction_is_projective(x) and not is_projective(x)
+        rep = is_gorenstein_projective(x, bound)
+        if g is None:
+            ref = _ext_row_verdict(x, bound)
+            assert (rep.verdict, rep.certificate, rep.ext_left, rep.ext_right, rep.rule) == (
+                ref.verdict, ref.certificate, ref.ext_left, ref.ext_right, None
+            )
+        else:
+            assert (rep.verdict, rep.certificate, rep.ext_left, rep.ext_right, rep.rule) == ("gp", g, [0] * g, [], RESTRICTION_RULE)
+            assert "Ringel-Zhang" in repr(rep)
 
 
 PATH_EXTENSIONS = {
@@ -82,15 +113,38 @@ PATH_EXTENSIONS = {
 
 @pytest.mark.parametrize("name", list(PATH_EXTENSIONS))
 def test_the_closed_form_g_is_the_gorenstein_dimension(name):
-    # S (x) P_v, the base projective with eps acting by zero, is GP and
-    # not projective; the rule certifies it with g read off the quiver
+    # Ringel-Zhang: kQ[eps] is 1-Gorenstein, self-injective without arrows
     alg = PATH_EXTENSIONS[name]()
     g = gorenstein_dimension(alg, 8)
-    assert g == (1 if alg.base.quiver.arrows else 0)
-    for v in alg.quiver.vertices:
-        rep = is_gorenstein_projective(compress(module_complex(projective(alg.base, v)))[0], 8)
-        assert (rep.verdict, rep.certificate, rep.ext_left, rep.ext_right, rep.rule) == ("gp", g, [0] * g, [], RESTRICTION_RULE)
-        assert "Ringel-Zhang" in repr(rep)
+    assert g == gorenstein_dimension(alg.base, 8) == (1 if alg.base.quiver.arrows else 0)
+    _stalks_take_the_rule(alg, g, 8)
+
+
+# base, the bound its Gorenstein dimension is read within, and that dimension
+BASES_WITH_RELATIONS = {
+    **{f"A({n})": (lambda n=n: corpus(n).A, 8, 2) for n in (1, 2)},
+    "k[x]/(x^2)": (lambda: BoundQuiverAlgebra(Quiver(["0"], [("x", "0", "0")]), [{("0", ("x", "x")): 1}]), 8, 0),
+    # self-injective of infinite global dimension
+    "2-cycle, rad^2 = 0": (
+        lambda: BoundQuiverAlgebra(
+            Quiver(["0", "1"], [("a", "0", "1"), ("b", "1", "0")]), [{("0", ("a", "b")): 1}, {("1", ("b", "a")): 1}]
+        ),
+        8,
+        0,
+    ),
+    "A_3, b0 b1 = 0": (lambda: BoundQuiverAlgebra(linear_algebra_An(3).quiver, [{("0", ("b0", "b1")): 1}]), 8, 2),
+    # not Gorenstein: no g within the bound, so the Ext row decides
+    "k<x, y>/(x, y)^2": (radical_square_zero, 4, None),
+}
+
+
+@pytest.mark.parametrize("name", list(BASES_WITH_RELATIONS))
+def test_the_extension_of_a_base_with_relations_has_its_gorenstein_dimension(name):
+    make, bound, g = BASES_WITH_RELATIONS[name]
+    base = make()
+    alg = base.dual_numbers_extension()
+    assert gorenstein_dimension(base, bound) == gorenstein_dimension(alg, bound) == g
+    _stalks_take_the_rule(alg, g, bound)
 
 
 def test_a_refutation_over_gamma_keeps_its_ext_row_and_witness():
@@ -109,13 +163,13 @@ def test_a_refutation_over_gamma_keeps_its_ext_row_and_witness():
     assert verdicts == ["refuted", "refuted", "refuted", "gp"]
 
 
-def test_the_rule_is_not_applied_over_lambda():
-    # A has relations, so over Lambda the verdict comes from the Ext row
+def test_the_rule_certifies_every_lambda_image():
+    # A has relations and g(A) = 2, so each image is certified with g = 2
     c = corpus(1)
     for key in sorted(c.M):
         img, _ = stable_image(c.F, c.M[key])
         rep = is_gorenstein_projective(img, 8)
-        assert (rep.verdict, rep.certificate, rep.rule) == ("gp", 2, None)
+        assert (rep.verdict, rep.certificate, rep.ext_left, rep.rule) == ("gp", 2, [0, 0], RESTRICTION_RULE)
 
 
 def test_the_restriction_needs_a_dual_numbers_extension():

@@ -430,6 +430,16 @@ def test_eps_modules_are_compressions():
     assert found == {"complexes.py compress", "functors.py eps_extension"}, found
 
 
+def test_the_gp_detector_reads_no_presentation():
+    """`is_gorenstein_projective` applies the restriction rule to every
+    dual-numbers extension alike, certified by the base's Gorenstein
+    dimension, so it reads neither `.relations` nor `.quiver`: no special
+    case for one presentation of the base comes back."""
+    tree = ast.parse((SRC / "gorenstein.py").read_text(), filename="gorenstein.py")
+    found = _scopes(tree, lambda n: isinstance(n, ast.Attribute) and n.attr in ("relations", "quiver"))
+    assert found and not [s for s in found if s.split(".")[0] == "is_gorenstein_projective"], found
+
+
 # the scopes that write into a `_cache` by hand
 CACHE_WRITERS = {
     "algebra.py cached.memo",  # the one memo decorator
