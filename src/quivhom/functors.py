@@ -67,9 +67,6 @@ class FunctorData:
             raise ValueError(f"missing {missing[0]}")
         # negative-degree images are legal data but fail is_non_negative
         self.width = max([0] + [self.images[v].hi for v in source.quiver.vertices if self.images[v].terms])
-        # the resolution window of the stable pipeline: substituting a
-        # resolution truncated here is exact in all degrees >= -1
-        self.stable_window = -self.width - 2
         for n, s, t in source.quiver.arrows:
             am = self.arrow_maps[n]
             if am.source is not self.images[t] or am.target is not self.images[s]:
@@ -80,6 +77,11 @@ class FunctorData:
         for r in source.relations:
             if not all(emat_is_zero(m) for m in self.element_map_emats(r).values()):
                 raise ValueError(f"relation {r} not satisfied strictly")
+
+    def window(self, t: int) -> int:
+        """The resolution window t - width - 1, the lowest whose
+        substituted image is exact in all degrees >= t (`apply_to_module`)."""
+        return t - self.width - 1
 
     # -- morphism images ----------------------------------------------
 
@@ -258,8 +260,9 @@ def apply_to_proj_chain_map(f: FunctorData, mu: ProjChainMap) -> ProjChainMap:
 
 def apply_to_module(f: FunctorData, x, window_lo: int) -> ProjComplex:
     """Image of a module: substitute into its minimal resolution down to
-    window_lo.  Quasi-isomorphic to the true image in all degrees
-    >= window_lo + width + 1."""
+    window_lo.  The terms cut off have images below degree window_lo +
+    width, so the result is quasi-isomorphic to the true image in all
+    degrees >= window_lo + width + 1: down to t on `f.window(t)`."""
     if window_lo > 0:
         raise ValueError("window_lo must be <= 0")
     if x.is_zero():
@@ -346,8 +349,9 @@ class NonNegativityReport:
 def is_non_negative(f: FunctorData, depth: int = 8) -> NonNegativityReport:
     """Certify non-negativity: projective images in degrees [0, width]
     (strict relations are checked by `FunctorData`), and vanishing negative
-    homology of the image of every simple, checked down to -depth (a depth
-    certificate: finite-length induction extends it to all modules)."""
+    homology of the image of every simple, checked down to -depth on the
+    resolution window `f.window(-depth)` (a depth certificate:
+    finite-length induction extends it to all modules)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     details: dict = {}
@@ -360,7 +364,7 @@ def is_non_negative(f: FunctorData, depth: int = 8) -> NonNegativityReport:
     if ok:
         for v in f.source.quiver.vertices:
             s = simple(f.source, v)
-            img = apply_to_module(f, s, -depth - 2)
+            img = apply_to_module(f, s, f.window(-depth))
             for i, h in homology_dims(img.to_complex()).items():
                 if -depth <= i < 0:
                     details[("homology", v, i)] = h
@@ -461,7 +465,7 @@ class EndoPresentation:
     opposite.
     """
 
-    def __init__(self, dim: int, multiplicities: list[int], quiver: Quiver, relation_count: int):
+    def __init__(self, dim: int, multiplicities: list[int], quiver: Quiver, relation_count: int | None):
         self.dim = dim
         self.multiplicities = multiplicities
         self.quiver = quiver
@@ -470,6 +474,9 @@ class EndoPresentation:
 
 def endomorphism_presentation(t: TiltingCandidate, seed: int = 0) -> EndoPresentation:
     """Gabriel quiver of E = End_K(T) and a relation count.
+
+    The relation count is dim kQ - dim E, Q the quiver found, or None
+    when Q has an oriented cycle (kQ is infinite).
 
     The minimized summands are grouped into homotopy-isomorphism classes
     (the vertices) by `homological.group_isomorphic`, keyed by signature:
@@ -522,26 +529,24 @@ def endomorphism_presentation(t: TiltingCandidate, seed: int = 0) -> EndoPresent
             arrows.append((f"x{len(arrows)}", str(b[1]), str(b[0])))
     quiver = Quiver([str(i) for i in range(r)], arrows)
     # relation count: dimension defect of the path algebra against E
-    relation_count = max(0, _count_paths(quiver) - dim)
-    return EndoPresentation(dim, mult, quiver, relation_count)
+    paths = _count_paths(quiver)
+    return EndoPresentation(dim, mult, quiver, None if paths is None else paths - dim)
 
 
-def _count_paths(q: Quiver) -> int:
-    """The number of paths of q of length at most 8."""
-    total = len(q.vertices)
+def _count_paths(q: Quiver) -> int | None:
+    """The number of paths of q, the trivial ones included, or None when
+    q has an oriented cycle: a path of length |Q0| visits some vertex
+    twice, so it exists exactly when kQ is infinite."""
+    total = 0
     frontier = {v: 1 for v in q.vertices}
-    for _ in range(8):
+    for _ in q.vertices:
+        total += sum(frontier.values())
         nxt = {v: 0 for v in q.vertices}
-        moved = 0
         for v, cnt in frontier.items():
             for a in q.out_arrows[v]:
                 nxt[q.target(a)] += cnt
-                moved += cnt
-        if moved == 0:
-            break
-        total += sum(nxt.values())
         frontier = nxt
-    return total
+    return None if any(frontier.values()) else total
 
 
 def strict_chain_automorphism(img: ProjComplex, rng) -> tuple[ProjChainMap, ProjChainMap]:
@@ -584,7 +589,7 @@ def perturb_functor_data(f: FunctorData, seed: int = 0) -> tuple[FunctorData, di
 def conjugation_comparison(f1: FunctorData, f2: FunctorData, psis: dict, x) -> ProjChainMap:
     """Chain map apply(f2, res_x) -> apply(f1, res_x) assembled from the
     conjugating automorphisms (both data share their images)."""
-    window = f1.stable_window
+    window = f1.window(-1)
     res = minimal_resolution(x, -window).proj_complex(window)
     c2, off2 = _layout(f2, res)
     c1, off1 = _layout(f1, res)

@@ -80,12 +80,17 @@ def gorenstein_dimension(alg, bound: int) -> int | None:
     1 <= i <= g (Enochs-Jenda, Relative Homological Algebra, 2000,
     ch. 10-11).  g = 0 means alg is self-injective: every module is GP.
 
-    One module per side is resolved: the injective cogenerator
+    A dual-numbers extension A[eps] has the Gorenstein dimension of its
+    base A (Eckmann-Shapiro, in the module docstring), so its value is
+    the base's and no module over A[eps] is resolved.  Otherwise one
+    module per side is resolved: the injective cogenerator
     dual(regular_module(side.opposite())), the sum of the indecomposable
     injectives, whose projdim is the largest of theirs.  Cached per bound
     on alg; the cogenerators keep their resolutions, so a larger bound
     extends them.
     """
+    if alg.base is not None:
+        return gorenstein_dimension(alg.base, bound)
     g = 0
     for side in (alg, alg.opposite()):
         pd = projdim(dual(regular_module(side.opposite())), bound)

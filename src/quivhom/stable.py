@@ -2,10 +2,10 @@
 
 The stable image of a module x under functor data f is computed from the
 canonical pipeline: substitute the minimal resolution of x (truncated at
-`FunctorData.stable_window` = -width - 2, which makes the result exact
-in all degrees >= -1), cancel contractible summands, and truncate at
-degree zero.  The degree-0 cokernel M is the stable image; the part in
-degrees >= 1 is a bounded complex of projectives U, and the
+`f.window(-1)` = -width - 2, which makes the result exact in all degrees
+>= -1), cancel contractible summands, and truncate at degree zero.  The
+degree-0 cokernel M is the stable image; the part in degrees >= 1 is a
+bounded complex of projectives U, and the
 degreewise-split sequence U -> model -> M[0] is the defining truncation
 triangle.  One `TruncationTriangle` per (f, x) holds M, the model and
 the choices that morphism transport reuses; U and the maps i, pi and mu
@@ -56,9 +56,8 @@ from .modules import (
 )
 from .functors import (
     FunctorData,
+    apply_to_map,
     apply_to_module,
-    apply_to_proj_chain_map,
-    lift_to_resolutions,
     shift_functor,
 )
 from .projcplx import minimize
@@ -166,7 +165,7 @@ class TruncationTriangle:
     """
 
     def __init__(self, f: FunctorData, x: Representation):
-        self.cmin, self.mproj, self.minc = minimize(apply_to_module(f, x, f.stable_window))
+        self.cmin, self.mproj, self.minc = minimize(apply_to_module(f, x, f.window(-1)))
         self.model, wit = _good_truncate_unchecked(self.cmin.to_complex())
         self.M, self.pi0 = self.model.term(0), wit.map(0)
 
@@ -211,9 +210,7 @@ def _model_chain_map(f: FunctorData, phi: RepHom) -> ChainMap:
     a module map; its degree-0 component is the induced map M_x -> M_y."""
     px = _pipeline(f, phi.source)
     py = _pipeline(f, phi.target)
-    lam = lift_to_resolutions(phi, f.stable_window)
-    flam = apply_to_proj_chain_map(f, lam)
-    psi = py.mproj.compose(flam).compose(px.minc)
+    psi = py.mproj.compose(apply_to_map(f, phi, f.window(-1))).compose(px.minc)
     psi_cm = psi.to_chain_map()
     comps = {i: m for i, m in psi_cm.maps.items() if i >= 1}
     if not px.M.is_zero() and not py.M.is_zero():

@@ -52,8 +52,8 @@ def test_stable_images_are_the_compressions_of_the_transported_complexes(n):
     shares `apply_to_projective_complex` with the pipeline, but no
     resolution, `minimize` or truncation.  A stable window of -1 fails
     every pair at n = 1 and 2; a window of -width - 1, one degree short of
-    `FunctorData.stable_window`, still passes every pair at n <= 4, so this
-    test does not see that fault."""
+    `f.window(-1)`, still passes every pair at n <= 4, so this test does
+    not see that fault."""
     c = corpus(n)
     assert len(c.M) == (2 * n + 2) * (2 * n + 3) // 2
     for (i, l), m in c.M.items():

@@ -227,7 +227,7 @@ def assert_same_data(new, old):
         assert img.dmats == old.images[v].dmats
     for a, m in new.arrow_maps.items():
         assert m.comps == old.arrow_maps[a].comps
-    assert new.width == old.width and new.stable_window == old.stable_window == -new.width - 2
+    assert new.width == old.width and new.window(-1) == old.window(-1) == -new.width - 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from quivhom import projcplx
-from quivhom.algebra import Quiver, linear_algebra_An
+from quivhom.algebra import BoundQuiverAlgebra, Quiver, dual_numbers, linear_algebra_An
 from quivhom.complexes import (
     cone,
     homology,
@@ -14,7 +16,6 @@ from quivhom.corpus import Corpus, corpus
 from quivhom.functors import (
     FunctorData,
     TiltingCandidate,
-    _count_paths,
     apply_to_map,
     apply_to_module,
     apply_to_projective_complex,
@@ -387,6 +388,34 @@ def test_non_negativity_needs_a_degree_to_check(C1):
             is_non_negative(f0, depth)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["k[eps]", "Lam", "Gam", "A"])
+def test_shift_data_is_non_negative(name, k):
+    """Omega^k is non-negative: with the window of `FunctorData.window`
+    the images of the simples have no homology in degrees -3..-1 at any
+    width (a fixed margin of two degrees read the cut of the resolution
+    as homology once k >= 2)."""
+    alg = dual_numbers() if name == "k[eps]" else getattr(corpus(1), name)
+    rep = is_non_negative(shift_functor(alg, k), 3)
+    assert rep.ok and rep.details == {}
+
+
+def test_omega_squared_is_non_negative_at_the_default_depth(C1):
+    assert is_non_negative(shift_functor(C1.Lam, 2)).ok
+
+
+def test_the_window_is_exact_from_t(C1):
+    """The image on `f.window(t)` has the homology of the image on a
+    window three degrees deeper in every degree >= t."""
+    cases = 0
+    for f in [C1.F, C1.G] + [shift_functor(C1.Lam, k) for k in range(4)]:
+        for s, t in itertools.product([simple(f.source, v) for v in f.source.quiver.vertices], (-1, -2, -3)):
+            got, deeper = (homology_dims(apply_to_module(f, s, w).to_complex()) for w in (f.window(t), f.window(t) - 3))
+            assert {i: h for i, h in got.items() if i >= t and h} == {i: h for i, h in deeper.items() if i >= t and h}, (f, s, t)
+            cases += 1
+    assert cases == 72
+
+
 def test_a_window_above_zero_is_rejected(A1):
     """A resolution window above degree 0 holds nothing: applying or
     lifting there raises instead of returning an empty complex or map."""
@@ -453,6 +482,25 @@ def old_proj_complexes_homotopy_iso(x, y, seed=0):
         if is_quasi_iso(hk.engine.map_of(0, hk.vectors @ rng.integers(0, x.algebra.p, size=hk.dim) % x.algebra.p)):
             return True
     return False
+
+
+def enumerated_relation_count(quiver, dim):
+    """dim kQ - dim, kQ's paths listed one by one as arrow sequences, or
+    None as soon as a path comes back to a vertex it has visited (an
+    oriented cycle: kQ is infinite)."""
+    paths = [(v,) for v in quiver.vertices]  # the vertices each path visits
+    count = 0
+    while paths:
+        count += len(paths)
+        longer = []
+        for visited in paths:
+            for _, s, t in quiver.arrows:
+                if s == visited[-1]:
+                    if t in visited:
+                        return None
+                    longer.append(visited + (t,))
+        paths = longer
+    return count - dim
 
 
 def old_endomorphism_presentation(t, seed=0):
@@ -522,7 +570,7 @@ def old_endomorphism_presentation(t, seed=0):
         for _ in range(count):
             arrows.append((f"x{len(arrows)}", str(v), str(u)))
     quiver = Quiver([str(i) for i in range(r)], arrows)
-    return dim, mult, quiver.arrows, max(0, _count_paths(quiver) - dim)
+    return dim, mult, quiver.arrows, enumerated_relation_count(quiver, dim)
 
 
 def regular_candidate(alg):
@@ -542,6 +590,34 @@ def test_endo_presentation_arrows_are_the_old_block_product_loop(n, p):
         pres = endomorphism_presentation(cand)
         got = (pres.dim, pres.multiplicities, pres.quiver.arrows, pres.relation_count)
         assert got == old_endomorphism_presentation(cand)
+
+
+def _a12_mod_b0b1():
+    return BoundQuiverAlgebra(linear_algebra_An(12).quiver, [{("0", ("b0", "b1")): 1}])
+
+
+@pytest.mark.parametrize(
+    "name, make, expected",
+    [
+        # 78 paths of A_12, 10 of them through b0 b1: beyond the old cap of 8
+        ("kA_12/(b0 b1)", _a12_mod_b0b1, 10),
+        ("k[eps]", dual_numbers, None),
+        ("Lambda(1)", lambda: corpus(1).Lam, None),
+        ("Gamma(1)", lambda: corpus(1).Gam, None),
+        ("A(1)", lambda: corpus(1).A, 1),
+    ],
+)
+def test_the_relation_count_of_a_regular_candidate_is_exact(name, make, expected):
+    """dim kQ - dim E, or None when the quiver of E has a loop or cycle."""
+    pres = endomorphism_presentation(regular_candidate(make()))
+    assert pres.relation_count == expected == enumerated_relation_count(pres.quiver, pres.dim)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_corpus_tilting_presents_b_with_no_relation(n):
+    c = corpus(n)
+    pres = endomorphism_presentation(c.tilting)
+    assert (pres.dim, pres.relation_count) == (c.B.dim, 0)
 
 
 def tilting_cone_inputs(C1, A1):

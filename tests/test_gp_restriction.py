@@ -6,14 +6,16 @@ A (Eckmann-Shapiro, in the `gorenstein` module docstring; over kQ[eps], Q
 acyclic, the Ringel-Zhang rule).  `is_gorenstein_projective` certifies
 `gp` by that rule over Gamma = B[eps] and Lambda = A[eps]; here its
 report is checked against the Ext-row verdict (`_ext_row_verdict`), which
-resolves and reads Yoneda ranks, and the rule's g against
-`gorenstein_dimension` of the extension, over bases with and without
-relations.
+resolves and reads Yoneda ranks, and the rule's g against the projdims
+of the extension's own injective cogenerators, over bases with and
+without relations.  `gorenstein_dimension` of an extension reads its
+base, and resolves no module over the extension.
 """
 
 import numpy as np
 import pytest
 
+from quivhom import gorenstein
 from quivhom.algebra import BoundQuiverAlgebra, Quiver, dual_numbers, linear_algebra_An
 from quivhom.complexes import compress, module_complex
 from quivhom.corpus import corpus
@@ -24,8 +26,8 @@ from quivhom.gorenstein import (
     is_gorenstein_projective,
     restriction_is_projective,
 )
-from quivhom.homological import syzygy
-from quivhom.modules import is_projective, projective, simple
+from quivhom.homological import dual, projdim, syzygy
+from quivhom.modules import is_projective, projective, regular_module, simple
 from quivhom.stable import stable_image
 from tests.conftest import radical_square_zero, random_module
 
@@ -79,6 +81,15 @@ def test_the_rule_agrees_on_random_modules_and_syzygies(n):
         assert 0 < sum(answers) < len(answers)
 
 
+def _resolved_gorenstein_dimension(alg, bound):
+    """The Gorenstein dimension of alg resolved over alg itself: the
+    largest projdim of the injective cogenerator of each side, or None
+    when one exceeds bound (the body `gorenstein_dimension` has for an
+    algebra that is no extension)."""
+    pds = [projdim(dual(regular_module(side.opposite())), bound) for side in (alg, alg.opposite())]
+    return None if None in pds else max(pds)
+
+
 def _eps(vertices, arrows):
     return BoundQuiverAlgebra(Quiver(vertices, arrows), []).dual_numbers_extension()
 
@@ -116,7 +127,7 @@ def test_the_closed_form_g_is_the_gorenstein_dimension(name):
     # Ringel-Zhang: kQ[eps] is 1-Gorenstein, self-injective without arrows
     alg = PATH_EXTENSIONS[name]()
     g = gorenstein_dimension(alg, 8)
-    assert g == gorenstein_dimension(alg.base, 8) == (1 if alg.base.quiver.arrows else 0)
+    assert g == _resolved_gorenstein_dimension(alg, 8) == (1 if alg.base.quiver.arrows else 0)
     _stalks_take_the_rule(alg, g, 8)
 
 
@@ -143,8 +154,24 @@ def test_the_extension_of_a_base_with_relations_has_its_gorenstein_dimension(nam
     make, bound, g = BASES_WITH_RELATIONS[name]
     base = make()
     alg = base.dual_numbers_extension()
-    assert gorenstein_dimension(base, bound) == gorenstein_dimension(alg, bound) == g
+    assert gorenstein_dimension(alg, bound) == _resolved_gorenstein_dimension(alg, bound) == g
     _stalks_take_the_rule(alg, g, bound)
+
+
+def test_the_extension_resolves_no_module_of_its_own(monkeypatch):
+    """g(A[eps]) is read off A: every projdim that `gorenstein_dimension`
+    of a fresh extension asks for is over A or its opposite."""
+    asked = []
+
+    def recorded(m, bound):
+        asked.append(m.algebra)
+        return projdim(m, bound)
+
+    monkeypatch.setattr(gorenstein, "projdim", recorded)
+    base = BASES_WITH_RELATIONS["A_3, b0 b1 = 0"][0]()
+    alg = base.dual_numbers_extension()
+    assert gorenstein_dimension(alg, 8) == 2
+    assert asked and set(map(id, asked)) <= {id(base), id(base.opposite())}, asked
 
 
 def test_a_refutation_over_gamma_keeps_its_ext_row_and_witness():

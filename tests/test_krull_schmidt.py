@@ -26,13 +26,13 @@ from quivhom.algebra import Quiver, dual_numbers, linear_algebra_An
 from quivhom.complexes import Complex, HomEngine, hom_k, is_quasi_iso, module_complex
 from quivhom.corpus import Corpus, corpus, interval_module
 from quivhom.exactlin import Matrix, extending_columns, inverse, nullspace, rank
-from quivhom.functors import TiltingCandidate, _count_paths, endomorphism_presentation
+from quivhom.functors import TiltingCandidate, endomorphism_presentation
 from quivhom.homological import DecompositionError, _end_radical, _power, _split_idempotent, decompose, find_strict_iso, group_isomorphic
 from quivhom.modules import ProjSummands, Representation, direct_sum, flatten_blocks, hom_frame, identity_hom, image, kernel, lift, zero_hom, zero_rep
 from quivhom.projcplx import ProjComplex, _add_block, minimize, recognize
 from quivhom.stable import stable_image
 from tests.conftest import local_end, proj_direct_sum, random_module, split_proj_complex
-from tests.test_functors import proj_stalk
+from tests.test_functors import enumerated_relation_count, proj_stalk
 from tests.test_strings import monomial_quadratic_relations, reversed_walk, string_module, string_modules, walks
 
 # -- the replaced module loop ------------------------------------------------------
@@ -277,7 +277,7 @@ def old_endomorphism_presentation(t, seed=0):
         for _ in range(rank(Matrix(p, rad[:, span[b]])) - rank(Matrix(p, rad2[:, span[b]]))):
             arrows.append((f"x{len(arrows)}", str(b[1]), str(b[0])))
     quiver = Quiver([str(i) for i in range(r)], arrows)
-    return dim, mult, quiver.arrows, max(0, _count_paths(quiver) - dim)
+    return dim, mult, quiver.arrows, enumerated_relation_count(quiver, dim)
 
 
 def old_direct_sum_proj(pcs):

@@ -10,7 +10,7 @@ Hom(P_x, P_y) and is kept only here, as the reference.
 import numpy as np
 import pytest
 
-from quivhom import stable
+from quivhom import functors
 from quivhom.algebra import linear_algebra_An
 from quivhom.corpus import corpus, gentle_tree_algebra
 from quivhom.exactlin import MAX_PRIME, Matrix, solve
@@ -151,7 +151,7 @@ def test_generator_lift_matches_hom_basis_lift(n, monkeypatch):
 
         new = stable_image_map(c.F, phi)
         with monkeypatch.context() as mp:
-            mp.setattr(stable, "lift_to_resolutions", hom_basis_lift)
+            mp.setattr(functors, "lift_to_resolutions", hom_basis_lift)
             old = stable_image_map(c.F, phi)
         assert new.rep.source is old.rep.source and new.rep.target is old.rep.target
         space = StableHomSpace(new.rep.source, new.rep.target)

@@ -430,6 +430,51 @@ def test_eps_modules_are_compressions():
     assert found == {"complexes.py compress", "functors.py eps_extension"}, found
 
 
+# the entry points that resolve a module down to a window, and the
+# position of that window among their arguments
+WINDOWED = {"apply_to_module": 2, "apply_to_map": 2, "lift_to_resolutions": 1}
+
+
+def _windows(tree: ast.AST):
+    """(dotted scope, parameters of the innermost function, window
+    argument or None) for each call of a `WINDOWED` entry point."""
+
+    def visit(node, scope, params):
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(child, ast.Call) and name in WINDOWED:
+                args = child.args[WINDOWED[name]:WINDOWED[name] + 1] + [k.value for k in child.keywords if k.arg == "window_lo"]
+                yield ".".join(scope), params, args[0] if args else None
+            if isinstance(child, ast.FunctionDef):
+                yield from visit(child, scope + [child.name], {a.arg for a in child.args.args + child.args.kwonlyargs})
+            else:
+                yield from visit(child, scope + [child.name] if isinstance(child, ast.ClassDef) else scope, params)
+
+    return visit(tree, [], set())
+
+
+def test_one_image_window():
+    """Every resolution window in the package is `FunctorData.window(t)`,
+    or a window its caller was given: a call of `apply_to_module`,
+    `apply_to_map` or `lift_to_resolutions` passes `<functor>.window(...)`
+    or its own window parameter, so no second margin (such as a fixed
+    -depth - 2, or a stored window attribute) comes back.  `cli.py` passes
+    the user's raw `--window`."""
+    found, bad = [], []
+    for module in MODULES:
+        if module == "cli.py":
+            continue
+        tree = ast.parse((SRC / module).read_text(), filename=module)
+        for scope, params, window in _windows(tree):
+            found.append(f"{module} {scope}")
+            asked = isinstance(window, ast.Call) and getattr(window.func, "attr", None) == "window"
+            if not (asked or (isinstance(window, ast.Name) and window.id in params)):
+                bad.append((module, scope, window and ast.unparse(window)))
+    assert "functors.py is_non_negative" in found and "stable.py TruncationTriangle.__init__" in found, found
+    assert not bad, bad
+
+
 def test_the_gp_detector_reads_no_presentation():
     """`is_gorenstein_projective` applies the restriction rule to every
     dual-numbers extension alike, certified by the base's Gorenstein
